@@ -172,7 +172,7 @@ def attacker_step(
     return state, actions
 
 
-def is_terminal(state: AttackerState, profile: AttackerProfile) -> bool:
+def is_terminal(state: AttackerState) -> bool:
     return state.status in (COMPLETED, ABANDONED)
 
 

@@ -15,6 +15,11 @@ from typing import Optional
 import yaml
 
 
+def name_key(text: str) -> str:
+    """Lookup key for a stage or service name: lower case, no separators."""
+    return text.replace("_", "").replace(" ", "").replace("-", "").lower()
+
+
 class AttackStage(IntEnum):
     """Ordered intrusion stages; ordinal gives chain position."""
 
@@ -31,9 +36,8 @@ class AttackStage(IntEnum):
     @classmethod
     def from_label(cls, text: str) -> "AttackStage":
         """Parse a stage name, tolerating case and separator variations."""
-        key = text.replace("_", "").replace(" ", "").replace("-", "").lower()
         try:
-            return _STAGE_BY_KEY[key]
+            return _STAGE_BY_KEY[name_key(text)]
         except KeyError:
             raise ValueError(f"unknown attack stage: {text!r}") from None
 
@@ -256,10 +260,10 @@ def validate_deployment(cfg: HoneynetConfig) -> list[str]:
         violations.append(f"budget must be at least 1, got {cfg.budget}")
     elif cfg.budget > n:
         violations.append(f"budget exceeds catalog: budget={cfg.budget}, services={n}")
-    vuln = len(cfg.catalog.vulnerable_ids)
-    shape = {"fully_vulnerable": (4, 4), "small_mixed": (4, 2), "large_mixed": (6, 2)}.get(cfg.deployment_name)
-    if shape is not None:
-        want_n, want_vuln = shape
+    if cfg.deployment_name in DEPLOYMENT_NAMES:
+        vuln = len(cfg.catalog.vulnerable_ids)
+        reference = deployment_config(cfg.deployment_name).catalog
+        want_n, want_vuln = len(reference), len(reference.vulnerable_ids)
         if n != want_n:
             violations.append(f"{cfg.deployment_name} requires {want_n} services, got {n}")
         if vuln != want_vuln:

@@ -7,6 +7,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .catalog import DEPLOYMENT_NAMES
 from .harness import (
     ConfigError,
     ExperimentMatrix,
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--deployment",
         default="fully_vulnerable",
-        choices=("fully_vulnerable", "small_mixed", "large_mixed"),
+        choices=DEPLOYMENT_NAMES,
     )
     demo.add_argument("--seed", type=int, default=0)
     demo.set_defaults(func=cmd_mock_demo)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import yaml
 
-from .attackers import AttackerProfile, PersistenceModel, PERSISTENCE_MODES, default_attacker_queue
+from .attackers import AttackerProfile, PersistenceModel, default_attacker_queue
 from .catalog import (
     AttackGraph,
     AttackStage,
@@ -96,15 +96,15 @@ class ExperimentMatrix:
     deployments: list[str]
     modes: list[str]
     seeds: list[int]
-    horizon: int = 20
-    budget: int = 1
+    horizon: int = RunConfig.horizon
+    budget: int = HoneynetConfig.budget
     seed_base: int = 0
-    decay: float = 0.25
-    floor: float = 0.1
-    noise: NoiseConfig = NoiseConfig()
-    abandon_on_failure: bool = True
-    belief_carryover: bool = False
-    bootstrap: str = "policy"
+    decay: float = PersistenceModel.decay
+    floor: float = PersistenceModel.floor
+    noise: NoiseConfig = RunConfig.noise
+    abandon_on_failure: bool = AttackerProfile.abandon_on_failure
+    belief_carryover: bool = RunConfig.belief_carryover
+    bootstrap: str = RunConfig.bootstrap
     score_mode: str = SCORE_MODE_SETS
     backends: dict = field(default_factory=dict)
     catalog_path: Optional[str] = None
@@ -198,19 +198,19 @@ def matrix_from_dict(data: dict) -> ExperimentMatrix:
         deployments=list(data.get("deployments", [])),
         modes=list(data.get("persistence_modes", [])),
         seeds=[int(s) for s in data.get("seeds", [])],
-        horizon=int(data.get("horizon", 20)),
-        budget=int(data.get("budget", 1)),
-        seed_base=int(data.get("seed_base", 0)),
-        decay=float(persistence.get("decay", 0.25)),
-        floor=float(persistence.get("floor", 0.1)),
+        horizon=int(data.get("horizon", ExperimentMatrix.horizon)),
+        budget=int(data.get("budget", ExperimentMatrix.budget)),
+        seed_base=int(data.get("seed_base", ExperimentMatrix.seed_base)),
+        decay=float(persistence.get("decay", ExperimentMatrix.decay)),
+        floor=float(persistence.get("floor", ExperimentMatrix.floor)),
         noise=NoiseConfig(
-            false_positive_rate=float(noise.get("false_positive_rate", 0.1)),
-            hint_corruption_rate=float(noise.get("hint_corruption_rate", 0.1)),
+            false_positive_rate=float(noise.get("false_positive_rate", NoiseConfig.false_positive_rate)),
+            hint_corruption_rate=float(noise.get("hint_corruption_rate", NoiseConfig.hint_corruption_rate)),
         ),
-        abandon_on_failure=bool(attacker.get("abandon_on_failure", True)),
-        belief_carryover=bool(data.get("belief_carryover", False)),
-        bootstrap=str(data.get("bootstrap", "policy")),
-        score_mode=str(data.get("score_mode", SCORE_MODE_SETS)),
+        abandon_on_failure=bool(attacker.get("abandon_on_failure", ExperimentMatrix.abandon_on_failure)),
+        belief_carryover=bool(data.get("belief_carryover", ExperimentMatrix.belief_carryover)),
+        bootstrap=str(data.get("bootstrap", ExperimentMatrix.bootstrap)),
+        score_mode=str(data.get("score_mode", ExperimentMatrix.score_mode)),
         backends=backends,
         catalog_path=data.get("catalog"),
         prompt_template_path=data.get("prompt_template"),
@@ -252,12 +252,12 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     if not matrix.modes:
         problems.append("no persistence modes configured")
     for mode in matrix.modes:
-        if mode not in PERSISTENCE_MODES:
-            problems.append(f"unknown persistence mode {mode!r}")
-    if not 0.0 < matrix.decay <= 1.0:
-        problems.append(f"persistence decay out of range: {matrix.decay}")
-    if not 0.0 <= matrix.floor <= 1.0:
-        problems.append(f"persistence floor out of range: {matrix.floor}")
+        try:
+            PersistenceModel(mode, matrix.decay, matrix.floor)
+        except ValueError as exc:
+            problem = f"persistence: {exc}"
+            if problem not in problems:  # a bad decay or floor fails every mode alike
+                problems.append(problem)
     if matrix.score_mode not in (SCORE_MODE_SETS, SCORE_MODE_CURRENT):
         problems.append(f"unknown score mode {matrix.score_mode!r}")
 
@@ -361,9 +361,6 @@ def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
 
 
 def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue):
-    template = (
-        load_template(matrix.prompt_template_path) if matrix.prompt_template_path else builtin_template()
-    )
     if spec.kind == "oracle":
         return lambda index, seed: OraclePolicy()
     if spec.kind == "random":
@@ -373,6 +370,9 @@ def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: Honeyn
     if spec.kind == "static":
         exposed = tuple(spec.params["expose"])
         return lambda index, seed: StaticPolicy(exposed)
+    template = (
+        load_template(matrix.prompt_template_path) if matrix.prompt_template_path else builtin_template()
+    )
     if spec.kind == "scripted":
         scripts = []
         for profile in queue:
@@ -400,10 +400,8 @@ def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: Honeyn
     raise ConfigError(f"unknown policy kind {spec.kind!r}")
 
 
-def run_cell(
-    cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None
-) -> tuple[RunResult, list[dict]]:
-    """Execute one cell; returns the run result plus any model turn logs.
+def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None) -> RunResult:
+    """Execute one cell.
 
     With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
     happen, so partial runs still leave an audit trail.
@@ -421,7 +419,7 @@ def run_cell(
         belief_carryover=matrix.belief_carryover,
         bootstrap=matrix.bootstrap,
     )
-    factory = _policy_factory(cell.policy, matrix, honeynet, queue)
+    make_policy = _policy_factory(cell.policy, matrix, honeynet, queue)
 
     turn_log: Optional[Path] = None
     if out_dir is not None:
@@ -430,30 +428,22 @@ def run_cell(
         turn_log = cell_dir / "turns.jsonl"
         turn_log.unlink(missing_ok=True)  # reruns must not append to stale logs
 
-    model_policies: list[LlmPolicy] = []
-
-    def wrapped_factory(index: int, seed: int):
-        policy = factory(index, seed)
-        if isinstance(policy, LlmPolicy):
-            if turn_log is not None:
-                policy.attach_turn_log(turn_log)
-            model_policies.append(policy)
+    def factory(index: int, seed: int):
+        policy = make_policy(index, seed)
+        if turn_log is not None and isinstance(policy, LlmPolicy):
+            policy.attach_turn_log(turn_log)
         return policy
 
-    records = run_simulation(cfg, wrapped_factory)
-    turns = [t.to_dict() for policy in model_policies for t in policy.turns]
-
-    result = RunResult(
+    return RunResult(
         policy=cell.policy.label,
         deployment=cell.deployment,
         persistence=cell.persistence,
         seed=cell.seed,
-        records=tuple(records),
+        records=tuple(run_simulation(cfg, factory)),
     )
-    return result, turns
 
 
-def write_cell(out_dir: Path, cell: CellSpec, result: RunResult, turns: list[dict]) -> None:
+def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
     cell_dir = out_dir / cell.name
     cell_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -465,10 +455,6 @@ def write_cell(out_dir: Path, cell: CellSpec, result: RunResult, turns: list[dic
     }
     (cell_dir / "cell.json").write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     (cell_dir / "episodes.jsonl").write_text(records_to_jsonl(result.records) + "\n", encoding="utf-8")
-    if turns and not (cell_dir / "turns.jsonl").exists():  # absent when not streamed by run_cell
-        (cell_dir / "turns.jsonl").write_text(
-            "\n".join(json.dumps(t, sort_keys=True) for t in turns) + "\n", encoding="utf-8"
-        )
 
 
 def write_summaries(
@@ -527,19 +513,18 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     }
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    def job(cell: CellSpec) -> tuple[CellSpec, RunResult]:
+    def job(cell: CellSpec) -> RunResult:
         logger.info("running cell %s", cell.name)
-        result, turns = run_cell(cell, matrix, out_dir=out)
-        write_cell(out, cell, result, turns)
-        return cell, result
+        result = run_cell(cell, matrix, out_dir=out)
+        write_cell(out, cell, result)
+        return result
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(job, cells))
+            results = list(pool.map(job, cells))
     else:
-        pairs = [job(c) for c in cells]
+        results = [job(c) for c in cells]
 
-    results = [result for _, result in pairs]
     return write_summaries(
         out,
         results,

@@ -9,18 +9,18 @@ one exists) and flags the turn.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
 import re
 import time
+import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional, Sequence
 
-import requests
-
-from .catalog import AttackGraph, AttackStage, HoneynetConfig, ServiceSpec
+from .catalog import AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, name_key
 from .policies import (
     BeliefState,
     ExposureDecision,
@@ -135,12 +135,9 @@ def _json_candidates(raw: str) -> list[str]:
 
 
 def _resolve_service(name: str, catalog: AttackGraph) -> Optional[str]:
-    key = name.replace("_", "").replace(" ", "").replace("-", "").lower()
+    key = name_key(name)
     for svc in catalog.services:
-        if key in (
-            svc.id.replace("_", "").lower(),
-            svc.display_name.replace(" ", "").lower(),
-        ):
+        if key in (name_key(svc.id), name_key(svc.display_name)):
             return svc.id
     return None
 
@@ -148,8 +145,9 @@ def _resolve_service(name: str, catalog: AttackGraph) -> Optional[str]:
 def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, StagePrediction]:
     """Extract the decision object from model output, tolerating surrounding prose.
 
-    Unknown service or stage names are dropped with a warning; an over-budget
-    expose list is truncated in the order given.
+    Unknown service or stage names are dropped with a warning. The expose
+    list keeps its order, repeats and length; ``policy_decide`` enforces the
+    budget.
     """
     payload = None
     for candidate in _json_candidates(raw):
@@ -173,11 +171,8 @@ def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, Sta
         sid = _resolve_service(str(name), cfg.catalog)
         if sid is None:
             logger.warning("model exposed unknown service %r; dropped", name)
-        elif sid not in exposed:
+        else:
             exposed.append(sid)
-    if len(exposed) > cfg.budget:
-        logger.warning("model exposed %d services with budget %d; truncating", len(exposed), cfg.budget)
-        exposed = exposed[: cfg.budget]
 
     stages: list[AttackStage] = []
     for name in stages_raw:
@@ -226,7 +221,6 @@ class HttpChatBackend:
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff_seconds: float = 0.5,
-        session: Optional[requests.Session] = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         self.model = model
@@ -236,13 +230,11 @@ class HttpChatBackend:
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
-        self._session = session or requests.Session()
 
     def auth_token(self) -> Optional[str]:
         return os.environ.get(self.auth_env)
 
     def complete(self, prompt: str) -> str:
-        url = f"{self.base_url}/chat/completions"
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -253,16 +245,20 @@ class HttpChatBackend:
         token = self.auth_token()
         if token:
             headers["Authorization"] = f"Bearer {token}"
+        # urlopen raises HTTPError (an OSError) on any status >= 400
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions", data=json.dumps(body).encode("utf-8"), headers=headers
+        )
 
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    raise requests.HTTPError(f"server error {resp.status_code}")
-                resp.raise_for_status()
-                return resp.json()["choices"][0]["message"]["content"]
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    content = json.load(resp)["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"reply content is {type(content).__name__}, not a string")
+                return content
+            except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff_seconds * (2**attempt))
@@ -316,17 +312,6 @@ class AgentTurn:
     latency_s: float
     error: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "prompt": self.prompt,
-            "raw_response": self.raw_response,
-            "parsed_ok": self.parsed_ok,
-            "fallback_used": self.fallback_used,
-            "latency_s": self.latency_s,
-            "error": self.error,
-        }
-
 
 def llm_decide(
     backend,
@@ -341,8 +326,7 @@ def llm_decide(
     """One model turn: build prompt, call the backend, parse, fall back if needed.
 
     The caller is responsible for having already folded ``obs`` into
-    ``belief`` (``policy_decide`` does this); the belief's latest history
-    entry is annotated with the turn.
+    ``belief`` (``policy_decide`` does this).
     """
     template = template or builtin_template()
     overhead = len(build_prompt("", belief, cfg, template))
@@ -386,8 +370,6 @@ def llm_decide(
         latency_s=latency,
         error=error,
     )
-    if belief.history:
-        belief.history[-1]["turn_error"] = error
     return decision, prediction, belief, turn
 
 
@@ -406,7 +388,6 @@ class LlmPolicy(Policy):
         self.backend = backend
         self.template = template or builtin_template()
         self.prompt_char_cap = prompt_char_cap
-        self.turns: list[AgentTurn] = []
         self._last_decision: Optional[ExposureDecision] = None
         self._turn_log: Optional[str] = None
         if label:
@@ -426,10 +407,9 @@ class LlmPolicy(Policy):
             previous_decision=self._last_decision,
             prompt_char_cap=self.prompt_char_cap,
         )
-        self.turns.append(turn)
         # the turn hits disk before the decision it produced takes effect
         if self._turn_log is not None:
             with open(self._turn_log, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(turn.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps(vars(turn), sort_keys=True) + "\n")
         self._last_decision = decision
         return decision, prediction

@@ -17,6 +17,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .catalog import AttackStage
 from .engine import EpisodeRecord
 
 COMMON_TARGETS = ("gitlab", "apache_struts")
@@ -41,8 +42,8 @@ def inference_score(rec: EpisodeRecord, mode: str = SCORE_MODE_SETS) -> tuple[in
             fp += len(pred - gt)
             fn += len(gt - pred)
         elif mode == SCORE_MODE_CURRENT:
-            gt_top = max(gt, key=_stage_rank, default=None)
-            pred_top = max(pred, key=_stage_rank, default=None)
+            gt_top = max(gt, key=AttackStage.from_label, default=None)
+            pred_top = max(pred, key=AttackStage.from_label, default=None)
             if gt_top is None and pred_top is None:
                 continue
             if gt_top == pred_top:
@@ -57,13 +58,6 @@ def inference_score(rec: EpisodeRecord, mode: str = SCORE_MODE_SETS) -> tuple[in
         else:
             raise ValueError(f"unknown score mode {mode!r}")
     return tp, fp, fn, score_from_counts(tp, fp, fn)
-
-
-_STAGE_ORDER = ("Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDataExfil")
-
-
-def _stage_rank(label: str) -> int:
-    return _STAGE_ORDER.index(label)
 
 
 def score_from_counts(tp: int, fp: int, fn: int) -> float:
@@ -116,7 +110,6 @@ class RunMetrics:
     seed: int
     exploitation: bool
     score: float
-    episodes: tuple[EpisodeMetrics, ...]
 
 
 def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
@@ -135,7 +128,6 @@ def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
         seed=result.seed,
         exploitation=all(e.exploitation for e in common),
         score=statistics.mean(e.score for e in common),
-        episodes=tuple(all_eps),
     )
 
 

@@ -4,7 +4,7 @@ A policy turns one epoch's observation (plus accumulated belief) into the
 exposure set for the next epoch and a prediction of how far the attack has
 progressed. Deterministic baselines live here; the model-backed policy is in
 ``honeysim.llm``. Whatever a policy returns, ``policy_decide`` enforces the
-exposure budget and records the turn in the belief's episodic history.
+exposure budget.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .catalog import AttackGraph, AttackStage, HoneynetConfig
-from .telemetry import EpochObservation, summarize_for_prompt
+from .telemetry import EpochObservation
+from .telemetry import summarize_for_prompt  # noqa: F401  kept: perfbench/tracer.py patches this name
 
 logger = logging.getLogger(__name__)
-
-HISTORY_DIGEST_CHARS = 400
 
 
 @dataclass(frozen=True)
@@ -47,22 +46,15 @@ def make_prediction(stages, target_service: Optional[str] = None) -> StagePredic
 
 @dataclass
 class BeliefState:
-    """Evidence weights per (service, stage) plus episodic memory."""
+    """Evidence weights per (service, stage)."""
 
     weights: dict[tuple[str, AttackStage], float] = field(default_factory=dict)
-    history: list[dict] = field(default_factory=list)
 
     def weight(self, service: str, stage: AttackStage) -> float:
         return self.weights.get((service, stage), 0.0)
 
     def stages_for(self, service: str) -> tuple[AttackStage, ...]:
         return tuple(sorted(s for (svc, s), w in self.weights.items() if svc == service and w > 0))
-
-    def service_totals(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for (svc, _), w in self.weights.items():
-            totals[svc] = totals.get(svc, 0.0) + w
-        return totals
 
     def progression_lines(self, limit: int = 12) -> list[str]:
         """Human-readable evidence summary, heaviest first; deterministic."""
@@ -77,14 +69,6 @@ def update_belief(belief: BeliefState, obs: EpochObservation) -> BeliefState:
             continue
         key = (alert.dest_service, alert.stage_hint)
         belief.weights[key] = belief.weights.get(key, 0.0) + float(alert.severity)
-    belief.history.append(
-        {
-            "epoch": obs.epoch,
-            "digest": summarize_for_prompt(obs, HISTORY_DIGEST_CHARS),
-            "decision": None,
-            "prediction": None,
-        }
-    )
     return belief
 
 
@@ -137,11 +121,7 @@ def policy_decide(
     """Update belief with this epoch's evidence, then ask the policy to act."""
     belief = update_belief(belief, obs)
     decision, prediction = policy.decide(obs, belief, cfg)
-    decision = clamp_decision(decision, cfg, policy.name)
-    entry = belief.history[-1]
-    entry["decision"] = list(decision.exposed)
-    entry["prediction"] = [s.label for s in prediction.stages]
-    return decision, prediction, belief
+    return clamp_decision(decision, cfg, policy.name), prediction, belief
 
 
 class OraclePolicy(Policy):
@@ -224,18 +204,3 @@ class ReactivePolicy(Policy):
         prediction = make_prediction(belief.stages_for(choice), choice)
         return ExposureDecision(exposed=tuple(exposed)), prediction
 
-
-def baseline_oracle() -> OraclePolicy:
-    return OraclePolicy()
-
-
-def baseline_random(seed: int) -> RandomPolicy:
-    return RandomPolicy(seed)
-
-
-def baseline_static(exposed) -> StaticPolicy:
-    return StaticPolicy(exposed)
-
-
-def baseline_reactive() -> ReactivePolicy:
-    return ReactivePolicy()

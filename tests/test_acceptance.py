@@ -195,7 +195,7 @@ def test_criterion_7_matrix_shape_and_replay(tmp_path):
             seeds=list(SEEDS),
             horizon=20,
         )
-        results = [run_cell(cell, matrix)[0] for cell in expand_matrix(matrix)]
+        results = [run_cell(cell, matrix) for cell in expand_matrix(matrix)]
         tables = aggregate(results, policies=["oracle"], deployments=DEPLOYMENTS, modes=MODES)
         assert all(row["total"] == 9 for row in tables.success_by_deployment)
         assert all(row["total"] == 9 for row in tables.success_by_persistence)
@@ -244,8 +244,8 @@ def test_criterion_9_determinism():
             horizon=20,
         )
         cell = expand_matrix(matrix)[0]
-        first, _ = run_cell(cell, matrix)
-        second, _ = run_cell(cell, matrix)
+        first = run_cell(cell, matrix)
+        second = run_cell(cell, matrix)
         assert records_to_jsonl(first.records) == records_to_jsonl(second.records)
 
         # and through the CLI layer, bytes on disk match across whole reruns

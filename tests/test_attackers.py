@@ -123,7 +123,7 @@ class TestAttackerStep:
         state, _ = attacker_step(state, profile, set())
         state, _ = attacker_step(state, profile, {"gitlab"})
         assert state.status == ABANDONED
-        assert is_terminal(state, profile)
+        assert is_terminal(state)
 
     def test_skip_semantics_keeps_attacker_alive(self):
         profile, state = _fresh(persistence=CONSECUTIVE, abandon_on_failure=False)
@@ -143,12 +143,12 @@ class TestAttackerStep:
 
     def test_stepping_terminal_attacker_rejected(self):
         profile, state = _fresh(target="docker_api")
-        assert not is_terminal(state, profile)  # active at Reconnaissance
+        assert not is_terminal(state)  # active at Reconnaissance
         state, _ = attacker_step(state, profile, {"docker_api"})
         state, _ = attacker_step(state, profile, {"docker_api"})
         assert state.status == COMPLETED
         assert state.current_stage == AttackStage.USER_DATA_EXFIL
-        assert is_terminal(state, profile)
+        assert is_terminal(state)
         with pytest.raises(ValueError):
             attacker_step(state, profile, {"docker_api"})
 

@@ -77,12 +77,20 @@ class TestValidate:
     def test_cli_validate_default_config_exits_zero(self):
         assert main(["validate"]) == 0
 
-    def test_cli_validate_broken_config_exits_nonzero(self, tmp_path):
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"persistence_modes": ["stochastic"]}, "unknown persistence mode 'stochastic'"),
+            ({"persistence": {"decay": 0}}, "decay must be in (0, 1], got 0.0"),
+            ({"persistence": {"floor": 1.5}}, "floor must be in [0, 1], got 1.5"),
+        ],
+        ids=["unknown-mode", "zero-decay", "floor-above-one"],
+    )
+    def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, capsys, override, message):
         bad = tmp_path / "bad.yaml"
-        bad.write_text(
-            yaml.safe_dump({**TINY_CONFIG, "persistence_modes": ["stochastic"]}), encoding="utf-8"
-        )
+        bad.write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) != 0
+        assert message in capsys.readouterr().err
 
     def test_unknown_deployment_flagged(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -201,36 +209,37 @@ def test_console_script_is_installed():
     assert "config ok" in proc.stdout
 
 
-def test_run_cell_returns_turn_logs_for_scripted_policy():
-    matrix = ExperimentMatrix(
+def _scripted_matrix():
+    return ExperimentMatrix(
         policies=[PolicySpec(label="scripted", kind="scripted")],
         deployments=["small_mixed"],
         modes=["deterministic"],
         seeds=[0],
         horizon=10,
     )
+
+
+def test_run_cell_returns_turn_logs_for_scripted_policy(tmp_path):
+    matrix = _scripted_matrix()
     cell = expand_matrix(matrix)[0]
-    result, turns = run_cell(cell, matrix)
+    result = run_cell(cell, matrix, out_dir=tmp_path)
     assert len(result.records) == 2
-    assert turns and all("prompt" in t for t in turns)
     assert all(r.outcome == "completed" for r in result.records)
+    turn_file = tmp_path / cell.name / "turns.jsonl"
+    turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
+    assert turns and all("prompt" in t for t in turns)
 
 
 def test_run_cell_streams_turns_to_disk(tmp_path):
     """Turn records land on disk during the run, not only at cell write-out."""
-    matrix = ExperimentMatrix(
-        policies=[PolicySpec(label="scripted", kind="scripted")],
-        deployments=["small_mixed"],
-        modes=["deterministic"],
-        seeds=[0],
-        horizon=10,
-    )
+    matrix = _scripted_matrix()
     cell = expand_matrix(matrix)[0]
-    result, turns = run_cell(cell, matrix, out_dir=tmp_path)
+    result = run_cell(cell, matrix, out_dir=tmp_path)
     turn_file = tmp_path / cell.name / "turns.jsonl"
     assert turn_file.exists()  # written before write_cell was ever called
-    lines = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
-    assert len(lines) == len(turns)
+    turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
+    # bootstrap turn plus one per epoch, for each of the two attackers
+    assert len(turns) == sum(1 + r.epochs_used for r in result.records)
     # a rerun replaces rather than appends
     run_cell(cell, matrix, out_dir=tmp_path)
     assert len(turn_file.read_text(encoding="utf-8").splitlines()) == len(turns)

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -23,7 +25,7 @@ from honeysim.llm import (
     parse_response,
 )
 from honeysim.metrics import episode_metrics, inference_score
-from honeysim.policies import BeliefState, ExposureDecision, update_belief
+from honeysim.policies import BeliefState, ExposureDecision, policy_decide, update_belief
 from honeysim.telemetry import NoiseConfig, empty_observation
 
 HONEYNET = deployment_config("fully_vulnerable")
@@ -113,11 +115,15 @@ class TestParseResponse:
         assert decision.exposed == ("gitlab",)
         assert "unknown service" in caplog.text
 
-    def test_over_budget_truncated_in_given_order(self):
-        decision, _ = parse_response(
-            '{"expose": ["xdebug", "gitlab", "docker_api"], "stages": []}', HONEYNET
-        )
+    def test_over_budget_truncated_in_given_order(self, caplog):
+        raw = '{"expose": ["xdebug", "gitlab", "xdebug", "docker_api"], "stages": []}'
+        decision, _ = parse_response(raw, HONEYNET)
+        assert decision.exposed == ("xdebug", "gitlab", "xdebug", "docker_api")  # budget is not its job
+        policy = LlmPolicy(ScriptedMockBackend([raw]))
+        with caplog.at_level("WARNING"):
+            decision, _, _ = policy_decide(policy, empty_observation(), BeliefState(), HONEYNET)
         assert decision.exposed == ("xdebug",)
+        assert "exceeded budget" in caplog.text
 
     def test_unknown_stage_dropped(self):
         _, prediction = parse_response(
@@ -286,6 +292,22 @@ class TestHttpBackend:
             backend.complete("x")
         assert len(chat_server.seen) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"choices": None}, {"choices": [{"message": {"content": None}}]}, [1]],
+        ids=["null-choices", "null-content", "top-level-list"],
+    )
+    def test_reply_without_string_content_retried_then_falls_back(self, chat_server, payload):
+        chat_server.script = [(200, payload)]
+        backend = self._backend(chat_server, max_retries=2)
+        with pytest.raises(BackendError):
+            backend.complete("x")
+        assert len(chat_server.seen) == 2
+        decision, _, _, turn = llm_decide(backend, empty_observation(), BeliefState(), HONEYNET)
+        assert turn.fallback_used
+        assert "backend-unreachable" in turn.error
+        assert decision.exposed == ("gitlab",)
+
     def test_unreachable_backend_degrades_to_fallback(self, chat_server):
         chat_server.script = [(500, {"error": "down"})]
         backend = self._backend(chat_server, max_retries=1)
@@ -310,3 +332,9 @@ class TestHttpBackend:
         rec = run_episode(cfg, cfg.attackers[0], LlmPolicy(backend))
         assert rec.outcome == "completed"
         assert episode_metrics(rec).exploitation
+
+
+def test_import_leaves_out_third_party_http_stack():
+    code = "import sys, honeysim; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

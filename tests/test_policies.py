@@ -30,10 +30,9 @@ def _obs(actions, epoch=1, seed=0):
 
 
 class TestUpdateBelief:
-    def test_empty_obs_adds_single_history_entry(self):
+    def test_empty_obs_leaves_weights_empty(self):
         belief = update_belief(BeliefState(), empty_observation())
         assert belief.weights == {}
-        assert len(belief.history) == 1
 
     def test_alert_accumulates_severity_weight(self):
         obs = _obs([ExploitAction(service="gitlab", stage=AttackStage.INITIAL_ACCESS)])
@@ -82,12 +81,6 @@ class TestPolicyDecide:
             ExposureDecision(exposed=("mystery", "gitlab")), HONEYNET, "test"
         )
         assert decision.exposed == ("gitlab",)
-
-    def test_history_entry_records_decision_and_prediction(self):
-        policy = StaticPolicy(("gitlab",))
-        _, _, belief = policy_decide(policy, empty_observation(), BeliefState(), HONEYNET)
-        assert belief.history[-1]["decision"] == ["gitlab"]
-        assert belief.history[-1]["prediction"] == []
 
 
 class TestBaselines:
