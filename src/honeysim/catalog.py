@@ -297,7 +297,7 @@ def catalog_to_dict(graph: AttackGraph) -> dict:
 
 
 def catalog_from_dict(data: dict) -> AttackGraph:
-    rows = data.get("services")
+    rows = data.get("services") if isinstance(data, dict) else None
     if not rows:
         raise ValueError("catalog file must define a non-empty 'services' list")
     services = []

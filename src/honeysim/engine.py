@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .attackers import (
@@ -231,55 +231,26 @@ def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[Episod
 
 
 def record_to_dict(rec: EpisodeRecord) -> dict:
-    return {
-        "schema_version": rec.schema_version,
-        "attacker_label": rec.attacker_label,
-        "target_service": rec.target_service,
-        "objective_stage": rec.objective_stage,
-        "persistence_mode": rec.persistence_mode,
-        "seed": rec.seed,
-        "outcome": rec.outcome,
-        "epochs_used": rec.epochs_used,
-        "bootstrap_exposed": list(rec.bootstrap_exposed),
-        "epochs": [
-            {
-                "epoch": e.epoch,
-                "exposed": list(e.exposed),
-                "actions": e.actions,
-                "alerts": e.alerts,
-                "decision": e.decision,
-                "prediction": list(e.prediction),
-                "gt_stages": list(e.gt_stages),
-            }
-            for e in rec.epochs
-        ],
-    }
+    """The record's fields as a JSON-ready dict; it shares its values with ``rec``."""
+    return {**vars(rec), "epochs": [vars(e) for e in rec.epochs]}
+
+
+# JSON has no tuples, so the fields annotated as tuples (annotations are strings
+# here, see the __future__ import) get theirs back when a record is read
+_TUPLE_FIELDS = {
+    cls: tuple(f.name for f in fields(cls) if f.type.startswith("tuple")) for cls in (EpochLog, EpisodeRecord)
+}
+
+
+def _from_json(cls, data: dict):
+    obj = cls(**data)
+    for name in _TUPLE_FIELDS[cls]:
+        setattr(obj, name, tuple(getattr(obj, name)))
+    return obj
 
 
 def record_from_dict(data: dict) -> EpisodeRecord:
-    return EpisodeRecord(
-        attacker_label=data["attacker_label"],
-        target_service=data["target_service"],
-        objective_stage=data["objective_stage"],
-        persistence_mode=data["persistence_mode"],
-        seed=data["seed"],
-        outcome=data["outcome"],
-        epochs_used=data["epochs_used"],
-        bootstrap_exposed=tuple(data["bootstrap_exposed"]),
-        epochs=[
-            EpochLog(
-                epoch=e["epoch"],
-                exposed=tuple(e["exposed"]),
-                actions=e["actions"],
-                alerts=e["alerts"],
-                decision=e["decision"],
-                prediction=tuple(e["prediction"]),
-                gt_stages=tuple(e["gt_stages"]),
-            )
-            for e in data["epochs"]
-        ],
-        schema_version=data.get("schema_version", SCHEMA_VERSION),
-    )
+    return _from_json(EpisodeRecord, {**data, "epochs": [_from_json(EpochLog, e) for e in data["epochs"]]})
 
 
 def records_to_jsonl(records: list[EpisodeRecord]) -> str:

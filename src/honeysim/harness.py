@@ -9,9 +9,11 @@ derived seed, so any cell reruns independently and reproducibly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,15 +23,14 @@ import yaml
 
 from .attackers import AttackerProfile, PersistenceModel, default_attacker_queue
 from .catalog import (
-    AttackGraph,
     AttackStage,
-    DEPLOYMENT_NAMES,
     HoneynetConfig,
     deployment_config,
     load_catalog,
     validate_deployment,
 )
 from .engine import (
+    PolicyFactory,
     RunConfig,
     derive_seed,
     records_from_jsonl,
@@ -39,6 +40,7 @@ from .engine import (
 from .llm import (
     HttpChatBackend,
     LlmPolicy,
+    PromptTemplate,
     ScriptedMockBackend,
     aligned_mock_script,
     builtin_template,
@@ -57,11 +59,9 @@ from .metrics import (
     success_text,
 )
 from .policies import OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
-from .telemetry import NoiseConfig
+from .telemetry import NoiseConfig, SignatureCatalogMissError, exploit_signatures
 
 logger = logging.getLogger(__name__)
-
-POLICY_KINDS = ("oracle", "random", "reactive", "static", "scripted", "mock", "llm")
 
 MANIFEST_NAME = "run_manifest.json"
 BACKEND_KINDS = ("http_chat_completion",)
@@ -88,6 +88,10 @@ class BackendSpec:
     temperature: float = 0.0
     max_tokens: int = 512
     timeout: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in BACKEND_KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 @dataclass
@@ -127,7 +131,10 @@ class CellSpec:
 
 
 def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
-    """Cartesian expansion in lexicographic axis order with per-cell seeds."""
+    """Cartesian expansion in lexicographic axis order with per-cell seeds.
+
+    Raises ConfigError unless every cell gets a directory of its own.
+    """
     for axis, values in (
         ("policies", matrix.policies),
         ("deployments", matrix.deployments),
@@ -136,6 +143,9 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
     ):
         if not values:
             raise ConfigError(f"matrix axis {axis!r} is empty")
+    for policy in matrix.policies:
+        if policy.label in ("", ".", "..") or "/" in policy.label or "\\" in policy.label:
+            raise ConfigError(f"policy label {policy.label!r} is not a safe directory name")
     cells = []
     for policy in matrix.policies:
         for deployment in matrix.deployments:
@@ -152,6 +162,9 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
                             ),
                         )
                     )
+    shared = sorted(name for name, n in Counter(c.name for c in cells).items() if n > 1)
+    if shared:
+        raise ConfigError(f"cells share a directory: {', '.join(shared)}")
     return cells
 
 
@@ -191,7 +204,7 @@ def matrix_from_dict(data: dict) -> ExperimentMatrix:
     for name, entry in (data.get("backends") or {}).items():
         try:
             backends[name] = BackendSpec(name=name, **entry)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {name!r}: {exc}") from None
     return ExperimentMatrix(
         policies=[_parse_policy_entry(p) for p in data.get("policies", [])],
@@ -218,149 +231,114 @@ def matrix_from_dict(data: dict) -> ExperimentMatrix:
     )
 
 
-def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persistence: PersistenceModel):
-    if matrix.attackers is None:
-        return default_attacker_queue(
-            honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure
-        )
-    queue = []
-    for entry in matrix.attackers:
-        objective = entry.get("objective")
-        queue.append(
-            AttackerProfile(
-                target_service=entry["target"],
-                persistence=persistence,
-                objective_stage=AttackStage.from_label(objective) if objective else None,
-                label=entry.get("label", ""),
-                abandon_on_failure=bool(entry.get("abandon_on_failure", matrix.abandon_on_failure)),
-            )
-        )
-    return queue
-
-
 def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str]:
-    """Collect everything that would make a run fail; empty means runnable."""
+    """Collect everything that would make a run fail; empty means runnable.
+
+    Builds the inputs of every (policy, deployment, persistence) cell with
+    ``run_cell``'s own builder, without running an episode, then adds the
+    checks that depend on this environment.
+    """
     problems: list[str] = []
-    if matrix.horizon < 1:
-        problems.append(f"horizon must be at least 1, got {matrix.horizon}")
-    if not matrix.seeds:
-        problems.append("no seeds configured")
-    if not matrix.policies:
-        problems.append("no policies configured")
-    if not matrix.deployments:
-        problems.append("no deployments configured")
-    if not matrix.modes:
-        problems.append("no persistence modes configured")
-    for mode in matrix.modes:
+
+    def check(build, *args) -> None:
         try:
-            PersistenceModel(mode, matrix.decay, matrix.floor)
-        except ValueError as exc:
-            problem = f"persistence: {exc}"
-            if problem not in problems:  # a bad decay or floor fails every mode alike
-                problems.append(problem)
+            build(*args)
+        except (ConfigError, ValueError, KeyError, OSError) as exc:
+            if str(exc) not in problems:  # one bad setting fails many cells alike
+                problems.append(str(exc))
+
+    check(expand_matrix, matrix)
+    for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
+        check(_cell_inputs, CellSpec(policy, deployment, mode, seed=0, derived_seed=0), matrix)
+    # baseline cells never load the template, so check it even when none uses it
+    if matrix.prompt_template_path:
+        check(_prompt_template, matrix)
     if matrix.score_mode not in (SCORE_MODE_SETS, SCORE_MODE_CURRENT):
         problems.append(f"unknown score mode {matrix.score_mode!r}")
 
-    custom_catalog: Optional[AttackGraph] = None
-    if matrix.catalog_path:
-        try:
-            custom_catalog = load_catalog(matrix.catalog_path)
-        except (OSError, ValueError, KeyError) as exc:
-            problems.append(f"catalog file unusable: {exc}")
-    for deployment in matrix.deployments:
-        if deployment == "custom":
-            if custom_catalog is None:
-                problems.append("deployment 'custom' requires a catalog file")
-            continue
-        if deployment not in DEPLOYMENT_NAMES:
-            problems.append(f"unknown deployment {deployment!r}")
-            continue
-        cfg = deployment_config(deployment, matrix.budget)
-        problems.extend(f"{deployment}: {v}" for v in validate_deployment(cfg))
-
-    if matrix.prompt_template_path:
-        try:
-            load_template(matrix.prompt_template_path)
-        except (OSError, ValueError) as exc:
-            problems.append(f"prompt template unusable: {exc}")
-
-    if matrix.attackers is not None:
-        if not matrix.attackers:
-            problems.append("explicit attacker queue is empty")
-        for entry in matrix.attackers:
-            target = entry.get("target")
-            if not target:
-                problems.append(f"attacker entry missing 'target': {entry}")
-                continue
-            for deployment in matrix.deployments:
-                if deployment == "custom":
-                    catalog = custom_catalog
-                elif deployment in DEPLOYMENT_NAMES:
-                    catalog = deployment_config(deployment, matrix.budget).catalog
-                else:
-                    continue
-                if catalog is None:
-                    continue
-                if target not in catalog or not catalog.get(target).vulnerable:
-                    problems.append(f"attacker target {target!r} not exploitable in {deployment}")
-                    continue
-                objective = entry.get("objective")
-                if objective:
-                    try:
-                        stage = AttackStage.from_label(objective)
-                    except ValueError as exc:
-                        problems.append(str(exc))
-                        break
-                    if stage not in catalog.get(target).supported_stages:
-                        problems.append(
-                            f"objective {objective} not supported by {target} in {deployment}"
-                        )
-
     for spec in matrix.policies:
-        if spec.kind not in POLICY_KINDS:
-            problems.append(f"unknown policy kind {spec.kind!r}")
+        backend = matrix.backends.get(spec.params.get("backend")) if spec.kind == "llm" else None
+        if backend is None:
             continue
-        if spec.kind == "static" and not spec.params.get("expose"):
-            problems.append(f"policy {spec.label}: static policy needs an 'expose' list")
-        if spec.kind == "mock":
-            replay = spec.params.get("replay")
-            if not replay:
-                problems.append(f"policy {spec.label}: mock policy needs a 'replay' file")
-            elif not Path(replay).exists():
-                problems.append(f"policy {spec.label}: replay file {replay} not found")
-        if spec.kind == "llm":
-            backend_name = spec.params.get("backend")
-            backend = matrix.backends.get(backend_name)
-            if backend is None:
-                problems.append(f"policy {spec.label}: unknown backend {backend_name!r}")
-                continue
-            if backend.kind not in BACKEND_KINDS:
-                problems.append(f"backend {backend.name}: unknown kind {backend.kind!r}")
-            elif backend.kind == "http_chat_completion":
-                if offline:
-                    problems.append(
-                        f"policy {spec.label}: HTTP backend {backend.name} forbidden in offline mode"
-                    )
-                elif not os.environ.get(backend.auth_env):
-                    problems.append(
-                        f"backend-auth-missing: set {backend.auth_env} for backend {backend.name}"
-                    )
+        if offline:
+            problems.append(f"policy {spec.label}: HTTP backend {backend.name} forbidden in offline mode")
+        elif not os.environ.get(backend.auth_env):
+            problems.append(f"backend-auth-missing: set {backend.auth_env} for backend {backend.name}")
     return problems
 
 
 # ---------------------------------------------------------------------------
-# Cell execution
+# Cell inputs
 # ---------------------------------------------------------------------------
 
 
 def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
     if deployment == "custom":
-        catalog = load_catalog(matrix.catalog_path)
-        return HoneynetConfig(catalog=catalog, budget=matrix.budget, deployment_name="custom")
-    return deployment_config(deployment, matrix.budget)
+        if not matrix.catalog_path:
+            raise ConfigError("deployment 'custom' requires a catalog file")
+        try:
+            catalog = load_catalog(matrix.catalog_path)
+        except (OSError, ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
+            raise ConfigError(f"catalog file unusable: {exc}") from None
+        honeynet = HoneynetConfig(catalog=catalog, budget=matrix.budget, deployment_name="custom")
+    else:
+        honeynet = deployment_config(deployment, matrix.budget)
+    violations = validate_deployment(honeynet)
+    if violations:
+        raise ConfigError(f"{deployment}: {'; '.join(violations)}")
+    return honeynet
 
 
-def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue):
+def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persistence: PersistenceModel):
+    """The cell's attackers, each checked to be runnable against ``honeynet``."""
+    if matrix.attackers is None:
+        queue = default_attacker_queue(
+            honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure
+        )
+    elif not isinstance(matrix.attackers, list):
+        raise ConfigError(f"'attackers' must be a list of entries, got {matrix.attackers!r}")
+    else:
+        queue = []
+        for entry in matrix.attackers:
+            if not isinstance(entry, dict) or not entry.get("target"):
+                raise ConfigError(f"attacker entry needs a 'target': {entry!r}")
+            objective = entry.get("objective")
+            queue.append(
+                AttackerProfile(
+                    target_service=entry["target"],
+                    persistence=persistence,
+                    objective_stage=AttackStage.from_label(str(objective)) if objective else None,
+                    label=str(entry.get("label", "")),
+                    abandon_on_failure=bool(entry.get("abandon_on_failure", matrix.abandon_on_failure)),
+                )
+            )
+    for profile in queue:
+        if profile.target_service not in honeynet.catalog:
+            raise ConfigError(f"attacker target {profile.target_service!r} not in {honeynet.deployment_name}")
+        svc = honeynet.catalog.get(profile.target_service)
+        objective = profile.resolve_objective(svc)
+        # every exploit on the way to the objective must render as alerts
+        for stage in svc.supported_stages:
+            if AttackStage.RECONNAISSANCE < stage <= objective:
+                try:
+                    exploit_signatures(svc.id, stage)
+                except SignatureCatalogMissError as exc:
+                    raise ConfigError(f"attacker target {svc.id!r}: {exc.args[0]}") from None
+    return queue
+
+
+def _prompt_template(matrix: ExperimentMatrix) -> PromptTemplate:
+    if not matrix.prompt_template_path:
+        return builtin_template()
+    try:
+        return load_template(matrix.prompt_template_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"prompt template unusable: {exc}") from None
+
+
+def _policy_factory(
+    spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue
+) -> PolicyFactory:
     if spec.kind == "oracle":
         return lambda index, seed: OraclePolicy()
     if spec.kind == "random":
@@ -368,11 +346,15 @@ def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: Honeyn
     if spec.kind == "reactive":
         return lambda index, seed: ReactivePolicy()
     if spec.kind == "static":
-        exposed = tuple(spec.params["expose"])
+        exposed = spec.params.get("expose")
+        if not isinstance(exposed, list) or not exposed:
+            raise ConfigError(f"policy {spec.label}: static policy needs an 'expose' list")
+        unknown = [name for name in exposed if name not in honeynet.catalog]
+        if unknown:
+            raise ConfigError(f"policy {spec.label}: exposes {unknown}, not in {honeynet.deployment_name}")
+        exposed = tuple(exposed)
         return lambda index, seed: StaticPolicy(exposed)
-    template = (
-        load_template(matrix.prompt_template_path) if matrix.prompt_template_path else builtin_template()
-    )
+    template = _prompt_template(matrix)
     if spec.kind == "scripted":
         scripts = []
         for profile in queue:
@@ -382,12 +364,20 @@ def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: Honeyn
             ScriptedMockBackend(scripts[index % len(scripts)]), template=template, label=spec.label
         )
     if spec.kind == "mock":
-        episodes = load_replay_file(spec.params["replay"])
+        replay = spec.params.get("replay")
+        if not replay:
+            raise ConfigError(f"policy {spec.label}: mock policy needs a 'replay' file")
+        try:
+            episodes = load_replay_file(replay)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"policy {spec.label}: replay file {replay!r} unusable: {exc}") from None
         return lambda index, seed: LlmPolicy(
             ScriptedMockBackend(episodes[index % len(episodes)]), template=template, label=spec.label
         )
     if spec.kind == "llm":
-        backend_spec: BackendSpec = matrix.backends[spec.params["backend"]]
+        backend_spec: Optional[BackendSpec] = matrix.backends.get(spec.params.get("backend"))
+        if backend_spec is None:
+            raise ConfigError(f"policy {spec.label}: unknown backend {spec.params.get('backend')!r}")
         backend = HttpChatBackend(
             base_url=backend_spec.base_url,
             model=backend_spec.model,
@@ -400,11 +390,11 @@ def _policy_factory(spec: PolicySpec, matrix: ExperimentMatrix, honeynet: Honeyn
     raise ConfigError(f"unknown policy kind {spec.kind!r}")
 
 
-def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None) -> RunResult:
-    """Execute one cell.
+def _cell_inputs(cell: CellSpec, matrix: ExperimentMatrix) -> tuple[RunConfig, PolicyFactory]:
+    """Build one cell's run config and policy factory; raise what makes the cell unrunnable.
 
-    With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
-    happen, so partial runs still leave an audit trail.
+    ``run_cell`` runs what this returns. ``validate_matrix`` only builds it, so
+    a config passes validation exactly when every cell can be built.
     """
     honeynet = _honeynet_for(matrix, cell.deployment)
     queue = _attacker_queue(
@@ -419,7 +409,21 @@ def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] =
         belief_carryover=matrix.belief_carryover,
         bootstrap=matrix.bootstrap,
     )
-    make_policy = _policy_factory(cell.policy, matrix, honeynet, queue)
+    return cfg, _policy_factory(cell.policy, matrix, honeynet, queue)
+
+
+# ---------------------------------------------------------------------------
+# Cell execution
+# ---------------------------------------------------------------------------
+
+
+def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None) -> RunResult:
+    """Execute one cell.
+
+    With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
+    happen, so partial runs still leave an audit trail.
+    """
+    cfg, make_policy = _cell_inputs(cell, matrix)
 
     turn_log: Optional[Path] = None
     if out_dir is not None:

@@ -26,6 +26,7 @@ from .policies import (
     ExposureDecision,
     Policy,
     StagePrediction,
+    clamp_decision,
     make_prediction,
 )
 from .telemetry import EpochObservation, summarize_for_prompt
@@ -411,5 +412,6 @@ class LlmPolicy(Policy):
         if self._turn_log is not None:
             with open(self._turn_log, "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(vars(turn), sort_keys=True) + "\n")
-        self._last_decision = decision
-        return decision, prediction
+        # a fallback repeats the exposure that took effect, not the raw reply
+        self._last_decision = clamp_decision(decision, cfg, self.name)
+        return self._last_decision, prediction

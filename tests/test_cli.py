@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeysim.cli import main
 from honeysim.harness import (
@@ -91,6 +95,55 @@ class TestValidate:
         bad.write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) != 0
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"bootstrap": "bogus"}, "unknown bootstrap mode 'bogus'"),
+            ({"attackers": ["gitlab"]}, "attacker entry needs a 'target'"),
+            ({"attackers": 5}, "'attackers' must be a list"),
+            (
+                {"policies": [{"name": "m", "kind": "mock", "replay": "bad.json"}]},
+                "replay file 'bad.json' unusable",
+            ),
+            ({"policies": [{"name": "s", "kind": "static", "expose": ["ghost"]}]}, "exposes ['ghost']"),
+            ({"seeds": [0, 0]}, "cells share a directory: oracle__small_mixed__deterministic__seed0"),
+            ({"policies": ["oracle", {"name": "oracle", "kind": "random"}]}, "cells share a directory"),
+            ({"policies": [{"name": "../up", "kind": "oracle"}]}, "not a safe directory name"),
+            (
+                {"deployments": ["custom"], "catalog": "catalog.yaml"},
+                "no signatures for (redis, InitialAccess)",
+            ),
+            ({"deployments": ["custom"], "catalog": "catalog.yaml", "budget": 3}, "budget exceeds catalog"),
+        ],
+        ids=[
+            "bad-bootstrap",
+            "bare-string-attacker",
+            "attackers-not-a-list",
+            "replay-not-json",
+            "static-unknown-service",
+            "duplicate-seeds",
+            "duplicate-labels",
+            "unsafe-label",
+            "custom-catalog-without-signatures",
+            "custom-catalog-over-budget",
+        ],
+    )
+    def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
+        monkeypatch.chdir(tmp_path)
+        Path("bad.json").write_text("{not json", encoding="utf-8")
+        catalog = {
+            "services": [
+                {"id": "redis", "vulnerable": True, "stages": ["Reconnaissance", "InitialAccess"]},
+                {"id": "decoy_1", "vulnerable": False, "stages": ["Reconnaissance"]},
+            ]
+        }
+        Path("catalog.yaml").write_text(yaml.safe_dump(catalog), encoding="utf-8")
+        Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
+        assert main(["validate", "--config", "bad.yaml"]) == 2
+        err = capsys.readouterr().err
+        assert "violation: " in err and message in err
+        assert "Traceback" not in err
 
     def test_unknown_deployment_flagged(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -306,3 +359,58 @@ class TestExplicitAttackerQueue:
     def test_bad_objective_flagged(self, tmp_path):
         config = self._config(tmp_path, [{"target": "apache_struts", "objective": "UserDataExfil"}])
         assert main(["validate", "--config", config]) != 0
+
+
+_POLICY_ENTRIES = [
+    "oracle",
+    "reactive",
+    "random",
+    "scripted",
+    "ghost",
+    {"name": "static", "kind": "static", "expose": ["gitlab"]},
+    {"name": "static", "kind": "static", "expose": ["decoy_1"]},
+    {"name": "..", "kind": "oracle"},
+]
+_ONE_FIELD_CHANGES = {
+    "horizon": st.integers(-1, 12),
+    "budget": st.integers(0, 5),
+    "seeds": st.lists(st.integers(0, 3), max_size=3),
+    "policies": st.lists(st.sampled_from(_POLICY_ENTRIES), max_size=3),
+    "deployments": st.lists(
+        st.sampled_from(["fully_vulnerable", "small_mixed", "large_mixed", "huge", "custom"]), max_size=2
+    ),
+    "persistence_modes": st.lists(
+        st.sampled_from(["deterministic", "probabilistic", "consecutive", "stochastic"]), max_size=2
+    ),
+    "persistence": st.fixed_dictionaries(
+        {"decay": st.sampled_from([0, 0.5, 1, 2]), "floor": st.sampled_from([0, 1, 1.5])}
+    ),
+    "bootstrap": st.sampled_from(["policy", "first_service", "bogus"]),
+    "score_mode": st.sampled_from(["cumulative_sets", "current_stage", "fuzzy"]),
+    "attackers": st.lists(
+        st.one_of(
+            st.sampled_from(["gitlab", {}, {"target": "gitlab", "objective": "Lateral"}]),
+            st.fixed_dictionaries(
+                {"target": st.sampled_from(["gitlab", "apache_struts", "docker_api", "decoy_1", "ghost"])},
+                optional={"objective": st.sampled_from(["InitialAccess", "UserDataExfil", "RootDataExfil"])},
+            ),
+        ),
+        max_size=2,
+    ),
+}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(*(st.tuples(st.just(k), v) for k, v in _ONE_FIELD_CHANGES.items())))
+def test_validated_config_runs_into_one_directory_per_cell(change):
+    """A config that validates runs to completion and writes every cell to its own directory."""
+    field, value = change
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.yaml"
+        config.write_text(yaml.safe_dump({**TINY_CONFIG, field: value}), encoding="utf-8")
+        matrix = load_run_file(str(config))
+        if validate_matrix(matrix, offline=True):
+            return
+        out = Path(tmp) / "out"
+        assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
+        assert len([p for p in out.iterdir() if p.is_dir()]) == len(expand_matrix(matrix))

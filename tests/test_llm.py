@@ -165,6 +165,16 @@ class TestScriptedEpisodes:
         exposures = [tuple(e.decision["exposed"]) for e in rec.epochs]
         assert all(e == ("docker_api",) for e in exposures)
 
+    def test_fallback_after_over_budget_reply_repeats_clamped_exposure(self, caplog):
+        script = ['{"expose": ["xdebug", "gitlab"], "stages": []}', "garbage from here on"]
+        with caplog.at_level("WARNING"):
+            rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=4)
+        assert [tuple(e.decision["exposed"]) for e in rec.epochs] == [("xdebug",)] * 4
+        assert caplog.text.count("exceeded budget") == 1  # one over-budget reply, one warning
+        fallbacks = [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
+        assert len(fallbacks) == 4
+        assert all(m.endswith("falling back to ('xdebug',)") for m in fallbacks)
+
     def test_fallback_on_first_turn_uses_first_catalog_service(self):
         policy = LlmPolicy(ScriptedMockBackend(["nope"]))
         decision, _, _, turn = llm_decide(
