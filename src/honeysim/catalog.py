@@ -252,6 +252,13 @@ def deployment_config(name: str, budget: int = 1) -> HoneynetConfig:
     return HoneynetConfig(catalog=AttackGraph(services), budget=budget, deployment_name=name)
 
 
+# (services, exploitable services) of each named deployment
+_NAMED_SHAPES = {
+    cfg.deployment_name: (len(cfg.catalog), len(cfg.catalog.vulnerable_ids))
+    for cfg in map(deployment_config, DEPLOYMENT_NAMES)
+}
+
+
 def validate_deployment(cfg: HoneynetConfig) -> list[str]:
     """Collect invariant violations; an empty list means the config is sound."""
     violations = []
@@ -260,10 +267,9 @@ def validate_deployment(cfg: HoneynetConfig) -> list[str]:
         violations.append(f"budget must be at least 1, got {cfg.budget}")
     elif cfg.budget > n:
         violations.append(f"budget exceeds catalog: budget={cfg.budget}, services={n}")
-    if cfg.deployment_name in DEPLOYMENT_NAMES:
+    if cfg.deployment_name in _NAMED_SHAPES:
         vuln = len(cfg.catalog.vulnerable_ids)
-        reference = deployment_config(cfg.deployment_name).catalog
-        want_n, want_vuln = len(reference), len(reference.vulnerable_ids)
+        want_n, want_vuln = _NAMED_SHAPES[cfg.deployment_name]
         if n != want_n:
             violations.append(f"{cfg.deployment_name} requires {want_n} services, got {n}")
         if vuln != want_vuln:

@@ -196,21 +196,31 @@ def load_builtin_config() -> ExperimentMatrix:
     return matrix_from_dict(yaml.safe_load(text))
 
 
+def _section(data: dict, key: str, kind: type):
+    """``data[key]``, empty when absent or null; ConfigError when it is not a ``kind``."""
+    value = data.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key!r} must be a {'mapping' if kind is dict else 'list'}, got {value!r}")
+    return value
+
+
 def matrix_from_dict(data: dict) -> ExperimentMatrix:
-    persistence = data.get("persistence", {})
-    noise = data.get("noise", {})
-    attacker = data.get("attacker", {})
+    if not isinstance(data, dict):
+        raise ConfigError(f"a run config must be a mapping, got {data!r}")
+    persistence, noise, attacker = (_section(data, key, dict) for key in ("persistence", "noise", "attacker"))
     backends = {}
-    for name, entry in (data.get("backends") or {}).items():
+    for name, entry in _section(data, "backends", dict).items():
         try:
             backends[name] = BackendSpec(name=name, **entry)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {name!r}: {exc}") from None
     return ExperimentMatrix(
-        policies=[_parse_policy_entry(p) for p in data.get("policies", [])],
-        deployments=list(data.get("deployments", [])),
-        modes=list(data.get("persistence_modes", [])),
-        seeds=[int(s) for s in data.get("seeds", [])],
+        policies=[_parse_policy_entry(p) for p in _section(data, "policies", list)],
+        deployments=_section(data, "deployments", list),
+        modes=_section(data, "persistence_modes", list),
+        seeds=[int(s) for s in _section(data, "seeds", list)],
         horizon=int(data.get("horizon", ExperimentMatrix.horizon)),
         budget=int(data.get("budget", ExperimentMatrix.budget)),
         seed_base=int(data.get("seed_base", ExperimentMatrix.seed_base)),
@@ -257,7 +267,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
         problems.append(f"unknown score mode {matrix.score_mode!r}")
 
     for spec in matrix.policies:
-        backend = matrix.backends.get(spec.params.get("backend")) if spec.kind == "llm" else None
+        backend = _backend_spec(spec, matrix) if spec.kind == "llm" else None
         if backend is None:
             continue
         if offline:
@@ -336,6 +346,12 @@ def _prompt_template(matrix: ExperimentMatrix) -> PromptTemplate:
         raise ConfigError(f"prompt template unusable: {exc}") from None
 
 
+def _backend_spec(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[BackendSpec]:
+    """The configured backend that the policy's ``backend`` names; None for any other value."""
+    name = spec.params.get("backend")
+    return matrix.backends.get(name) if isinstance(name, str) else None
+
+
 def _policy_factory(
     spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue
 ) -> PolicyFactory:
@@ -375,7 +391,7 @@ def _policy_factory(
             ScriptedMockBackend(episodes[index % len(episodes)]), template=template, label=spec.label
         )
     if spec.kind == "llm":
-        backend_spec: Optional[BackendSpec] = matrix.backends.get(spec.params.get("backend"))
+        backend_spec = _backend_spec(spec, matrix)
         if backend_spec is None:
             raise ConfigError(f"policy {spec.label}: unknown backend {spec.params.get('backend')!r}")
         backend = HttpChatBackend(
@@ -461,17 +477,13 @@ def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
     (cell_dir / "episodes.jsonl").write_text(records_to_jsonl(result.records) + "\n", encoding="utf-8")
 
 
-def write_summaries(
-    out_dir: Path,
-    results: Sequence[RunResult],
-    *,
-    policies: Sequence[str],
-    deployments: Sequence[str],
-    modes: Sequence[str],
-    score_mode: str = SCORE_MODE_SETS,
-) -> SummaryTables:
+def write_summaries(out_dir: Path, results: Sequence[RunResult], matrix: ExperimentMatrix) -> SummaryTables:
     tables = aggregate(
-        results, policies=policies, deployments=deployments, modes=modes, score_mode=score_mode
+        results,
+        policies=[p.label for p in matrix.policies],
+        deployments=matrix.deployments,
+        modes=matrix.modes,
+        score_mode=matrix.score_mode,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary_success_by_deployment.csv").write_text(
@@ -529,47 +541,34 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     else:
         results = [job(c) for c in cells]
 
-    return write_summaries(
-        out,
-        results,
-        policies=[p.label for p in matrix.policies],
-        deployments=matrix.deployments,
-        modes=matrix.modes,
-        score_mode=matrix.score_mode,
-    )
+    return write_summaries(out, results, matrix)
 
 
 def replay_out_dir(out_dir: str | Path) -> SummaryTables:
-    """Recompute summary tables from stored episode logs alone."""
+    """Recompute summary tables from the episode logs of exactly the cells the manifest names."""
     out = Path(out_dir)
     manifest_path = out / MANIFEST_NAME
     if not manifest_path.exists():
         raise ConfigError(f"no {MANIFEST_NAME} in {out}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
 
-    results = []
-    for cell_dir in sorted(p for p in out.iterdir() if p.is_dir()):
-        cell_file = cell_dir / "cell.json"
-        episodes_file = cell_dir / "episodes.jsonl"
-        if not cell_file.exists() or not episodes_file.exists():
-            continue
-        meta = json.loads(cell_file.read_text(encoding="utf-8"))
-        results.append(
-            RunResult(
-                policy=meta["policy"],
-                deployment=meta["deployment"],
-                persistence=meta["persistence"],
-                seed=meta["seed"],
-                records=tuple(records_from_jsonl(episodes_file.read_text(encoding="utf-8"))),
-            )
-        )
-    if not results:
-        raise ConfigError(f"no cell results found under {out}")
-    return write_summaries(
-        out,
-        results,
-        policies=manifest["policies"],
+    # the manifest keeps policy labels only; replay needs no policy kind
+    matrix = ExperimentMatrix(
+        policies=[PolicySpec(label=label, kind="") for label in manifest["policies"]],
         deployments=manifest["deployments"],
         modes=manifest["persistence_modes"],
+        seeds=manifest["seeds"],
         score_mode=manifest.get("score_mode", SCORE_MODE_SETS),
     )
+    results, missing = [], []
+    for cell in expand_matrix(matrix):
+        try:
+            text = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            missing.append(cell.name)
+            continue
+        records = tuple(records_from_jsonl(text))
+        results.append(RunResult(cell.policy.label, cell.deployment, cell.persistence, cell.seed, records))
+    if missing:
+        raise ConfigError(f"cells in {MANIFEST_NAME} without episodes.jsonl: {', '.join(missing)}")
+    return write_summaries(out, results, matrix)

@@ -102,37 +102,27 @@ def build_prompt(
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+_DECODER = json.JSONDecoder()
 
 
-def _json_candidates(raw: str) -> list[str]:
-    candidates = [m.group(1).strip() for m in _FENCE_RE.finditer(raw)]
-    # scan for balanced top-level objects outside fences, respecting strings
-    depth = 0
-    start = None
-    in_string = False
-    escaped = False
-    for i, ch in enumerate(raw):
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}":
-            if depth > 0:
-                depth -= 1
-                if depth == 0 and start is not None:
-                    candidates.append(raw[start : i + 1])
-                    start = None
-    return candidates
+def _find_decision(raw: str) -> Optional[dict]:
+    """The first object with both decision keys: fenced blocks first, then the whole reply.
+
+    JSON is decoded from each ``{`` in turn. A value that decodes is skipped
+    whole, so an object nested in it is never considered.
+    """
+    for text in [*(m.group(1) for m in _FENCE_RE.finditer(raw)), raw]:
+        start = text.find("{")
+        while start != -1:
+            try:
+                value, end = _DECODER.raw_decode(text, start)
+            except (json.JSONDecodeError, RecursionError):  # nested too deep is no decision either
+                end = start + 1
+            else:
+                if "expose" in value and "stages" in value:
+                    return value
+            start = text.find("{", end)
+    return None
 
 
 def _resolve_service(name: str, catalog: AttackGraph) -> Optional[str]:
@@ -150,15 +140,7 @@ def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, Sta
     list keeps its order, repeats and length; ``policy_decide`` enforces the
     budget.
     """
-    payload = None
-    for candidate in _json_candidates(raw):
-        try:
-            parsed = json.loads(candidate)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(parsed, dict) and "expose" in parsed and "stages" in parsed:
-            payload = parsed
-            break
+    payload = _find_decision(raw)
     if payload is None:
         raise ResponseParseError("no JSON object with 'expose' and 'stages' fields found")
 

@@ -115,6 +115,7 @@ class TestValidate:
                 "no signatures for (redis, InitialAccess)",
             ),
             ({"deployments": ["custom"], "catalog": "catalog.yaml", "budget": 3}, "budget exceeds catalog"),
+            ({"policies": [{"name": "m", "kind": "llm", "backend": ["x"]}]}, "unknown backend ['x']"),
         ],
         ids=[
             "bad-bootstrap",
@@ -127,6 +128,7 @@ class TestValidate:
             "unsafe-label",
             "custom-catalog-without-signatures",
             "custom-catalog-over-budget",
+            "backend-not-a-name",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -143,6 +145,26 @@ class TestValidate:
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
         assert "violation: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({**TINY_CONFIG, "persistence": [1]}, "'persistence' must be a mapping, got [1]"),
+            ({**TINY_CONFIG, "noise": 5}, "'noise' must be a mapping, got 5"),
+            ({**TINY_CONFIG, "attacker": True}, "'attacker' must be a mapping, got True"),
+            ({**TINY_CONFIG, "backends": ["a"]}, "'backends' must be a mapping, got ['a']"),
+            ({**TINY_CONFIG, "seeds": 5}, "'seeds' must be a list, got 5"),
+            (["oracle"], "a run config must be a mapping, got ['oracle']"),
+        ],
+        ids=["persistence-list", "noise-number", "attacker-bool", "backends-list", "seeds-number", "top-level-list"],
+    )
+    def test_cli_validate_malformed_section_exits_2(self, tmp_path, capsys, config, message):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", "--offline", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
 
     def test_unknown_deployment_flagged(self, tmp_path):
@@ -207,6 +229,23 @@ class TestRunAndReplay:
         assert main(["replay", "--out", str(out)]) == 0
         after = {name: (out / name).read_bytes() for name in before}
         assert before == after
+
+    def test_replay_reads_only_the_cells_in_the_manifest(self, tiny_config, tmp_path):
+        out = tmp_path / "results"
+        assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+        assert main(["run", "--config", tiny_config, "--out", str(out), "--policy", "oracle"]) == 0
+        ran = {p.name: p.read_bytes() for p in out.glob("summary_*")}
+        assert main(["replay", "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
+        assert b"reactive" not in ran["summary_scores.csv"]
+
+    def test_replay_names_a_cell_whose_log_is_missing(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+        (out / "reactive__small_mixed__deterministic__seed1" / "episodes.jsonl").unlink()
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 2
+        assert "reactive__small_mixed__deterministic__seed1" in capsys.readouterr().err
 
     def test_replay_without_run_fails(self, tmp_path):
         assert main(["replay", "--out", str(tmp_path / "nope")]) != 0

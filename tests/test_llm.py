@@ -5,6 +5,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import AttackStage, deployment_config
@@ -25,7 +27,7 @@ from honeysim.llm import (
     parse_response,
 )
 from honeysim.metrics import episode_metrics, inference_score
-from honeysim.policies import BeliefState, ExposureDecision, policy_decide, update_belief
+from honeysim.policies import BeliefState, ExposureDecision, make_prediction, policy_decide, update_belief
 from honeysim.telemetry import NoiseConfig, empty_observation
 
 HONEYNET = deployment_config("fully_vulnerable")
@@ -130,6 +132,43 @@ class TestParseResponse:
             '{"expose": ["gitlab"], "stages": ["Reconnaissance", "Lateral"]}', HONEYNET
         )
         assert prediction.stages == (AttackStage.RECONNAISSANCE,)
+
+    @pytest.mark.parametrize(
+        "raw, exposed",
+        [
+            ('I think {maybe gitlab. {"expose": ["gitlab"], "stages": []}', ("gitlab",)),
+            ('Rain was 5" today. {"expose": ["xdebug"], "stages": []}', ("xdebug",)),
+            (
+                '{"expose": ["gitlab"], "stages": []} or rather\n```json\n{"expose": ["xdebug"], "stages": []}\n```',
+                ("xdebug",),
+            ),
+            ('{"note": {"expose": ["gitlab"], "stages": []}}', None),
+            ("Alerts are quiet. I cannot decide {yet} without more alerts. More prose.", None),
+            ('{"a": ' * 2000 + "1" + "}" * 2000, None),
+        ],
+        ids=["stray-brace", "odd-quote", "fenced-wins", "nested-in-other-object", "no-decision", "nested-too-deep"],
+    )
+    def test_reply_rule(self, raw, exposed):
+        if exposed is None:
+            with pytest.raises(ResponseParseError):
+                parse_response(raw, HONEYNET)
+        else:
+            assert parse_response(raw, HONEYNET)[0].exposed == exposed
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        expose=st.lists(st.sampled_from(HONEYNET.catalog.ids), max_size=4),
+        stages=st.lists(st.sampled_from([s.label for s in AttackStage]), max_size=5),
+        indent=st.sampled_from([None, 2]),
+        prose=st.tuples(*[st.text(st.characters(exclude_characters="{}`"), max_size=60)] * 2),
+        fenced=st.booleans(),
+    )
+    def test_decision_in_brace_free_prose_parses(self, expose, stages, indent, prose, fenced):
+        payload = json.dumps({"expose": expose, "stages": stages}, indent=indent)
+        body = f"```json\n{payload}\n```" if fenced else payload
+        decision, prediction = parse_response(f"{prose[0]} {body} {prose[1]}", HONEYNET)
+        assert decision.exposed == tuple(expose)
+        assert prediction == make_prediction([AttackStage.from_label(s) for s in stages])
 
 
 class TestScriptedEpisodes:
