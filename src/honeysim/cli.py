@@ -28,7 +28,10 @@ EXIT_CONFIG = 2
 
 
 def _load_config(path: str | None) -> ExperimentMatrix:
-    return load_run_file(path) if path else load_builtin_config()
+    try:
+        return load_run_file(path) if path else load_builtin_config()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config unreadable: {exc}") from None
 
 
 def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> ExperimentMatrix:
@@ -44,11 +47,7 @@ def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> Expe
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        matrix = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"config unreadable: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    matrix = _load_config(args.config)
     problems = validate_matrix(matrix, offline=args.offline)
     if problems:
         for p in problems:
@@ -62,11 +61,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        matrix = _apply_overrides(_load_config(args.config), args)
-    except (OSError, ValueError) as exc:
-        print(f"config unreadable: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    matrix = _apply_overrides(_load_config(args.config), args)
     problems = validate_matrix(matrix, offline=args.offline)
     if problems:
         for p in problems:
@@ -80,11 +75,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        replay_out_dir(args.out)
-    except ConfigError as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    replay_out_dir(args.out)
     _print_tables(args.out)
     return EXIT_OK
 

@@ -47,9 +47,13 @@ from .llm import (
     load_replay_file,
     load_template,
 )
+# run_metrics is looked up on the module at each call, so a wrapper installed
+# on metrics.run_metrics (as perfbench's tracer does) sees every reduction
+from . import metrics
 from .metrics import (
     SCORE_MODE_CURRENT,
     SCORE_MODE_SETS,
+    RunMetrics,
     RunResult,
     SummaryTables,
     aggregate,
@@ -186,7 +190,11 @@ def _parse_policy_entry(entry) -> PolicySpec:
 
 def load_run_file(path: str) -> ExperimentMatrix:
     with open(path, encoding="utf-8") as fh:
-        return matrix_from_dict(yaml.safe_load(fh) or {})
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not YAML: {exc}") from None
+    return matrix_from_dict(data or {})
 
 
 def load_builtin_config() -> ExperimentMatrix:
@@ -206,6 +214,19 @@ def _section(data: dict, key: str, kind: type):
     return value
 
 
+def _number(value, kind: type, key: str):
+    """``kind(value)``; ConfigError naming ``key`` when ``value`` is no ``kind``.
+
+    A fractional integer (``horizon: 2.9``) is refused rather than truncated.
+    """
+    try:
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
+
+
 def matrix_from_dict(data: dict) -> ExperimentMatrix:
     if not isinstance(data, dict):
         raise ConfigError(f"a run config must be a mapping, got {data!r}")
@@ -220,15 +241,17 @@ def matrix_from_dict(data: dict) -> ExperimentMatrix:
         policies=[_parse_policy_entry(p) for p in _section(data, "policies", list)],
         deployments=_section(data, "deployments", list),
         modes=_section(data, "persistence_modes", list),
-        seeds=[int(s) for s in _section(data, "seeds", list)],
-        horizon=int(data.get("horizon", ExperimentMatrix.horizon)),
-        budget=int(data.get("budget", ExperimentMatrix.budget)),
-        seed_base=int(data.get("seed_base", ExperimentMatrix.seed_base)),
-        decay=float(persistence.get("decay", ExperimentMatrix.decay)),
-        floor=float(persistence.get("floor", ExperimentMatrix.floor)),
+        seeds=[_number(s, int, f"seeds[{i}]") for i, s in enumerate(_section(data, "seeds", list))],
+        horizon=_number(data.get("horizon", ExperimentMatrix.horizon), int, "horizon"),
+        budget=_number(data.get("budget", ExperimentMatrix.budget), int, "budget"),
+        seed_base=_number(data.get("seed_base", ExperimentMatrix.seed_base), int, "seed_base"),
+        decay=_number(persistence.get("decay", ExperimentMatrix.decay), float, "persistence.decay"),
+        floor=_number(persistence.get("floor", ExperimentMatrix.floor), float, "persistence.floor"),
         noise=NoiseConfig(
-            false_positive_rate=float(noise.get("false_positive_rate", NoiseConfig.false_positive_rate)),
-            hint_corruption_rate=float(noise.get("hint_corruption_rate", NoiseConfig.hint_corruption_rate)),
+            **{
+                rate: _number(noise.get(rate, getattr(NoiseConfig, rate)), float, f"noise.{rate}")
+                for rate in ("false_positive_rate", "hint_corruption_rate")
+            }
         ),
         abandon_on_failure=bool(attacker.get("abandon_on_failure", ExperimentMatrix.abandon_on_failure)),
         belief_carryover=bool(data.get("belief_carryover", ExperimentMatrix.belief_carryover)),
@@ -342,7 +365,7 @@ def _prompt_template(matrix: ExperimentMatrix) -> PromptTemplate:
         return builtin_template()
     try:
         return load_template(matrix.prompt_template_path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"prompt template unusable: {exc}") from None
 
 
@@ -454,13 +477,11 @@ def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] =
             policy.attach_turn_log(turn_log)
         return policy
 
-    return RunResult(
-        policy=cell.policy.label,
-        deployment=cell.deployment,
-        persistence=cell.persistence,
-        seed=cell.seed,
-        records=tuple(run_simulation(cfg, factory)),
-    )
+    return _cell_result(cell, run_simulation(cfg, factory))
+
+
+def _cell_result(cell: CellSpec, records) -> RunResult:
+    return RunResult(cell.policy.label, cell.deployment, cell.persistence, cell.seed, tuple(records))
 
 
 def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
@@ -477,13 +498,12 @@ def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
     (cell_dir / "episodes.jsonl").write_text(records_to_jsonl(result.records) + "\n", encoding="utf-8")
 
 
-def write_summaries(out_dir: Path, results: Sequence[RunResult], matrix: ExperimentMatrix) -> SummaryTables:
+def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: ExperimentMatrix) -> SummaryTables:
     tables = aggregate(
-        results,
+        runs,
         policies=[p.label for p in matrix.policies],
         deployments=matrix.deployments,
         modes=matrix.modes,
-        score_mode=matrix.score_mode,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary_success_by_deployment.csv").write_text(
@@ -529,46 +549,65 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     }
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
-    def job(cell: CellSpec) -> RunResult:
+    def job(cell: CellSpec) -> RunMetrics:
         logger.info("running cell %s", cell.name)
         result = run_cell(cell, matrix, out_dir=out)
         write_cell(out, cell, result)
-        return result
+        # only the metrics outlive the cell, so memory grows with cells, not episodes
+        return metrics.run_metrics(result, matrix.score_mode)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, cells))
+            runs = list(pool.map(job, cells))
     else:
-        results = [job(c) for c in cells]
+        runs = [job(c) for c in cells]
 
-    return write_summaries(out, results, matrix)
+    return write_summaries(out, runs, matrix)
 
 
 def replay_out_dir(out_dir: str | Path) -> SummaryTables:
     """Recompute summary tables from the episode logs of exactly the cells the manifest names."""
     out = Path(out_dir)
-    manifest_path = out / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ConfigError(f"no {MANIFEST_NAME} in {out}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-
-    # the manifest keeps policy labels only; replay needs no policy kind
-    matrix = ExperimentMatrix(
-        policies=[PolicySpec(label=label, kind="") for label in manifest["policies"]],
-        deployments=manifest["deployments"],
-        modes=manifest["persistence_modes"],
-        seeds=manifest["seeds"],
-        score_mode=manifest.get("score_mode", SCORE_MODE_SETS),
-    )
-    results, missing = [], []
+    matrix = _manifest_matrix(out)
+    runs, missing = [], []
     for cell in expand_matrix(matrix):
         try:
             text = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8")
         except FileNotFoundError:
             missing.append(cell.name)
             continue
-        records = tuple(records_from_jsonl(text))
-        results.append(RunResult(cell.policy.label, cell.deployment, cell.persistence, cell.seed, records))
+        # parsed and reduced in one expression, bound to no name: no cell's records outlive it
+        runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
     if missing:
         raise ConfigError(f"cells in {MANIFEST_NAME} without episodes.jsonl: {', '.join(missing)}")
-    return write_summaries(out, results, matrix)
+    return write_summaries(out, runs, matrix)
+
+
+def _manifest_matrix(out: Path) -> ExperimentMatrix:
+    """The matrix that ``out``'s run manifest names; ConfigError naming the manifest when it is unusable."""
+    path = out / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"no {MANIFEST_NAME} in {out}") from None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a JSON run manifest: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {manifest!r}")
+    axes = {}
+    for key, kind in (("policies", str), ("deployments", str), ("persistence_modes", str), ("seeds", int)):
+        values = manifest.get(key)
+        if not isinstance(values, list) or not all(isinstance(v, kind) for v in values):
+            raise ConfigError(f"{path}: {key!r} must be a list of {kind.__name__}, got {values!r}")
+        axes[key] = values
+    score_mode = manifest.get("score_mode", SCORE_MODE_SETS)
+    if score_mode not in (SCORE_MODE_SETS, SCORE_MODE_CURRENT):
+        raise ConfigError(f"{path}: unknown score mode {score_mode!r}")
+    # the manifest keeps policy labels only; replay needs no policy kind
+    return ExperimentMatrix(
+        policies=[PolicySpec(label=label, kind="") for label in axes["policies"]],
+        deployments=axes["deployments"],
+        modes=axes["persistence_modes"],
+        seeds=axes["seeds"],
+        score_mode=score_mode,
+    )

@@ -104,12 +104,20 @@ class RunResult:
 
 @dataclass(frozen=True)
 class RunMetrics:
+    """One run reduced to what the summary tables need; it keeps no episode record."""
+
     policy: str
     deployment: str
     persistence: str
     seed: int
     exploitation: bool
     score: float
+
+    @property
+    def records(self) -> tuple:
+        # perfbench/tracer.py counts len(run.records) for every run passed to
+        # harness.write_summaries; a reduced run holds none, so it counts 0
+        return ()
 
 
 def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
@@ -163,17 +171,19 @@ class SummaryTables:
 
 
 def aggregate(
-    results: Sequence[RunResult],
+    metrics: Sequence[RunMetrics],
     *,
     policies: Optional[Sequence[str]] = None,
     deployments: Optional[Sequence[str]] = None,
     modes: Optional[Sequence[str]] = None,
-    score_mode: str = SCORE_MODE_SETS,
 ) -> SummaryTables:
-    """Group runs into the three summary tables used by the harness."""
-    if not results:
-        raise ValueError("no run results to aggregate")
-    metrics = [run_metrics(r, score_mode) for r in results]
+    """Group reduced runs into the three summary tables used by the harness.
+
+    Each run arrives already reduced by ``run_metrics``, which applies the
+    score mode, so memory grows with the number of runs, not their episodes.
+    """
+    if not metrics:
+        raise ValueError("no run metrics to aggregate")
     policy_order = _ordered((m.policy for m in metrics), policies)
     deployment_order = _ordered((m.deployment for m in metrics), deployments)
     mode_order = _ordered((m.persistence for m in metrics), modes)

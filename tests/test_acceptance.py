@@ -195,7 +195,7 @@ def test_criterion_7_matrix_shape_and_replay(tmp_path):
             seeds=list(SEEDS),
             horizon=20,
         )
-        results = [run_cell(cell, matrix) for cell in expand_matrix(matrix)]
+        results = [run_metrics(run_cell(cell, matrix)) for cell in expand_matrix(matrix)]
         tables = aggregate(results, policies=["oracle"], deployments=DEPLOYMENTS, modes=MODES)
         assert all(row["total"] == 9 for row in tables.success_by_deployment)
         assert all(row["total"] == 9 for row in tables.success_by_persistence)

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -9,14 +10,18 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from honeysim import harness
 from honeysim.cli import main
+from honeysim.engine import EpisodeRecord
 from honeysim.harness import (
     ConfigError,
     ExperimentMatrix,
     PolicySpec,
+    execute_matrix,
     expand_matrix,
     load_builtin_config,
     load_run_file,
+    replay_out_dir,
     run_cell,
     validate_matrix,
 )
@@ -116,6 +121,7 @@ class TestValidate:
             ),
             ({"deployments": ["custom"], "catalog": "catalog.yaml", "budget": 3}, "budget exceeds catalog"),
             ({"policies": [{"name": "m", "kind": "llm", "backend": ["x"]}]}, "unknown backend ['x']"),
+            ({"prompt_template": ["x"]}, "prompt template unusable"),
         ],
         ids=[
             "bad-bootstrap",
@@ -129,6 +135,7 @@ class TestValidate:
             "custom-catalog-without-signatures",
             "custom-catalog-over-budget",
             "backend-not-a-name",
+            "template-list",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -156,15 +163,53 @@ class TestValidate:
             ({**TINY_CONFIG, "backends": ["a"]}, "'backends' must be a mapping, got ['a']"),
             ({**TINY_CONFIG, "seeds": 5}, "'seeds' must be a list, got 5"),
             (["oracle"], "a run config must be a mapping, got ['oracle']"),
+            ({**TINY_CONFIG, "horizon": [1]}, "'horizon' must be an integer, got [1]"),
+            ({**TINY_CONFIG, "horizon": 1e400}, "'horizon' must be an integer, got inf"),
+            ({**TINY_CONFIG, "horizon": 2.9}, "'horizon' must be an integer, got 2.9"),
+            ({**TINY_CONFIG, "budget": {"a": 1}}, "'budget' must be an integer, got {'a': 1}"),
+            ({**TINY_CONFIG, "seed_base": "x"}, "'seed_base' must be an integer, got 'x'"),
+            ({**TINY_CONFIG, "seeds": [0, [1]]}, "'seeds[1]' must be an integer, got [1]"),
+            ({**TINY_CONFIG, "persistence": {"decay": [0.5]}}, "'persistence.decay' must be a number, got [0.5]"),
+            ({**TINY_CONFIG, "persistence": {"floor": {"x": 1}}}, "'persistence.floor' must be a number"),
+            ({**TINY_CONFIG, "noise": {"false_positive_rate": [0.1]}}, "'noise.false_positive_rate' must be"),
+            ({**TINY_CONFIG, "noise": {"hint_corruption_rate": None}}, "'noise.hint_corruption_rate' must be"),
         ],
-        ids=["persistence-list", "noise-number", "attacker-bool", "backends-list", "seeds-number", "top-level-list"],
+        ids=[
+            "persistence-list",
+            "noise-number",
+            "attacker-bool",
+            "backends-list",
+            "seeds-number",
+            "top-level-list",
+            "horizon-list",
+            "horizon-inf",
+            "horizon-fraction",
+            "budget-mapping",
+            "seed-base-text",
+            "seed-list",
+            "decay-list",
+            "floor-mapping",
+            "false-positive-list",
+            "hint-null",
+        ],
     )
     def test_cli_validate_malformed_section_exits_2(self, tmp_path, capsys, config, message):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(config), encoding="utf-8")
+        out = tmp_path / "out"
+        for command in (["validate"], ["run", "--out", str(out)]):
+            assert main([*command, "--offline", "--config", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert f"error: config unreadable: {message}" in err
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_cli_validate_broken_yaml_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("horizon: [1\n", encoding="utf-8")
         assert main(["validate", "--offline", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert message in err
+        assert f"error: config unreadable: {bad} is not YAML" in err
         assert "Traceback" not in err
 
     def test_unknown_deployment_flagged(self, tmp_path):
@@ -242,10 +287,39 @@ class TestRunAndReplay:
     def test_replay_names_a_cell_whose_log_is_missing(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "results"
         assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
-        (out / "reactive__small_mixed__deterministic__seed1" / "episodes.jsonl").unlink()
+        gone = ["oracle__small_mixed__deterministic__seed0", "reactive__small_mixed__deterministic__seed1"]
+        for name in gone:
+            (out / name / "episodes.jsonl").unlink()
         capsys.readouterr()
         assert main(["replay", "--out", str(out)]) == 2
-        assert "reactive__small_mixed__deterministic__seed1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: cells in run_manifest.json without episodes.jsonl: {', '.join(gone)}" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m: "{not json", "is not a JSON run manifest"),
+            (lambda m: json.dumps(["oracle"]), "must hold a JSON object, got ['oracle']"),
+            (
+                lambda m: json.dumps({k: v for k, v in m.items() if k != "deployments"}),
+                "'deployments' must be a list of str, got None",
+            ),
+            (lambda m: json.dumps({**m, "policies": "oracle"}), "'policies' must be a list of str"),
+            (lambda m: json.dumps({**m, "seeds": ["0"]}), "'seeds' must be a list of int, got ['0']"),
+            (lambda m: json.dumps({**m, "score_mode": "fuzzy"}), "unknown score mode 'fuzzy'"),
+        ],
+        ids=["not-json", "not-an-object", "no-deployments", "policies-text", "seeds-text", "unknown-score-mode"],
+    )
+    def test_replay_malformed_manifest_exits_2_naming_it(self, tiny_config, tmp_path, capsys, edit, message):
+        out = tmp_path / "results"
+        assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+        manifest = out / "run_manifest.json"
+        manifest.write_text(edit(json.loads(manifest.read_text(encoding="utf-8"))), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {manifest}" in err and message in err
+        assert "Traceback" not in err
 
     def test_replay_without_run_fails(self, tmp_path):
         assert main(["replay", "--out", str(tmp_path / "nope")]) != 0
@@ -453,3 +527,30 @@ def test_validated_config_runs_into_one_directory_per_cell(change):
         out = Path(tmp) / "out"
         assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
         assert len([p for p in out.iterdir() if p.is_dir()]) == len(expand_matrix(matrix))
+
+
+def _live_episode_records() -> int:
+    gc.collect()
+    return sum(isinstance(obj, EpisodeRecord) for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("step, workers", [("run", 1), ("run", 2), ("replay", 1)])
+def test_no_episode_record_outlives_its_cell(tiny_config, tmp_path, monkeypatch, step, workers):
+    """When the summaries are written, every cell is already reduced to its run metrics."""
+    matrix = load_run_file(tiny_config)
+    out = tmp_path / "results"
+    if step == "replay":
+        execute_matrix(matrix, out)
+    live_at_summaries = []
+    write_summaries = harness.write_summaries
+
+    def counting(out_dir, runs, matrix):
+        live_at_summaries.append(_live_episode_records())
+        return write_summaries(out_dir, runs, matrix)
+
+    monkeypatch.setattr(harness, "write_summaries", counting)
+    if step == "run":
+        execute_matrix(matrix, out, workers=workers)
+    else:
+        replay_out_dir(out)
+    assert live_at_summaries == [0]

@@ -193,7 +193,7 @@ class TestRunLevelMetrics:
         for seed in range(9):
             rec_a = make_record([(STAGES, STAGES)])
             rec_b = make_record([(STAGES, STAGES)], target="apache_struts")
-            results.append(self._result([rec_a, rec_b], seed=seed))
+            results.append(run_metrics(self._result([rec_a, rec_b], seed=seed)))
         tables = aggregate(results)
         assert tables.success_by_deployment[0]["cell"] == "9/9 (100%)"
         assert tables.scores[0]["oracle"] == "100.0 ± 0.0"
@@ -228,7 +228,7 @@ class TestCellFormats:
             seed=0,
             records=(rec,),
         )
-        tables = aggregate([result])
+        tables = aggregate([run_metrics(result)])
         success = success_csv(tables.success_by_deployment, "deployment")
         assert success.splitlines()[0] == "policy,deployment,achieved,total,exploitation_achieved"
         scores = scores_csv(tables.scores, tables.policy_order)
