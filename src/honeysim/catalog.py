@@ -57,11 +57,9 @@ _STAGE_BY_KEY.update(
         "recon": AttackStage.RECONNAISSANCE,
         "scan": AttackStage.RECONNAISSANCE,
         "discovery": AttackStage.RECONNAISSANCE,
-        "initialaccess": AttackStage.INITIAL_ACCESS,
         "userdataexfiltration": AttackStage.USER_DATA_EXFIL,
         "dataexfil": AttackStage.USER_DATA_EXFIL,
         "privilegeescalation": AttackStage.PRIV_ESC,
-        "privesc": AttackStage.PRIV_ESC,
         "rootdataexfiltration": AttackStage.ROOT_DATA_EXFIL,
         "rootexfil": AttackStage.ROOT_DATA_EXFIL,
     }
@@ -163,9 +161,6 @@ class AttackGraph:
         return out
 
 
-DEPLOYMENT_NAMES = ("fully_vulnerable", "small_mixed", "large_mixed")
-
-
 @dataclass(frozen=True)
 class HoneynetConfig:
     """A deployed honeynet: catalog plus the per-epoch exposure budget."""
@@ -175,45 +170,42 @@ class HoneynetConfig:
     deployment_name: str = "custom"
 
 
-def _gitlab() -> ServiceSpec:
-    return ServiceSpec("gitlab", "GitLab", True, ALL_STAGES)
-
-
-def _xdebug() -> ServiceSpec:
-    return ServiceSpec("xdebug", "Xdebug", True, ALL_STAGES)
-
-
-def _apache_struts() -> ServiceSpec:
-    # Struts chain skips user-level exfiltration entirely
-    return ServiceSpec(
-        "apache_struts",
-        "Apache Struts",
-        True,
-        (
-            AttackStage.RECONNAISSANCE,
-            AttackStage.INITIAL_ACCESS,
-            AttackStage.PRIV_ESC,
-            AttackStage.ROOT_DATA_EXFIL,
+_BUILTIN_SERVICES = {
+    svc.id: svc
+    for svc in (
+        ServiceSpec("gitlab", "GitLab", True, ALL_STAGES),
+        ServiceSpec("xdebug", "Xdebug", True, ALL_STAGES),
+        # Struts chain skips user-level exfiltration entirely
+        ServiceSpec(
+            "apache_struts",
+            "Apache Struts",
+            True,
+            (
+                AttackStage.RECONNAISSANCE,
+                AttackStage.INITIAL_ACCESS,
+                AttackStage.PRIV_ESC,
+                AttackStage.ROOT_DATA_EXFIL,
+            ),
         ),
-    )
-
-
-def _docker_api() -> ServiceSpec:
-    # Docker API chain stops at user-level exfiltration
-    return ServiceSpec(
-        "docker_api",
-        "Docker API",
-        True,
-        (
-            AttackStage.RECONNAISSANCE,
-            AttackStage.INITIAL_ACCESS,
-            AttackStage.USER_DATA_EXFIL,
+        # Docker API chain stops at user-level exfiltration
+        ServiceSpec(
+            "docker_api",
+            "Docker API",
+            True,
+            (AttackStage.RECONNAISSANCE, AttackStage.INITIAL_ACCESS, AttackStage.USER_DATA_EXFIL),
         ),
+        # template of the scan-only decoys
+        ServiceSpec("others", "Others", False, (AttackStage.RECONNAISSANCE,)),
     )
+}
 
-
-def _others_template() -> ServiceSpec:
-    return ServiceSpec("others", "Others", False, (AttackStage.RECONNAISSANCE,))
+# each named deployment: its exploitable built-in services, then how many decoys
+_DEPLOYMENTS = {
+    "fully_vulnerable": (("gitlab", "xdebug", "apache_struts", "docker_api"), 0),
+    "small_mixed": (("gitlab", "apache_struts"), 2),
+    "large_mixed": (("gitlab", "apache_struts"), 4),
+}
+DEPLOYMENT_NAMES = tuple(_DEPLOYMENTS)
 
 
 def make_decoy(index: int) -> ServiceSpec:
@@ -223,40 +215,17 @@ def make_decoy(index: int) -> ServiceSpec:
 
 def builtin_catalog() -> AttackGraph:
     """The five-row built-in catalog; pure and identical across calls."""
-    return AttackGraph(
-        (
-            _gitlab(),
-            _xdebug(),
-            _apache_struts(),
-            _docker_api(),
-            _others_template(),
-        )
-    )
+    return AttackGraph(tuple(_BUILTIN_SERVICES.values()))
 
 
 def deployment_config(name: str, budget: int = 1) -> HoneynetConfig:
-    """Build one of the three named deployments.
-
-    fully_vulnerable: four services, all exploitable.
-    small_mixed: two exploitable plus two scan-only decoys.
-    large_mixed: two exploitable plus four scan-only decoys.
-    """
-    if name == "fully_vulnerable":
-        services = (_gitlab(), _xdebug(), _apache_struts(), _docker_api())
-    elif name == "small_mixed":
-        services = (_gitlab(), _apache_struts(), make_decoy(1), make_decoy(2))
-    elif name == "large_mixed":
-        services = (_gitlab(), _apache_struts()) + tuple(make_decoy(i) for i in range(1, 5))
-    else:
-        raise ValueError(f"unknown deployment {name!r}; expected one of {DEPLOYMENT_NAMES}")
+    """Build one of the named deployments in ``_DEPLOYMENTS``."""
+    try:
+        exploitable, decoys = _DEPLOYMENTS[name]
+    except (KeyError, TypeError):  # TypeError: a config file's list or mapping as the name
+        raise ValueError(f"unknown deployment {name!r}; expected one of {DEPLOYMENT_NAMES}") from None
+    services = tuple(_BUILTIN_SERVICES[i] for i in exploitable) + tuple(map(make_decoy, range(1, decoys + 1)))
     return HoneynetConfig(catalog=AttackGraph(services), budget=budget, deployment_name=name)
-
-
-# (services, exploitable services) of each named deployment
-_NAMED_SHAPES = {
-    cfg.deployment_name: (len(cfg.catalog), len(cfg.catalog.vulnerable_ids))
-    for cfg in map(deployment_config, DEPLOYMENT_NAMES)
-}
 
 
 def validate_deployment(cfg: HoneynetConfig) -> list[str]:
@@ -267,9 +236,10 @@ def validate_deployment(cfg: HoneynetConfig) -> list[str]:
         violations.append(f"budget must be at least 1, got {cfg.budget}")
     elif cfg.budget > n:
         violations.append(f"budget exceeds catalog: budget={cfg.budget}, services={n}")
-    if cfg.deployment_name in _NAMED_SHAPES:
+    if cfg.deployment_name in _DEPLOYMENTS:
         vuln = len(cfg.catalog.vulnerable_ids)
-        want_n, want_vuln = _NAMED_SHAPES[cfg.deployment_name]
+        exploitable, decoys = _DEPLOYMENTS[cfg.deployment_name]
+        want_n, want_vuln = len(exploitable) + decoys, len(exploitable)
         if n != want_n:
             violations.append(f"{cfg.deployment_name} requires {want_n} services, got {n}")
         if vuln != want_vuln:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from pathlib import Path
 
 from .catalog import DEPLOYMENT_NAMES
 from .harness import (
@@ -19,6 +18,7 @@ from .harness import (
     replay_out_dir,
     validate_matrix,
 )
+from .metrics import SummaryTables
 
 logger = logging.getLogger(__name__)
 
@@ -68,15 +68,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"violation: {p}", file=sys.stderr)
         return EXIT_CONFIG
     tables = execute_matrix(matrix, args.out, workers=args.workers)
-    _print_tables(args.out)
+    _print_tables(tables)
     print(f"results written to {args.out} "
           f"({len(tables.success_by_deployment)} deployment cells)")
     return EXIT_OK
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    replay_out_dir(args.out)
-    _print_tables(args.out)
+    _print_tables(replay_out_dir(args.out))
     return EXIT_OK
 
 
@@ -94,17 +93,15 @@ def cmd_mock_demo(args: argparse.Namespace) -> int:
         for p in problems:
             print(f"violation: {p}", file=sys.stderr)
         return EXIT_CONFIG
-    execute_matrix(matrix, args.out, workers=1)
-    _print_tables(args.out)
+    _print_tables(execute_matrix(matrix, args.out, workers=1))
     print(f"mock demo complete; logs in {args.out}")
     return EXIT_OK
 
 
-def _print_tables(out_dir: str) -> None:
-    for name in ("summary_success_by_deployment.txt", "summary_success_by_persistence.txt", "summary_scores.txt"):
-        path = Path(out_dir) / name
-        if path.exists():
-            print(path.read_text(encoding="utf-8"))
+def _print_tables(tables: SummaryTables) -> None:
+    for name, text in tables.files():
+        if name.endswith(".txt"):
+            print(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

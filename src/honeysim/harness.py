@@ -57,10 +57,6 @@ from .metrics import (
     RunResult,
     SummaryTables,
     aggregate,
-    scores_csv,
-    scores_text,
-    success_csv,
-    success_text,
 )
 from .policies import OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
 from .telemetry import NoiseConfig, SignatureCatalogMissError, exploit_signatures
@@ -282,7 +278,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
 
     check(expand_matrix, matrix)
     for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-        check(_cell_inputs, CellSpec(policy, deployment, mode, seed=0, derived_seed=0), matrix)
+        check(_cell_inputs, CellSpec(policy, deployment, mode, seed=0, derived_seed=0), matrix, None)
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
         check(_prompt_template, matrix)
@@ -376,7 +372,7 @@ def _backend_spec(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[Backen
 
 
 def _policy_factory(
-    spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue
+    spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue, turn_log: Optional[Path]
 ) -> PolicyFactory:
     if spec.kind == "oracle":
         return lambda index, seed: OraclePolicy()
@@ -399,21 +395,15 @@ def _policy_factory(
         for profile in queue:
             svc = honeynet.catalog.get(profile.target_service)
             scripts.append(aligned_mock_script(svc, profile.resolve_objective(svc)))
-        return lambda index, seed: LlmPolicy(
-            ScriptedMockBackend(scripts[index % len(scripts)]), template=template, label=spec.label
-        )
-    if spec.kind == "mock":
+    elif spec.kind == "mock":
         replay = spec.params.get("replay")
         if not replay:
             raise ConfigError(f"policy {spec.label}: mock policy needs a 'replay' file")
         try:
-            episodes = load_replay_file(replay)
+            scripts = load_replay_file(replay)
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"policy {spec.label}: replay file {replay!r} unusable: {exc}") from None
-        return lambda index, seed: LlmPolicy(
-            ScriptedMockBackend(episodes[index % len(episodes)]), template=template, label=spec.label
-        )
-    if spec.kind == "llm":
+    elif spec.kind == "llm":
         backend_spec = _backend_spec(spec, matrix)
         if backend_spec is None:
             raise ConfigError(f"policy {spec.label}: unknown backend {spec.params.get('backend')!r}")
@@ -425,12 +415,21 @@ def _policy_factory(
             max_tokens=backend_spec.max_tokens,
             timeout=backend_spec.timeout,
         )
-        return lambda index, seed: LlmPolicy(backend, template=template, label=spec.label)
-    raise ConfigError(f"unknown policy kind {spec.kind!r}")
+        return lambda index, seed: LlmPolicy(backend, template=template, label=spec.label, turn_log=turn_log)
+    else:
+        raise ConfigError(f"unknown policy kind {spec.kind!r}")
+    # the episode of the i-th attacker replays script i, cycling
+    return lambda index, seed: LlmPolicy(
+        ScriptedMockBackend(scripts[index % len(scripts)]), template=template, label=spec.label, turn_log=turn_log
+    )
 
 
-def _cell_inputs(cell: CellSpec, matrix: ExperimentMatrix) -> tuple[RunConfig, PolicyFactory]:
+def _cell_inputs(
+    cell: CellSpec, matrix: ExperimentMatrix, turn_log: Optional[Path]
+) -> tuple[RunConfig, PolicyFactory]:
     """Build one cell's run config and policy factory; raise what makes the cell unrunnable.
+
+    Model policies stream their turns to ``turn_log`` unless it is None.
 
     ``run_cell`` runs what this returns. ``validate_matrix`` only builds it, so
     a config passes validation exactly when every cell can be built.
@@ -448,7 +447,7 @@ def _cell_inputs(cell: CellSpec, matrix: ExperimentMatrix) -> tuple[RunConfig, P
         belief_carryover=matrix.belief_carryover,
         bootstrap=matrix.bootstrap,
     )
-    return cfg, _policy_factory(cell.policy, matrix, honeynet, queue)
+    return cfg, _policy_factory(cell.policy, matrix, honeynet, queue, turn_log)
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +461,12 @@ def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] =
     With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
     happen, so partial runs still leave an audit trail.
     """
-    cfg, make_policy = _cell_inputs(cell, matrix)
-
-    turn_log: Optional[Path] = None
-    if out_dir is not None:
-        cell_dir = out_dir / cell.name
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        turn_log = cell_dir / "turns.jsonl"
+    turn_log = None if out_dir is None else out_dir / cell.name / "turns.jsonl"
+    cfg, make_policy = _cell_inputs(cell, matrix, turn_log)
+    if turn_log is not None:
+        turn_log.parent.mkdir(parents=True, exist_ok=True)
         turn_log.unlink(missing_ok=True)  # reruns must not append to stale logs
-
-    def factory(index: int, seed: int):
-        policy = make_policy(index, seed)
-        if turn_log is not None and isinstance(policy, LlmPolicy):
-            policy.attach_turn_log(turn_log)
-        return policy
-
-    return _cell_result(cell, run_simulation(cfg, factory))
+    return _cell_result(cell, run_simulation(cfg, make_policy))
 
 
 def _cell_result(cell: CellSpec, records) -> RunResult:
@@ -506,27 +495,8 @@ def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: Experimen
         modes=matrix.modes,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "summary_success_by_deployment.csv").write_text(
-        success_csv(tables.success_by_deployment, "deployment"), encoding="utf-8"
-    )
-    (out_dir / "summary_success_by_deployment.txt").write_text(
-        success_text(tables.success_by_deployment, "deployment", "Exploitation success by deployment"),
-        encoding="utf-8",
-    )
-    (out_dir / "summary_success_by_persistence.csv").write_text(
-        success_csv(tables.success_by_persistence, "persistence"), encoding="utf-8"
-    )
-    (out_dir / "summary_success_by_persistence.txt").write_text(
-        success_text(tables.success_by_persistence, "persistence", "Exploitation success by persistence"),
-        encoding="utf-8",
-    )
-    (out_dir / "summary_scores.csv").write_text(
-        scores_csv(tables.scores, tables.policy_order), encoding="utf-8"
-    )
-    (out_dir / "summary_scores.txt").write_text(
-        scores_text(tables.scores, tables.policy_order, "Stage-inference score (mean ± std over seeds)"),
-        encoding="utf-8",
-    )
+    for name, text in tables.files():
+        (out_dir / name).write_text(text, encoding="utf-8")
     return tables
 
 
@@ -569,17 +539,23 @@ def replay_out_dir(out_dir: str | Path) -> SummaryTables:
     """Recompute summary tables from the episode logs of exactly the cells the manifest names."""
     out = Path(out_dir)
     matrix = _manifest_matrix(out)
-    runs, missing = [], []
+    runs, missing, corrupt = [], [], []
     for cell in expand_matrix(matrix):
         try:
             text = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8")
+            # parsed and reduced in one expression, bound to no name: no cell's records outlive it
+            runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
         except FileNotFoundError:
             missing.append(cell.name)
-            continue
-        # parsed and reduced in one expression, bound to no name: no cell's records outlive it
-        runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
-    if missing:
-        raise ConfigError(f"cells in {MANIFEST_NAME} without episodes.jsonl: {', '.join(missing)}")
+        except (KeyError, TypeError, ValueError, AttributeError):
+            corrupt.append(cell.name)
+    problems = [
+        f"cells in {MANIFEST_NAME} {what}: {', '.join(names)}"
+        for what, names in (("without episodes.jsonl", missing), ("with a corrupt or empty episodes.jsonl", corrupt))
+        if names
+    ]
+    if problems:
+        raise ConfigError("; ".join(problems))
     return write_summaries(out, runs, matrix)
 
 

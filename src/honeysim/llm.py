@@ -367,18 +367,16 @@ class LlmPolicy(Policy):
         template: Optional[PromptTemplate] = None,
         prompt_char_cap: int = 8000,
         label: Optional[str] = None,
+        turn_log: Optional[os.PathLike] = None,
     ) -> None:
         self.backend = backend
         self.template = template or builtin_template()
         self.prompt_char_cap = prompt_char_cap
         self._last_decision: Optional[ExposureDecision] = None
-        self._turn_log: Optional[str] = None
+        # each turn streams to this line-delimited JSON file as it happens
+        self._turn_log = turn_log
         if label:
             self.name = label
-
-    def attach_turn_log(self, path) -> None:
-        """Stream each turn to this line-delimited JSON file as it happens."""
-        self._turn_log = str(path)
 
     def decide(self, obs, belief, cfg):
         decision, prediction, _, turn = llm_decide(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -169,6 +170,36 @@ class SummaryTables:
     scores: list[dict]
     policy_order: list[str]
 
+    def files(self) -> list[tuple[str, str]]:
+        """Each summary file's name and text; the one place that names them."""
+        files = []
+        for axis in ("deployment", "persistence"):
+            rows = getattr(self, f"success_by_{axis}")
+            text_rows = [[row["policy"], row[axis], row["cell"]] for row in rows]
+            files.append((f"summary_success_by_{axis}.csv", success_csv(rows, axis)))
+            files.append((
+                f"summary_success_by_{axis}.txt",
+                _text(f"Exploitation success by {axis}", ["policy", axis, "exploitation achieved"], text_rows),
+            ))
+        files.append(("summary_scores.csv", scores_csv(self.scores, self.policy_order)))
+        files.append((
+            "summary_scores.txt",
+            _text("Stage-inference score (mean ± std over seeds)", *_scores_table(self.scores, self.policy_order)),
+        ))
+        return files
+
+
+def _success_rows(metrics: Sequence[RunMetrics], policy_order: list[str], axis: str, order: list[str]) -> list[dict]:
+    """One row per (policy, value of ``axis``) that has runs, in the given orders."""
+    rows = []
+    for policy, value in itertools.product(policy_order, order):
+        cell = [m.exploitation for m in metrics if m.policy == policy and getattr(m, axis) == value]
+        if cell:
+            achieved = sum(cell)
+            rows.append({"policy": policy, axis: value, "achieved": achieved, "total": len(cell),
+                         "cell": success_cell(achieved, len(cell))})
+    return rows
+
 
 def aggregate(
     metrics: Sequence[RunMetrics],
@@ -188,40 +219,6 @@ def aggregate(
     deployment_order = _ordered((m.deployment for m in metrics), deployments)
     mode_order = _ordered((m.persistence for m in metrics), modes)
 
-    by_deployment = []
-    for policy in policy_order:
-        for deployment in deployment_order:
-            cell = [m for m in metrics if m.policy == policy and m.deployment == deployment]
-            if not cell:
-                continue
-            achieved = sum(1 for m in cell if m.exploitation)
-            by_deployment.append(
-                {
-                    "policy": policy,
-                    "deployment": deployment,
-                    "achieved": achieved,
-                    "total": len(cell),
-                    "cell": success_cell(achieved, len(cell)),
-                }
-            )
-
-    by_persistence = []
-    for policy in policy_order:
-        for mode in mode_order:
-            cell = [m for m in metrics if m.policy == policy and m.persistence == mode]
-            if not cell:
-                continue
-            achieved = sum(1 for m in cell if m.exploitation)
-            by_persistence.append(
-                {
-                    "policy": policy,
-                    "persistence": mode,
-                    "achieved": achieved,
-                    "total": len(cell),
-                    "cell": success_cell(achieved, len(cell)),
-                }
-            )
-
     scores = []
     for deployment in deployment_order:
         for mode in mode_order:
@@ -239,8 +236,8 @@ def aggregate(
                 scores.append(row)
 
     return SummaryTables(
-        success_by_deployment=by_deployment,
-        success_by_persistence=by_persistence,
+        success_by_deployment=_success_rows(metrics, policy_order, "deployment", deployment_order),
+        success_by_persistence=_success_rows(metrics, policy_order, "persistence", mode_order),
         scores=scores,
         policy_order=policy_order,
     )
@@ -251,39 +248,31 @@ def aggregate(
 # ---------------------------------------------------------------------------
 
 
-def success_csv(rows: list[dict], axis: str) -> str:
+def _csv(header: list, rows: Iterable[list]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["policy", axis, "achieved", "total", "exploitation_achieved"])
-    for row in rows:
-        writer.writerow([row["policy"], row[axis], row["achieved"], row["total"], row["cell"]])
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
+
+
+def _text(title: str, header: list[str], rows: list[list[str]]) -> str:
+    """``title`` over the table, each column padded to its widest cell."""
+    table = [header, *rows]
+    widths = [max(len(r[i]) for r in table) for i in range(len(header))]
+    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
+    return title + "\n" + "\n".join(lines) + "\n"
+
+
+def success_csv(rows: list[dict], axis: str) -> str:
+    return _csv(
+        ["policy", axis, "achieved", "total", "exploitation_achieved"],
+        ([row["policy"], row[axis], row["achieved"], row["total"], row["cell"]] for row in rows),
+    )
+
+
+def _scores_table(rows: list[dict], policy_order: Sequence[str]) -> tuple[list[str], list[list[str]]]:
+    header = ["deployment", "persistence", *policy_order]
+    return header, [[row[column] for column in header] for row in rows]
 
 
 def scores_csv(rows: list[dict], policy_order: Sequence[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["deployment", "persistence", *policy_order])
-    for row in rows:
-        writer.writerow([row["deployment"], row["persistence"], *(row[p] for p in policy_order)])
-    return buf.getvalue()
-
-
-def _aligned(rows: list[list[str]]) -> str:
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def success_text(rows: list[dict], axis: str, title: str) -> str:
-    table = [["policy", axis, "exploitation achieved"]]
-    for row in rows:
-        table.append([row["policy"], row[axis], row["cell"]])
-    return f"{title}\n{_aligned(table)}"
-
-
-def scores_text(rows: list[dict], policy_order: Sequence[str], title: str) -> str:
-    table = [["deployment", "persistence", *policy_order]]
-    for row in rows:
-        table.append([row["deployment"], row["persistence"], *(row[p] for p in policy_order)])
-    return f"{title}\n{_aligned(table)}"
+    return _csv(*_scores_table(rows, policy_order))

@@ -148,6 +148,9 @@ class TestDeployments:
     def test_unknown_deployment_rejected(self):
         with pytest.raises(ValueError):
             deployment_config("huge_mixed")
+        # a config file can name a deployment with any YAML value
+        with pytest.raises(ValueError, match="unknown deployment"):
+            deployment_config(["small_mixed"])
 
 
 def test_graph_edges_follow_chains():

@@ -295,6 +295,19 @@ class TestRunAndReplay:
         err = capsys.readouterr().err
         assert f"error: cells in run_manifest.json without episodes.jsonl: {', '.join(gone)}" in err
 
+    @pytest.mark.parametrize("log", ['{"bad": 1}\n', "plain text\n", ""], ids=["no-epochs", "not-json", "empty"])
+    def test_replay_names_a_cell_whose_log_is_corrupt(self, tiny_config, tmp_path, capsys, log):
+        out = tmp_path / "results"
+        assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+        bad = ["oracle__small_mixed__deterministic__seed1", "reactive__small_mixed__deterministic__seed0"]
+        for name in bad:
+            (out / name / "episodes.jsonl").write_text(log, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cells in run_manifest.json with a corrupt or empty episodes.jsonl: {', '.join(bad)}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "edit, message",
         [

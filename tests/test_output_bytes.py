@@ -1,0 +1,96 @@
+"""Pinned output bytes: a small matrix over every offline policy kind.
+
+The digest covers every cell's ``cell.json``, ``episodes.jsonl`` and
+``turns.jsonl`` (without the wall-clock ``latency_s``), every summary file,
+and what ``honeysim run`` prints with the output path masked. A refactor that
+claims "same bytes" must leave it unchanged; a deliberate output change
+re-pins it and says so.
+"""
+
+import hashlib
+import json
+
+import yaml
+
+from honeysim.cli import main
+from honeysim.harness import replay_out_dir
+
+# pinned at commit 5ddf1b2, before the summary and deployment tables were rewritten
+PINNED_SHA256 = "cfdd980429986e06a77560bad258f51a1d22be59dda7a9ad83957953a11976ad"
+
+REPLIES = [
+    json.dumps({"expose": ["gitlab"], "stages": ["Reconnaissance"], "done": False}),
+    "no decision in this reply",
+    json.dumps({"expose": ["gitlab", "apache_struts"], "stages": ["recon", "initial_access"]}),
+    "```json\n" + json.dumps({"expose": ["apache-struts"], "stages": ["PrivEsc"], "done": False}) + "\n```",
+    json.dumps({"expose": ["redis"], "stages": ["LateralMovement"]}),
+]
+
+CONFIG = {
+    "horizon": 6,
+    "budget": 1,
+    "seed_base": 3,
+    "seeds": [0, 1],
+    "policies": [
+        "oracle",
+        "random",
+        "reactive",
+        {"name": "static", "kind": "static", "expose": ["gitlab"]},
+        "scripted",
+        # the mock entry gets its replay file in the test
+    ],
+    "deployments": ["fully_vulnerable", "small_mixed"],
+    "persistence_modes": ["probabilistic", "consecutive"],
+    "persistence": {"decay": 0.25, "floor": 0.1},
+    "noise": {"false_positive_rate": 0.2, "hint_corruption_rate": 0.2},
+}
+
+CELL_FILES = ("cell.json", "episodes.jsonl", "turns.jsonl")
+
+
+def _canonical_turns(data: bytes) -> bytes:
+    turns = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+    for turn in turns:
+        del turn["latency_s"]
+    return "".join(json.dumps(t, sort_keys=True) + "\n" for t in turns).encode("utf-8")
+
+
+def _summaries(out):
+    return {p.name: p.read_bytes() for p in sorted(out.glob("summary_*"))}
+
+
+def _digest(out, stdout: str) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rel = path.relative_to(out)
+        if len(rel.parts) == 2 and rel.name in CELL_FILES:
+            data = path.read_bytes()
+            if rel.name == "turns.jsonl":
+                data = _canonical_turns(data)
+        elif len(rel.parts) == 1 and rel.name.startswith("summary_"):
+            data = path.read_bytes()
+        else:
+            continue
+        digest.update(rel.as_posix().encode("utf-8") + b"\0" + data + b"\0")
+    digest.update(stdout.replace(str(out), "<out>").encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_offline_policy_matrix_bytes_are_pinned(tmp_path, capsys):
+    replay = tmp_path / "replies.json"
+    replay.write_text(json.dumps([REPLIES, REPLIES[::-1]]), encoding="utf-8")
+    policies = [*CONFIG["policies"], {"name": "mock", "kind": "mock", "replay": str(replay)}]
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump({**CONFIG, "policies": policies}), encoding="utf-8")
+    out = tmp_path / "out"
+
+    capsys.readouterr()
+    assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert len([p for p in out.iterdir() if p.is_dir()]) == 6 * 2 * 2 * 2
+    assert _digest(out, stdout) == PINNED_SHA256
+
+    ran = _summaries(out)
+    assert len(ran) == 6
+    replay_out_dir(out)
+    assert _summaries(out) == ran
