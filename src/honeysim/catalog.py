@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Optional
 
 import yaml
@@ -124,29 +125,53 @@ class AttackGraph:
     services: tuple[ServiceSpec, ...]
 
     def __post_init__(self) -> None:
-        ids = [s.id for s in self.services]
+        ids = tuple(s.id for s in self.services)
         if len(ids) != len(set(ids)):
-            raise ValueError(f"duplicate service ids in catalog: {ids}")
+            raise ValueError(f"duplicate service ids in catalog: {list(ids)}")
+        # lookups run every epoch, so they read tables built once here
+        by_key: dict[str, str] = {}
+        for svc in self.services:
+            for name in (svc.id, svc.display_name):
+                by_key.setdefault(name_key(str(name)), svc.id)  # the first service to claim a key keeps it
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_by_id", dict(zip(ids, self.services)))
+        object.__setattr__(self, "_by_key", by_key)
 
     def __len__(self) -> int:
         return len(self.services)
 
     @property
     def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.services)
+        return self._ids
 
     @property
     def vulnerable_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.services if s.vulnerable)
 
     def get(self, service_id: str) -> ServiceSpec:
-        for svc in self.services:
-            if svc.id == service_id:
-                return svc
-        raise KeyError(f"unknown service: {service_id}")
+        try:
+            return self._by_id[service_id]
+        except (KeyError, TypeError):  # TypeError: a config file's list or mapping
+            raise KeyError(f"unknown service: {service_id}") from None
 
     def __contains__(self, service_id: str) -> bool:
-        return any(s.id == service_id for s in self.services)
+        try:
+            return service_id in self._by_id
+        except TypeError:  # a config file's list or mapping names no service
+            return False
+
+    def resolve(self, name: str) -> Optional[str]:
+        """The id of the first service whose id or display name matches ``name`` under ``name_key``."""
+        return self._by_key.get(name_key(name))
+
+    @cached_property
+    def outline(self) -> str:
+        """One line per service: id, display name, whether it is exploitable, and its stages."""
+        return "\n".join(
+            f"- {svc.id} ({svc.display_name}): {'exploitable' if svc.vulnerable else 'scan-only decoy'}; "
+            f"stages: {', '.join(s.label for s in svc.supported_stages)}"
+            for svc in self.services
+        )
 
     def nodes(self) -> list[tuple[str, AttackStage]]:
         return [(svc.id, stage) for svc in self.services for stage in svc.supported_stages]

@@ -13,6 +13,7 @@ import itertools
 import json
 import logging
 import os
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,6 +43,7 @@ from .llm import (
     LlmPolicy,
     PromptTemplate,
     ScriptedMockBackend,
+    TurnLog,
     aligned_mock_script,
     builtin_template,
     load_replay_file,
@@ -51,6 +53,7 @@ from .llm import (
 # on metrics.run_metrics (as perfbench's tracer does) sees every reduction
 from . import metrics
 from .metrics import (
+    SCORE_COORDINATES,
     SCORE_MODE_CURRENT,
     SCORE_MODE_SETS,
     RunMetrics,
@@ -146,6 +149,8 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
     for policy in matrix.policies:
         if policy.label in ("", ".", "..") or "/" in policy.label or "\\" in policy.label:
             raise ConfigError(f"policy label {policy.label!r} is not a safe directory name")
+        if policy.label in SCORE_COORDINATES:
+            raise ConfigError(f"policy label {policy.label!r} would overwrite that column of summary_scores")
     cells = []
     for policy in matrix.policies:
         for deployment in matrix.deployments:
@@ -268,6 +273,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     checks that depend on this environment.
     """
     problems: list[str] = []
+    files = _RunFiles(matrix)
 
     def check(build, *args) -> None:
         try:
@@ -278,10 +284,10 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
 
     check(expand_matrix, matrix)
     for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-        check(_cell_inputs, CellSpec(policy, deployment, mode, seed=0, derived_seed=0), matrix, None)
+        check(_cell_inputs, CellSpec(policy, deployment, mode, seed=0, derived_seed=0), matrix, files, None)
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
-        check(_prompt_template, matrix)
+        check(files.template)
     if matrix.score_mode not in (SCORE_MODE_SETS, SCORE_MODE_CURRENT):
         problems.append(f"unknown score mode {matrix.score_mode!r}")
 
@@ -356,13 +362,37 @@ def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persiste
     return queue
 
 
-def _prompt_template(matrix: ExperimentMatrix) -> PromptTemplate:
-    if not matrix.prompt_template_path:
-        return builtin_template()
-    try:
-        return load_template(matrix.prompt_template_path)
-    except (OSError, ValueError, TypeError) as exc:
-        raise ConfigError(f"prompt template unusable: {exc}") from None
+class _RunFiles:
+    """The prompt template and replay files of one ``execute_matrix`` or ``validate_matrix`` call.
+
+    Each is loaded at the first cell that needs it and shared by the rest, also
+    across worker threads. Nothing outlives the call, so a file edited between
+    two runs is read again.
+    """
+
+    def __init__(self, matrix: ExperimentMatrix) -> None:
+        self._matrix = matrix
+        self._template: Optional[PromptTemplate] = None
+        self._replays: dict[str, list[list[str]]] = {}
+        self._lock = threading.Lock()
+
+    def template(self) -> PromptTemplate:
+        with self._lock:
+            if self._template is None:
+                path = self._matrix.prompt_template_path
+                try:
+                    self._template = load_template(path) if path else builtin_template()
+                except (OSError, ValueError, TypeError) as exc:
+                    raise ConfigError(f"prompt template unusable: {exc}") from None
+            return self._template
+
+    def replay(self, path) -> list[list[str]]:
+        """``load_replay_file(path)``; raises what it raises."""
+        key = os.fspath(path)  # TypeError for a config file's list or number, before open() sees it
+        with self._lock:
+            if key not in self._replays:
+                self._replays[key] = load_replay_file(key)
+            return self._replays[key]
 
 
 def _backend_spec(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[BackendSpec]:
@@ -372,7 +402,12 @@ def _backend_spec(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[Backen
 
 
 def _policy_factory(
-    spec: PolicySpec, matrix: ExperimentMatrix, honeynet: HoneynetConfig, queue, turn_log: Optional[Path]
+    spec: PolicySpec,
+    matrix: ExperimentMatrix,
+    honeynet: HoneynetConfig,
+    queue,
+    files: _RunFiles,
+    turn_log: Optional[TurnLog],
 ) -> PolicyFactory:
     if spec.kind == "oracle":
         return lambda index, seed: OraclePolicy()
@@ -389,7 +424,7 @@ def _policy_factory(
             raise ConfigError(f"policy {spec.label}: exposes {unknown}, not in {honeynet.deployment_name}")
         exposed = tuple(exposed)
         return lambda index, seed: StaticPolicy(exposed)
-    template = _prompt_template(matrix)
+    template = files.template()
     if spec.kind == "scripted":
         scripts = []
         for profile in queue:
@@ -400,7 +435,7 @@ def _policy_factory(
         if not replay:
             raise ConfigError(f"policy {spec.label}: mock policy needs a 'replay' file")
         try:
-            scripts = load_replay_file(replay)
+            scripts = files.replay(replay)
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"policy {spec.label}: replay file {replay!r} unusable: {exc}") from None
     elif spec.kind == "llm":
@@ -425,11 +460,12 @@ def _policy_factory(
 
 
 def _cell_inputs(
-    cell: CellSpec, matrix: ExperimentMatrix, turn_log: Optional[Path]
+    cell: CellSpec, matrix: ExperimentMatrix, files: _RunFiles, turn_log: Optional[TurnLog]
 ) -> tuple[RunConfig, PolicyFactory]:
     """Build one cell's run config and policy factory; raise what makes the cell unrunnable.
 
-    Model policies stream their turns to ``turn_log`` unless it is None.
+    Model policies read their template and scripts from ``files`` and append
+    their turns to ``turn_log`` unless it is None.
 
     ``run_cell`` runs what this returns. ``validate_matrix`` only builds it, so
     a config passes validation exactly when every cell can be built.
@@ -447,7 +483,7 @@ def _cell_inputs(
         belief_carryover=matrix.belief_carryover,
         bootstrap=matrix.bootstrap,
     )
-    return cfg, _policy_factory(cell.policy, matrix, honeynet, queue, turn_log)
+    return cfg, _policy_factory(cell.policy, matrix, honeynet, queue, files, turn_log)
 
 
 # ---------------------------------------------------------------------------
@@ -455,18 +491,25 @@ def _cell_inputs(
 # ---------------------------------------------------------------------------
 
 
-def run_cell(cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None) -> RunResult:
+def run_cell(
+    cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None, files: Optional[_RunFiles] = None
+) -> RunResult:
     """Execute one cell.
 
     With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
-    happen, so partial runs still leave an audit trail.
+    happen, so partial runs still leave an audit trail. ``files`` shares the
+    loaded template and replay files between the cells of one run.
     """
-    turn_log = None if out_dir is None else out_dir / cell.name / "turns.jsonl"
-    cfg, make_policy = _cell_inputs(cell, matrix, turn_log)
+    turn_log = None if out_dir is None else TurnLog(out_dir / cell.name / "turns.jsonl")
+    cfg, make_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix), turn_log)
     if turn_log is not None:
-        turn_log.parent.mkdir(parents=True, exist_ok=True)
-        turn_log.unlink(missing_ok=True)  # reruns must not append to stale logs
-    return _cell_result(cell, run_simulation(cfg, make_policy))
+        turn_log.path.parent.mkdir(parents=True, exist_ok=True)
+        turn_log.path.unlink(missing_ok=True)  # no stale log survives a rerun, even of a cell without turns
+    try:
+        return _cell_result(cell, run_simulation(cfg, make_policy))
+    finally:
+        if turn_log is not None:
+            turn_log.close()
 
 
 def _cell_result(cell: CellSpec, records) -> RunResult:
@@ -519,9 +562,11 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     }
     (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
+    files = _RunFiles(matrix)
+
     def job(cell: CellSpec) -> RunMetrics:
         logger.info("running cell %s", cell.name)
-        result = run_cell(cell, matrix, out_dir=out)
+        result = run_cell(cell, matrix, out_dir=out, files=files)
         write_cell(out, cell, result)
         # only the metrics outlive the cell, so memory grows with cells, not episodes
         return metrics.run_metrics(result, matrix.score_mode)

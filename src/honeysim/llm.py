@@ -15,12 +15,14 @@ import logging
 import os
 import re
 import time
+import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Optional, Sequence
 
-from .catalog import AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, name_key
+from .catalog import AttackStage, HoneynetConfig, ServiceSpec
 from .policies import (
     BeliefState,
     ExposureDecision,
@@ -75,49 +77,52 @@ def load_template(path: str) -> PromptTemplate:
         return PromptTemplate(fh.read())
 
 
-def _services_section(catalog: AttackGraph) -> str:
-    lines = []
-    for svc in catalog.services:
-        stages = ", ".join(s.label for s in svc.supported_stages)
-        kind = "exploitable" if svc.vulnerable else "scan-only decoy"
-        lines.append(f"- {svc.id} ({svc.display_name}): {kind}; stages: {stages}")
-    return "\n".join(lines)
-
-
-def _progression_section(belief: BeliefState) -> str:
+def _prompt_sections(belief: BeliefState, cfg: HoneynetConfig) -> dict[str, str]:
+    """Every section of the prompt but the alerts."""
     lines = belief.progression_lines(limit=12)
-    return "\n".join(lines) if lines else "no prior evidence"
+    return {
+        "progression": "\n".join(lines) if lines else "no prior evidence",
+        "services": cfg.catalog.outline,
+        "budget": str(cfg.budget),
+    }
 
 
 def build_prompt(
-    digest: str, belief: BeliefState, cfg: HoneynetConfig, template: PromptTemplate
+    digest: str,
+    belief: BeliefState,
+    cfg: HoneynetConfig,
+    template: PromptTemplate,
+    sections: Optional[dict[str, str]] = None,
 ) -> str:
-    """Deterministically instantiate the template with this epoch's context."""
-    return template.render(
-        alerts=digest if digest else "none",
-        progression=_progression_section(belief),
-        services=_services_section(cfg.catalog),
-        budget=str(cfg.budget),
-    )
+    """Deterministically instantiate the template with this epoch's context.
+
+    ``sections`` is ``_prompt_sections(belief, cfg)`` when the caller has built it already.
+    """
+    return template.render(alerts=digest if digest else "none", **(sections or _prompt_sections(belief, cfg)))
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 _DECODER = json.JSONDecoder()
+# a JSON string, or one bracket outside strings
+_BRACKET_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
 
 
 def _find_decision(raw: str) -> Optional[dict]:
     """The first object with both decision keys: fenced blocks first, then the whole reply.
 
     JSON is decoded from each ``{`` in turn. A value that decodes is skipped
-    whole, so an object nested in it is never considered.
+    whole, so an object nested in it is never considered. So is a value
+    nested too deep for the decoder, which is no decision either.
     """
     for text in [*(m.group(1) for m in _FENCE_RE.finditer(raw)), raw]:
         start = text.find("{")
         while start != -1:
             try:
                 value, end = _DECODER.raw_decode(text, start)
-            except (json.JSONDecodeError, RecursionError):  # nested too deep is no decision either
+            except json.JSONDecodeError:
                 end = start + 1
+            except RecursionError:
+                end = _bracketed_end(text, start)
             else:
                 if "expose" in value and "stages" in value:
                     return value
@@ -125,12 +130,22 @@ def _find_decision(raw: str) -> Optional[dict]:
     return None
 
 
-def _resolve_service(name: str, catalog: AttackGraph) -> Optional[str]:
-    key = name_key(name)
-    for svc in catalog.services:
-        if key in (name_key(svc.id), name_key(svc.display_name)):
-            return svc.id
-    return None
+def _bracketed_end(text: str, start: int) -> int:
+    """Where the value opened at ``start`` closes, counting brackets outside strings; the text's end if never.
+
+    Decoding again from each ``{`` inside a value nested too deep would
+    cost the recursion limit per ``{``; one pass over the brackets is linear.
+    """
+    depth = 0
+    for token in _BRACKET_RE.finditer(text, start):
+        bracket = token.group()
+        if bracket in ("{", "["):
+            depth += 1
+        elif bracket in ("}", "]"):
+            depth -= 1
+            if depth == 0:
+                return token.end()
+    return len(text)
 
 
 def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, StagePrediction]:
@@ -151,7 +166,7 @@ def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, Sta
 
     exposed: list[str] = []
     for name in expose_raw:
-        sid = _resolve_service(str(name), cfg.catalog)
+        sid = cfg.catalog.resolve(str(name))
         if sid is None:
             logger.warning("model exposed unknown service %r; dropped", name)
         else:
@@ -242,6 +257,8 @@ class HttpChatBackend:
                     raise TypeError(f"reply content is {type(content).__name__}, not a string")
                 return content
             except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
+                if isinstance(exc, urllib.error.HTTPError):
+                    exc.close()  # an error response keeps its connection open until closed
                 last_error = exc
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff_seconds * (2**attempt))
@@ -296,6 +313,32 @@ class AgentTurn:
     error: Optional[str] = None
 
 
+_TURN_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+class TurnLog:
+    """A cell's model turns, one JSON line each, through one line-buffered handle.
+
+    The file is created at the first turn, so a cell without model turns has
+    none; every finished line is flushed, so a crash keeps the turns before
+    it. The owner calls ``close``.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._fh = None
+
+    def append(self, turn: AgentTurn) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8", buffering=1)
+        self._fh.write(_TURN_ENCODER.encode(vars(turn)) + "\n")
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
 def llm_decide(
     backend,
     obs: EpochObservation,
@@ -312,10 +355,12 @@ def llm_decide(
     ``belief`` (``policy_decide`` does this).
     """
     template = template or builtin_template()
-    overhead = len(build_prompt("", belief, cfg, template))
+    sections = _prompt_sections(belief, cfg)
+    # the prompt without alerts, as build_prompt renders an empty digest
+    overhead = len(template.render(alerts="none", **sections))
     digest_budget = max(100, prompt_char_cap - overhead)
     digest = summarize_for_prompt(obs, digest_budget)
-    prompt = build_prompt(digest, belief, cfg, template)
+    prompt = build_prompt(digest, belief, cfg, template, sections)
 
     started = time.perf_counter()
     raw = ""
@@ -367,13 +412,12 @@ class LlmPolicy(Policy):
         template: Optional[PromptTemplate] = None,
         prompt_char_cap: int = 8000,
         label: Optional[str] = None,
-        turn_log: Optional[os.PathLike] = None,
+        turn_log: Optional[TurnLog] = None,
     ) -> None:
         self.backend = backend
         self.template = template or builtin_template()
         self.prompt_char_cap = prompt_char_cap
         self._last_decision: Optional[ExposureDecision] = None
-        # each turn streams to this line-delimited JSON file as it happens
         self._turn_log = turn_log
         if label:
             self.name = label
@@ -390,8 +434,7 @@ class LlmPolicy(Policy):
         )
         # the turn hits disk before the decision it produced takes effect
         if self._turn_log is not None:
-            with open(self._turn_log, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(vars(turn), sort_keys=True) + "\n")
+            self._turn_log.append(turn)
         # a fallback repeats the exposure that took effect, not the raw reply
         self._last_decision = clamp_decision(decision, cfg, self.name)
         return self._last_decision, prediction

@@ -25,6 +25,8 @@ COMMON_TARGETS = ("gitlab", "apache_struts")
 
 SCORE_MODE_SETS = "cumulative_sets"
 SCORE_MODE_CURRENT = "current_stage"
+# the scores table's columns before its one column per policy label
+SCORE_COORDINATES = ("deployment", "persistence")
 
 
 def exploitation_achieved(rec: EpisodeRecord) -> bool:
@@ -270,7 +272,7 @@ def success_csv(rows: list[dict], axis: str) -> str:
 
 
 def _scores_table(rows: list[dict], policy_order: Sequence[str]) -> tuple[list[str], list[list[str]]]:
-    header = ["deployment", "persistence", *policy_order]
+    header = [*SCORE_COORDINATES, *policy_order]
     return header, [[row[column] for column in header] for row in rows]
 
 

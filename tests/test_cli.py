@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +27,7 @@ from honeysim.harness import (
     run_cell,
     validate_matrix,
 )
+from honeysim.llm import ScriptedMockBackend
 
 TINY_CONFIG = {
     "horizon": 8,
@@ -122,6 +125,8 @@ class TestValidate:
             ({"deployments": ["custom"], "catalog": "catalog.yaml", "budget": 3}, "budget exceeds catalog"),
             ({"policies": [{"name": "m", "kind": "llm", "backend": ["x"]}]}, "unknown backend ['x']"),
             ({"prompt_template": ["x"]}, "prompt template unusable"),
+            ({"policies": [{"name": "deployment", "kind": "oracle"}]}, "policy label 'deployment' would overwrite"),
+            ({"policies": ["oracle", {"name": "persistence", "kind": "random"}]}, "policy label 'persistence'"),
         ],
         ids=[
             "bad-bootstrap",
@@ -136,6 +141,8 @@ class TestValidate:
             "custom-catalog-over-budget",
             "backend-not-a-name",
             "template-list",
+            "label-deployment",
+            "label-persistence",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -422,6 +429,87 @@ def test_run_cell_streams_turns_to_disk(tmp_path):
     # a rerun replaces rather than appends
     run_cell(cell, matrix, out_dir=tmp_path)
     assert len(turn_file.read_text(encoding="utf-8").splitlines()) == len(turns)
+
+
+def _mock_matrix(tmp_path, replays, **axes):
+    """One mock policy per (label, replay file name) in ``replays``; each file holds one gitlab reply."""
+    policies = []
+    for label, name in replays:
+        path = tmp_path / name
+        path.write_text(json.dumps(['{"expose": ["gitlab"], "stages": []}']), encoding="utf-8")
+        policies.append(PolicySpec(label=label, kind="mock", params={"replay": str(path)}))
+    return ExperimentMatrix(
+        policies=policies, **{"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0], **axes}
+    )
+
+
+def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, monkeypatch):
+    """A backend that raises on turn k: the cell re-raises, k-1 turns are on disk, no handle is left open."""
+    matrix = _mock_matrix(tmp_path, [("mock", "replay.json")], horizon=10)
+    matrix.policies.append(PolicySpec(label="oracle", kind="oracle"))
+    mock_cell, oracle_cell = expand_matrix(matrix)
+    k = 4
+    turn_log = tmp_path / mock_cell.name / "turns.jsonl"
+    turns, on_disk_at_crash = [], []
+    complete = ScriptedMockBackend.complete
+
+    def crash_on_turn_k(self, prompt):
+        turns.append(prompt)
+        if len(turns) == k:
+            on_disk_at_crash.extend(turn_log.read_text(encoding="utf-8").splitlines())
+            raise RuntimeError("backend crashed")
+        return complete(self, prompt)
+
+    monkeypatch.setattr(ScriptedMockBackend, "complete", crash_on_turn_k)
+    unraisable = []
+    hook = sys.unraisablehook
+    sys.unraisablehook = unraisable.append  # an unclosed file warns from its finalizer, which cannot raise
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match="backend crashed"):
+                run_cell(mock_cell, matrix, out_dir=tmp_path)
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [u.exc_value for u in unraisable] == []
+    # each finished turn was flushed as it was written, not when the handle closed
+    assert turn_log.read_text(encoding="utf-8").splitlines() == on_disk_at_crash
+    assert [json.loads(line)["prompt"] for line in on_disk_at_crash] == turns[: k - 1]
+    run_cell(oracle_cell, matrix, out_dir=tmp_path)
+    assert (tmp_path / oracle_cell.name).is_dir()
+    assert not (tmp_path / oracle_cell.name / "turns.jsonl").exists()
+
+
+def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkeypatch):
+    """validate_matrix and execute_matrix each read a replay path once and the template once, not once per cell."""
+    matrix = _mock_matrix(
+        tmp_path,
+        [("mock_a", "a.json"), ("mock_a_again", "a.json"), ("mock_b", "b.json")],
+        deployments=["fully_vulnerable", "small_mixed", "large_mixed"],
+        modes=["deterministic", "probabilistic", "consecutive"],
+        seeds=[0, 1],
+        horizon=3,
+    )
+    loads = Counter()
+    load_replay_file, builtin_template = harness.load_replay_file, harness.builtin_template
+
+    def counted_replay(path):
+        loads[Path(path).name] += 1
+        return load_replay_file(path)
+
+    def counted_template():
+        loads["template"] += 1
+        return builtin_template()
+
+    monkeypatch.setattr(harness, "load_replay_file", counted_replay)
+    monkeypatch.setattr(harness, "builtin_template", counted_template)
+    assert validate_matrix(matrix, offline=True) == []
+    assert loads == {"a.json": 1, "b.json": 1, "template": 1}
+    loads.clear()
+    execute_matrix(matrix, tmp_path / "out")
+    assert len(list((tmp_path / "out").glob("*/turns.jsonl"))) == 3 * 3 * 3 * 2
+    assert loads == {"a.json": 1, "b.json": 1, "template": 1}
 
 
 def test_load_run_file_round_trip(tiny_config):

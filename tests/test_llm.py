@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from honeysim import llm
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import AttackStage, deployment_config
 from honeysim.engine import RunConfig, run_episode, run_simulation, records_to_jsonl
@@ -155,6 +156,25 @@ class TestParseResponse:
         else:
             assert parse_response(raw, HONEYNET)[0].exposed == exposed
 
+    def test_reply_nested_too_deep_is_decoded_once(self, monkeypatch):
+        """A value nested past the decoder's limit costs one decode at any depth; a decision after it still counts."""
+        decoder = llm._DECODER
+        starts = []
+
+        class CountingDecoder:
+            def raw_decode(self, text, start):
+                starts.append(start)
+                return decoder.raw_decode(text, start)
+
+        monkeypatch.setattr(llm, "_DECODER", CountingDecoder())
+        calls = {}
+        for depth in (3000, 6000):
+            starts.clear()
+            raw = '{"a": ' * depth + "1" + "}" * depth + ' so: {"expose": ["xdebug"], "stages": []}'
+            assert parse_response(raw, HONEYNET)[0].exposed == ("xdebug",)
+            calls[depth] = len(starts)
+        assert calls == {3000: 2, 6000: 2}
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
         expose=st.lists(st.sampled_from(HONEYNET.catalog.ids), max_size=4),
@@ -296,6 +316,7 @@ def chat_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def _reply(text):
