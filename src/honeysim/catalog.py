@@ -8,6 +8,7 @@ it; non-vulnerable decoys support scanning only.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -19,6 +20,18 @@ import yaml
 def name_key(text: str) -> str:
     """Lookup key for a stage or service name: lower case, no separators."""
     return text.replace("_", "").replace(" ", "").replace("-", "").lower()
+
+
+KNOWN_PORTS = {"gitlab": 443, "xdebug": 9000, "apache_struts": 8080, "docker_api": 2375}
+
+
+def stable_hash(text: str) -> int:
+    # hash() is salted per interpreter run; crc32 keeps derived values reproducible
+    return zlib.crc32(text.encode("utf-8"))
+
+
+def service_port(service_id: str) -> int:
+    return KNOWN_PORTS.get(service_id, 8100 + stable_hash(service_id) % 100)
 
 
 class AttackStage(IntEnum):
@@ -128,12 +141,15 @@ class AttackGraph:
         ids = tuple(s.id for s in self.services)
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate service ids in catalog: {list(ids)}")
-        # lookups run every epoch, so they read tables built once here
+        # lookups run every epoch, so they read tables built once here: the ids
+        # in catalog order and sorted, each service's port, and the name keys
         by_key: dict[str, str] = {}
         for svc in self.services:
             for name in (svc.id, svc.display_name):
                 by_key.setdefault(name_key(str(name)), svc.id)  # the first service to claim a key keeps it
         object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "sorted_ids", tuple(sorted(ids)))
+        object.__setattr__(self, "ports", {sid: service_port(sid) for sid in ids})
         object.__setattr__(self, "_by_id", dict(zip(ids, self.services)))
         object.__setattr__(self, "_by_key", by_key)
 
@@ -302,7 +318,13 @@ def catalog_from_dict(data: dict) -> AttackGraph:
     if not rows:
         raise ValueError("catalog file must define a non-empty 'services' list")
     services = []
-    for row in rows:
+    for index, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"services[{index}] must be a mapping, got {row!r}")
+        # ids are sorted and hashed into ports and addresses, so a number (YAML's `id: 80`) is no id
+        for key in ("id", "display_name"):
+            if key in row and not isinstance(row[key], str):
+                raise ValueError(f"services[{index}]: {key!r} must be a string, got {row[key]!r}")
         services.append(
             ServiceSpec(
                 id=row["id"],

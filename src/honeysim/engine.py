@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .attackers import (
     ABANDONED,
@@ -23,7 +23,7 @@ from .attackers import (
     attacker_step,
     make_attacker_state,
 )
-from .catalog import HoneynetConfig
+from .catalog import AttackStage, HoneynetConfig
 from .policies import BeliefState, ExposureDecision, GroundTruthView, Policy, policy_decide
 from .telemetry import (
     IdsAlert,
@@ -97,9 +97,6 @@ class EpisodeRecord:
     epochs: list[EpochLog]
     schema_version: int = SCHEMA_VERSION
 
-    def final_gt_stages(self) -> tuple[str, ...]:
-        return self.epochs[-1].gt_stages if self.epochs else ()
-
 
 def _action_dict(action) -> dict:
     if isinstance(action, ScanAction):
@@ -140,18 +137,11 @@ def run_episode(
     src = attacker_src_ip(label)
     belief = belief if belief is not None else BeliefState()
 
-    def feed_ground_truth() -> None:
-        observer = getattr(policy, "observe_ground_truth", None)
-        if observer is not None:
-            observer(
-                GroundTruthView(
-                    target_service=state.service.id,
-                    completed_stages=state.completed_stages(),
-                    status=state.status,
-                )
-            )
-
-    feed_ground_truth()
+    # only a policy that observes ground truth (the oracle) gets a view of the attacker
+    observer = getattr(policy, "observe_ground_truth", None)
+    completed = state.completed_stages()
+    if observer is not None:
+        observer(GroundTruthView(target_service=state.service.id, completed_stages=completed, status=state.status))
     decision, _, belief = policy_decide(policy, empty_observation(0), belief, cfg.honeynet)
     if cfg.bootstrap == BOOTSTRAP_FIRST_SERVICE:
         decision = ExposureDecision(exposed=cfg.honeynet.catalog.ids[: cfg.honeynet.budget])
@@ -168,8 +158,10 @@ def run_episode(
             actions, epoch, cfg.noise, telemetry_rng, catalog=cfg.honeynet.catalog, src=src
         )
         obs = aggregate_epoch(alerts, exposed, epoch)
+        completed = state.completed_stages()
 
-        feed_ground_truth()
+        if observer is not None:
+            observer(GroundTruthView(target_service=state.service.id, completed_stages=completed, status=state.status))
         decision, prediction, belief = policy_decide(policy, obs, belief, cfg.honeynet)
 
         epochs.append(
@@ -180,7 +172,7 @@ def run_episode(
                 alerts=[_alert_dict(a) for a in obs.alerts],
                 decision=_decision_dict(decision),
                 prediction=tuple(s.label for s in prediction.stages),
-                gt_stages=tuple(s.label for s in state.completed_stages()),
+                gt_stages=tuple(s.label for s in completed),
             )
         )
 
@@ -231,31 +223,49 @@ def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[Episod
 
 
 def record_to_dict(rec: EpisodeRecord) -> dict:
-    """The record's fields as a JSON-ready dict; it shares its values with ``rec``."""
+    """The record as it is logged: one line of ``episodes.jsonl`` before encoding.
+
+    It shares its values with ``rec``. Metrics read records in this form, so
+    ``run`` scores what it logs and ``replay`` scores what it reads.
+    """
     return {**vars(rec), "epochs": [vars(e) for e in rec.epochs]}
 
 
-# JSON has no tuples, so the fields annotated as tuples (annotations are strings
-# here, see the __future__ import) get theirs back when a record is read
-_TUPLE_FIELDS = {
-    cls: tuple(f.name for f in fields(cls) if f.type.startswith("tuple")) for cls in (EpochLog, EpisodeRecord)
-}
+# sort_keys fixes the bytes of a line; records hold no cycles to check for
+_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+_RECORD_KEYS = frozenset(f.name for f in fields(EpisodeRecord))
+_EPOCH_KEYS = frozenset(f.name for f in fields(EpochLog))
+_STAGE_LABELS = frozenset(stage.label for stage in AttackStage)
 
 
-def _from_json(cls, data: dict):
-    obj = cls(**data)
-    for name in _TUPLE_FIELDS[cls]:
-        setattr(obj, name, tuple(getattr(obj, name)))
-    return obj
+def records_to_jsonl(records: Iterable[dict]) -> str:
+    """Encode logged records (``record_to_dict``), one per line."""
+    return "\n".join(map(_ENCODER.encode, records))
 
 
-def record_from_dict(data: dict) -> EpisodeRecord:
-    return _from_json(EpisodeRecord, {**data, "epochs": [_from_json(EpochLog, e) for e in data["epochs"]]})
+def _checked(record) -> dict:
+    """``record`` when it has the shape ``record_to_dict`` gives; ValueError otherwise.
+
+    Keys are checked on the record and on each epoch, and the stage lists
+    (``prediction``, ``gt_stages``) must hold stage labels, since scoring reads
+    them. Other values are not checked, because nothing reads them on replay.
+    """
+    if type(record) is not dict or record.keys() != _RECORD_KEYS:
+        raise ValueError("a record must be an object with exactly the keys of an episode record")
+    epochs = record["epochs"]
+    if type(epochs) is not list:
+        raise ValueError(f"'epochs' must be a list, got {epochs!r}")
+    for epoch in epochs:
+        if type(epoch) is not dict or epoch.keys() != _EPOCH_KEYS:
+            raise ValueError("an epoch must be an object with exactly the keys of an epoch log")
+        prediction, gt_stages = epoch["prediction"], epoch["gt_stages"]
+        if type(prediction) is not list or type(gt_stages) is not list:
+            raise ValueError(f"stage lists must be lists, got {prediction!r} and {gt_stages!r}")
+        if not _STAGE_LABELS.issuperset(prediction + gt_stages):  # TypeError for an unhashable label
+            raise ValueError(f"stage lists must hold stage labels, got {prediction!r} and {gt_stages!r}")
+    return record
 
 
-def records_to_jsonl(records: list[EpisodeRecord]) -> str:
-    return "\n".join(json.dumps(record_to_dict(r), sort_keys=True) for r in records)
-
-
-def records_from_jsonl(text: str) -> list[EpisodeRecord]:
-    return [record_from_dict(json.loads(line)) for line in text.splitlines() if line.strip()]
+def records_from_jsonl(text: str) -> list[dict]:
+    """Decode each non-blank line into a logged record; ValueError or TypeError on a malformed one."""
+    return [_checked(json.loads(line)) for line in text.splitlines() if line.strip()]

@@ -34,6 +34,7 @@ from .engine import (
     PolicyFactory,
     RunConfig,
     derive_seed,
+    record_to_dict,
     records_from_jsonl,
     records_to_jsonl,
     run_simulation,
@@ -363,18 +364,28 @@ def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persiste
 
 
 class _RunFiles:
-    """The prompt template and replay files of one ``execute_matrix`` or ``validate_matrix`` call.
+    """The deployments, prompt template and replay files of one ``execute_matrix`` or ``validate_matrix`` call.
 
-    Each is loaded at the first cell that needs it and shared by the rest, also
-    across worker threads. Nothing outlives the call, so a file edited between
-    two runs is read again.
+    Each is built or loaded at the first cell that needs it and shared by the
+    rest, also across worker threads. Nothing outlives the call, so a file
+    edited between two runs is read again.
     """
 
     def __init__(self, matrix: ExperimentMatrix) -> None:
         self._matrix = matrix
+        self._honeynets: dict[str, HoneynetConfig] = {}
         self._template: Optional[PromptTemplate] = None
         self._replays: dict[str, list[list[str]]] = {}
         self._lock = threading.Lock()
+
+    def honeynet(self, deployment: str) -> HoneynetConfig:
+        """``_honeynet_for(deployment)``; raises what it raises, and caches only what it returns."""
+        if not isinstance(deployment, str):  # a config file's list or mapping: no deployment, and no key
+            return _honeynet_for(self._matrix, deployment)
+        with self._lock:
+            if deployment not in self._honeynets:
+                self._honeynets[deployment] = _honeynet_for(self._matrix, deployment)
+            return self._honeynets[deployment]
 
     def template(self) -> PromptTemplate:
         with self._lock:
@@ -470,7 +481,7 @@ def _cell_inputs(
     ``run_cell`` runs what this returns. ``validate_matrix`` only builds it, so
     a config passes validation exactly when every cell can be built.
     """
-    honeynet = _honeynet_for(matrix, cell.deployment)
+    honeynet = files.honeynet(cell.deployment)
     queue = _attacker_queue(
         matrix, honeynet, PersistenceModel(mode=cell.persistence, decay=matrix.decay, floor=matrix.floor)
     )
@@ -506,7 +517,8 @@ def run_cell(
         turn_log.path.parent.mkdir(parents=True, exist_ok=True)
         turn_log.path.unlink(missing_ok=True)  # no stale log survives a rerun, even of a cell without turns
     try:
-        return _cell_result(cell, run_simulation(cfg, make_policy))
+        # the records as episodes.jsonl logs them: write_cell encodes them and run_metrics scores them
+        return _cell_result(cell, map(record_to_dict, run_simulation(cfg, make_policy)))
     finally:
         if turn_log is not None:
             turn_log.close()
@@ -588,11 +600,12 @@ def replay_out_dir(out_dir: str | Path) -> SummaryTables:
     for cell in expand_matrix(matrix):
         try:
             text = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8")
-            # parsed and reduced in one expression, bound to no name: no cell's records outlive it
+            # each line is decoded and checked once, then reduced in the same expression,
+            # bound to no name: no cell's records outlive it
             runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
         except FileNotFoundError:
             missing.append(cell.name)
-        except (KeyError, TypeError, ValueError, AttributeError):
+        except (TypeError, ValueError):  # ValueError: also not JSON, not UTF-8, or no record to average
             corrupt.append(cell.name)
     problems = [
         f"cells in {MANIFEST_NAME} {what}: {', '.join(names)}"

@@ -9,14 +9,11 @@ one exists) and flags the turn.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import os
 import re
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -233,6 +230,11 @@ class HttpChatBackend:
         return os.environ.get(self.auth_env)
 
     def complete(self, prompt: str) -> str:
+        # imported here, not with the package: they load email and ssl, and offline runs never need them
+        import http.client
+        import urllib.error
+        import urllib.request
+
         body = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .catalog import AttackStage
-from .engine import EpisodeRecord
 
 COMMON_TARGETS = ("gitlab", "apache_struts")
 
@@ -29,21 +28,23 @@ SCORE_MODE_CURRENT = "current_stage"
 SCORE_COORDINATES = ("deployment", "persistence")
 
 
-def exploitation_achieved(rec: EpisodeRecord) -> bool:
+def exploitation_achieved(rec: dict) -> bool:
     """True when the attacker's objective stage shows up in the final ground truth."""
-    return rec.objective_stage in rec.final_gt_stages()
+    epochs = rec["epochs"]
+    return bool(epochs) and rec["objective_stage"] in epochs[-1]["gt_stages"]
 
 
-def inference_score(rec: EpisodeRecord, mode: str = SCORE_MODE_SETS) -> tuple[int, int, int, float]:
+def inference_score(rec: dict, mode: str = SCORE_MODE_SETS) -> tuple[int, int, int, float]:
     """Accumulate (tp, fp, fn) across epochs and return them with the score."""
     tp = fp = fn = 0
-    for epoch in rec.epochs:
-        gt = set(epoch.gt_stages)
-        pred = set(epoch.prediction)
+    for epoch in rec["epochs"]:
+        gt = set(epoch["gt_stages"])
+        pred = set(epoch["prediction"])
         if mode == SCORE_MODE_SETS:
-            tp += len(pred & gt)
-            fp += len(pred - gt)
-            fn += len(gt - pred)
+            hits = len(pred & gt)
+            tp += hits
+            fp += len(pred) - hits
+            fn += len(gt) - hits
         elif mode == SCORE_MODE_CURRENT:
             gt_top = max(gt, key=AttackStage.from_label, default=None)
             pred_top = max(pred, key=AttackStage.from_label, default=None)
@@ -81,11 +82,11 @@ class EpisodeMetrics:
     score: float
 
 
-def episode_metrics(rec: EpisodeRecord, mode: str = SCORE_MODE_SETS) -> EpisodeMetrics:
+def episode_metrics(rec: dict, mode: str = SCORE_MODE_SETS) -> EpisodeMetrics:
     tp, fp, fn, score = inference_score(rec, mode)
     return EpisodeMetrics(
-        label=rec.attacker_label,
-        target_service=rec.target_service,
+        label=rec["attacker_label"],
+        target_service=rec["target_service"],
         exploitation=exploitation_achieved(rec),
         tp=tp,
         fp=fp,
@@ -96,13 +97,17 @@ def episode_metrics(rec: EpisodeRecord, mode: str = SCORE_MODE_SETS) -> EpisodeM
 
 @dataclass(frozen=True)
 class RunResult:
-    """One cell execution: a policy against one deployment and persistence mode."""
+    """One cell execution: a policy against one deployment and persistence mode.
+
+    ``records`` are the cell's episodes as ``episodes.jsonl`` logs them
+    (``engine.record_to_dict``), so a run and its replay score the same values.
+    """
 
     policy: str
     deployment: str
     persistence: str
     seed: int
-    records: tuple[EpisodeRecord, ...]
+    records: tuple[dict, ...]
 
 
 @dataclass(frozen=True)
@@ -130,15 +135,14 @@ def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
     completed its chain; the run score is the mean of their episode scores.
     Custom deployments without common attackers fall back to all episodes.
     """
-    all_eps = [episode_metrics(r, mode) for r in result.records]
-    common = [e for e in all_eps if e.target_service in COMMON_TARGETS] or all_eps
+    common = [r for r in result.records if r["target_service"] in COMMON_TARGETS] or result.records
     return RunMetrics(
         policy=result.policy,
         deployment=result.deployment,
         persistence=result.persistence,
         seed=result.seed,
-        exploitation=all(e.exploitation for e in common),
-        score=statistics.mean(e.score for e in common),
+        exploitation=all(map(exploitation_achieved, common)),
+        score=statistics.mean(inference_score(r, mode)[3] for r in common),
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from .catalog import AttackGraph, AttackStage, HoneynetConfig
@@ -153,7 +154,7 @@ class RandomPolicy(Policy):
         self._rng = random.Random(seed)
 
     def decide(self, obs, belief, cfg):
-        ids = sorted(cfg.catalog.ids)
+        ids = cfg.catalog.sorted_ids
         pick = self._rng.sample(ids, min(cfg.budget, len(ids)))
         return ExposureDecision(exposed=tuple(pick)), make_prediction(())
 
@@ -188,7 +189,7 @@ class ReactivePolicy(Policy):
 
     def decide(self, obs, belief, cfg):
         choice: Optional[str] = None
-        for alert in sorted(obs.alerts, key=lambda a: (-a.severity, -a.clock)):
+        for alert in sorted(obs.alerts, key=attrgetter("severity", "clock"), reverse=True):
             svc = cfg.catalog.get(alert.dest_service)
             if svc.vulnerable and alert.severity > 1:
                 choice = alert.dest_service

@@ -12,20 +12,17 @@ from __future__ import annotations
 
 import json
 import random
-import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .attackers import AttackerAction, ExploitAction, ScanAction
-from .catalog import AttackGraph, AttackStage
+from .catalog import AttackGraph, AttackStage, service_port, stable_hash
 
 CLOCK_EPOCH_SECONDS = 60
 CLOCK_BASE = datetime(2025, 1, 1, tzinfo=timezone.utc)
-
-KNOWN_PORTS = {"gitlab": 443, "xdebug": 9000, "apache_struts": 8080, "docker_api": 2375}
-
 
 class SignatureCatalogMissError(KeyError):
     """No signature entry exists for the requested (service, stage) pair."""
@@ -35,21 +32,12 @@ class EpochMismatchError(ValueError):
     """An alert from a different epoch was passed to aggregation."""
 
 
-def stable_hash(text: str) -> int:
-    # hash() is salted per interpreter run; crc32 keeps derived values reproducible
-    return zlib.crc32(text.encode("utf-8"))
-
-
 def attacker_src_ip(label: str) -> str:
     return f"198.51.100.{1 + stable_hash(label) % 254}"
 
 
 def service_dest_ip(service_id: str) -> str:
     return f"203.0.113.{1 + stable_hash(service_id) % 254}"
-
-
-def service_port(service_id: str) -> int:
-    return KNOWN_PORTS.get(service_id, 8100 + stable_hash(service_id) % 100)
 
 
 @dataclass(frozen=True)
@@ -135,6 +123,7 @@ def synthesize_alerts(
     positives are drawn per catalog service at the configured rate.
     """
     sigs = signature_catalog()
+    ports = catalog.ports
     alerts: list[IdsAlert] = []
     clock = epoch * CLOCK_EPOCH_SECONDS
 
@@ -146,7 +135,7 @@ def synthesize_alerts(
                 clock=clock,
                 src=src,
                 dest_service=dest,
-                dest_port=service_port(dest),
+                dest_port=ports[dest] if dest in ports else service_port(dest),
                 signature=entry["signature"],
                 category=entry["category"],
                 severity=int(entry["severity"]),
@@ -179,7 +168,7 @@ def synthesize_alerts(
 
 def aggregate_epoch(alerts: Iterable[IdsAlert], exposed: Iterable[str], epoch: int) -> EpochObservation:
     """Bundle an epoch's alerts, in clock order, with the exposure in force."""
-    bundled = sorted(alerts, key=lambda a: a.clock)
+    bundled = sorted(alerts, key=attrgetter("clock"))
     for alert in bundled:
         if alert.epoch != epoch:
             raise EpochMismatchError(f"alert from epoch {alert.epoch} passed to epoch {epoch}")

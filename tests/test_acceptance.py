@@ -14,7 +14,7 @@ from pathlib import Path
 from honeysim.attackers import AttackerProfile, PersistenceModel, default_attacker_queue
 from honeysim.catalog import deployment_config
 from honeysim.cli import main
-from honeysim.engine import RunConfig, records_to_jsonl, run_episode, run_simulation
+from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
 from honeysim.harness import ExperimentMatrix, PolicySpec, expand_matrix, load_builtin_config, run_cell
 from honeysim.metrics import (
     RunResult,
@@ -54,7 +54,7 @@ def _run(deployment: str, mode: str, seed: int, policy_factory, horizon: int = 2
         deployment=deployment,
         persistence=mode,
         seed=seed,
-        records=tuple(run_simulation(cfg, policy_factory)),
+        records=tuple(map(record_to_dict, run_simulation(cfg, policy_factory))),
     )
 
 

@@ -171,3 +171,22 @@ def test_catalog_round_trips_through_file(tmp_path):
 def test_catalog_dict_round_trip():
     cat = deployment_config("large_mixed").catalog
     assert catalog_from_dict(catalog_to_dict(cat)) == cat
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ({"id": 80, "vulnerable": False, "stages": ["Reconnaissance"]}, "services[1]: 'id' must be a string, got 80"),
+        (
+            {"id": "web", "display_name": ["Web"], "vulnerable": False, "stages": ["Reconnaissance"]},
+            "services[1]: 'display_name' must be a string, got ['Web']",
+        ),
+        ("ideal", "services[1] must be a mapping, got 'ideal'"),
+    ],
+    ids=["numeric-id", "list-display-name", "row-a-string"],
+)
+def test_catalog_row_names_must_be_strings(row, message):
+    gitlab = {"id": "gitlab", "vulnerable": True, "stages": ["Reconnaissance", "InitialAccess"]}
+    with pytest.raises(ValueError) as raised:
+        catalog_from_dict({"services": [gitlab, row]})
+    assert str(raised.value) == message

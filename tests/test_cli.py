@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from honeysim import harness
 from honeysim.cli import main
-from honeysim.engine import EpisodeRecord
+from honeysim.engine import EpisodeRecord, EpochLog
 from honeysim.harness import (
     ConfigError,
     ExperimentMatrix,
@@ -46,6 +46,15 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.yaml"
     path.write_text(yaml.safe_dump(TINY_CONFIG), encoding="utf-8")
     return str(path)
+
+
+def _log_line(record: dict, **changes) -> str:
+    """One episodes.jsonl line: ``record`` with ``changes`` applied."""
+    return json.dumps({**record, **changes}, sort_keys=True) + "\n"
+
+
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
 
 
 class TestExpandMatrix:
@@ -127,6 +136,7 @@ class TestValidate:
             ({"prompt_template": ["x"]}, "prompt template unusable"),
             ({"policies": [{"name": "deployment", "kind": "oracle"}]}, "policy label 'deployment' would overwrite"),
             ({"policies": ["oracle", {"name": "persistence", "kind": "random"}]}, "policy label 'persistence'"),
+            ({"deployments": [["small_mixed"]]}, "unknown deployment ['small_mixed']"),
         ],
         ids=[
             "bad-bootstrap",
@@ -143,6 +153,7 @@ class TestValidate:
             "template-list",
             "label-deployment",
             "label-persistence",
+            "deployment-a-list",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -159,6 +170,31 @@ class TestValidate:
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
         assert "violation: " in err and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_custom_catalog_with_a_numeric_id_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        """YAML reads `id: 80` as a number; it is refused by name, not sorted against strings mid-run."""
+        monkeypatch.chdir(tmp_path)
+        catalog = {
+            "services": [
+                {"id": "gitlab", "vulnerable": True, "stages": ["Reconnaissance", "InitialAccess"]},
+                {"id": 80, "vulnerable": False, "stages": ["Reconnaissance"]},
+            ]
+        }
+        Path("catalog.yaml").write_text(yaml.safe_dump(catalog), encoding="utf-8")
+        config = {
+            **TINY_CONFIG,
+            "policies": ["reactive", "random", "scripted"],
+            "deployments": ["custom"],
+            "catalog": "catalog.yaml",
+            "attackers": [{"target": "gitlab"}],
+        }
+        Path("custom.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        extra = ["--out", "out"] if command == "run" else []
+        assert main([command, "--offline", "--config", "custom.yaml", *extra]) == 2
+        err = capsys.readouterr().err
+        assert "violation: catalog file unusable: services[1]: 'id' must be a string, got 80" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -302,13 +338,37 @@ class TestRunAndReplay:
         err = capsys.readouterr().err
         assert f"error: cells in run_manifest.json without episodes.jsonl: {', '.join(gone)}" in err
 
-    @pytest.mark.parametrize("log", ['{"bad": 1}\n', "plain text\n", ""], ids=["no-epochs", "not-json", "empty"])
+    @pytest.mark.parametrize(
+        "log",
+        [
+            lambda rec: '{"bad": 1}\n',
+            lambda rec: "plain text\n",
+            lambda rec: "",
+            lambda rec: _log_line(rec, epochs=[_without(rec["epochs"][0], "alerts"), *rec["epochs"][1:]]),
+            lambda rec: _log_line(rec, note="extra"),
+            lambda rec: _log_line(rec, epochs=json.dumps(rec["epochs"])),
+            lambda rec: _log_line(rec, epochs=[{**rec["epochs"][0], "gt_stages": 3}]),
+            lambda rec: json.dumps([rec]) + "\n",
+        ],
+        ids=[
+            "no-epochs",
+            "not-json",
+            "empty",
+            "epoch-without-alerts",
+            "extra-record-key",
+            "epochs-a-string",
+            "gt-stages-a-number",
+            "a-json-list",
+        ],
+    )
     def test_replay_names_a_cell_whose_log_is_corrupt(self, tiny_config, tmp_path, capsys, log):
+        """``log`` turns the cell's first logged record into the text of a corrupt episodes.jsonl."""
         out = tmp_path / "results"
         assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
         bad = ["oracle__small_mixed__deterministic__seed1", "reactive__small_mixed__deterministic__seed0"]
         for name in bad:
-            (out / name / "episodes.jsonl").write_text(log, encoding="utf-8")
+            path = out / name / "episodes.jsonl"
+            path.write_text(log(json.loads(path.read_text(encoding="utf-8").splitlines()[0])), encoding="utf-8")
         capsys.readouterr()
         assert main(["replay", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -410,7 +470,7 @@ def test_run_cell_returns_turn_logs_for_scripted_policy(tmp_path):
     cell = expand_matrix(matrix)[0]
     result = run_cell(cell, matrix, out_dir=tmp_path)
     assert len(result.records) == 2
-    assert all(r.outcome == "completed" for r in result.records)
+    assert all(r["outcome"] == "completed" for r in result.records)
     turn_file = tmp_path / cell.name / "turns.jsonl"
     turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
     assert turns and all("prompt" in t for t in turns)
@@ -425,7 +485,7 @@ def test_run_cell_streams_turns_to_disk(tmp_path):
     assert turn_file.exists()  # written before write_cell was ever called
     turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
     # bootstrap turn plus one per epoch, for each of the two attackers
-    assert len(turns) == sum(1 + r.epochs_used for r in result.records)
+    assert len(turns) == sum(1 + r["epochs_used"] for r in result.records)
     # a rerun replaces rather than appends
     run_cell(cell, matrix, out_dir=tmp_path)
     assert len(turn_file.read_text(encoding="utf-8").splitlines()) == len(turns)
@@ -536,6 +596,53 @@ def test_score_mode_flows_through_run_and_replay(tmp_path):
     bad = tmp_path / "bad_mode.yaml"
     bad.write_text(yaml.safe_dump({**TINY_CONFIG, "score_mode": "fuzzy"}), encoding="utf-8")
     assert main(["validate", "--config", str(bad)]) != 0
+
+
+@pytest.mark.parametrize("score_mode", ["cumulative_sets", "current_stage"])
+def test_replay_equals_run_for_every_offline_policy_without_rebuilding_records(tmp_path, monkeypatch, score_mode):
+    """Replay scores the logged mappings: the six summaries match run's, and no episode object is built."""
+    replay = tmp_path / "replay.json"
+    replies = [
+        {"expose": ["gitlab"], "stages": []},
+        {"expose": ["gitlab"], "stages": ["Reconnaissance", "InitialAccess"]},
+        {"expose": ["apache_struts"], "stages": ["Reconnaissance", "PrivEsc"], "done": False},
+        {"expose": ["decoy_1", "gitlab"], "stages": ["RootDataExfil"]},
+    ]
+    replay.write_text(json.dumps([json.dumps(r) for r in replies]), encoding="utf-8")
+    config = tmp_path / "all_offline.yaml"
+    policies = [
+        "oracle",
+        "random",
+        "reactive",
+        {"name": "static", "kind": "static", "expose": ["gitlab"]},
+        "scripted",
+        {"name": "mock", "kind": "mock", "replay": str(replay)},
+    ]
+    config.write_text(
+        yaml.safe_dump(
+            {
+                **TINY_CONFIG,
+                "policies": policies,
+                "persistence_modes": ["deterministic", "probabilistic"],
+                "score_mode": score_mode,
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "results"
+    assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
+    ran = {p.name: p.read_bytes() for p in out.glob("summary_*")}
+    assert len(ran) == 6
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"replay built a {type(self).__name__}")
+
+    monkeypatch.setattr(EpisodeRecord, "__init__", refuse)
+    monkeypatch.setattr(EpochLog, "__init__", refuse)
+    for name in ran:
+        (out / name).unlink()
+    assert replay_out_dir(out) is not None
+    assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
 
 
 class TestExplicitAttackerQueue:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from honeysim.attackers import AttackerProfile, PersistenceModel, default_attacker_queue
@@ -9,6 +11,7 @@ from honeysim.engine import (
     OUTCOME_HORIZON,
     RunConfig,
     derive_seed,
+    record_to_dict,
     records_from_jsonl,
     records_to_jsonl,
     run_episode,
@@ -59,7 +62,7 @@ class TestRunEpisode:
         rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_1",)))
         assert rec.outcome == OUTCOME_HORIZON
         assert rec.epochs_used == cfg.horizon
-        assert "RootDataExfil" not in rec.final_gt_stages()
+        assert "RootDataExfil" not in rec.epochs[-1].gt_stages
 
     def test_declared_done_terminates_episode(self):
         cfg = _cfg(honeynet=SMALL)
@@ -97,7 +100,7 @@ class TestRunEpisode:
             cfg = _cfg(targets=(target,))
             rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
             assert rec.outcome == OUTCOME_COMPLETED
-            assert rec.objective_stage in rec.final_gt_stages()
+            assert rec.objective_stage in rec.epochs[-1].gt_stages
 
     def test_every_epoch_respects_budget_and_catalog(self):
         cfg = _cfg(honeynet=SMALL, targets=("gitlab", "apache_struts"))
@@ -134,14 +137,14 @@ class TestRunSimulation:
         cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=77)
         a = run_simulation(cfg, lambda i, s: OraclePolicy())
         b = run_simulation(cfg, lambda i, s: OraclePolicy())
-        assert records_to_jsonl(a) == records_to_jsonl(b)
+        assert records_to_jsonl(map(record_to_dict, a)) == records_to_jsonl(map(record_to_dict, b))
 
     def test_different_seeds_differ_somewhere(self):
         queue = default_attacker_queue(FULLY.catalog, PersistenceModel(mode="probabilistic"))
         texts = set()
         for seed in range(3):
             cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=seed)
-            texts.add(records_to_jsonl(run_simulation(cfg, lambda i, s: OraclePolicy())))
+            texts.add(records_to_jsonl(map(record_to_dict, run_simulation(cfg, lambda i, s: OraclePolicy()))))
         assert len(texts) > 1  # noise injection differs across seeds
 
     def test_belief_carryover_reuses_policy(self):
@@ -164,11 +167,49 @@ class TestSerialization:
     def test_jsonl_round_trip(self):
         cfg = _cfg(targets=("docker_api",))
         records = run_simulation(cfg, lambda i, s: OraclePolicy())
-        text = records_to_jsonl(records)
+        text = records_to_jsonl(map(record_to_dict, records))
         restored = records_from_jsonl(text)
         assert records_to_jsonl(restored) == text
-        assert restored[0].outcome == records[0].outcome
-        assert restored[0].epochs[0].gt_stages == records[0].epochs[0].gt_stages
+        assert restored[0]["outcome"] == records[0].outcome
+        assert restored[0]["epochs"][0]["gt_stages"] == list(records[0].epochs[0].gt_stages)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda rec, epoch: [rec],
+            lambda rec, epoch: {k: v for k, v in rec.items() if k != "seed"},
+            lambda rec, epoch: {**rec, "note": 1},
+            lambda rec, epoch: {**rec, "epochs": {"1": epoch}},
+            lambda rec, epoch: {**rec, "epochs": [[epoch]]},
+            lambda rec, epoch: {**rec, "epochs": [{**epoch, "note": 1}]},
+            lambda rec, epoch: {**rec, "epochs": [{**epoch, "prediction": "PrivEsc"}]},
+            lambda rec, epoch: {**rec, "epochs": [{**epoch, "gt_stages": {"Reconnaissance": 1}}]},
+            lambda rec, epoch: {**rec, "epochs": [{**epoch, "prediction": [["PrivEsc"]]}]},
+            lambda rec, epoch: {**rec, "epochs": [{**epoch, "gt_stages": ["Lateral"]}]},
+            lambda rec, epoch: {**rec, "epochs": [{**epoch, "gt_stages": ["recon"]}]},
+        ],
+        ids=[
+            "record-a-list",
+            "record-key-missing",
+            "record-key-extra",
+            "epochs-a-mapping",
+            "epoch-a-list",
+            "epoch-key-extra",
+            "stages-a-string",
+            "stages-a-mapping",
+            "stage-unhashable",
+            "stage-unknown",
+            "stage-an-alias",
+        ],
+    )
+    def test_a_line_unlike_a_logged_record_is_refused(self, edit):
+        """Replay scores only what run logs: exact keys, and stage lists of stage labels."""
+        cfg = _cfg()
+        rec = record_to_dict(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
+        line = records_to_jsonl([rec])
+        assert records_from_jsonl(line) == [json.loads(line)]
+        with pytest.raises((TypeError, ValueError)):
+            records_from_jsonl(json.dumps(edit(json.loads(line), json.loads(line)["epochs"][0])))
 
     def test_records_carry_schema_version(self):
         cfg = _cfg()
@@ -200,7 +241,7 @@ def test_invariants_hold_under_random_play():
                     assert previous <= set(epoch.gt_stages)
                     previous = set(epoch.gt_stages)
                 if rec.outcome == OUTCOME_COMPLETED:
-                    assert rec.objective_stage in rec.final_gt_stages()
+                    assert rec.objective_stage in rec.epochs[-1].gt_stages
 
 
 def test_derive_seed_is_stable_and_labelled():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from honeysim import llm
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import AttackStage, deployment_config
-from honeysim.engine import RunConfig, run_episode, run_simulation, records_to_jsonl
+from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
 from honeysim.llm import (
     BackendError,
     HttpChatBackend,
@@ -207,7 +207,7 @@ class TestScriptedEpisodes:
         script = aligned_mock_script(svc)
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         assert rec.outcome == "completed"
-        metrics = episode_metrics(rec)
+        metrics = episode_metrics(record_to_dict(rec))
         assert metrics.exploitation
         assert metrics.score == 1.0
 
@@ -249,7 +249,7 @@ class TestScriptedEpisodes:
             json.dumps({"expose": ["gitlab"], "stages": ["Reconnaissance", "RootDataExfil"]}),
         ]
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=1)
-        tp, fp, fn, _ = inference_score(rec)
+        tp, fp, fn, _ = inference_score(record_to_dict(rec))
         assert (tp, fp, fn) == (1, 1, 1)  # GT after epoch 1 is {Recon, InitialAccess}
 
     def test_mock_episodes_are_bit_reproducible(self):
@@ -257,7 +257,7 @@ class TestScriptedEpisodes:
         script = aligned_mock_script(svc)
         rec_a = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         rec_b = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
-        assert records_to_jsonl([rec_a]) == records_to_jsonl([rec_b])
+        assert records_to_jsonl([record_to_dict(rec_a)]) == records_to_jsonl([record_to_dict(rec_b)])
 
 
 def test_aligned_scripts_cover_every_builtin_chain():
@@ -401,10 +401,20 @@ class TestHttpBackend:
         )
         rec = run_episode(cfg, cfg.attackers[0], LlmPolicy(backend))
         assert rec.outcome == "completed"
-        assert episode_metrics(rec).exploitation
+        assert episode_metrics(record_to_dict(rec)).exploitation
 
 
 def test_import_leaves_out_third_party_http_stack():
     code = "import sys, honeysim; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_out_the_standard_library_http_stack():
+    """Offline runs never talk HTTP, so `import honeysim` does not pay for http.client, urllib.request, email or ssl."""
+    code = (
+        "import sys, honeysim; "
+        "print(sorted({'http.client', 'urllib.request', 'email', 'ssl'} & set(sys.modules)))"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"

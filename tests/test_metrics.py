@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import deployment_config
-from honeysim.engine import EpisodeRecord, EpochLog, RunConfig, run_episode
+from honeysim.engine import EpisodeRecord, EpochLog, RunConfig, record_to_dict, run_episode
 from honeysim.metrics import (
     RunResult,
     SCORE_MODE_CURRENT,
@@ -27,7 +27,7 @@ STAGES = ("Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDa
 
 
 def make_record(pairs, target="gitlab", objective="RootDataExfil", outcome="completed"):
-    """Synthetic episode from (gt_stages, predicted_stages) pairs."""
+    """Synthetic episode from (gt_stages, predicted_stages) pairs, as episodes.jsonl logs it."""
     epochs = [
         EpochLog(
             epoch=i + 1,
@@ -40,7 +40,7 @@ def make_record(pairs, target="gitlab", objective="RootDataExfil", outcome="comp
         )
         for i, (gt, pred) in enumerate(pairs)
     ]
-    return EpisodeRecord(
+    return record_to_dict(EpisodeRecord(
         attacker_label=f"{target}_attacker",
         target_service=target,
         objective_stage=objective,
@@ -50,7 +50,7 @@ def make_record(pairs, target="gitlab", objective="RootDataExfil", outcome="comp
         epochs_used=len(epochs),
         bootstrap_exposed=(target,),
         epochs=epochs,
-    )
+    ))
 
 
 class TestExploitationAchieved:
@@ -258,7 +258,7 @@ def test_random_policy_exploitation_matches_binomial_oracle():
             noise=quiet,
         )
         rec = run_episode(cfg, cfg.attackers[0], RandomPolicy(seed))
-        wins += exploitation_achieved(rec)
+        wins += exploitation_achieved(record_to_dict(rec))
     assert abs(wins / trials - analytic) < 0.015
 
 
@@ -275,7 +275,7 @@ def test_oracle_dominates_other_baselines():
                 horizon=20,
                 seed=seed,
             )
-            oracle_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
+            oracle_hit = exploitation_achieved(record_to_dict(run_episode(cfg, cfg.attackers[0], OraclePolicy())))
             for rival in (StaticPolicy(("decoy_1",)), ReactivePolicy(), RandomPolicy(seed)):
-                rival_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], rival))
+                rival_hit = exploitation_achieved(record_to_dict(run_episode(cfg, cfg.attackers[0], rival)))
                 assert oracle_hit >= rival_hit
