@@ -45,7 +45,7 @@ class AttackStage(IntEnum):
 
     @property
     def label(self) -> str:
-        return _STAGE_LABELS[self]
+        return STAGE_LABELS[self]
 
     @classmethod
     def from_label(cls, text: str) -> "AttackStage":
@@ -56,15 +56,10 @@ class AttackStage(IntEnum):
             raise ValueError(f"unknown attack stage: {text!r}") from None
 
 
-_STAGE_LABELS = {
-    AttackStage.RECONNAISSANCE: "Reconnaissance",
-    AttackStage.INITIAL_ACCESS: "InitialAccess",
-    AttackStage.USER_DATA_EXFIL: "UserDataExfil",
-    AttackStage.PRIV_ESC: "PrivEsc",
-    AttackStage.ROOT_DATA_EXFIL: "RootDataExfil",
-}
+# each stage's label, indexed by the stage: the epoch loop reads STAGE_LABELS[stage]
+STAGE_LABELS = ("Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDataExfil")
 
-_STAGE_BY_KEY = {label.lower(): stage for stage, label in _STAGE_LABELS.items()}
+_STAGE_BY_KEY = {label.lower(): stage for stage, label in zip(AttackStage, STAGE_LABELS, strict=True)}
 # common aliases seen in alert feeds and model output
 _STAGE_BY_KEY.update(
     {

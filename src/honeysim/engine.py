@@ -23,12 +23,12 @@ from .attackers import (
     attacker_step,
     make_attacker_state,
 )
-from .catalog import AttackStage, HoneynetConfig
+from .catalog import STAGE_LABELS, HoneynetConfig
 from .policies import BeliefState, ExposureDecision, GroundTruthView, Policy, policy_decide
 from .telemetry import (
-    IdsAlert,
     NoiseConfig,
     aggregate_epoch,
+    alert_dict,
     attacker_src_ip,
     empty_observation,
     synthesize_alerts,
@@ -102,22 +102,8 @@ def _action_dict(action) -> dict:
     if isinstance(action, ScanAction):
         return {"kind": "scan", "services": list(action.services)}
     if isinstance(action, ExploitAction):
-        return {"kind": "exploit", "service": action.service, "stage": action.stage.label}
+        return {"kind": "exploit", "service": action.service, "stage": STAGE_LABELS[action.stage]}
     raise TypeError(f"unknown action: {action!r}")
-
-
-def _alert_dict(alert: IdsAlert) -> dict:
-    return {
-        "epoch": alert.epoch,
-        "clock": alert.clock,
-        "src": alert.src,
-        "dest_service": alert.dest_service,
-        "dest_port": alert.dest_port,
-        "signature": alert.signature,
-        "category": alert.category,
-        "severity": alert.severity,
-        "stage_hint": alert.stage_hint.label if alert.stage_hint is not None else None,
-    }
 
 
 def _decision_dict(decision) -> dict:
@@ -131,8 +117,10 @@ def run_episode(
     belief: Optional[BeliefState] = None,
 ) -> EpisodeRecord:
     """Run one attacker against one policy instance until a termination rule fires."""
+    honeynet, noise = cfg.honeynet, cfg.noise
+    catalog = honeynet.catalog
     label = attacker.resolved_label()
-    state = make_attacker_state(attacker, cfg.honeynet.catalog, derive_seed(cfg.seed, label, "attacker"))
+    state = make_attacker_state(attacker, catalog, derive_seed(cfg.seed, label, "attacker"))
     telemetry_rng = random.Random(derive_seed(cfg.seed, label, "telemetry"))
     src = attacker_src_ip(label)
     belief = belief if belief is not None else BeliefState()
@@ -141,10 +129,10 @@ def run_episode(
     observer = getattr(policy, "observe_ground_truth", None)
     completed = state.completed_stages()
     if observer is not None:
-        observer(GroundTruthView(target_service=state.service.id, completed_stages=completed, status=state.status))
-    decision, _, belief = policy_decide(policy, empty_observation(0), belief, cfg.honeynet)
+        observer(GroundTruthView(state.service.id, completed, state.status))
+    decision, _, belief = policy_decide(policy, empty_observation(0), belief, honeynet)
     if cfg.bootstrap == BOOTSTRAP_FIRST_SERVICE:
-        decision = ExposureDecision(exposed=cfg.honeynet.catalog.ids[: cfg.honeynet.budget])
+        decision = ExposureDecision(catalog.ids[: honeynet.budget])
     bootstrap_exposed = decision.exposed
 
     epochs: list[EpochLog] = []
@@ -154,25 +142,23 @@ def run_episode(
 
     for epoch in range(1, cfg.horizon + 1):
         state, actions = attacker_step(state, attacker, set(exposed))
-        alerts = synthesize_alerts(
-            actions, epoch, cfg.noise, telemetry_rng, catalog=cfg.honeynet.catalog, src=src
-        )
+        alerts = synthesize_alerts(actions, epoch, noise, telemetry_rng, catalog=catalog, src=src)
         obs = aggregate_epoch(alerts, exposed, epoch)
         completed = state.completed_stages()
 
         if observer is not None:
-            observer(GroundTruthView(target_service=state.service.id, completed_stages=completed, status=state.status))
-        decision, prediction, belief = policy_decide(policy, obs, belief, cfg.honeynet)
+            observer(GroundTruthView(state.service.id, completed, state.status))
+        decision, prediction, belief = policy_decide(policy, obs, belief, honeynet)
 
         epochs.append(
             EpochLog(
                 epoch=epoch,
                 exposed=tuple(exposed),
                 actions=[_action_dict(a) for a in actions],
-                alerts=[_alert_dict(a) for a in obs.alerts],
+                alerts=list(map(alert_dict, obs.alerts)),
                 decision=_decision_dict(decision),
-                prediction=tuple(s.label for s in prediction.stages),
-                gt_stages=tuple(s.label for s in completed),
+                prediction=tuple([STAGE_LABELS[s] for s in prediction.stages]),
+                gt_stages=tuple([STAGE_LABELS[s] for s in completed]),
             )
         )
 
@@ -235,7 +221,7 @@ def record_to_dict(rec: EpisodeRecord) -> dict:
 _ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 _RECORD_KEYS = frozenset(f.name for f in fields(EpisodeRecord))
 _EPOCH_KEYS = frozenset(f.name for f in fields(EpochLog))
-_STAGE_LABELS = frozenset(stage.label for stage in AttackStage)
+_LABELS = frozenset(STAGE_LABELS)
 
 
 def records_to_jsonl(records: Iterable[dict]) -> str:
@@ -261,7 +247,7 @@ def _checked(record) -> dict:
         prediction, gt_stages = epoch["prediction"], epoch["gt_stages"]
         if type(prediction) is not list or type(gt_stages) is not list:
             raise ValueError(f"stage lists must be lists, got {prediction!r} and {gt_stages!r}")
-        if not _STAGE_LABELS.issuperset(prediction + gt_stages):  # TypeError for an unhashable label
+        if not _LABELS.issuperset(prediction + gt_stages):  # TypeError for an unhashable label
             raise ValueError(f"stage lists must hold stage labels, got {prediction!r} and {gt_stages!r}")
     return record
 

@@ -17,6 +17,7 @@ import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -63,7 +64,7 @@ from .metrics import (
     aggregate,
 )
 from .policies import OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
-from .telemetry import NoiseConfig, SignatureCatalogMissError, exploit_signatures
+from .telemetry import NoiseConfig, SignatureCatalogMissError, signature_rows
 
 logger = logging.getLogger(__name__)
 
@@ -127,15 +128,20 @@ class CellSpec:
     deployment: str
     persistence: str
     seed: int
-    derived_seed: int
+    seed_base: int
 
     @property
     def name(self) -> str:
         return f"{self.policy.label}__{self.deployment}__{self.persistence}__seed{self.seed}"
 
+    @cached_property
+    def derived_seed(self) -> int:
+        """The seed of this cell's run, from its coordinates; derived at first use, so ``replay`` derives none."""
+        return derive_seed(self.seed_base, self.policy.label, self.deployment, self.persistence, self.seed)
+
 
 def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
-    """Cartesian expansion in lexicographic axis order with per-cell seeds.
+    """Cartesian expansion in lexicographic axis order; each cell derives its own seed.
 
     Raises ConfigError unless every cell gets a directory of its own.
     """
@@ -152,22 +158,12 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
             raise ConfigError(f"policy label {policy.label!r} is not a safe directory name")
         if policy.label in SCORE_COORDINATES:
             raise ConfigError(f"policy label {policy.label!r} would overwrite that column of summary_scores")
-    cells = []
-    for policy in matrix.policies:
-        for deployment in matrix.deployments:
-            for mode in matrix.modes:
-                for seed in matrix.seeds:
-                    cells.append(
-                        CellSpec(
-                            policy=policy,
-                            deployment=deployment,
-                            persistence=mode,
-                            seed=seed,
-                            derived_seed=derive_seed(
-                                matrix.seed_base, policy.label, deployment, mode, seed
-                            ),
-                        )
-                    )
+    cells = [
+        CellSpec(policy, deployment, mode, seed, matrix.seed_base)
+        for policy, deployment, mode, seed in itertools.product(
+            matrix.policies, matrix.deployments, matrix.modes, matrix.seeds
+        )
+    ]
     shared = sorted(name for name, n in Counter(c.name for c in cells).items() if n > 1)
     if shared:
         raise ConfigError(f"cells share a directory: {', '.join(shared)}")
@@ -285,7 +281,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
 
     check(expand_matrix, matrix)
     for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-        check(_cell_inputs, CellSpec(policy, deployment, mode, seed=0, derived_seed=0), matrix, files, None)
+        check(_cell_inputs, CellSpec(policy, deployment, mode, 0, matrix.seed_base), matrix, files, None)
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
         check(files.template)
@@ -357,7 +353,7 @@ def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persiste
         for stage in svc.supported_stages:
             if AttackStage.RECONNAISSANCE < stage <= objective:
                 try:
-                    exploit_signatures(svc.id, stage)
+                    signature_rows().exploit(svc.id, stage)
                 except SignatureCatalogMissError as exc:
                     raise ConfigError(f"attacker target {svc.id!r}: {exc.args[0]}") from None
     return queue

@@ -33,6 +33,7 @@ from .telemetry import EpochObservation, summarize_for_prompt
 logger = logging.getLogger(__name__)
 
 PLACEHOLDERS = ("alerts", "progression", "services", "budget")
+_PLACEHOLDER_RE = re.compile(r"\{(" + "|".join(PLACEHOLDERS) + r")\}")
 
 
 class MissingPlaceholderError(ValueError):
@@ -52,16 +53,24 @@ class PromptTemplate:
     text: str
 
     def __post_init__(self) -> None:
-        missing = [p for p in PLACEHOLDERS if "{" + p + "}" not in self.text]
+        # the text split at its placeholders: literal, name, literal, ..., name, literal
+        # (plain str.format would choke on the JSON braces in the template body)
+        parts = _PLACEHOLDER_RE.split(self.text)
+        missing = [p for p in PLACEHOLDERS if p not in parts[1::2]]
         if missing:
             raise MissingPlaceholderError(f"template is missing placeholders: {missing}")
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_literal_chars", sum(map(len, parts[::2])))
 
     def render(self, **values: str) -> str:
-        # plain str.format would choke on the JSON braces in the template body
-        out = self.text
-        for name in PLACEHOLDERS:
-            out = out.replace("{" + name + "}", values[name])
-        return out
+        """The text with each placeholder replaced by its value, in one pass: no value is scanned for placeholders."""
+        parts = self._parts.copy()
+        parts[1::2] = [values[name] for name in parts[1::2]]
+        return "".join(parts)
+
+    def rendered_chars(self, **values: str) -> int:
+        """``len(self.render(**values))``, without rendering."""
+        return self._literal_chars + sum(len(values[name]) for name in self._parts[1::2])
 
 
 def builtin_template() -> PromptTemplate:
@@ -359,7 +368,7 @@ def llm_decide(
     template = template or builtin_template()
     sections = _prompt_sections(belief, cfg)
     # the prompt without alerts, as build_prompt renders an empty digest
-    overhead = len(template.render(alerts="none", **sections))
+    overhead = template.rendered_chars(alerts="none", **sections)
     digest_budget = max(100, prompt_char_cap - overhead)
     digest = summarize_for_prompt(obs, digest_budget)
     prompt = build_prompt(digest, belief, cfg, template, sections)
@@ -374,7 +383,7 @@ def llm_decide(
     latency = time.perf_counter() - started
 
     decision: Optional[ExposureDecision] = None
-    prediction = make_prediction(())
+    prediction = StagePrediction()
     parsed_ok = False
     if error is None:
         try:

@@ -13,7 +13,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import AttackGraph, AttackStage, HoneynetConfig
 from .telemetry import EpochObservation
@@ -22,16 +22,20 @@ from .telemetry import summarize_for_prompt  # noqa: F401  kept: perfbench/trace
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ExposureDecision:
+# The value objects of one epoch (ExposureDecision, StagePrediction,
+# GroundTruthView, like telemetry's EpochObservation) are named tuples:
+# immutable, and built several times per epoch at a fraction of the cost of a
+# frozen dataclass.
+
+
+class ExposureDecision(NamedTuple):
     """Services to expose next epoch, in priority order, plus a stop signal."""
 
     exposed: tuple[str, ...]
     declared_done: bool = False
 
 
-@dataclass(frozen=True)
-class StagePrediction:
+class StagePrediction(NamedTuple):
     """Stages the policy believes the attacker has completed so far.
 
     The set may contain gaps; scoring handles arbitrary sets.
@@ -42,7 +46,7 @@ class StagePrediction:
 
 
 def make_prediction(stages, target_service: Optional[str] = None) -> StagePrediction:
-    return StagePrediction(stages=tuple(sorted(set(stages))), target_service=target_service)
+    return StagePrediction(tuple(sorted(set(stages))), target_service)
 
 
 @dataclass
@@ -73,8 +77,7 @@ def update_belief(belief: BeliefState, obs: EpochObservation) -> BeliefState:
     return belief
 
 
-@dataclass(frozen=True)
-class GroundTruthView:
+class GroundTruthView(NamedTuple):
     """Snapshot of the simulated attacker, visible only to the oracle baseline."""
 
     target_service: str
@@ -113,7 +116,7 @@ def clamp_decision(decision: ExposureDecision, cfg: HoneynetConfig, policy_name:
     clamped = tuple(seen)
     if clamped == decision.exposed:
         return decision
-    return ExposureDecision(exposed=clamped, declared_done=decision.declared_done)
+    return ExposureDecision(clamped, decision.declared_done)
 
 
 def policy_decide(
@@ -138,9 +141,9 @@ class OraclePolicy(Policy):
 
     def decide(self, obs, belief, cfg):
         if self._view is None:
-            return ExposureDecision(exposed=cfg.catalog.ids[: cfg.budget]), make_prediction(())
+            return ExposureDecision(exposed=cfg.catalog.ids[: cfg.budget]), StagePrediction()
         done = self._view.status == "completed"
-        decision = ExposureDecision(exposed=(self._view.target_service,), declared_done=done)
+        decision = ExposureDecision((self._view.target_service,), done)
         prediction = make_prediction(self._view.completed_stages, self._view.target_service)
         return decision, prediction
 
@@ -156,7 +159,7 @@ class RandomPolicy(Policy):
     def decide(self, obs, belief, cfg):
         ids = cfg.catalog.sorted_ids
         pick = self._rng.sample(ids, min(cfg.budget, len(ids)))
-        return ExposureDecision(exposed=tuple(pick)), make_prediction(())
+        return ExposureDecision(tuple(pick)), StagePrediction()
 
 
 class StaticPolicy(Policy):
@@ -168,7 +171,7 @@ class StaticPolicy(Policy):
         self._exposed = tuple(exposed)
 
     def decide(self, obs, belief, cfg):
-        return ExposureDecision(exposed=self._exposed), make_prediction(())
+        return ExposureDecision(self._exposed), StagePrediction()
 
 
 class ReactivePolicy(Policy):
@@ -203,5 +206,5 @@ class ReactivePolicy(Policy):
             if extra not in exposed:
                 exposed.append(extra)
         prediction = make_prediction(belief.stages_for(choice), choice)
-        return ExposureDecision(exposed=tuple(exposed)), prediction
+        return ExposureDecision(tuple(exposed)), prediction
 

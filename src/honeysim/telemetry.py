@@ -6,6 +6,11 @@ optionally digested into a bounded text summary. Alert streams can be
 exported as line-delimited JSON records shaped like Suricata EVE alerts.
 
 Severity runs 1 (low, scans and noise) to 3 (high, deep exploitation).
+
+An epoch renders tens of alerts, so this module keeps their cost down: each
+alert is an ``IdsAlert`` named tuple, and each signature entry is read from
+``signatures.json`` into a ``(signature, category, severity)`` row once per
+process, at the first alert that needs it.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from importlib import resources
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .attackers import AttackerAction, ExploitAction, ScanAction
-from .catalog import AttackGraph, AttackStage, service_port, stable_hash
+from .catalog import STAGE_LABELS, AttackGraph, AttackStage, service_port, stable_hash
 
 CLOCK_EPOCH_SECONDS = 60
 CLOCK_BASE = datetime(2025, 1, 1, tzinfo=timezone.utc)
@@ -54,8 +59,9 @@ class NoiseConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class IdsAlert:
+class IdsAlert(NamedTuple):
+    """One IDS alert; a named tuple, because a run builds tens of thousands of them."""
+
     epoch: int
     clock: int
     src: str
@@ -67,15 +73,31 @@ class IdsAlert:
     stage_hint: Optional[AttackStage] = None
 
 
-@dataclass(frozen=True)
-class EpochObservation:
+def alert_dict(alert: IdsAlert) -> dict:
+    """The alert as an episode log holds it: its fields by name, the stage hint as its label."""
+    epoch, clock, src, dest_service, dest_port, signature, category, severity, hint = alert
+    # keys in sorted order, the order the log's encoder writes them in, so its sort has nothing to move
+    return {
+        "category": category,
+        "clock": clock,
+        "dest_port": dest_port,
+        "dest_service": dest_service,
+        "epoch": epoch,
+        "severity": severity,
+        "signature": signature,
+        "src": src,
+        "stage_hint": None if hint is None else STAGE_LABELS[hint],
+    }
+
+
+class EpochObservation(NamedTuple):
     epoch: int
     alerts: tuple[IdsAlert, ...]
     exposed_last: tuple[str, ...]
 
 
 def empty_observation(epoch: int = 0) -> EpochObservation:
-    return EpochObservation(epoch=epoch, alerts=(), exposed_last=())
+    return EpochObservation(epoch, (), ())
 
 
 def _load_signature_catalog() -> dict:
@@ -100,6 +122,46 @@ def exploit_signatures(service_id: str, stage: AttackStage) -> list[dict]:
     return entries
 
 
+# (signature, category, severity): the fields an alert takes from its signature entry
+SignatureRow = tuple[str, str, int]
+
+
+def _row(entry: dict) -> SignatureRow:
+    return entry["signature"], entry["category"], int(entry["severity"])
+
+
+class _SignatureRows:
+    """``signatures.json`` as alert rows.
+
+    The scan and noise rows are read at construction. The rows of a (service,
+    stage) are read at its first exploit, so a pair that no attacker reaches
+    needs no entry, and a missing one raises ``SignatureCatalogMissError``
+    there, as ``exploit_signatures`` does.
+    """
+
+    def __init__(self, sigs: dict) -> None:
+        self.scan: SignatureRow = _row(sigs["scan"])
+        self.noise: tuple[SignatureRow, ...] = tuple(map(_row, sigs["noise"]))
+        self._exploits: dict[tuple[str, AttackStage], tuple[SignatureRow, ...]] = {}
+
+    def exploit(self, service_id: str, stage: AttackStage) -> tuple[SignatureRow, ...]:
+        key = (service_id, stage)
+        rows = self._exploits.get(key)
+        if rows is None:
+            rows = self._exploits[key] = tuple(map(_row, exploit_signatures(service_id, stage)))
+        return rows
+
+
+_ROWS: Optional[_SignatureRows] = None
+
+
+def signature_rows() -> _SignatureRows:
+    global _ROWS
+    if _ROWS is None:
+        _ROWS = _SignatureRows(signature_catalog())
+    return _ROWS
+
+
 def _corrupt_hint(stage: AttackStage, rng: random.Random) -> AttackStage:
     # shift to an adjacent stage, clamped to the valid ordinal range
     step = rng.choice((-1, 1))
@@ -122,57 +184,51 @@ def synthesize_alerts(
     first keeps the true stage hint, later ones may have it corrupted. False
     positives are drawn per catalog service at the configured rate.
     """
-    sigs = signature_catalog()
+    rows = signature_rows()
     ports = catalog.ports
     alerts: list[IdsAlert] = []
     clock = epoch * CLOCK_EPOCH_SECONDS
-
-    def push(dest: str, entry: dict, hint: Optional[AttackStage]) -> None:
-        nonlocal clock
-        alerts.append(
-            IdsAlert(
-                epoch=epoch,
-                clock=clock,
-                src=src,
-                dest_service=dest,
-                dest_port=ports[dest] if dest in ports else service_port(dest),
-                signature=entry["signature"],
-                category=entry["category"],
-                severity=int(entry["severity"]),
-                stage_hint=hint,
-            )
-        )
-        clock += 1
+    recon = AttackStage.RECONNAISSANCE
 
     for action in actions:
         if isinstance(action, ScanAction):
-            for service_id in action.services:
-                push(service_id, sigs["scan"], AttackStage.RECONNAISSANCE)
+            signature, category, severity = rows.scan
+            for dest in action.services:
+                port = ports[dest] if dest in ports else service_port(dest)
+                alerts.append(IdsAlert(epoch, clock, src, dest, port, signature, category, severity, recon))
+                clock += 1
         elif isinstance(action, ExploitAction):
-            for idx, entry in enumerate(exploit_signatures(action.service, action.stage)):
-                hint = action.stage
+            dest, stage = action.service, action.stage
+            port = ports[dest] if dest in ports else service_port(dest)
+            for idx, (signature, category, severity) in enumerate(rows.exploit(dest, stage)):
+                hint = stage
                 if idx > 0 and rng.random() < noise.hint_corruption_rate:
-                    hint = _corrupt_hint(action.stage, rng)
-                push(action.service, entry, hint)
+                    hint = _corrupt_hint(stage, rng)
+                alerts.append(IdsAlert(epoch, clock, src, dest, port, signature, category, severity, hint))
+                clock += 1
         else:
             raise TypeError(f"unknown action type: {action!r}")
 
     if noise.false_positive_rate > 0:
-        for service_id in catalog.ids:
+        for dest in catalog.ids:
             if rng.random() < noise.false_positive_rate:
-                entry = rng.choice(sigs["noise"])
-                push(service_id, entry, AttackStage.RECONNAISSANCE)
+                signature, category, severity = rng.choice(rows.noise)
+                alerts.append(IdsAlert(epoch, clock, src, dest, ports[dest], signature, category, severity, recon))
+                clock += 1
 
     return alerts
 
 
+_CLOCK = attrgetter("clock")
+
+
 def aggregate_epoch(alerts: Iterable[IdsAlert], exposed: Iterable[str], epoch: int) -> EpochObservation:
     """Bundle an epoch's alerts, in clock order, with the exposure in force."""
-    bundled = sorted(alerts, key=attrgetter("clock"))
+    bundled = tuple(sorted(alerts, key=_CLOCK))
     for alert in bundled:
         if alert.epoch != epoch:
             raise EpochMismatchError(f"alert from epoch {alert.epoch} passed to epoch {epoch}")
-    return EpochObservation(epoch=epoch, alerts=tuple(bundled), exposed_last=tuple(sorted(exposed)))
+    return EpochObservation(epoch, bundled, tuple(sorted(exposed)))
 
 
 NO_ALERTS_DIGEST = "no alerts observed this epoch"

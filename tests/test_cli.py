@@ -12,7 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honeysim import harness
+from honeysim import engine, harness
 from honeysim.cli import main
 from honeysim.engine import EpisodeRecord, EpochLog
 from honeysim.harness import (
@@ -326,6 +326,20 @@ class TestRunAndReplay:
         assert main(["replay", "--out", str(out)]) == 0
         assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
         assert b"reactive" not in ran["summary_scores.csv"]
+
+    def test_replay_derives_no_seeds(self, tiny_config, tmp_path, monkeypatch):
+        """Replay reads cells by name; the seeds a run derives for them are in no summary."""
+        out = tmp_path / "results"
+        assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+        ran = {p.name: p.read_bytes() for p in out.glob("summary_*")}
+
+        def refuse(*parts):
+            raise AssertionError(f"replay derived a seed from {parts}")
+
+        monkeypatch.setattr(harness, "derive_seed", refuse)
+        monkeypatch.setattr(engine, "derive_seed", refuse)
+        replay_out_dir(out)
+        assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
 
     def test_replay_names_a_cell_whose_log_is_missing(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "results"
@@ -680,6 +694,35 @@ class TestExplicitAttackerQueue:
     def test_bad_objective_flagged(self, tmp_path):
         config = self._config(tmp_path, [{"target": "apache_struts", "objective": "UserDataExfil"}])
         assert main(["validate", "--config", config]) != 0
+
+    def test_stages_past_the_objective_need_no_signatures(self, tmp_path, monkeypatch):
+        """signatures.json has no docker_api PrivEsc; an attacker that stops before it runs."""
+        monkeypatch.chdir(tmp_path)
+        stages = ["Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc"]
+        catalog = {
+            "services": [
+                {"id": "docker_api", "vulnerable": True, "stages": stages},
+                {"id": "decoy_1", "vulnerable": False, "stages": ["Reconnaissance"]},
+            ]
+        }
+        Path("catalog.yaml").write_text(yaml.safe_dump(catalog), encoding="utf-8")
+        config = {
+            **TINY_CONFIG,
+            "policies": ["oracle", "reactive", "scripted"],
+            "deployments": ["custom"],
+            "catalog": "catalog.yaml",
+            "attackers": [{"target": "docker_api", "objective": "UserDataExfil"}],
+        }
+        Path("custom.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", "--offline", "--config", "custom.yaml"]) == 0
+        assert main(["run", "--offline", "--config", "custom.yaml", "--out", "out"]) == 0
+        cell = Path("out") / "oracle__custom__deterministic__seed0" / "episodes.jsonl"
+        record = json.loads(cell.read_text(encoding="utf-8"))
+        assert (record["objective_stage"], record["outcome"]) == ("UserDataExfil", "completed")
+        # without the objective the attacker aims at PrivEsc, which renders no alerts
+        config["attackers"] = [{"target": "docker_api"}]
+        Path("custom.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["validate", "--offline", "--config", "custom.yaml"]) == 2
 
 
 _POLICY_ENTRIES = [

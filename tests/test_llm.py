@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from honeysim import llm
 from honeysim.attackers import AttackerProfile
-from honeysim.catalog import AttackStage, deployment_config
+from honeysim.catalog import ALL_STAGES, AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, deployment_config
 from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
 from honeysim.llm import (
     BackendError,
@@ -56,6 +56,19 @@ class TestBuildPrompt:
     def test_missing_placeholder_rejected(self):
         with pytest.raises(MissingPlaceholderError):
             PromptTemplate("alerts: {alerts}\nbudget: {budget}\nservices: {services}")
+
+    def test_placeholder_text_in_a_value_stays_literal(self):
+        """Each placeholder is replaced in one pass, so no value is scanned for placeholders."""
+        template = PromptTemplate("{alerts}|{progression}|{services}|{budget}|{alerts}")
+        values = {"alerts": "{budget}", "progression": "{alerts}", "services": "{progression}", "budget": "7"}
+        assert template.render(**values) == "{budget}|{alerts}|{progression}|7|{budget}"
+
+        catalog = AttackGraph((ServiceSpec("gitlab", "GitLab {budget}", True, ALL_STAGES),))
+        cfg = HoneynetConfig(catalog=catalog, budget=1)
+        prompt = build_prompt('gitlab: "probe {budget}" x1', BeliefState(), cfg, builtin_template())
+        assert 'gitlab: "probe {budget}" x1' in prompt
+        assert "- gitlab (GitLab {budget}): exploitable" in prompt
+        assert "Exposure budget: 1\n" in prompt
 
     def test_prompt_length_respects_cap(self):
         # construct a belief-free turn with an enormous digest source

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from honeysim.attackers import ExploitAction, ScanAction
-from honeysim.catalog import AttackStage, deployment_config
+from honeysim.catalog import DEPLOYMENT_NAMES, AttackStage, deployment_config, service_port
 from honeysim.telemetry import (
+    CLOCK_EPOCH_SECONDS,
     NO_ALERTS_DIGEST,
     EpochMismatchError,
     EpochObservation,
@@ -22,6 +23,7 @@ from honeysim.telemetry import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_eve.jsonl"
+SIGNATURES_JSON = Path(__file__).parent.parent / "src" / "honeysim" / "data" / "signatures.json"
 
 QUIET = NoiseConfig(false_positive_rate=0.0, hint_corruption_rate=0.0)
 CATALOG = deployment_config("small_mixed").catalog
@@ -89,6 +91,57 @@ class TestSynthesizeAlerts:
         clocks = [a.clock for a in alerts]
         assert clocks == sorted(clocks)
         assert len(set(clocks)) == len(clocks)
+
+
+def _alerts_from_json(actions, epoch, noise, rng, catalog, src):
+    """The fields of the alerts ``actions`` render to, each row read straight from signatures.json.
+
+    A reference for ``synthesize_alerts``: it draws from ``rng`` in the same
+    order, so the two agree alert for alert, noise included.
+    """
+    with open(SIGNATURES_JSON, encoding="utf-8") as fh:
+        sigs = json.load(fh)
+    out = []
+
+    def push(dest, entry, hint):
+        clock = epoch * CLOCK_EPOCH_SECONDS + len(out)
+        row = (entry["signature"], entry["category"], int(entry["severity"]))
+        out.append((epoch, clock, src, dest, service_port(dest), *row, hint))
+
+    for action in actions:
+        if isinstance(action, ScanAction):
+            for sid in action.services:
+                push(sid, sigs["scan"], AttackStage.RECONNAISSANCE)
+        else:
+            for idx, entry in enumerate(sigs["services"][action.service][action.stage.label]):
+                hint = action.stage
+                if idx > 0 and rng.random() < noise.hint_corruption_rate:
+                    hint = AttackStage(min(max(hint + rng.choice((-1, 1)), 0), len(AttackStage) - 1))
+                push(action.service, entry, hint)
+    if noise.false_positive_rate > 0:
+        for sid in catalog.ids:
+            if rng.random() < noise.false_positive_rate:
+                push(sid, rng.choice(sigs["noise"]), AttackStage.RECONNAISSANCE)
+    return out
+
+
+@pytest.mark.parametrize("noise", [QUIET, NoiseConfig(), NoiseConfig(0.6, 0.7)], ids=["quiet", "default", "loud"])
+@pytest.mark.parametrize("deployment", DEPLOYMENT_NAMES)
+def test_every_exploit_renders_the_rows_of_signatures_json(deployment, noise):
+    catalog = deployment_config(deployment).catalog
+    pairs = [(svc.id, stage) for svc in catalog.services if svc.vulnerable for stage in svc.supported_stages[1:]]
+    assert pairs
+    for sid, stage in pairs:
+        actions = [ScanAction(services=catalog.sorted_ids), ExploitAction(service=sid, stage=stage)]
+        for seed in range(4):
+            alerts = synthesize_alerts(
+                actions, 3, noise, random.Random(seed), catalog=catalog, src="198.51.100.9"
+            )
+            got = [
+                (a.epoch, a.clock, a.src, a.dest_service, a.dest_port, a.signature, a.category, a.severity, a.stage_hint)
+                for a in alerts
+            ]
+            assert got == _alerts_from_json(actions, 3, noise, random.Random(seed), catalog, "198.51.100.9")
 
 
 class TestAggregateEpoch:
