@@ -184,9 +184,6 @@ class AttackGraph:
             for svc in self.services
         )
 
-    def nodes(self) -> list[tuple[str, AttackStage]]:
-        return [(svc.id, stage) for svc in self.services for stage in svc.supported_stages]
-
     def edges(self) -> list[tuple[str, AttackStage, AttackStage]]:
         """Per-service chain edges in ordinal order; acyclic by construction."""
         out = []
@@ -316,15 +313,20 @@ def catalog_from_dict(data: dict) -> AttackGraph:
     for index, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"services[{index}] must be a mapping, got {row!r}")
-        # ids are sorted and hashed into ports and addresses, so a number (YAML's `id: 80`) is no id
-        for key in ("id", "display_name"):
-            if key in row and not isinstance(row[key], str):
-                raise ValueError(f"services[{index}]: {key!r} must be a string, got {row[key]!r}")
+        # ids are sorted and hashed into ports and addresses, so a number (YAML's `id: 80`) is no id;
+        # and bool("false") is True, so a quoted flag is refused, not read as exploitable
+        for key, kind, what in (
+            ("id", str, "a string"),
+            ("display_name", str, "a string"),
+            ("vulnerable", bool, "true or false"),
+        ):
+            if key in row and not isinstance(row[key], kind):
+                raise ValueError(f"services[{index}]: {key!r} must be {what}, got {row[key]!r}")
         services.append(
             ServiceSpec(
                 id=row["id"],
                 display_name=row.get("display_name", row["id"]),
-                vulnerable=bool(row["vulnerable"]),
+                vulnerable=row["vulnerable"],
                 supported_stages=tuple(AttackStage.from_label(s) for s in row["stages"]),
             )
         )

@@ -46,13 +46,18 @@ def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> Expe
     return matrix
 
 
+def _refuse(problems: list[str]) -> int:
+    """Print one ``violation:`` line per problem; the exit code of a config that cannot run."""
+    for p in problems:
+        print(f"violation: {p}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     matrix = _load_config(args.config)
     problems = validate_matrix(matrix, offline=args.offline)
     if problems:
-        for p in problems:
-            print(f"violation: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse(problems)
     cells = expand_matrix(matrix)
     print(f"config ok: {len(cells)} cells "
           f"({len(matrix.policies)} policies x {len(matrix.deployments)} deployments "
@@ -64,9 +69,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     matrix = _apply_overrides(_load_config(args.config), args)
     problems = validate_matrix(matrix, offline=args.offline)
     if problems:
-        for p in problems:
-            print(f"violation: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse(problems)
     tables = execute_matrix(matrix, args.out, workers=args.workers)
     _print_tables(tables)
     print(f"results written to {args.out} "
@@ -90,9 +93,7 @@ def cmd_mock_demo(args: argparse.Namespace) -> int:
     )
     problems = validate_matrix(matrix, offline=True)
     if problems:
-        for p in problems:
-            print(f"violation: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _refuse(problems)
     _print_tables(execute_matrix(matrix, args.out, workers=1))
     print(f"mock demo complete; logs in {args.out}")
     return EXIT_OK

@@ -56,8 +56,8 @@ from .llm import (
 from . import metrics
 from .metrics import (
     SCORE_COORDINATES,
-    SCORE_MODE_CURRENT,
     SCORE_MODE_SETS,
+    SCORE_MODES,
     RunMetrics,
     RunResult,
     SummaryTables,
@@ -69,7 +69,6 @@ from .telemetry import NoiseConfig, SignatureCatalogMissError, signature_rows
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
-BACKEND_KINDS = ("http_chat_completion",)
 
 
 class ConfigError(ValueError):
@@ -81,22 +80,6 @@ class PolicySpec:
     label: str
     kind: str
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class BackendSpec:
-    name: str
-    kind: str = "http_chat_completion"
-    base_url: str = "https://api.openai.com/v1"
-    model: str = "gpt-4.1-mini"
-    auth_env: str = "OPENAI_API_KEY"
-    temperature: float = 0.0
-    max_tokens: int = 512
-    timeout: float = 60.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
 
 
 @dataclass
@@ -115,7 +98,7 @@ class ExperimentMatrix:
     belief_carryover: bool = RunConfig.belief_carryover
     bootstrap: str = RunConfig.bootstrap
     score_mode: str = SCORE_MODE_SETS
-    backends: dict = field(default_factory=dict)
+    backends: dict[str, HttpChatBackend] = field(default_factory=dict)
     catalog_path: Optional[str] = None
     prompt_template_path: Optional[str] = None
     # explicit attacker queue; None derives one attacker per exploitable service
@@ -202,7 +185,29 @@ def load_builtin_config() -> ExperimentMatrix:
     return matrix_from_dict(yaml.safe_load(text))
 
 
-def _section(data: dict, key: str, kind: type):
+class _Reads:
+    """A mapping of a run config that records the keys read from it, so the others can be refused.
+
+    The keys a reader asks for are the keys it accepts: a misspelt one is
+    refused by name instead of leaving its setting at the default.
+    """
+
+    def __init__(self, data: dict, where: str) -> None:
+        self._data = data
+        self._where = where
+        self._read: set = set()
+
+    def get(self, key: str, default=None):
+        self._read.add(key)
+        return self._data.get(key, default)
+
+    def refuse_unread(self) -> None:
+        unknown = sorted(str(key) for key in self._data if key not in self._read)
+        if unknown:
+            raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {self._where}")
+
+
+def _section(data: _Reads, key: str, kind: type):
     """``data[key]``, empty when absent or null; ConfigError when it is not a ``kind``."""
     value = data.get(key)
     if value is None:
@@ -225,24 +230,35 @@ def _number(value, kind: type, key: str):
         raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
+def _flag(value, key: str) -> bool:
+    """``value``; ConfigError naming ``key`` when it is no boolean (``bool("false")`` would be True)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
+    return value
+
+
 def matrix_from_dict(data: dict) -> ExperimentMatrix:
     if not isinstance(data, dict):
         raise ConfigError(f"a run config must be a mapping, got {data!r}")
-    persistence, noise, attacker = (_section(data, key, dict) for key in ("persistence", "noise", "attacker"))
+    top = _Reads(data, "the run config")
+    top.get("schema_version")  # written by the built-in config; version 1 is the only one
+    persistence, noise, attacker = (
+        _Reads(_section(top, key, dict), repr(key)) for key in ("persistence", "noise", "attacker")
+    )
     backends = {}
-    for name, entry in _section(data, "backends", dict).items():
+    for name, entry in _section(top, "backends", dict).items():
         try:
-            backends[name] = BackendSpec(name=name, **entry)
+            backends[name] = HttpChatBackend(**entry)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {name!r}: {exc}") from None
-    return ExperimentMatrix(
-        policies=[_parse_policy_entry(p) for p in _section(data, "policies", list)],
-        deployments=_section(data, "deployments", list),
-        modes=_section(data, "persistence_modes", list),
-        seeds=[_number(s, int, f"seeds[{i}]") for i, s in enumerate(_section(data, "seeds", list))],
-        horizon=_number(data.get("horizon", ExperimentMatrix.horizon), int, "horizon"),
-        budget=_number(data.get("budget", ExperimentMatrix.budget), int, "budget"),
-        seed_base=_number(data.get("seed_base", ExperimentMatrix.seed_base), int, "seed_base"),
+    matrix = ExperimentMatrix(
+        policies=[_parse_policy_entry(p) for p in _section(top, "policies", list)],
+        deployments=_section(top, "deployments", list),
+        modes=_section(top, "persistence_modes", list),
+        seeds=[_number(s, int, f"seeds[{i}]") for i, s in enumerate(_section(top, "seeds", list))],
+        horizon=_number(top.get("horizon", ExperimentMatrix.horizon), int, "horizon"),
+        budget=_number(top.get("budget", ExperimentMatrix.budget), int, "budget"),
+        seed_base=_number(top.get("seed_base", ExperimentMatrix.seed_base), int, "seed_base"),
         decay=_number(persistence.get("decay", ExperimentMatrix.decay), float, "persistence.decay"),
         floor=_number(persistence.get("floor", ExperimentMatrix.floor), float, "persistence.floor"),
         noise=NoiseConfig(
@@ -251,15 +267,20 @@ def matrix_from_dict(data: dict) -> ExperimentMatrix:
                 for rate in ("false_positive_rate", "hint_corruption_rate")
             }
         ),
-        abandon_on_failure=bool(attacker.get("abandon_on_failure", ExperimentMatrix.abandon_on_failure)),
-        belief_carryover=bool(data.get("belief_carryover", ExperimentMatrix.belief_carryover)),
-        bootstrap=str(data.get("bootstrap", ExperimentMatrix.bootstrap)),
-        score_mode=str(data.get("score_mode", ExperimentMatrix.score_mode)),
+        abandon_on_failure=_flag(
+            attacker.get("abandon_on_failure", ExperimentMatrix.abandon_on_failure), "attacker.abandon_on_failure"
+        ),
+        belief_carryover=_flag(top.get("belief_carryover", ExperimentMatrix.belief_carryover), "belief_carryover"),
+        bootstrap=str(top.get("bootstrap", ExperimentMatrix.bootstrap)),
+        score_mode=str(top.get("score_mode", ExperimentMatrix.score_mode)),
         backends=backends,
-        catalog_path=data.get("catalog"),
-        prompt_template_path=data.get("prompt_template"),
-        attackers=data.get("attackers"),
+        catalog_path=top.get("catalog"),
+        prompt_template_path=top.get("prompt_template"),
+        attackers=top.get("attackers"),
     )
+    for section in (top, persistence, noise, attacker):
+        section.refuse_unread()
+    return matrix
 
 
 def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str]:
@@ -285,17 +306,18 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
         check(files.template)
-    if matrix.score_mode not in (SCORE_MODE_SETS, SCORE_MODE_CURRENT):
+    if matrix.score_mode not in SCORE_MODES:
         problems.append(f"unknown score mode {matrix.score_mode!r}")
 
     for spec in matrix.policies:
-        backend = _backend_spec(spec, matrix) if spec.kind == "llm" else None
+        backend = _backend(spec, matrix) if spec.kind == "llm" else None
         if backend is None:
             continue
+        name = spec.params["backend"]
         if offline:
-            problems.append(f"policy {spec.label}: HTTP backend {backend.name} forbidden in offline mode")
+            problems.append(f"policy {spec.label}: HTTP backend {name} forbidden in offline mode")
         elif not os.environ.get(backend.auth_env):
-            problems.append(f"backend-auth-missing: set {backend.auth_env} for backend {backend.name}")
+            problems.append(f"backend-auth-missing: set {backend.auth_env} for backend {name}")
     return problems
 
 
@@ -331,19 +353,24 @@ def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persiste
         raise ConfigError(f"'attackers' must be a list of entries, got {matrix.attackers!r}")
     else:
         queue = []
-        for entry in matrix.attackers:
+        for index, entry in enumerate(matrix.attackers):
             if not isinstance(entry, dict) or not entry.get("target"):
                 raise ConfigError(f"attacker entry needs a 'target': {entry!r}")
+            where = f"attackers[{index}]"
+            entry = _Reads(entry, where)
             objective = entry.get("objective")
             queue.append(
                 AttackerProfile(
-                    target_service=entry["target"],
+                    target_service=entry.get("target"),
                     persistence=persistence,
                     objective_stage=AttackStage.from_label(str(objective)) if objective else None,
                     label=str(entry.get("label", "")),
-                    abandon_on_failure=bool(entry.get("abandon_on_failure", matrix.abandon_on_failure)),
+                    abandon_on_failure=_flag(
+                        entry.get("abandon_on_failure", matrix.abandon_on_failure), f"{where}.abandon_on_failure"
+                    ),
                 )
             )
+            entry.refuse_unread()
     for profile in queue:
         if profile.target_service not in honeynet.catalog:
             raise ConfigError(f"attacker target {profile.target_service!r} not in {honeynet.deployment_name}")
@@ -402,7 +429,7 @@ class _RunFiles:
             return self._replays[key]
 
 
-def _backend_spec(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[BackendSpec]:
+def _backend(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[HttpChatBackend]:
     """The configured backend that the policy's ``backend`` names; None for any other value."""
     name = spec.params.get("backend")
     return matrix.backends.get(name) if isinstance(name, str) else None
@@ -446,17 +473,9 @@ def _policy_factory(
         except (OSError, ValueError, TypeError) as exc:
             raise ConfigError(f"policy {spec.label}: replay file {replay!r} unusable: {exc}") from None
     elif spec.kind == "llm":
-        backend_spec = _backend_spec(spec, matrix)
-        if backend_spec is None:
+        backend = _backend(spec, matrix)
+        if backend is None:
             raise ConfigError(f"policy {spec.label}: unknown backend {spec.params.get('backend')!r}")
-        backend = HttpChatBackend(
-            base_url=backend_spec.base_url,
-            model=backend_spec.model,
-            auth_env=backend_spec.auth_env,
-            temperature=backend_spec.temperature,
-            max_tokens=backend_spec.max_tokens,
-            timeout=backend_spec.timeout,
-        )
         return lambda index, seed: LlmPolicy(backend, template=template, label=spec.label, turn_log=turn_log)
     else:
         raise ConfigError(f"unknown policy kind {spec.kind!r}")
@@ -631,7 +650,7 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
             raise ConfigError(f"{path}: {key!r} must be a list of {kind.__name__}, got {values!r}")
         axes[key] = values
     score_mode = manifest.get("score_mode", SCORE_MODE_SETS)
-    if score_mode not in (SCORE_MODE_SETS, SCORE_MODE_CURRENT):
+    if score_mode not in SCORE_MODES:
         raise ConfigError(f"{path}: unknown score mode {score_mode!r}")
     # the manifest keeps policy labels only; replay needs no policy kind
     return ExperimentMatrix(

@@ -14,10 +14,10 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .catalog import AttackStage, HoneynetConfig, ServiceSpec
 from .policies import (
@@ -32,6 +32,8 @@ from .telemetry import EpochObservation, summarize_for_prompt
 
 logger = logging.getLogger(__name__)
 
+# the longest prompt a model turn sends; the alert digest is cut to fit
+PROMPT_CHAR_CAP = 8000
 PLACEHOLDERS = ("alerts", "progression", "services", "budget")
 _PLACEHOLDER_RE = re.compile(r"\{(" + "|".join(PLACEHOLDERS) + r")\}")
 
@@ -199,7 +201,6 @@ class ScriptedMockBackend:
     """Replays a fixed response sequence; repeats the last one when exhausted."""
 
     responses: Sequence[str]
-    kind: str = "scripted_mock"
     _cursor: int = field(default=0, repr=False)
 
     def complete(self, prompt: str) -> str:
@@ -210,33 +211,38 @@ class ScriptedMockBackend:
         return self.responses[idx]
 
 
+# what a backend setting of each annotated type accepts, and how a refusal names it
+_SETTING_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
+@dataclass(frozen=True, kw_only=True)
 class HttpChatBackend:
-    """OpenAI-compatible chat-completion client with bounded retries."""
+    """OpenAI-compatible chat-completion client with bounded retries.
 
-    kind = "http_chat_completion"
+    Its fields are the keys of a ``backends:`` entry in a run config, each
+    with its default. It holds no per-call state, so threads may share one.
+    """
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        auth_env: str = "OPENAI_API_KEY",
-        temperature: float = 0.0,
-        max_tokens: int = 512,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff_seconds: float = 0.5,
-    ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.auth_env = auth_env
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff_seconds = backoff_seconds
+    kind: str = "http_chat_completion"
+    base_url: str = "https://api.openai.com/v1"
+    model: str = "gpt-4.1-mini"
+    auth_env: str = "OPENAI_API_KEY"
+    temperature: float = 0.0
+    max_tokens: int = 512
+    timeout: float = 60.0
 
-    def auth_token(self) -> Optional[str]:
-        return os.environ.get(self.auth_env)
+    # fixed, not settings: attempts per prompt, and the first pause between them (doubling)
+    max_retries: ClassVar[int] = 3
+    backoff_seconds: ClassVar[float] = 0.5
+
+    def __post_init__(self) -> None:
+        for setting in fields(self):
+            value = getattr(self, setting.name)
+            kinds, what = _SETTING_TYPES[setting.type]
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise ValueError(f"{setting.name!r} must be {what}, got {value!r}")
+        if self.kind != HttpChatBackend.kind:  # the default is the only kind
+            raise ValueError(f"unknown kind {self.kind!r}")
 
     def complete(self, prompt: str) -> str:
         # imported here, not with the package: they load email and ssl, and offline runs never need them
@@ -251,12 +257,12 @@ class HttpChatBackend:
             "max_tokens": self.max_tokens,
         }
         headers = {"Content-Type": "application/json"}
-        token = self.auth_token()
+        token = os.environ.get(self.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
         # urlopen raises HTTPError (an OSError) on any status >= 400
         request = urllib.request.Request(
-            f"{self.base_url}/chat/completions", data=json.dumps(body).encode("utf-8"), headers=headers
+            f"{self.base_url.rstrip('/')}/chat/completions", data=json.dumps(body).encode("utf-8"), headers=headers
         )
 
         last_error: Exception | None = None
@@ -356,20 +362,18 @@ def llm_decide(
     belief: BeliefState,
     cfg: HoneynetConfig,
     *,
-    template: Optional[PromptTemplate] = None,
+    template: PromptTemplate,
     previous_decision: Optional[ExposureDecision] = None,
-    prompt_char_cap: int = 8000,
 ) -> tuple[ExposureDecision, StagePrediction, BeliefState, AgentTurn]:
     """One model turn: build prompt, call the backend, parse, fall back if needed.
 
     The caller is responsible for having already folded ``obs`` into
     ``belief`` (``policy_decide`` does this).
     """
-    template = template or builtin_template()
     sections = _prompt_sections(belief, cfg)
     # the prompt without alerts, as build_prompt renders an empty digest
     overhead = template.rendered_chars(alerts="none", **sections)
-    digest_budget = max(100, prompt_char_cap - overhead)
+    digest_budget = max(100, PROMPT_CHAR_CAP - overhead)
     digest = summarize_for_prompt(obs, digest_budget)
     prompt = build_prompt(digest, belief, cfg, template, sections)
 
@@ -421,13 +425,11 @@ class LlmPolicy(Policy):
         self,
         backend,
         template: Optional[PromptTemplate] = None,
-        prompt_char_cap: int = 8000,
         label: Optional[str] = None,
         turn_log: Optional[TurnLog] = None,
     ) -> None:
         self.backend = backend
         self.template = template or builtin_template()
-        self.prompt_char_cap = prompt_char_cap
         self._last_decision: Optional[ExposureDecision] = None
         self._turn_log = turn_log
         if label:
@@ -441,7 +443,6 @@ class LlmPolicy(Policy):
             cfg,
             template=self.template,
             previous_decision=self._last_decision,
-            prompt_char_cap=self.prompt_char_cap,
         )
         # the turn hits disk before the decision it produced takes effect
         if self._turn_log is not None:

@@ -24,6 +24,7 @@ COMMON_TARGETS = ("gitlab", "apache_struts")
 
 SCORE_MODE_SETS = "cumulative_sets"
 SCORE_MODE_CURRENT = "current_stage"
+SCORE_MODES = (SCORE_MODE_SETS, SCORE_MODE_CURRENT)
 # the scores table's columns before its one column per policy label
 SCORE_COORDINATES = ("deployment", "persistence")
 
@@ -69,30 +70,6 @@ def score_from_counts(tp: int, fp: int, fn: int) -> float:
     if denominator == 0:
         return 1.0
     return tp / denominator
-
-
-@dataclass(frozen=True)
-class EpisodeMetrics:
-    label: str
-    target_service: str
-    exploitation: bool
-    tp: int
-    fp: int
-    fn: int
-    score: float
-
-
-def episode_metrics(rec: dict, mode: str = SCORE_MODE_SETS) -> EpisodeMetrics:
-    tp, fp, fn, score = inference_score(rec, mode)
-    return EpisodeMetrics(
-        label=rec["attacker_label"],
-        target_service=rec["target_service"],
-        exploitation=exploitation_achieved(rec),
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        score=score,
-    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ import json
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import cache
 from importlib import resources
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -100,28 +101,6 @@ def empty_observation(epoch: int = 0) -> EpochObservation:
     return EpochObservation(epoch, (), ())
 
 
-def _load_signature_catalog() -> dict:
-    with resources.files("honeysim.data").joinpath("signatures.json").open(encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-_SIGNATURES: Optional[dict] = None
-
-
-def signature_catalog() -> dict:
-    global _SIGNATURES
-    if _SIGNATURES is None:
-        _SIGNATURES = _load_signature_catalog()
-    return _SIGNATURES
-
-
-def exploit_signatures(service_id: str, stage: AttackStage) -> list[dict]:
-    entries = signature_catalog()["services"].get(service_id, {}).get(stage.label)
-    if not entries:
-        raise SignatureCatalogMissError(f"no signatures for ({service_id}, {stage.label})")
-    return entries
-
-
 # (signature, category, severity): the fields an alert takes from its signature entry
 SignatureRow = tuple[str, str, int]
 
@@ -131,35 +110,36 @@ def _row(entry: dict) -> SignatureRow:
 
 
 class _SignatureRows:
-    """``signatures.json`` as alert rows.
+    """``signatures.json`` as alert rows; ``signature_rows()`` builds the one instance.
 
-    The scan and noise rows are read at construction. The rows of a (service,
-    stage) are read at its first exploit, so a pair that no attacker reaches
-    needs no entry, and a missing one raises ``SignatureCatalogMissError``
-    there, as ``exploit_signatures`` does.
+    The file is read and the scan and noise rows are built at construction.
+    The rows of a (service, stage) are built at its first exploit, so a pair
+    that no attacker reaches needs no entry, and a missing one raises
+    ``SignatureCatalogMissError`` there.
     """
 
-    def __init__(self, sigs: dict) -> None:
+    def __init__(self) -> None:
+        with resources.files("honeysim.data").joinpath("signatures.json").open(encoding="utf-8") as fh:
+            sigs = json.load(fh)
         self.scan: SignatureRow = _row(sigs["scan"])
         self.noise: tuple[SignatureRow, ...] = tuple(map(_row, sigs["noise"]))
+        self._entries: dict = sigs["services"]
         self._exploits: dict[tuple[str, AttackStage], tuple[SignatureRow, ...]] = {}
 
     def exploit(self, service_id: str, stage: AttackStage) -> tuple[SignatureRow, ...]:
         key = (service_id, stage)
         rows = self._exploits.get(key)
         if rows is None:
-            rows = self._exploits[key] = tuple(map(_row, exploit_signatures(service_id, stage)))
+            entries = self._entries.get(service_id, {}).get(STAGE_LABELS[stage])
+            if not entries:
+                raise SignatureCatalogMissError(f"no signatures for ({service_id}, {STAGE_LABELS[stage]})")
+            rows = self._exploits[key] = tuple(map(_row, entries))
         return rows
 
 
-_ROWS: Optional[_SignatureRows] = None
-
-
+@cache
 def signature_rows() -> _SignatureRows:
-    global _ROWS
-    if _ROWS is None:
-        _ROWS = _SignatureRows(signature_catalog())
-    return _ROWS
+    return _SignatureRows()
 
 
 def _corrupt_hint(stage: AttackStage, rng: random.Random) -> AttackStage:

@@ -158,7 +158,6 @@ def test_graph_edges_follow_chains():
     edges = cat.edges()
     assert ("apache_struts", AttackStage.INITIAL_ACCESS, AttackStage.PRIV_ESC) in edges
     assert all(a < b for _, a, b in edges)
-    assert ("gitlab", AttackStage.RECONNAISSANCE) in cat.nodes()
 
 
 def test_catalog_round_trips_through_file(tmp_path):
@@ -190,3 +189,12 @@ def test_catalog_row_names_must_be_strings(row, message):
     with pytest.raises(ValueError) as raised:
         catalog_from_dict({"services": [gitlab, row]})
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("flag", ["false", "no", 0, None])
+def test_catalog_row_vulnerable_must_be_a_boolean(flag):
+    """bool("false") is True: a quoted flag would turn a row with an exploit chain exploitable."""
+    web = {"id": "web", "vulnerable": flag, "stages": ["Reconnaissance", "InitialAccess"]}
+    with pytest.raises(ValueError) as raised:
+        catalog_from_dict({"services": [web]})
+    assert str(raised.value) == f"services[0]: 'vulnerable' must be true or false, got {flag!r}"

@@ -27,7 +27,7 @@ from honeysim.harness import (
     run_cell,
     validate_matrix,
 )
-from honeysim.llm import ScriptedMockBackend
+from honeysim.llm import HttpChatBackend, ScriptedMockBackend
 
 TINY_CONFIG = {
     "horizon": 8,
@@ -39,6 +39,9 @@ TINY_CONFIG = {
     "persistence_modes": ["deterministic"],
     "noise": {"false_positive_rate": 0.1, "hint_corruption_rate": 0.1},
 }
+
+# TINY_CONFIG with its policies driven by backend "b", which each case configures
+LLM_CONFIG = {**TINY_CONFIG, "policies": [{"name": "m", "kind": "llm", "backend": "b"}]}
 
 
 @pytest.fixture
@@ -137,6 +140,15 @@ class TestValidate:
             ({"policies": [{"name": "deployment", "kind": "oracle"}]}, "policy label 'deployment' would overwrite"),
             ({"policies": ["oracle", {"name": "persistence", "kind": "random"}]}, "policy label 'persistence'"),
             ({"deployments": [["small_mixed"]]}, "unknown deployment ['small_mixed']"),
+            (
+                {"attackers": [{"target": "gitlab", "abandon_on_failure": "false"}]},
+                "'attackers[0].abandon_on_failure' must be true or false, got 'false'",
+            ),
+            ({"attackers": [{"target": "gitlab", "objectve": "PrivEsc"}]}, "unknown key 'objectve' in attackers[0]"),
+            (
+                {"deployments": ["custom"], "catalog": "quoted_flag.yaml"},
+                "catalog file unusable: services[0]: 'vulnerable' must be true or false, got 'false'",
+            ),
         ],
         ids=[
             "bad-bootstrap",
@@ -154,6 +166,9 @@ class TestValidate:
             "label-deployment",
             "label-persistence",
             "deployment-a-list",
+            "attacker-entry-abandon-text",
+            "unknown-attacker-entry-key",
+            "catalog-vulnerable-text",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -166,6 +181,8 @@ class TestValidate:
             ]
         }
         Path("catalog.yaml").write_text(yaml.safe_dump(catalog), encoding="utf-8")
+        quoted_flag = {"id": "redis", "vulnerable": "false", "stages": ["Reconnaissance", "InitialAccess"]}
+        Path("quoted_flag.yaml").write_text(yaml.safe_dump({"services": [quoted_flag]}), encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
@@ -216,6 +233,25 @@ class TestValidate:
             ({**TINY_CONFIG, "persistence": {"floor": {"x": 1}}}, "'persistence.floor' must be a number"),
             ({**TINY_CONFIG, "noise": {"false_positive_rate": [0.1]}}, "'noise.false_positive_rate' must be"),
             ({**TINY_CONFIG, "noise": {"hint_corruption_rate": None}}, "'noise.hint_corruption_rate' must be"),
+            ({**LLM_CONFIG, "backends": {"b": {"base_url": 5}}}, "backend 'b': 'base_url' must be a string, got 5"),
+            (
+                {**LLM_CONFIG, "backends": {"b": {"timeout": "soon"}}},
+                "backend 'b': 'timeout' must be a number, got 'soon'",
+            ),
+            (
+                {**LLM_CONFIG, "backends": {"b": {"temperature": "hot"}}},
+                "backend 'b': 'temperature' must be a number, got 'hot'",
+            ),
+            ({**TINY_CONFIG, "belief_carryover": "false"}, "'belief_carryover' must be true or false, got 'false'"),
+            (
+                {**TINY_CONFIG, "attacker": {"abandon_on_failure": "false"}},
+                "'attacker.abandon_on_failure' must be true or false, got 'false'",
+            ),
+            ({**TINY_CONFIG, "score_mod": "current_stage"}, "unknown key 'score_mod' in the run config"),
+            ({**TINY_CONFIG, "horizn": 3}, "unknown key 'horizn' in the run config"),
+            ({**TINY_CONFIG, "persistence": {"decy": 0.9}}, "unknown key 'decy' in 'persistence'"),
+            ({**TINY_CONFIG, "noise": {"false_positives": 0.2}}, "unknown key 'false_positives' in 'noise'"),
+            ({**TINY_CONFIG, "attacker": {"abandon": False}}, "unknown key 'abandon' in 'attacker'"),
         ],
         ids=[
             "persistence-list",
@@ -234,6 +270,16 @@ class TestValidate:
             "floor-mapping",
             "false-positive-list",
             "hint-null",
+            "backend-url-number",
+            "backend-timeout-text",
+            "backend-temperature-text",
+            "belief-carryover-text",
+            "abandon-text",
+            "unknown-top-level-key",
+            "misspelt-horizon",
+            "unknown-persistence-key",
+            "unknown-noise-key",
+            "unknown-attacker-key",
         ],
     )
     def test_cli_validate_malformed_section_exits_2(self, tmp_path, capsys, config, message):
@@ -264,21 +310,37 @@ class TestValidate:
         monkeypatch.delenv("TEST_TOKEN_VAR", raising=False)
         matrix = load_builtin_config()
         matrix.policies = [PolicySpec(label="m", kind="llm", params={"backend": "b"})]
-        from honeysim.harness import BackendSpec
-
-        matrix.backends = {"b": BackendSpec(name="b", auth_env="TEST_TOKEN_VAR")}
+        matrix.backends = {"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")}
         problems = validate_matrix(matrix)
         assert any("backend-auth-missing" in p for p in problems)
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         assert validate_matrix(matrix) == []
 
+    def test_retry_constants_are_no_backend_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({**LLM_CONFIG, "backends": {"b": {"max_retries": 9}}}), encoding="utf-8")
+        assert main(["validate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error: config unreadable: backend 'b': " in err
+        assert "unexpected keyword argument 'max_retries'" in err
+
+    def test_backend_is_named_by_the_policy_key(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("TEST_TOKEN_VAR", raising=False)
+        config = tmp_path / "llm.yaml"
+        backends = {"b": {"auth_env": "TEST_TOKEN_VAR"}}
+        config.write_text(yaml.safe_dump({**LLM_CONFIG, "backends": backends}), encoding="utf-8")
+        assert main(["validate", "--config", str(config)]) == 2
+        assert "violation: backend-auth-missing: set TEST_TOKEN_VAR for backend b" in capsys.readouterr().err
+        assert main(["validate", "--offline", "--config", str(config)]) == 2
+        assert "violation: policy m: HTTP backend b forbidden in offline mode" in capsys.readouterr().err
+        monkeypatch.setenv("TEST_TOKEN_VAR", "x")
+        assert main(["validate", "--config", str(config)]) == 0
+
     def test_offline_forbids_http_backends(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         matrix = load_builtin_config()
         matrix.policies = [PolicySpec(label="m", kind="llm", params={"backend": "b"})]
-        from honeysim.harness import BackendSpec
-
-        matrix.backends = {"b": BackendSpec(name="b", auth_env="TEST_TOKEN_VAR")}
+        matrix.backends = {"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")}
         problems = validate_matrix(matrix, offline=True)
         assert any("forbidden in offline mode" in p for p in problems)
 

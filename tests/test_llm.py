@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from honeysim.llm import (
     load_replay_file,
     parse_response,
 )
-from honeysim.metrics import episode_metrics, inference_score
+from honeysim.metrics import exploitation_achieved, inference_score
 from honeysim.policies import BeliefState, ExposureDecision, make_prediction, policy_decide, update_belief
 from honeysim.telemetry import NoiseConfig, empty_observation
 
@@ -70,7 +71,7 @@ class TestBuildPrompt:
         assert "- gitlab (GitLab {budget}): exploitable" in prompt
         assert "Exposure budget: 1\n" in prompt
 
-    def test_prompt_length_respects_cap(self):
+    def test_prompt_length_respects_cap(self, monkeypatch):
         # construct a belief-free turn with an enormous digest source
         from honeysim.telemetry import IdsAlert, aggregate_epoch
 
@@ -91,7 +92,8 @@ class TestBuildPrompt:
         obs = aggregate_epoch(alerts, {"gitlab"}, 1)
         belief = update_belief(BeliefState(), obs)
         backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
-        _, _, _, turn = llm_decide(backend, obs, belief, HONEYNET, prompt_char_cap=3000)
+        monkeypatch.setattr(llm, "PROMPT_CHAR_CAP", 3000)
+        _, _, _, turn = llm_decide(backend, obs, belief, HONEYNET, template=builtin_template())
         assert len(turn.prompt) <= 3000
 
 
@@ -220,9 +222,9 @@ class TestScriptedEpisodes:
         script = aligned_mock_script(svc)
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         assert rec.outcome == "completed"
-        metrics = episode_metrics(record_to_dict(rec))
-        assert metrics.exploitation
-        assert metrics.score == 1.0
+        logged = record_to_dict(rec)
+        assert exploitation_achieved(logged)
+        assert inference_score(logged)[3] == 1.0
 
     def test_malformed_output_every_turn_still_completes(self):
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(["%% not json %%"])))
@@ -250,7 +252,7 @@ class TestScriptedEpisodes:
     def test_fallback_on_first_turn_uses_first_catalog_service(self):
         policy = LlmPolicy(ScriptedMockBackend(["nope"]))
         decision, _, _, turn = llm_decide(
-            policy.backend, empty_observation(), BeliefState(), HONEYNET
+            policy.backend, empty_observation(), BeliefState(), HONEYNET, template=policy.template
         )
         assert turn.fallback_used
         assert decision.exposed == ("gitlab",)
@@ -337,13 +339,15 @@ def _reply(text):
 
 
 class TestHttpBackend:
-    def _backend(self, server, **kwargs):
-        kwargs.setdefault("backoff_seconds", 0.01)
+    @pytest.fixture(autouse=True)
+    def _short_backoff(self, monkeypatch):
+        monkeypatch.setattr(HttpChatBackend, "backoff_seconds", 0.01)
+
+    def _backend(self, server):
         return HttpChatBackend(
-            base_url=f"http://127.0.0.1:{server.server_port}/v1",
+            base_url=f"http://127.0.0.1:{server.server_port}/v1/",
             model="test-model",
             auth_env="HONEYSIM_TEST_TOKEN",
-            **kwargs,
         )
 
     def test_posts_openai_shaped_payload(self, chat_server, monkeypatch):
@@ -368,9 +372,10 @@ class TestHttpBackend:
         assert backend.complete("x") == "recovered"
         assert len(chat_server.seen) == 2
 
-    def test_retries_exhausted_raises_backend_error(self, chat_server):
+    def test_retries_exhausted_raises_backend_error(self, chat_server, monkeypatch):
         chat_server.script = [(500, {"error": "down"})]
-        backend = self._backend(chat_server, max_retries=2)
+        monkeypatch.setattr(HttpChatBackend, "max_retries", 2)
+        backend = self._backend(chat_server)
         with pytest.raises(BackendError):
             backend.complete("x")
         assert len(chat_server.seen) == 2
@@ -380,23 +385,32 @@ class TestHttpBackend:
         [{"choices": None}, {"choices": [{"message": {"content": None}}]}, [1]],
         ids=["null-choices", "null-content", "top-level-list"],
     )
-    def test_reply_without_string_content_retried_then_falls_back(self, chat_server, payload):
+    def test_reply_without_string_content_retried_then_falls_back(self, chat_server, monkeypatch, payload):
         chat_server.script = [(200, payload)]
-        backend = self._backend(chat_server, max_retries=2)
+        monkeypatch.setattr(HttpChatBackend, "max_retries", 2)
+        backend = self._backend(chat_server)
         with pytest.raises(BackendError):
             backend.complete("x")
         assert len(chat_server.seen) == 2
-        decision, _, _, turn = llm_decide(backend, empty_observation(), BeliefState(), HONEYNET)
+        decision, _, _, turn = llm_decide(
+            backend, empty_observation(), BeliefState(), HONEYNET, template=builtin_template()
+        )
         assert turn.fallback_used
         assert "backend-unreachable" in turn.error
         assert decision.exposed == ("gitlab",)
 
-    def test_unreachable_backend_degrades_to_fallback(self, chat_server):
+    def test_unreachable_backend_degrades_to_fallback(self, chat_server, monkeypatch):
         chat_server.script = [(500, {"error": "down"})]
-        backend = self._backend(chat_server, max_retries=1)
+        monkeypatch.setattr(HttpChatBackend, "max_retries", 1)
+        backend = self._backend(chat_server)
         previous = ExposureDecision(exposed=("xdebug",))
         decision, _, _, turn = llm_decide(
-            backend, empty_observation(), BeliefState(), HONEYNET, previous_decision=previous
+            backend,
+            empty_observation(),
+            BeliefState(),
+            HONEYNET,
+            template=builtin_template(),
+            previous_decision=previous,
         )
         assert turn.fallback_used
         assert "backend-unreachable" in turn.error
@@ -414,7 +428,51 @@ class TestHttpBackend:
         )
         rec = run_episode(cfg, cfg.attackers[0], LlmPolicy(backend))
         assert rec.outcome == "completed"
-        assert episode_metrics(record_to_dict(rec)).exploitation
+        assert exploitation_achieved(record_to_dict(rec))
+
+
+class TestBackendSettings:
+    def test_settings_are_the_config_keys_with_their_defaults(self):
+        backend = HttpChatBackend()
+        assert {f.name: getattr(backend, f.name) for f in dataclasses.fields(backend)} == {
+            "kind": "http_chat_completion",
+            "base_url": "https://api.openai.com/v1",
+            "model": "gpt-4.1-mini",
+            "auth_env": "OPENAI_API_KEY",
+            "temperature": 0.0,
+            "max_tokens": 512,
+            "timeout": 60.0,
+        }
+
+    @pytest.mark.parametrize("key", ["max_retries", "backoff_seconds", "name"])
+    def test_retry_constants_are_no_settings(self, key):
+        with pytest.raises(TypeError, match=key):
+            HttpChatBackend(**{key: 1})
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"base_url": 5}, "'base_url' must be a string, got 5"),
+            ({"model": None}, "'model' must be a string, got None"),
+            ({"auth_env": ["X"]}, "'auth_env' must be a string, got ['X']"),
+            ({"temperature": "hot"}, "'temperature' must be a number, got 'hot'"),
+            ({"timeout": "soon"}, "'timeout' must be a number, got 'soon'"),
+            ({"timeout": True}, "'timeout' must be a number, got True"),
+            ({"max_tokens": 512.0}, "'max_tokens' must be an integer, got 512.0"),
+            ({"kind": "grpc"}, "unknown kind 'grpc'"),
+        ],
+    )
+    def test_mistyped_setting_is_refused_by_name(self, settings, message):
+        with pytest.raises(ValueError) as raised:
+            HttpChatBackend(**settings)
+        assert str(raised.value) == message
+
+    def test_integer_temperature_and_timeout_are_numbers(self):
+        assert HttpChatBackend(temperature=1, timeout=5).timeout == 5
+
+    def test_a_backend_is_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            HttpChatBackend().timeout = 1.0
 
 
 def test_import_leaves_out_third_party_http_stack():

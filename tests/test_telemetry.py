@@ -16,14 +16,13 @@ from honeysim.telemetry import (
     aggregate_epoch,
     alerts_to_eve_jsonl,
     empty_observation,
-    exploit_signatures,
-    signature_catalog,
     summarize_for_prompt,
     synthesize_alerts,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_eve.jsonl"
 SIGNATURES_JSON = Path(__file__).parent.parent / "src" / "honeysim" / "data" / "signatures.json"
+SIGNATURES = json.loads(SIGNATURES_JSON.read_text(encoding="utf-8"))
 
 QUIET = NoiseConfig(false_positive_rate=0.0, hint_corruption_rate=0.0)
 CATALOG = deployment_config("small_mixed").catalog
@@ -43,7 +42,7 @@ class TestSynthesizeAlerts:
 
     def test_exploit_uses_signature_catalog_entries(self):
         alerts = _synth([ExploitAction(service="gitlab", stage=AttackStage.INITIAL_ACCESS)])
-        expected = [e["signature"] for e in exploit_signatures("gitlab", AttackStage.INITIAL_ACCESS)]
+        expected = [e["signature"] for e in SIGNATURES["services"]["gitlab"]["InitialAccess"]]
         assert [a.signature for a in alerts] == expected
         assert alerts[0].stage_hint == AttackStage.INITIAL_ACCESS
 
@@ -81,7 +80,7 @@ class TestSynthesizeAlerts:
         loud = NoiseConfig(false_positive_rate=1.0, hint_corruption_rate=0.0)
         alerts = synthesize_alerts([], 1, loud, random.Random(0), catalog=CATALOG)
         assert len(alerts) == len(CATALOG)
-        noise_sigs = {e["signature"] for e in signature_catalog()["noise"]}
+        noise_sigs = {e["signature"] for e in SIGNATURES["noise"]}
         assert all(a.signature in noise_sigs for a in alerts)
 
     def test_clock_is_monotone_within_epoch(self):
