@@ -212,6 +212,7 @@ class ScriptedMockBackend:
 
 
 # what a backend setting of each annotated type accepts, and how a refusal names it
+# (the annotations are strings: this module imports annotations from __future__)
 _SETTING_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"), "float": ((int, float), "a number")}
 
 
