@@ -13,7 +13,6 @@ from .attackers import (
     attacker_step,
     attempt_probability,
     default_attacker_queue,
-    is_terminal,
     make_attacker_state,
 )
 from .catalog import (
@@ -25,7 +24,6 @@ from .catalog import (
     deployment_config,
     load_catalog,
     next_stage,
-    save_catalog,
     validate_deployment,
 )
 from .engine import EpisodeRecord, RunConfig, derive_seed, run_episode, run_simulation

@@ -172,10 +172,6 @@ def attacker_step(
     return state, actions
 
 
-def is_terminal(state: AttackerState) -> bool:
-    return state.status in (COMPLETED, ABANDONED)
-
-
 def default_attacker_queue(
     catalog: AttackGraph, persistence: PersistenceModel, abandon_on_failure: bool = True
 ) -> list[AttackerProfile]:

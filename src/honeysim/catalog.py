@@ -184,16 +184,6 @@ class AttackGraph:
             for svc in self.services
         )
 
-    def edges(self) -> list[tuple[str, AttackStage, AttackStage]]:
-        """Per-service chain edges in ordinal order; acyclic by construction."""
-        out = []
-        for svc in self.services:
-            chain = svc.supported_stages
-            for a, b in zip(chain, chain[1:]):
-                out.append((svc.id, a, b))
-        return out
-
-
 @dataclass(frozen=True)
 class HoneynetConfig:
     """A deployed honeynet: catalog plus the per-epoch exposure budget."""
@@ -291,20 +281,6 @@ def validate_deployment(cfg: HoneynetConfig) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def catalog_to_dict(graph: AttackGraph) -> dict:
-    return {
-        "services": [
-            {
-                "id": svc.id,
-                "display_name": svc.display_name,
-                "vulnerable": svc.vulnerable,
-                "stages": [s.label for s in svc.supported_stages],
-            }
-            for svc in graph.services
-        ]
-    }
-
-
 def catalog_from_dict(data: dict) -> AttackGraph:
     rows = data.get("services") if isinstance(data, dict) else None
     if not rows:
@@ -331,11 +307,6 @@ def catalog_from_dict(data: dict) -> AttackGraph:
             )
         )
     return AttackGraph(tuple(services))
-
-
-def save_catalog(graph: AttackGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(catalog_to_dict(graph), fh, sort_keys=False)
 
 
 def load_catalog(path: str) -> AttackGraph:

@@ -11,6 +11,7 @@ from .harness import (
     ConfigError,
     ExperimentMatrix,
     PolicySpec,
+    ScriptedKind,
     execute_matrix,
     expand_matrix,
     load_builtin_config,
@@ -23,7 +24,6 @@ from .metrics import SummaryTables
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
-EXIT_ERROR = 1
 EXIT_CONFIG = 2
 
 
@@ -84,12 +84,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_mock_demo(args: argparse.Namespace) -> int:
     matrix = ExperimentMatrix(
-        policies=[PolicySpec(label="scripted", kind="scripted")],
+        policies=[PolicySpec(label="scripted", kind=ScriptedKind())],
         deployments=[args.deployment],
         modes=["deterministic"],
         seeds=[args.seed],
-        horizon=20,
-        seed_base=0,
     )
     problems = validate_matrix(matrix, offline=True)
     if problems:

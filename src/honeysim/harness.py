@@ -48,6 +48,7 @@ from .llm import (
     TurnLog,
     aligned_mock_script,
     builtin_template,
+    check_settings,
     load_replay_file,
     load_template,
 )
@@ -78,8 +79,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class PolicySpec:
     label: str
-    kind: str
-    params: dict = field(default_factory=dict)
+    # None in a matrix read back from a run manifest, which keeps labels only: replay builds no policy
+    kind: Optional[PolicyKind] = None
 
 
 @dataclass
@@ -158,15 +159,21 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_policy_entry(entry) -> PolicySpec:
-    if isinstance(entry, str):
-        return PolicySpec(label=entry, kind=entry)
-    if isinstance(entry, dict):
-        kind = entry.get("kind") or entry.get("name")
-        label = entry.get("name") or kind
-        params = {k: v for k, v in entry.items() if k not in ("name", "kind")}
-        return PolicySpec(label=str(label), kind=str(kind), params=params)
-    raise ConfigError(f"unparseable policy entry: {entry!r}")
+def _parse_policy_entry(index: int, entry) -> PolicySpec:
+    """A ``policies:`` entry: a kind, or a mapping of ``name``, ``kind`` (each defaults to the other) and parameters."""
+    where = f"policies[{index}]"
+    params = dict(entry) if isinstance(entry, dict) else {"kind": entry}
+    name, kind = params.pop("name", None), params.pop("kind", None)
+    for key, value in (("name", name), ("kind", kind)):
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{where}: {key!r} must be a string, got {value!r}")
+    kind = kind or name
+    if kind not in POLICY_KINDS:
+        raise ConfigError(f"{where}: unknown policy kind {kind!r}; the kinds are {', '.join(POLICY_KINDS)}")
+    try:
+        return PolicySpec(label=name or kind, kind=POLICY_KINDS[kind](**params))
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown or missing parameter
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_run_file(path: str) -> ExperimentMatrix:
@@ -252,7 +259,7 @@ def matrix_from_dict(data: dict) -> ExperimentMatrix:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"backend {name!r}: {exc}") from None
     matrix = ExperimentMatrix(
-        policies=[_parse_policy_entry(p) for p in _section(top, "policies", list)],
+        policies=[_parse_policy_entry(i, p) for i, p in enumerate(_section(top, "policies", list))],
         deployments=_section(top, "deployments", list),
         modes=_section(top, "persistence_modes", list),
         seeds=[_number(s, int, f"seeds[{i}]") for i, s in enumerate(_section(top, "seeds", list))],
@@ -287,11 +294,11 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     """Collect everything that would make a run fail; empty means runnable.
 
     Builds the inputs of every (policy, deployment, persistence) cell with
-    ``run_cell``'s own builder, without running an episode, then adds the
-    checks that depend on this environment.
+    ``run_cell``'s own builder, without running an episode; with ``offline``
+    set, an HTTP model backend is one of the problems.
     """
     problems: list[str] = []
-    files = _RunFiles(matrix)
+    files = _RunFiles(matrix, offline)
 
     def check(build, *args) -> None:
         try:
@@ -308,16 +315,6 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
         check(files.template)
     if matrix.score_mode not in SCORE_MODES:
         problems.append(f"unknown score mode {matrix.score_mode!r}")
-
-    for spec in matrix.policies:
-        backend = _backend(spec, matrix) if spec.kind == "llm" else None
-        if backend is None:
-            continue
-        name = spec.params["backend"]
-        if offline:
-            problems.append(f"policy {spec.label}: HTTP backend {name} forbidden in offline mode")
-        elif not os.environ.get(backend.auth_env):
-            problems.append(f"backend-auth-missing: set {backend.auth_env} for backend {name}")
     return problems
 
 
@@ -391,11 +388,12 @@ class _RunFiles:
 
     Each is built or loaded at the first cell that needs it and shared by the
     rest, also across worker threads. Nothing outlives the call, so a file
-    edited between two runs is read again.
+    edited between two runs is read again. ``offline`` forbids HTTP model backends.
     """
 
-    def __init__(self, matrix: ExperimentMatrix) -> None:
+    def __init__(self, matrix: ExperimentMatrix, offline: bool = False) -> None:
         self._matrix = matrix
+        self.offline = offline
         self._honeynets: dict[str, HoneynetConfig] = {}
         self._template: Optional[PromptTemplate] = None
         self._replays: dict[str, list[list[str]]] = {}
@@ -420,69 +418,101 @@ class _RunFiles:
                     raise ConfigError(f"prompt template unusable: {exc}") from None
             return self._template
 
-    def replay(self, path) -> list[list[str]]:
+    def replay(self, path: str) -> list[list[str]]:
         """``load_replay_file(path)``; raises what it raises."""
-        key = os.fspath(path)  # TypeError for a config file's list or number, before open() sees it
         with self._lock:
-            if key not in self._replays:
-                self._replays[key] = load_replay_file(key)
-            return self._replays[key]
+            if path not in self._replays:
+                self._replays[path] = load_replay_file(path)
+            return self._replays[path]
 
 
-def _backend(spec: PolicySpec, matrix: ExperimentMatrix) -> Optional[HttpChatBackend]:
-    """The configured backend that the policy's ``backend`` names; None for any other value."""
-    name = spec.params.get("backend")
-    return matrix.backends.get(name) if isinstance(name, str) else None
+@dataclass(frozen=True, kw_only=True)
+class PolicyKind:
+    """A policy kind's parameters, each checked against its field's annotation.
+
+    A kind's ``factory`` builds a cell's policies, or raises ConfigError on what the cell or environment lacks.
+    """
+
+    def __post_init__(self) -> None:
+        check_settings(self)
 
 
-def _policy_factory(
-    spec: PolicySpec,
-    matrix: ExperimentMatrix,
-    honeynet: HoneynetConfig,
-    queue,
-    files: _RunFiles,
-    turn_log: Optional[TurnLog],
-) -> PolicyFactory:
-    if spec.kind == "oracle":
+class OracleKind(PolicyKind):
+    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
         return lambda index, seed: OraclePolicy()
-    if spec.kind == "random":
+
+
+class RandomKind(PolicyKind):
+    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
         return lambda index, seed: RandomPolicy(seed)
-    if spec.kind == "reactive":
-        return lambda index, seed: ReactivePolicy()
-    if spec.kind == "static":
-        exposed = spec.params.get("expose")
-        if not isinstance(exposed, list) or not exposed:
-            raise ConfigError(f"policy {spec.label}: static policy needs an 'expose' list")
-        unknown = [name for name in exposed if name not in honeynet.catalog]
+
+
+@dataclass(frozen=True, kw_only=True)
+class StaticKind(PolicyKind):
+    expose: list
+
+    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+        if not self.expose:
+            raise ConfigError(f"policy {label}: static policy needs a non-empty 'expose' list")
+        unknown = [name for name in self.expose if name not in honeynet.catalog]
         if unknown:
-            raise ConfigError(f"policy {spec.label}: exposes {unknown}, not in {honeynet.deployment_name}")
-        exposed = tuple(exposed)
-        return lambda index, seed: StaticPolicy(exposed)
-    template = files.template()
-    if spec.kind == "scripted":
-        scripts = []
-        for profile in queue:
-            svc = honeynet.catalog.get(profile.target_service)
-            scripts.append(aligned_mock_script(svc, profile.resolve_objective(svc)))
-    elif spec.kind == "mock":
-        replay = spec.params.get("replay")
-        if not replay:
-            raise ConfigError(f"policy {spec.label}: mock policy needs a 'replay' file")
+            raise ConfigError(f"policy {label}: exposes {unknown}, not in {honeynet.deployment_name}")
+        return lambda index, seed: StaticPolicy(self.expose)
+
+
+class ReactiveKind(PolicyKind):
+    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+        return lambda index, seed: ReactivePolicy()
+
+
+class ScriptedKind(PolicyKind):
+    def scripts(self, label, honeynet, queue, files) -> list[list[str]]:
+        return [aligned_mock_script(honeynet.catalog.get(p.target_service), p.objective_stage) for p in queue]
+
+    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+        scripts, template = self.scripts(label, honeynet, queue, files), files.template()
+        # the episode of the i-th attacker replays script i, cycling
+        return lambda index, seed: LlmPolicy(
+            ScriptedMockBackend(scripts[index % len(scripts)]), template=template, label=label, turn_log=turn_log
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class MockKind(ScriptedKind):
+    replay: str
+
+    def scripts(self, label, honeynet, queue, files) -> list[list[str]]:
         try:
-            scripts = files.replay(replay)
+            return files.replay(self.replay)
         except (OSError, ValueError, TypeError) as exc:
-            raise ConfigError(f"policy {spec.label}: replay file {replay!r} unusable: {exc}") from None
-    elif spec.kind == "llm":
-        backend = _backend(spec, matrix)
+            raise ConfigError(f"policy {label}: replay file {self.replay!r} unusable: {exc}") from None
+
+
+@dataclass(frozen=True, kw_only=True)
+class LlmKind(PolicyKind):
+    backend: str
+
+    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+        backend = matrix.backends.get(self.backend)
         if backend is None:
-            raise ConfigError(f"policy {spec.label}: unknown backend {spec.params.get('backend')!r}")
-        return lambda index, seed: LlmPolicy(backend, template=template, label=spec.label, turn_log=turn_log)
-    else:
-        raise ConfigError(f"unknown policy kind {spec.kind!r}")
-    # the episode of the i-th attacker replays script i, cycling
-    return lambda index, seed: LlmPolicy(
-        ScriptedMockBackend(scripts[index % len(scripts)]), template=template, label=spec.label, turn_log=turn_log
-    )
+            raise ConfigError(f"policy {label}: unknown backend {self.backend!r}")
+        if files.offline:
+            raise ConfigError(f"policy {label}: HTTP backend {self.backend} forbidden in offline mode")
+        if not os.environ.get(backend.auth_env):
+            raise ConfigError(f"backend-auth-missing: set {backend.auth_env} for backend {self.backend}")
+        template = files.template()
+        return lambda index, seed: LlmPolicy(backend, template=template, label=label, turn_log=turn_log)
+
+
+POLICY_KINDS: dict[str, type[PolicyKind]] = {
+    "oracle": OracleKind,
+    "random": RandomKind,
+    "static": StaticKind,
+    "reactive": ReactiveKind,
+    "scripted": ScriptedKind,
+    "mock": MockKind,
+    "llm": LlmKind,
+}
 
 
 def _cell_inputs(
@@ -509,7 +539,7 @@ def _cell_inputs(
         belief_carryover=matrix.belief_carryover,
         bootstrap=matrix.bootstrap,
     )
-    return cfg, _policy_factory(cell.policy, matrix, honeynet, queue, files, turn_log)
+    return cfg, cell.policy.kind.factory(cell.policy.label, matrix, honeynet, queue, files, turn_log)
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +682,8 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
     score_mode = manifest.get("score_mode", SCORE_MODE_SETS)
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"{path}: unknown score mode {score_mode!r}")
-    # the manifest keeps policy labels only; replay needs no policy kind
     return ExperimentMatrix(
-        policies=[PolicySpec(label=label, kind="") for label in axes["policies"]],
+        policies=[PolicySpec(label) for label in axes["policies"]],
         deployments=axes["deployments"],
         modes=axes["persistence_modes"],
         seeds=axes["seeds"],

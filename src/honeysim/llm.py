@@ -211,9 +211,23 @@ class ScriptedMockBackend:
         return self.responses[idx]
 
 
-# what a backend setting of each annotated type accepts, and how a refusal names it
-# (the annotations are strings: this module imports annotations from __future__)
-_SETTING_TYPES = {"str": ((str,), "a string"), "int": ((int,), "an integer"), "float": ((int, float), "a number")}
+# what a setting of each annotated type accepts, and how a refusal names it (the annotations
+# are strings: the modules that declare settings import annotations from __future__)
+_SETTING_TYPES = {
+    "str": ((str,), "a string"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "list": ((list,), "a list"),
+}
+
+
+def check_settings(settings) -> None:
+    """ValueError naming the first field of the dataclass ``settings`` whose value is not of its annotated type."""
+    for setting in fields(settings):
+        value = getattr(settings, setting.name)
+        kinds, what = _SETTING_TYPES[setting.type]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ValueError(f"{setting.name!r} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -237,11 +251,7 @@ class HttpChatBackend:
     backoff_seconds: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
-        for setting in fields(self):
-            value = getattr(self, setting.name)
-            kinds, what = _SETTING_TYPES[setting.type]
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{setting.name!r} must be {what}, got {value!r}")
+        check_settings(self)
         if self.kind != HttpChatBackend.kind:  # the default is the only kind
             raise ValueError(f"unknown kind {self.kind!r}")
 

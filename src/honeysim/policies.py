@@ -55,9 +55,6 @@ class BeliefState:
 
     weights: dict[tuple[str, AttackStage], float] = field(default_factory=dict)
 
-    def weight(self, service: str, stage: AttackStage) -> float:
-        return self.weights.get((service, stage), 0.0)
-
     def stages_for(self, service: str) -> tuple[AttackStage, ...]:
         return tuple(sorted(s for (svc, s), w in self.weights.items() if svc == service and w > 0))
 

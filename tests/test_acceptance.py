@@ -15,7 +15,15 @@ from honeysim.attackers import AttackerProfile, PersistenceModel, default_attack
 from honeysim.catalog import deployment_config
 from honeysim.cli import main
 from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
-from honeysim.harness import ExperimentMatrix, PolicySpec, expand_matrix, load_builtin_config, run_cell
+from honeysim.harness import (
+    ExperimentMatrix,
+    OracleKind,
+    PolicySpec,
+    ScriptedKind,
+    expand_matrix,
+    load_builtin_config,
+    run_cell,
+)
 from honeysim.metrics import (
     RunResult,
     aggregate,
@@ -189,7 +197,7 @@ def test_criterion_7_matrix_shape_and_replay(tmp_path):
 
         # per-(policy, deployment) success cells pool 3 modes x 3 seeds = 9 runs
         matrix = ExperimentMatrix(
-            policies=[PolicySpec(label="oracle", kind="oracle")],
+            policies=[PolicySpec(label="oracle", kind=OracleKind())],
             deployments=list(DEPLOYMENTS),
             modes=list(MODES),
             seeds=list(SEEDS),
@@ -237,7 +245,7 @@ def test_criterion_8_mock_pipeline(tmp_path):
 def test_criterion_9_determinism():
     with criterion(9, "same-seed cell reruns produce bit-identical episode logs", 30.0):
         matrix = ExperimentMatrix(
-            policies=[PolicySpec(label="scripted", kind="scripted")],
+            policies=[PolicySpec(label="scripted", kind=ScriptedKind())],
             deployments=["small_mixed"],
             modes=["probabilistic"],
             seeds=[7],

@@ -12,7 +12,6 @@ from honeysim.attackers import (
     attacker_step,
     attempt_probability,
     default_attacker_queue,
-    is_terminal,
     make_attacker_state,
 )
 from honeysim.catalog import AttackStage, builtin_catalog, deployment_config
@@ -123,7 +122,6 @@ class TestAttackerStep:
         state, _ = attacker_step(state, profile, set())
         state, _ = attacker_step(state, profile, {"gitlab"})
         assert state.status == ABANDONED
-        assert is_terminal(state)
 
     def test_skip_semantics_keeps_attacker_alive(self):
         profile, state = _fresh(persistence=CONSECUTIVE, abandon_on_failure=False)
@@ -143,12 +141,11 @@ class TestAttackerStep:
 
     def test_stepping_terminal_attacker_rejected(self):
         profile, state = _fresh(target="docker_api")
-        assert not is_terminal(state)  # active at Reconnaissance
+        assert state.status == ACTIVE  # at Reconnaissance
         state, _ = attacker_step(state, profile, {"docker_api"})
         state, _ = attacker_step(state, profile, {"docker_api"})
         assert state.status == COMPLETED
         assert state.current_stage == AttackStage.USER_DATA_EXFIL
-        assert is_terminal(state)
         with pytest.raises(ValueError):
             attacker_step(state, profile, {"docker_api"})
 

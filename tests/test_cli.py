@@ -5,6 +5,7 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -16,9 +17,14 @@ from honeysim import engine, harness
 from honeysim.cli import main
 from honeysim.engine import EpisodeRecord, EpochLog
 from honeysim.harness import (
+    POLICY_KINDS,
     ConfigError,
     ExperimentMatrix,
+    LlmKind,
+    MockKind,
+    OracleKind,
     PolicySpec,
+    ScriptedKind,
     execute_matrix,
     expand_matrix,
     load_builtin_config,
@@ -27,7 +33,7 @@ from honeysim.harness import (
     run_cell,
     validate_matrix,
 )
-from honeysim.llm import HttpChatBackend, ScriptedMockBackend
+from honeysim.llm import _SETTING_TYPES, HttpChatBackend, ScriptedMockBackend
 
 TINY_CONFIG = {
     "horizon": 8,
@@ -42,6 +48,51 @@ TINY_CONFIG = {
 
 # TINY_CONFIG with its policies driven by backend "b", which each case configures
 LLM_CONFIG = {**TINY_CONFIG, "policies": [{"name": "m", "kind": "llm", "backend": "b"}]}
+
+
+# policy entries refused as the config is read, each with the end of its error line
+_HOSTILE_POLICY_ENTRIES = {
+    "policy-oracle-unknown-param": (
+        {"name": "o", "kind": "oracle", "replay": "x.json"},
+        "PolicyKind.__init__() got an unexpected keyword argument 'replay'",
+    ),
+    "policy-random-unknown-param": (
+        {"kind": "random", "seed": 3},
+        "PolicyKind.__init__() got an unexpected keyword argument 'seed'",
+    ),
+    "policy-static-unknown-param": (
+        {"name": "s", "kind": "static", "expose": ["gitlab"], "exposee": ["decoy_1"]},
+        "StaticKind.__init__() got an unexpected keyword argument 'exposee'",
+    ),
+    "policy-reactive-unknown-param": (
+        {"kind": "reactive", "budget": 2},
+        "PolicyKind.__init__() got an unexpected keyword argument 'budget'",
+    ),
+    "policy-scripted-unknown-param": (
+        {"kind": "scripted", "replay": "x.json"},
+        "PolicyKind.__init__() got an unexpected keyword argument 'replay'",
+    ),
+    "policy-mock-unknown-param": (
+        {"kind": "mock", "replay": "x.json", "backend": "b"},
+        "MockKind.__init__() got an unexpected keyword argument 'backend'",
+    ),
+    "policy-llm-unknown-param": (
+        {"kind": "llm", "backend": "b", "temperature": 2},
+        "LlmKind.__init__() got an unexpected keyword argument 'temperature'",
+    ),
+    "policy-static-missing-param": (
+        {"kind": "static"},
+        "StaticKind.__init__() missing 1 required keyword-only argument: 'expose'",
+    ),
+    "policy-expose-a-string": ({"kind": "static", "expose": "gitlab"}, "'expose' must be a list, got 'gitlab'"),
+    "policy-replay-a-number": ({"kind": "mock", "replay": 5}, "'replay' must be a string, got 5"),
+    "policy-name-a-list": ({"name": ["a"], "kind": "oracle"}, "'name' must be a string, got ['a']"),
+    "policy-name-a-number": ({"name": 5, "kind": "oracle"}, "'name' must be a string, got 5"),
+    "policy-kind-a-list": ({"name": "a", "kind": ["oracle"]}, "'kind' must be a string, got ['oracle']"),
+    "policy-empty": ({}, "unknown policy kind None; the kinds are "),
+    "policy-unknown-kind": ("ghost", f"unknown policy kind 'ghost'; the kinds are {', '.join(POLICY_KINDS)}"),
+    "policy-a-number": (5, "'kind' must be a string, got 5"),
+}
 
 
 @pytest.fixture
@@ -63,7 +114,7 @@ def _without(mapping: dict, key: str) -> dict:
 class TestExpandMatrix:
     def _matrix(self, n_policies=3, n_deployments=3, n_modes=3, n_seeds=3):
         return ExperimentMatrix(
-            policies=[PolicySpec(label=f"p{i}", kind="oracle") for i in range(n_policies)],
+            policies=[PolicySpec(label=f"p{i}", kind=OracleKind()) for i in range(n_policies)],
             deployments=["fully_vulnerable", "small_mixed", "large_mixed"][:n_deployments],
             modes=["deterministic", "probabilistic", "consecutive"][:n_modes],
             seeds=list(range(n_seeds)),
@@ -135,7 +186,10 @@ class TestValidate:
                 "no signatures for (redis, InitialAccess)",
             ),
             ({"deployments": ["custom"], "catalog": "catalog.yaml", "budget": 3}, "budget exceeds catalog"),
-            ({"policies": [{"name": "m", "kind": "llm", "backend": ["x"]}]}, "unknown backend ['x']"),
+            (
+                {"policies": [{"name": "m", "kind": "llm", "backend": ["x"]}]},
+                "error: config unreadable: policies[0]: 'backend' must be a string, got ['x']",
+            ),
             ({"prompt_template": ["x"]}, "prompt template unusable"),
             ({"policies": [{"name": "deployment", "kind": "oracle"}]}, "policy label 'deployment' would overwrite"),
             ({"policies": ["oracle", {"name": "persistence", "kind": "random"}]}, "policy label 'persistence'"),
@@ -186,7 +240,8 @@ class TestValidate:
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
-        assert "violation: " in err and message in err
+        # a mistyped policy parameter is refused as the config is read, the other rows as its cells are built
+        assert message in err and (message.startswith("error: ") or "violation: " in err)
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -252,6 +307,10 @@ class TestValidate:
             ({**TINY_CONFIG, "persistence": {"decy": 0.9}}, "unknown key 'decy' in 'persistence'"),
             ({**TINY_CONFIG, "noise": {"false_positives": 0.2}}, "unknown key 'false_positives' in 'noise'"),
             ({**TINY_CONFIG, "attacker": {"abandon": False}}, "unknown key 'abandon' in 'attacker'"),
+            *(
+                ({**TINY_CONFIG, "policies": ["oracle", entry]}, f"policies[1]: {message}")
+                for entry, message in _HOSTILE_POLICY_ENTRIES.values()
+            ),
         ],
         ids=[
             "persistence-list",
@@ -280,6 +339,7 @@ class TestValidate:
             "unknown-persistence-key",
             "unknown-noise-key",
             "unknown-attacker-key",
+            *_HOSTILE_POLICY_ENTRIES,
         ],
     )
     def test_cli_validate_malformed_section_exits_2(self, tmp_path, capsys, config, message):
@@ -309,10 +369,12 @@ class TestValidate:
     def test_http_policy_requires_auth_env(self, monkeypatch):
         monkeypatch.delenv("TEST_TOKEN_VAR", raising=False)
         matrix = load_builtin_config()
-        matrix.policies = [PolicySpec(label="m", kind="llm", params={"backend": "b"})]
+        matrix.policies = [PolicySpec(label="m", kind=LlmKind(backend="b"))]
         matrix.backends = {"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")}
         problems = validate_matrix(matrix)
         assert any("backend-auth-missing" in p for p in problems)
+        with pytest.raises(ConfigError, match="backend-auth-missing"):
+            run_cell(expand_matrix(matrix)[0], matrix)  # run refuses it too, before any request
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         assert validate_matrix(matrix) == []
 
@@ -339,10 +401,25 @@ class TestValidate:
     def test_offline_forbids_http_backends(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         matrix = load_builtin_config()
-        matrix.policies = [PolicySpec(label="m", kind="llm", params={"backend": "b"})]
+        matrix.policies = [PolicySpec(label="m", kind=LlmKind(backend="b"))]
         matrix.backends = {"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")}
         problems = validate_matrix(matrix, offline=True)
         assert any("forbidden in offline mode" in p for p in problems)
+
+
+def test_readme_policy_table_lists_every_kind_and_parameter():
+    """The README's policy table names exactly the kinds of POLICY_KINDS, each with its parameters and their types."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Policies\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    listed = {}
+    for row in table[2:]:  # past the header and its rule
+        kind, parameters = (cell.strip() for cell in row.strip("|").split("|")[:2])
+        listed[kind.strip("`")] = parameters
+    expected = {
+        kind: ", ".join(f"`{f.name}` ({_SETTING_TYPES[f.type][1].split()[-1]})" for f in fields(cls)) or "none"
+        for kind, cls in POLICY_KINDS.items()
+    }
+    assert listed == expected
 
 
 class TestRunAndReplay:
@@ -533,7 +610,7 @@ def test_console_script_is_installed():
 
 def _scripted_matrix():
     return ExperimentMatrix(
-        policies=[PolicySpec(label="scripted", kind="scripted")],
+        policies=[PolicySpec(label="scripted", kind=ScriptedKind())],
         deployments=["small_mixed"],
         modes=["deterministic"],
         seeds=[0],
@@ -573,7 +650,7 @@ def _mock_matrix(tmp_path, replays, **axes):
     for label, name in replays:
         path = tmp_path / name
         path.write_text(json.dumps(['{"expose": ["gitlab"], "stages": []}']), encoding="utf-8")
-        policies.append(PolicySpec(label=label, kind="mock", params={"replay": str(path)}))
+        policies.append(PolicySpec(label=label, kind=MockKind(replay=str(path))))
     return ExperimentMatrix(
         policies=policies, **{"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0], **axes}
     )
@@ -582,7 +659,7 @@ def _mock_matrix(tmp_path, replays, **axes):
 def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, monkeypatch):
     """A backend that raises on turn k: the cell re-raises, k-1 turns are on disk, no handle is left open."""
     matrix = _mock_matrix(tmp_path, [("mock", "replay.json")], horizon=10)
-    matrix.policies.append(PolicySpec(label="oracle", kind="oracle"))
+    matrix.policies.append(PolicySpec(label="oracle", kind=OracleKind()))
     mock_cell, oracle_cell = expand_matrix(matrix)
     k = 4
     turn_log = tmp_path / mock_cell.name / "turns.jsonl"
@@ -795,6 +872,7 @@ _POLICY_ENTRIES = [
     "ghost",
     {"name": "static", "kind": "static", "expose": ["gitlab"]},
     {"name": "static", "kind": "static", "expose": ["decoy_1"]},
+    {"name": "static", "kind": "static", "expose": ["gitlab"], "exposee": ["decoy_1"]},
     {"name": "..", "kind": "oracle"},
 ]
 _ONE_FIELD_CHANGES = {
@@ -834,7 +912,10 @@ def test_validated_config_runs_into_one_directory_per_cell(change):
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.yaml"
         config.write_text(yaml.safe_dump({**TINY_CONFIG, field: value}), encoding="utf-8")
-        matrix = load_run_file(str(config))
+        try:
+            matrix = load_run_file(str(config))
+        except ConfigError:  # refused as it is read
+            return
         if validate_matrix(matrix, offline=True):
             return
         out = Path(tmp) / "out"

@@ -37,7 +37,7 @@ class TestUpdateBelief:
     def test_alert_accumulates_severity_weight(self):
         obs = _obs([ExploitAction(service="gitlab", stage=AttackStage.INITIAL_ACCESS)])
         belief = update_belief(BeliefState(), obs)
-        assert belief.weight("gitlab", AttackStage.INITIAL_ACCESS) > 0
+        assert belief.weights.get(("gitlab", AttackStage.INITIAL_ACCESS), 0.0) > 0
 
     def test_two_identical_alerts_double_the_weight(self):
         obs1 = _obs([ScanAction(services=("gitlab",))])
