@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import AttackGraph, AttackStage, ServiceSpec, next_stage
 
@@ -92,17 +92,21 @@ class AttackerProfile:
         return self.objective_stage
 
 
-@dataclass
-class ScanAction:
+# An epoch's actions are named tuples, built every epoch; ``kind`` is a class
+# constant, so each action's fields are what the episode log writes besides it.
+
+
+class ScanAction(NamedTuple):
     services: tuple[str, ...]
-    kind: str = "scan"
+
+    kind = "scan"
 
 
-@dataclass
-class ExploitAction:
+class ExploitAction(NamedTuple):
     service: str
     stage: AttackStage
-    kind: str = "exploit"
+
+    kind = "exploit"
 
 
 AttackerAction = ScanAction | ExploitAction

@@ -50,6 +50,9 @@ class AttackStage(IntEnum):
     @classmethod
     def from_label(cls, text: str) -> "AttackStage":
         """Parse a stage name, tolerating case and separator variations."""
+        stage = _STAGE_BY_NAME.get(text)
+        if stage is not None:
+            return stage
         try:
             return _STAGE_BY_KEY[name_key(text)]
         except KeyError:
@@ -73,6 +76,8 @@ _STAGE_BY_KEY.update(
         "rootexfil": AttackStage.ROOT_DATA_EXFIL,
     }
 )
+# each key and label as written: the names logs and models give most, resolved without name_key
+_STAGE_BY_NAME = {name: _STAGE_BY_KEY[name_key(name)] for name in (*_STAGE_BY_KEY, *STAGE_LABELS)}
 
 ALL_STAGES: tuple[AttackStage, ...] = tuple(AttackStage)
 
@@ -137,16 +142,20 @@ class AttackGraph:
         if len(ids) != len(set(ids)):
             raise ValueError(f"duplicate service ids in catalog: {list(ids)}")
         # lookups run every epoch, so they read tables built once here: the ids
-        # in catalog order and sorted, each service's port, and the name keys
+        # in catalog order and sorted, each service's port, and the name keys. The
+        # first service to claim a key keeps it; each id and display name as written
+        # maps where its key does, so ``resolve`` finds most names without ``name_key``
         by_key: dict[str, str] = {}
+        by_name: dict[str, str] = {}
         for svc in self.services:
-            for name in (svc.id, svc.display_name):
-                by_key.setdefault(name_key(str(name)), svc.id)  # the first service to claim a key keeps it
+            for name in map(str, (svc.id, svc.display_name)):
+                by_name[name] = by_key.setdefault(name_key(name), svc.id)
         object.__setattr__(self, "_ids", ids)
         object.__setattr__(self, "sorted_ids", tuple(sorted(ids)))
         object.__setattr__(self, "ports", {sid: service_port(sid) for sid in ids})
         object.__setattr__(self, "_by_id", dict(zip(ids, self.services)))
         object.__setattr__(self, "_by_key", by_key)
+        object.__setattr__(self, "_by_name", by_name)
 
     def __len__(self) -> int:
         return len(self.services)
@@ -173,7 +182,8 @@ class AttackGraph:
 
     def resolve(self, name: str) -> Optional[str]:
         """The id of the first service whose id or display name matches ``name`` under ``name_key``."""
-        return self._by_key.get(name_key(name))
+        sid = self._by_name.get(name)
+        return sid if sid is not None else self._by_key.get(name_key(name))
 
     @cached_property
     def outline(self) -> str:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .attackers import (
     ABANDONED,
@@ -73,29 +73,34 @@ class RunConfig:
             raise ValueError(f"unknown bootstrap mode {self.bootstrap!r}")
 
 
-@dataclass
-class EpochLog:
-    epoch: int
-    exposed: tuple[str, ...]
+# An episode log line is encoded without sorting its keys, so every mapping it
+# holds is built with its keys in sorted order: the fields of ``EpochLog`` and
+# ``EpisodeRecord`` are declared in that order, and so are the keys of each
+# action, decision and alert (``alert_dict``).
+
+
+class EpochLog(NamedTuple):
     actions: list[dict]
     alerts: list[dict]
     decision: dict
-    prediction: tuple[str, ...]
+    epoch: int
+    exposed: tuple[str, ...]
     gt_stages: tuple[str, ...]
+    prediction: tuple[str, ...]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class EpisodeRecord:
     attacker_label: str
-    target_service: str
-    objective_stage: str
-    persistence_mode: str
-    seed: int
-    outcome: str
-    epochs_used: int
     bootstrap_exposed: tuple[str, ...]
     epochs: list[EpochLog]
+    epochs_used: int
+    objective_stage: str
+    outcome: str
+    persistence_mode: str
     schema_version: int = SCHEMA_VERSION
+    seed: int
+    target_service: str
 
 
 def _action_dict(action) -> dict:
@@ -107,7 +112,7 @@ def _action_dict(action) -> dict:
 
 
 def _decision_dict(decision) -> dict:
-    return {"exposed": list(decision.exposed), "declared_done": decision.declared_done}
+    return {"declared_done": decision.declared_done, "exposed": list(decision.exposed)}
 
 
 def run_episode(
@@ -152,13 +157,13 @@ def run_episode(
 
         epochs.append(
             EpochLog(
-                epoch=epoch,
-                exposed=tuple(exposed),
                 actions=[_action_dict(a) for a in actions],
                 alerts=list(map(alert_dict, obs.alerts)),
                 decision=_decision_dict(decision),
-                prediction=tuple([STAGE_LABELS[s] for s in prediction.stages]),
+                epoch=epoch,
+                exposed=tuple(exposed),
                 gt_stages=tuple([STAGE_LABELS[s] for s in completed]),
+                prediction=tuple([STAGE_LABELS[s] for s in prediction.stages]),
             )
         )
 
@@ -175,14 +180,14 @@ def run_episode(
 
     return EpisodeRecord(
         attacker_label=label,
-        target_service=state.service.id,
-        objective_stage=state.objective.label,
-        persistence_mode=attacker.persistence.mode,
-        seed=cfg.seed,
-        outcome=outcome,
-        epochs_used=epochs_used,
         bootstrap_exposed=bootstrap_exposed,
         epochs=epochs,
+        epochs_used=epochs_used,
+        objective_stage=STAGE_LABELS[state.objective],
+        outcome=outcome,
+        persistence_mode=attacker.persistence.mode,
+        seed=cfg.seed,
+        target_service=state.service.id,
     )
 
 
@@ -214,13 +219,14 @@ def record_to_dict(rec: EpisodeRecord) -> dict:
     It shares its values with ``rec``. Metrics read records in this form, so
     ``run`` scores what it logs and ``replay`` scores what it reads.
     """
-    return {**vars(rec), "epochs": [vars(e) for e in rec.epochs]}
+    return {**vars(rec), "epochs": [e._asdict() for e in rec.epochs]}
 
 
-# sort_keys fixes the bytes of a line; records hold no cycles to check for
-_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+# records are built with their keys in sorted order, which fixes the bytes of a
+# line without sort_keys; they hold no cycles to check for
+_ENCODER = json.JSONEncoder(check_circular=False)
 _RECORD_KEYS = frozenset(f.name for f in fields(EpisodeRecord))
-_EPOCH_KEYS = frozenset(f.name for f in fields(EpochLog))
+_EPOCH_KEYS = frozenset(EpochLog._fields)
 _LABELS = frozenset(STAGE_LABELS)
 
 

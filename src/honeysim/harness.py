@@ -227,10 +227,11 @@ def _section(data: _Reads, key: str, kind: type):
 def _number(value, kind: type, key: str):
     """``kind(value)``; ConfigError naming ``key`` when ``value`` is no ``kind``.
 
-    A fractional integer (``horizon: 2.9``) is refused rather than truncated.
+    A fractional integer (``horizon: 2.9``) is refused rather than truncated,
+    and a boolean (``budget: true``) rather than read as 1 or 0.
     """
     try:
-        if kind is int and isinstance(value, float) and not value.is_integer():
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
             raise ValueError(value)
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -559,8 +560,14 @@ def run_cell(
     turn_log = None if out_dir is None else TurnLog(out_dir / cell.name / "turns.jsonl")
     cfg, make_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix), turn_log)
     if turn_log is not None:
-        turn_log.path.parent.mkdir(parents=True, exist_ok=True)
-        turn_log.path.unlink(missing_ok=True)  # no stale log survives a rerun, even of a cell without turns
+        # one mkdir for a fresh cell directory; a rerun also deletes the stale turn log, even of a cell without turns
+        try:
+            turn_log.path.parent.mkdir(parents=True)
+        except FileExistsError:
+            try:
+                turn_log.path.unlink(missing_ok=True)
+            except NotADirectoryError:
+                raise ConfigError(f"cell path {turn_log.path.parent} is not a directory") from None
     try:
         # the records as episodes.jsonl logs them: write_cell encodes them and run_metrics scores them
         return _cell_result(cell, map(record_to_dict, run_simulation(cfg, make_policy)))
@@ -574,8 +581,8 @@ def _cell_result(cell: CellSpec, records) -> RunResult:
 
 
 def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
+    """Write the cell's ``cell.json`` and ``episodes.jsonl`` into the directory ``run_cell`` made, one write each."""
     cell_dir = out_dir / cell.name
-    cell_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "policy": cell.policy.label,
         "deployment": cell.deployment,
@@ -583,8 +590,8 @@ def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
         "seed": cell.seed,
         "derived_seed": cell.derived_seed,
     }
-    (cell_dir / "cell.json").write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
-    (cell_dir / "episodes.jsonl").write_text(records_to_jsonl(result.records) + "\n", encoding="utf-8")
+    (cell_dir / "cell.json").write_bytes((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
+    (cell_dir / "episodes.jsonl").write_bytes((records_to_jsonl(result.records) + "\n").encode("utf-8"))
 
 
 def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: ExperimentMatrix) -> SummaryTables:
@@ -603,7 +610,10 @@ def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: Experimen
 def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int = 1) -> SummaryTables:
     """Run every cell, write per-cell logs plus the summary tables."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # the path, or one of its parents, is a file
+        raise ConfigError(f"output path {out} is not a directory") from None
     cells = expand_matrix(matrix)
 
     manifest = {
@@ -650,7 +660,8 @@ def replay_out_dir(out_dir: str | Path) -> SummaryTables:
             runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
         except FileNotFoundError:
             missing.append(cell.name)
-        except (TypeError, ValueError):  # ValueError: also not JSON, not UTF-8, or no record to average
+        # ValueError: also not JSON, not UTF-8, or no record to average; OSError: unreadable, say a directory
+        except (OSError, TypeError, ValueError):
             corrupt.append(cell.name)
     problems = [
         f"cells in {MANIFEST_NAME} {what}: {', '.join(names)}"

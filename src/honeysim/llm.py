@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar, Optional, Sequence
+from typing import ClassVar, NamedTuple, Optional, Sequence
 
 from .catalog import AttackStage, HoneynetConfig, ServiceSpec
 from .policies import (
@@ -62,17 +62,18 @@ class PromptTemplate:
         if missing:
             raise MissingPlaceholderError(f"template is missing placeholders: {missing}")
         object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_names", parts[1::2])
         object.__setattr__(self, "_literal_chars", sum(map(len, parts[::2])))
 
     def render(self, **values: str) -> str:
         """The text with each placeholder replaced by its value, in one pass: no value is scanned for placeholders."""
         parts = self._parts.copy()
-        parts[1::2] = [values[name] for name in parts[1::2]]
+        parts[1::2] = map(values.__getitem__, self._names)
         return "".join(parts)
 
     def rendered_chars(self, **values: str) -> int:
         """``len(self.render(**values))``, without rendering."""
-        return self._literal_chars + sum(len(values[name]) for name in self._parts[1::2])
+        return self._literal_chars + sum(map(len, map(values.__getitem__, self._names)))
 
 
 def builtin_template() -> PromptTemplate:
@@ -109,10 +110,14 @@ def build_prompt(
     return template.render(alerts=digest if digest else "none", **(sections or _prompt_sections(belief, cfg)))
 
 
-_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 _DECODER = json.JSONDecoder()
 # a JSON string, or one bracket outside strings
 _BRACKET_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{}]')
+
+
+def _fenced_blocks(raw: str) -> list[str]:
+    """The text of each closed ``` fence in ``raw``, without a leading ``json`` tag or whitespace."""
+    return [block.removeprefix("json").lstrip() for block in raw.split("```")[1:-1:2]]
 
 
 def _find_decision(raw: str) -> Optional[dict]:
@@ -122,7 +127,7 @@ def _find_decision(raw: str) -> Optional[dict]:
     whole, so an object nested in it is never considered. So is a value
     nested too deep for the decoder, which is no decision either.
     """
-    for text in [*(m.group(1) for m in _FENCE_RE.finditer(raw)), raw]:
+    for text in [*_fenced_blocks(raw), raw]:
         start = text.find("{")
         while start != -1:
             try:
@@ -330,22 +335,40 @@ def aligned_mock_script(svc: ServiceSpec, objective: Optional[AttackStage] = Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AgentTurn:
+class AgentTurn(NamedTuple):
+    """One model turn as ``turns.jsonl`` logs it, its fields declared in the sorted order they are written in."""
+
     epoch: int
-    prompt: str
-    raw_response: str
-    parsed_ok: bool
+    error: Optional[str]
     fallback_used: bool
     latency_s: float
-    error: Optional[str] = None
+    parsed_ok: bool
+    prompt: str
+    raw_response: str
 
 
-_TURN_ENCODER = json.JSONEncoder(sort_keys=True)
+# a string as json.dumps writes it, quoted and escaped to ASCII
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _turn_line(turn: AgentTurn) -> bytes:
+    """The turn as one line of ``turns.jsonl``: ``json.dumps(turn._asdict())`` and a newline.
+
+    Each field has a fixed JSON type, so the line is assembled from the fields
+    in their sorted order, without a mapping or an encoder; only the two texts
+    and the error need escaping.
+    """
+    epoch, error, fallback_used, latency_s, parsed_ok, prompt, raw_response = turn
+    return (
+        f'{{"epoch": {epoch}, "error": {"null" if error is None else _json_string(error)}, '
+        f'"fallback_used": {"true" if fallback_used else "false"}, "latency_s": {latency_s!r}, '
+        f'"parsed_ok": {"true" if parsed_ok else "false"}, "prompt": {_json_string(prompt)}, '
+        f'"raw_response": {_json_string(raw_response)}}}\n'
+    ).encode("utf-8")
 
 
 class TurnLog:
-    """A cell's model turns, one JSON line each, through one line-buffered handle.
+    """A cell's model turns, one JSON line each, through one handle.
 
     The file is created at the first turn, so a cell without model turns has
     none; every finished line is flushed, so a crash keeps the turns before
@@ -358,8 +381,9 @@ class TurnLog:
 
     def append(self, turn: AgentTurn) -> None:
         if self._fh is None:
-            self._fh = open(self.path, "w", encoding="utf-8", buffering=1)
-        self._fh.write(_TURN_ENCODER.encode(vars(turn)) + "\n")
+            self._fh = open(self.path, "wb")
+        self._fh.write(_turn_line(turn))
+        self._fh.flush()
 
     def close(self) -> None:
         if self._fh is not None:
@@ -417,12 +441,12 @@ def llm_decide(
 
     turn = AgentTurn(
         epoch=obs.epoch,
-        prompt=prompt,
-        raw_response=raw,
-        parsed_ok=parsed_ok,
+        error=error,
         fallback_used=fallback_used,
         latency_s=latency,
-        error=error,
+        parsed_ok=parsed_ok,
+        prompt=prompt,
+        raw_response=raw,
     )
     return decision, prediction, belief, turn
 

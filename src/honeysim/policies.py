@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
-from .catalog import AttackGraph, AttackStage, HoneynetConfig
+from .catalog import STAGE_LABELS, AttackGraph, AttackStage, HoneynetConfig
 from .telemetry import EpochObservation
 from .telemetry import summarize_for_prompt  # noqa: F401  kept: perfbench/tracer.py patches this name
 
@@ -60,8 +60,9 @@ class BeliefState:
 
     def progression_lines(self, limit: int = 12) -> list[str]:
         """Human-readable evidence summary, heaviest first; deterministic."""
-        entries = sorted(self.weights.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))
-        return [f"{svc} {stage.label} weight={w:g}" for (svc, stage), w in entries[:limit] if w > 0]
+        # (-weight, service, stage) tuples sort heaviest first, ties by service, then stage
+        entries = sorted([(-w, svc, stage) for (svc, stage), w in self.weights.items() if w > 0])
+        return [f"{svc} {STAGE_LABELS[stage]} weight={-neg:g}" for neg, svc, stage in entries[:limit]]
 
 
 def update_belief(belief: BeliefState, obs: EpochObservation) -> BeliefState:

@@ -225,26 +225,26 @@ def summarize_for_prompt(obs: EpochObservation, budget_chars: int) -> str:
     if not obs.alerts:
         return NO_ALERTS_DIGEST[:budget_chars]
 
-    groups: dict[tuple[str, str], dict] = {}
+    # (service, signature) -> [count, highest severity, stage hints]
+    groups: dict[tuple[str, str], list] = {}
     for alert in obs.alerts:
-        g = groups.setdefault(
-            (alert.dest_service, alert.signature),
-            {"count": 0, "severity": 0, "hints": set()},
-        )
-        g["count"] += 1
-        g["severity"] = max(g["severity"], alert.severity)
+        key = (alert.dest_service, alert.signature)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [0, 0, set()]
+        group[0] += 1
+        if alert.severity > group[1]:
+            group[1] = alert.severity
         if alert.stage_hint is not None:
-            g["hints"].add(alert.stage_hint)
+            group[2].add(alert.stage_hint)
 
-    ordered = sorted(
-        groups.items(),
-        key=lambda item: (-item[1]["severity"], -item[1]["count"], item[0][0], item[0][1]),
-    )
+    # (-severity, -count, service, signature) tuples sort in the digest's order
+    ordered = sorted([(-severity, -count, *key) for key, (count, severity, _) in groups.items()])
 
     lines = []
-    for (service, signature), g in ordered:
-        hints = "/".join(s.label for s in sorted(g["hints"])) or "-"
-        lines.append(f'{service}: "{signature}" x{g["count"]} sev={g["severity"]} stage={hints}')
+    for neg_severity, neg_count, service, signature in ordered:
+        hints = "/".join([STAGE_LABELS[s] for s in sorted(groups[service, signature][2])]) or "-"
+        lines.append(f'{service}: "{signature}" x{-neg_count} sev={-neg_severity} stage={hints}')
 
     kept: list[str] = []
     used = 0

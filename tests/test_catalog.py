@@ -1,8 +1,13 @@
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 from honeysim.catalog import (
+    _STAGE_BY_KEY,
     ALL_STAGES,
+    DEPLOYMENT_NAMES,
+    STAGE_LABELS,
     AttackGraph,
     AttackStage,
     HoneynetConfig,
@@ -12,6 +17,7 @@ from honeysim.catalog import (
     catalog_from_dict,
     deployment_config,
     load_catalog,
+    name_key,
     next_stage,
     validate_deployment,
 )
@@ -205,3 +211,54 @@ def test_catalog_row_vulnerable_must_be_a_boolean(flag):
     with pytest.raises(ValueError) as raised:
         catalog_from_dict({"services": [web]})
     assert str(raised.value) == f"services[0]: 'vulnerable' must be true or false, got {flag!r}"
+
+
+# names built from few characters collide under name_key often: two services then claim one key
+_NAME_CHARS = "aAbB_- "
+_NAMES = st.text(_NAME_CHARS, min_size=1, max_size=4)
+_CASES = st.sampled_from([str, str.lower, str.upper, str.swapcase, str.title])
+
+
+@st.composite
+def _variant(draw, names):
+    """One of ``names`` or a new name, in another case, with separators added or swapped."""
+    name = draw(st.one_of(st.sampled_from(names), _NAMES) if names else _NAMES)
+    name = draw(_CASES)(name)
+    for sep in "_- ":
+        name = name.replace(sep, draw(st.sampled_from(["", "_", "-", " "])))
+    at = draw(st.integers(0, len(name)))
+    return name[:at] + draw(st.sampled_from(["", "_", "-", " "])) + name[at:]
+
+
+@st.composite
+def _catalog_and_name(draw):
+    named = draw(
+        st.sampled_from([*(deployment_config(d).catalog for d in DEPLOYMENT_NAMES), builtin_catalog(), None])
+    )
+    if named is None:
+        rows = draw(st.lists(st.tuples(_NAMES, _NAMES), min_size=1, max_size=5, unique_by=lambda row: row[0]))
+        scan_only = (AttackStage.RECONNAISSANCE,)
+        named = AttackGraph(tuple(ServiceSpec(sid, display, False, scan_only) for sid, display in rows))
+    names = [name for svc in named.services for name in (svc.id, svc.display_name)]
+    return named, draw(_variant(names))
+
+
+@given(_catalog_and_name())
+def test_resolve_agrees_with_a_name_key_lookup(catalog_and_name):
+    """The exact-name table answers as the name keys do: the first service to claim a key keeps it."""
+    catalog, name = catalog_and_name
+    by_key = {}
+    for svc in catalog.services:
+        for known in (svc.id, svc.display_name):
+            by_key.setdefault(name_key(known), svc.id)
+    assert catalog.resolve(name) == by_key.get(name_key(name))
+
+
+@given(_variant([*STAGE_LABELS, *_STAGE_BY_KEY]))
+def test_from_label_agrees_with_a_name_key_lookup(name):
+    expected = _STAGE_BY_KEY.get(name_key(name))
+    if expected is None:
+        with pytest.raises(ValueError, match="unknown attack stage"):
+            AttackStage.from_label(name)
+    else:
+        assert AttackStage.from_label(name) is expected

@@ -288,6 +288,13 @@ class TestValidate:
             ({**TINY_CONFIG, "persistence": {"floor": {"x": 1}}}, "'persistence.floor' must be a number"),
             ({**TINY_CONFIG, "noise": {"false_positive_rate": [0.1]}}, "'noise.false_positive_rate' must be"),
             ({**TINY_CONFIG, "noise": {"hint_corruption_rate": None}}, "'noise.hint_corruption_rate' must be"),
+            ({**TINY_CONFIG, "horizon": True}, "'horizon' must be an integer, got True"),
+            ({**TINY_CONFIG, "budget": True}, "'budget' must be an integer, got True"),
+            ({**TINY_CONFIG, "seeds": [False, True]}, "'seeds[0]' must be an integer, got False"),
+            (
+                {**TINY_CONFIG, "noise": {"false_positive_rate": True}},
+                "'noise.false_positive_rate' must be a number, got True",
+            ),
             ({**LLM_CONFIG, "backends": {"b": {"base_url": 5}}}, "backend 'b': 'base_url' must be a string, got 5"),
             (
                 {**LLM_CONFIG, "backends": {"b": {"timeout": "soon"}}},
@@ -329,6 +336,10 @@ class TestValidate:
             "floor-mapping",
             "false-positive-list",
             "hint-null",
+            "horizon-bool",
+            "budget-bool",
+            "seeds-bools",
+            "false-positive-bool",
             "backend-url-number",
             "backend-timeout-text",
             "backend-temperature-text",
@@ -502,6 +513,7 @@ class TestRunAndReplay:
             lambda rec: _log_line(rec, epochs=json.dumps(rec["epochs"])),
             lambda rec: _log_line(rec, epochs=[{**rec["epochs"][0], "gt_stages": 3}]),
             lambda rec: json.dumps([rec]) + "\n",
+            None,  # a directory in the log's place
         ],
         ids=[
             "no-epochs",
@@ -512,16 +524,21 @@ class TestRunAndReplay:
             "epochs-a-string",
             "gt-stages-a-number",
             "a-json-list",
+            "a-directory",
         ],
     )
     def test_replay_names_a_cell_whose_log_is_corrupt(self, tiny_config, tmp_path, capsys, log):
-        """``log`` turns the cell's first logged record into the text of a corrupt episodes.jsonl."""
+        """``log`` turns the cell's first logged record into the text of a corrupt episodes.jsonl; None, a directory."""
         out = tmp_path / "results"
         assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
         bad = ["oracle__small_mixed__deterministic__seed1", "reactive__small_mixed__deterministic__seed0"]
         for name in bad:
             path = out / name / "episodes.jsonl"
-            path.write_text(log(json.loads(path.read_text(encoding="utf-8").splitlines()[0])), encoding="utf-8")
+            if log is None:
+                path.unlink()
+                path.mkdir()
+            else:
+                path.write_text(log(json.loads(path.read_text(encoding="utf-8").splitlines()[0])), encoding="utf-8")
         capsys.readouterr()
         assert main(["replay", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -556,6 +573,18 @@ class TestRunAndReplay:
 
     def test_replay_without_run_fails(self, tmp_path):
         assert main(["replay", "--out", str(tmp_path / "nope")]) != 0
+
+    @pytest.mark.parametrize("occupied", ["out", "out/oracle__small_mixed__deterministic__seed0"], ids=["out", "cell"])
+    def test_run_into_a_file_exits_2_naming_it(self, tiny_config, tmp_path, capsys, occupied):
+        """A file where the output directory or a cell's directory goes is refused by name, without a traceback."""
+        path = tmp_path / occupied
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("not a directory\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", tiny_config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path} is not a directory" in err
+        assert "Traceback" not in err
 
     def test_policy_filter_and_seed_base_override(self, tiny_config, tmp_path):
         out = tmp_path / "filtered"
@@ -642,6 +671,23 @@ def test_run_cell_streams_turns_to_disk(tmp_path):
     # a rerun replaces rather than appends
     run_cell(cell, matrix, out_dir=tmp_path)
     assert len(turn_file.read_text(encoding="utf-8").splitlines()) == len(turns)
+
+
+def test_run_cell_deletes_a_stale_turn_log_from_a_baseline_cell(tmp_path):
+    """A rerun into an existing cell directory leaves no turn log that the cell did not write."""
+    matrix = ExperimentMatrix(
+        policies=[PolicySpec(label="oracle", kind=OracleKind())],
+        deployments=["small_mixed"],
+        modes=["deterministic"],
+        seeds=[0],
+    )
+    cell = expand_matrix(matrix)[0]
+    stale = tmp_path / cell.name / "turns.jsonl"
+    stale.parent.mkdir()
+    stale.write_text('{"epoch": 1}\n', encoding="utf-8")
+    run_cell(cell, matrix, out_dir=tmp_path)
+    assert stale.parent.is_dir()
+    assert not stale.exists()
 
 
 def _mock_matrix(tmp_path, replays, **axes):
@@ -796,6 +842,42 @@ def test_replay_equals_run_for_every_offline_policy_without_rebuilding_records(t
         (out / name).unlink()
     assert replay_out_dir(out) is not None
     assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
+
+
+def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
+    """Records and turns are encoded without sorting, so each must be built with its keys in sorted order.
+
+    Every line equals its mapping encoded with sorted keys: a field declared
+    out of order fails here, not only in a pinned digest.
+    """
+    replay = tmp_path / "replay.json"
+    replies = [
+        json.dumps({"expose": ["GitLab"], "stages": ["recon"], "done": False}),
+        "no decision in this reply",
+        "```json\n" + json.dumps({"expose": ["apache-struts", "redis"], "stages": ["PrivEsc", "Pivot"]}) + "\n```",
+    ]
+    replay.write_text(json.dumps(replies), encoding="utf-8")
+    policies = [
+        "oracle",
+        "random",
+        "reactive",
+        {"name": "static", "kind": "static", "expose": ["gitlab"]},
+        "scripted",
+        {"name": "mock", "kind": "mock", "replay": str(replay)},
+    ]
+    matrix = harness.matrix_from_dict({**TINY_CONFIG, "policies": policies, "seeds": [0]})
+    assert sorted(p.kind.__class__.__name__ for p in matrix.policies) == sorted(
+        kind.__name__ for name, kind in POLICY_KINDS.items() if name != "llm"
+    )
+    for cell in expand_matrix(matrix):
+        result = run_cell(cell, matrix, out_dir=tmp_path)
+        assert result.records
+        for record in result.records:
+            assert engine.records_to_jsonl([record]) == json.dumps(record, sort_keys=True)
+    turns = (tmp_path / expand_matrix(matrix)[-1].name / "turns.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(line)["parsed_ok"] for line in turns} == {True, False}
+    for line in turns:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
 
 
 class TestExplicitAttackerQueue:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -273,6 +274,29 @@ class TestScriptedEpisodes:
         rec_a = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         rec_b = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         assert records_to_jsonl([record_to_dict(rec_a)]) == records_to_jsonl([record_to_dict(rec_b)])
+
+
+# the pattern that first defined a reply's fenced blocks, kept as the reference for _fenced_blocks
+_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+
+
+@given(st.lists(st.sampled_from(["`", "``", "```", "````", "json", "js", " ", "\n", "\x1c", "\u3000", "{}", "x"])))
+def test_fenced_blocks_match_the_fence_pattern(chunks):
+    reply = "".join(chunks)
+    assert llm._fenced_blocks(reply) == [m.group(1) for m in _FENCE_RE.finditer(reply)]
+
+
+@given(
+    epoch=st.integers(0, 10**6),
+    error=st.none() | st.text(),
+    flags=st.tuples(st.booleans(), st.booleans()),
+    latency=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    texts=st.tuples(st.text(), st.text()),
+)
+def test_turn_line_is_the_turn_encoded_with_sorted_keys(epoch, error, flags, latency, texts):
+    """A turn log line is assembled from the turn's fields; it must equal the json.dumps encoding of its mapping."""
+    turn = llm.AgentTurn(epoch, error, flags[0], latency, flags[1], *texts)
+    assert llm._turn_line(turn) == (json.dumps(turn._asdict(), sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_aligned_scripts_cover_every_builtin_chain():
