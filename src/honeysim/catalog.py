@@ -308,12 +308,15 @@ def catalog_from_dict(data: dict) -> AttackGraph:
         ):
             if key in row and not isinstance(row[key], kind):
                 raise ValueError(f"services[{index}]: {key!r} must be {what}, got {row[key]!r}")
+        stages = row.get("stages")
+        if not isinstance(stages, list) or not all(isinstance(s, str) for s in stages):
+            raise ValueError(f"services[{index}]: 'stages' must be a list of stage names, got {stages!r}")
         services.append(
             ServiceSpec(
                 id=row["id"],
                 display_name=row.get("display_name", row["id"]),
                 vulnerable=row["vulnerable"],
-                supported_stages=tuple(AttackStage.from_label(s) for s in row["stages"]),
+                supported_stages=tuple(map(AttackStage.from_label, stages)),
             )
         )
     return AttackGraph(tuple(services))

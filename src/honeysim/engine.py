@@ -17,6 +17,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .attackers import (
     ABANDONED,
     COMPLETED,
+    AttackerAction,
     AttackerProfile,
     ExploitAction,
     ScanAction,
@@ -26,9 +27,9 @@ from .attackers import (
 from .catalog import STAGE_LABELS, HoneynetConfig
 from .policies import BeliefState, ExposureDecision, GroundTruthView, Policy, policy_decide
 from .telemetry import (
+    IdsAlert,
     NoiseConfig,
     aggregate_epoch,
-    alert_dict,
     attacker_src_ip,
     empty_observation,
     synthesize_alerts,
@@ -73,16 +74,16 @@ class RunConfig:
             raise ValueError(f"unknown bootstrap mode {self.bootstrap!r}")
 
 
-# An episode log line is encoded without sorting its keys, so every mapping it
-# holds is built with its keys in sorted order: the fields of ``EpochLog`` and
-# ``EpisodeRecord`` are declared in that order, and so are the keys of each
-# action, decision and alert (``alert_dict``).
+# An epoch's log keeps the values the loop already has: the attacker's actions,
+# the observation's alerts, the decision, and the stage lists as label tuples.
+# ``records_to_jsonl`` writes them in the order of their JSON keys, sorted, so
+# the fields of ``EpochLog`` and ``EpisodeRecord`` are declared in that order.
 
 
 class EpochLog(NamedTuple):
-    actions: list[dict]
-    alerts: list[dict]
-    decision: dict
+    actions: list[AttackerAction]
+    alerts: tuple[IdsAlert, ...]
+    decision: ExposureDecision
     epoch: int
     exposed: tuple[str, ...]
     gt_stages: tuple[str, ...]
@@ -103,16 +104,15 @@ class EpisodeRecord:
     target_service: str
 
 
-def _action_dict(action) -> dict:
-    if isinstance(action, ScanAction):
-        return {"kind": "scan", "services": list(action.services)}
-    if isinstance(action, ExploitAction):
-        return {"kind": "exploit", "service": action.service, "stage": STAGE_LABELS[action.stage]}
-    raise TypeError(f"unknown action: {action!r}")
+# each stage tuple's labels; completed and predicted stages are subsets of the five stages
+_LABELS_OF: dict[tuple, tuple[str, ...]] = {}
 
 
-def _decision_dict(decision) -> dict:
-    return {"declared_done": decision.declared_done, "exposed": list(decision.exposed)}
+def _labels(stages: tuple) -> tuple[str, ...]:
+    labels = _LABELS_OF.get(stages)
+    if labels is None:
+        labels = _LABELS_OF[stages] = tuple([STAGE_LABELS[s] for s in stages])
+    return labels
 
 
 def run_episode(
@@ -156,15 +156,7 @@ def run_episode(
         decision, prediction, belief = policy_decide(policy, obs, belief, honeynet)
 
         epochs.append(
-            EpochLog(
-                actions=[_action_dict(a) for a in actions],
-                alerts=list(map(alert_dict, obs.alerts)),
-                decision=_decision_dict(decision),
-                epoch=epoch,
-                exposed=tuple(exposed),
-                gt_stages=tuple([STAGE_LABELS[s] for s in completed]),
-                prediction=tuple([STAGE_LABELS[s] for s in prediction.stages]),
-            )
+            EpochLog(actions, obs.alerts, decision, epoch, exposed, _labels(completed), _labels(prediction.stages))
         )
 
         if state.status == COMPLETED:
@@ -214,29 +206,122 @@ def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[Episod
 
 
 def record_to_dict(rec: EpisodeRecord) -> dict:
-    """The record as it is logged: one line of ``episodes.jsonl`` before encoding.
+    """The record as a mapping with the keys of its ``episodes.jsonl`` line, each epoch one too.
 
-    It shares its values with ``rec``. Metrics read records in this form, so
-    ``run`` scores what it logs and ``replay`` scores what it reads.
+    It holds the engine's values, shared with ``rec``: actions, alerts and the
+    decision stay named tuples, and the stage lists are label tuples. Metrics
+    read records in this form and in the decoded form ``replay`` reads, which
+    agree on everything scoring reads. ``records_to_jsonl`` writes this form.
     """
     return {**vars(rec), "epochs": [e._asdict() for e in rec.epochs]}
 
 
-# records are built with their keys in sorted order, which fixes the bytes of a
-# line without sort_keys; they hold no cycles to check for
-_ENCODER = json.JSONEncoder(check_circular=False)
+# A line is assembled from those values with the bytes of
+# ``json.dumps(line, sort_keys=True)``, where ``line`` is the record's JSON form.
+# Only fragments bounded by the catalog are cached: an alert's text around its
+# clock and epoch, and a stage list's text. Each is a function of its key alone,
+# so every caller and thread may share them. Exposure-dependent text is built on
+# each call, since its distinct values grow with the budget.
+
+_quote = json.encoder.encode_basestring_ascii  # a str as json.dumps writes it; TypeError for any other value
+_encode = json.JSONEncoder(sort_keys=True).encode
+_ALERT_CACHE_LIMIT = 4096
+# the text of an alert before its clock, between its clock and its epoch, and after its epoch, keyed by
+# its other fields and the types of its numbers: 1, 1.0 and True are equal keys that encode differently
+_ALERT_PARTS: dict[tuple, tuple[str, str, str]] = {}
+_STAGE_LIST_TEXT: dict[tuple, str] = {}
+
+
+def _strings(items) -> str:
+    return "[" + ", ".join(map(_quote, items)) + "]"
+
+
+def _alert_parts(key: tuple) -> tuple[str, str, str]:
+    src, dest_service, dest_port, signature, category, severity, hint = key[:7]
+    if len(_ALERT_PARTS) >= _ALERT_CACHE_LIMIT:
+        _ALERT_PARTS.clear()
+    parts = _ALERT_PARTS[key] = (
+        f'{{"category": {_encode(category)}, "clock": ',
+        f', "dest_port": {_encode(dest_port)}, "dest_service": {_encode(dest_service)}, "epoch": ',
+        f', "severity": {_encode(severity)}, "signature": {_encode(signature)}, "src": {_encode(src)}, '
+        f'"stage_hint": {_encode(None if hint is None else STAGE_LABELS[hint])}}}',
+    )
+    return parts
+
+
+def _alerts_text(alerts: Iterable[IdsAlert]) -> str:
+    texts = []
+    for alert in alerts:
+        key = alert[2:] + (type(alert[4]), type(alert[7]))  # (src, ..., stage_hint, port type, severity type)
+        parts = _ALERT_PARTS.get(key) or _alert_parts(key)
+        texts.append(f"{parts[0]}{alert[1]}{parts[1]}{alert[0]}{parts[2]}")
+    return "[" + ", ".join(texts) + "]"
+
+
+def _action_text(action: AttackerAction) -> str:
+    if type(action) is ScanAction:
+        return f'{{"kind": "scan", "services": {_strings(action.services)}}}'
+    if type(action) is ExploitAction:
+        return f'{{"kind": "exploit", "service": {_quote(action.service)}, "stage": "{STAGE_LABELS[action.stage]}"}}'
+    raise TypeError(f"unknown action: {action!r}")
+
+
+def _stage_list(labels: tuple[str, ...]) -> str:
+    text = _STAGE_LIST_TEXT.get(labels)
+    if text is None:
+        text = _STAGE_LIST_TEXT[labels] = _strings(labels)
+    return text
+
+
+def _scalar(value) -> str:
+    """``value`` as json.dumps writes it; the str, int and bool the engine gives skip the encoder."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return int.__repr__(value) if kind is int else _encode(value)
+
+
+def _epoch_text(e: dict) -> str:
+    decision = e["decision"]
+    return (
+        f'{{"actions": [{", ".join(map(_action_text, e["actions"]))}], "alerts": {_alerts_text(e["alerts"])}, '
+        f'"decision": {{"declared_done": {_scalar(decision.declared_done)}, "exposed": {_strings(decision.exposed)}}}, '
+        f'"epoch": {e["epoch"]}, "exposed": {_strings(e["exposed"])}, '
+        f'"gt_stages": {_stage_list(e["gt_stages"])}, "prediction": {_stage_list(e["prediction"])}}}'
+    )
+
+
+def _record_line(rec: dict) -> str:
+    return (
+        f'{{"attacker_label": {_scalar(rec["attacker_label"])}, '
+        f'"bootstrap_exposed": {_strings(rec["bootstrap_exposed"])}, '
+        f'"epochs": [{", ".join(map(_epoch_text, rec["epochs"]))}], "epochs_used": {_scalar(rec["epochs_used"])}, '
+        f'"objective_stage": {_scalar(rec["objective_stage"])}, "outcome": {_scalar(rec["outcome"])}, '
+        f'"persistence_mode": {_scalar(rec["persistence_mode"])}, "schema_version": {_scalar(rec["schema_version"])}, '
+        f'"seed": {_scalar(rec["seed"])}, "target_service": {_scalar(rec["target_service"])}}}'
+    )
+
+
+def records_to_jsonl(records: Iterable[dict]) -> str:
+    """Write records as ``record_to_dict`` gives them, one line each.
+
+    Each line has the bytes of ``json.dumps(line, sort_keys=True)`` for the
+    record's JSON form. Epoch numbers and alert clocks are written as ints,
+    which the epoch loop makes them; exposed and scanned services and a
+    record's exposure are lists of strings.
+    """
+    return "\n".join(map(_record_line, records))
+
+
 _RECORD_KEYS = frozenset(f.name for f in fields(EpisodeRecord))
 _EPOCH_KEYS = frozenset(EpochLog._fields)
 _LABELS = frozenset(STAGE_LABELS)
 
 
-def records_to_jsonl(records: Iterable[dict]) -> str:
-    """Encode logged records (``record_to_dict``), one per line."""
-    return "\n".join(map(_ENCODER.encode, records))
-
-
 def _checked(record) -> dict:
-    """``record`` when it has the shape ``record_to_dict`` gives; ValueError otherwise.
+    """``record`` when it has the shape of a logged record's JSON form; ValueError otherwise.
 
     Keys are checked on the record and on each epoch, and the stage lists
     (``prediction``, ``gt_stages``) must hold stage labels, since scoring reads

@@ -568,12 +568,22 @@ def run_cell(
                 turn_log.path.unlink(missing_ok=True)
             except NotADirectoryError:
                 raise ConfigError(f"cell path {turn_log.path.parent} is not a directory") from None
+            except IsADirectoryError:
+                raise ConfigError(f"output file {turn_log.path} is a directory") from None
     try:
-        # the records as episodes.jsonl logs them: write_cell encodes them and run_metrics scores them
+        # the records as record_to_dict maps them: write_cell writes them and run_metrics scores them
         return _cell_result(cell, map(record_to_dict, run_simulation(cfg, make_policy)))
     finally:
         if turn_log is not None:
             turn_log.close()
+
+
+def _write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in one write; ConfigError naming ``path`` when a directory stands there."""
+    try:
+        path.write_bytes(text.encode("utf-8"))
+    except IsADirectoryError:
+        raise ConfigError(f"output file {path} is a directory") from None
 
 
 def _cell_result(cell: CellSpec, records) -> RunResult:
@@ -590,8 +600,8 @@ def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
         "seed": cell.seed,
         "derived_seed": cell.derived_seed,
     }
-    (cell_dir / "cell.json").write_bytes((json.dumps(manifest, sort_keys=True) + "\n").encode("utf-8"))
-    (cell_dir / "episodes.jsonl").write_bytes((records_to_jsonl(result.records) + "\n").encode("utf-8"))
+    _write(cell_dir / "cell.json", json.dumps(manifest, sort_keys=True) + "\n")
+    _write(cell_dir / "episodes.jsonl", records_to_jsonl(result.records) + "\n")
 
 
 def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: ExperimentMatrix) -> SummaryTables:
@@ -603,7 +613,7 @@ def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: Experimen
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in tables.files():
-        (out_dir / name).write_text(text, encoding="utf-8")
+        _write(out_dir / name, text)
     return tables
 
 
@@ -627,7 +637,7 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
         "seed_base": matrix.seed_base,
         "score_mode": matrix.score_mode,
     }
-    (out / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     files = _RunFiles(matrix)
 

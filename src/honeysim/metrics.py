@@ -76,8 +76,9 @@ def score_from_counts(tp: int, fp: int, fn: int) -> float:
 class RunResult:
     """One cell execution: a policy against one deployment and persistence mode.
 
-    ``records`` are the cell's episodes as ``episodes.jsonl`` logs them
-    (``engine.record_to_dict``), so a run and its replay score the same values.
+    ``records`` are the cell's episodes as ``engine.record_to_dict`` maps them
+    in a run, and as ``episodes.jsonl`` decodes in a replay. Both hold the
+    same stage labels, targets and objectives, so both score the same.
     """
 
     policy: str
@@ -105,6 +106,20 @@ class RunMetrics:
         return ()
 
 
+def _mean(values: Iterable[float]) -> float:
+    """The mean of ``values``, the float ``statistics.mean`` gives; ValueError when there are none.
+
+    Each float is an integer over a power of two, so the numerators scaled to
+    the largest denominator sum exactly as ints, and one int true division
+    rounds the mean once, correctly. ``statistics.mean`` sums in Fractions.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    if not ratios:
+        raise ValueError("no values to average")
+    denominator = max([d for _, d in ratios])
+    return sum([n * (denominator // d) for n, d in ratios]) / (len(ratios) * denominator)
+
+
 def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
     """Reduce one run to comparable numbers over the common attackers.
 
@@ -119,7 +134,7 @@ def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
         persistence=result.persistence,
         seed=result.seed,
         exploitation=all(map(exploitation_achieved, common)),
-        score=statistics.mean(inference_score(r, mode)[3] for r in common),
+        score=_mean(inference_score(r, mode)[3] for r in common),
     )
 
 

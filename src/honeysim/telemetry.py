@@ -61,7 +61,10 @@ class NoiseConfig:
 
 
 class IdsAlert(NamedTuple):
-    """One IDS alert; a named tuple, because a run builds tens of thousands of them."""
+    """One IDS alert; a named tuple, because a run builds tens of thousands of them.
+
+    An episode log writes it as an object of its fields, the stage hint as its label.
+    """
 
     epoch: int
     clock: int
@@ -72,23 +75,6 @@ class IdsAlert(NamedTuple):
     category: str
     severity: int
     stage_hint: Optional[AttackStage] = None
-
-
-def alert_dict(alert: IdsAlert) -> dict:
-    """The alert as an episode log holds it: its fields by name, the stage hint as its label."""
-    epoch, clock, src, dest_service, dest_port, signature, category, severity, hint = alert
-    # keys in sorted order, the order the log's encoder writes them in, so its sort has nothing to move
-    return {
-        "category": category,
-        "clock": clock,
-        "dest_port": dest_port,
-        "dest_service": dest_service,
-        "epoch": epoch,
-        "severity": severity,
-        "signature": signature,
-        "src": src,
-        "stage_hint": None if hint is None else STAGE_LABELS[hint],
-    }
 
 
 class EpochObservation(NamedTuple):

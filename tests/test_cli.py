@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honeysim import engine, harness
+from honeysim.attackers import ScanAction
 from honeysim.cli import main
 from honeysim.engine import EpisodeRecord, EpochLog
 from honeysim.harness import (
@@ -267,6 +268,28 @@ class TestValidate:
         assert main([command, "--offline", "--config", "custom.yaml", *extra]) == 2
         err = capsys.readouterr().err
         assert "violation: catalog file unusable: services[1]: 'id' must be a string, got 80" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_custom_catalog_with_a_non_string_stage_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        """A stage list must hold stage names: `stages: [Reconnaissance, 1]` is refused naming its row."""
+        monkeypatch.chdir(tmp_path)
+        catalog = {
+            "services": [
+                {"id": "gitlab", "vulnerable": True, "stages": ["Reconnaissance", "InitialAccess"]},
+                {"id": "decoy_1", "vulnerable": False, "stages": ["Reconnaissance", 1]},
+            ]
+        }
+        Path("catalog.yaml").write_text(yaml.safe_dump(catalog), encoding="utf-8")
+        config = {**TINY_CONFIG, "deployments": ["custom"], "catalog": "catalog.yaml", "attackers": [{"target": "gitlab"}]}
+        Path("custom.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        extra = ["--out", "out"] if command == "run" else []
+        assert main([command, "--offline", "--config", "custom.yaml", *extra]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "violation: catalog file unusable: services[1]: 'stages' must be a list of stage names, "
+            "got ['Reconnaissance', 1]"
+        ) in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -586,6 +609,30 @@ class TestRunAndReplay:
         assert err.startswith("error: ") and f"{path} is not a directory" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, occupied",
+        [
+            ("run", "run_manifest.json"),
+            ("run", "summary_scores.csv"),
+            ("run", "oracle__small_mixed__deterministic__seed1/episodes.jsonl"),
+            ("run", "oracle__small_mixed__deterministic__seed1/turns.jsonl"),
+            ("replay", "summary_success_by_persistence.txt"),
+        ],
+        ids=["manifest", "summary", "cell-log", "turn-log", "replay-summary"],
+    )
+    def test_a_directory_where_a_file_goes_exits_2_naming_it(self, tiny_config, tmp_path, capsys, command, occupied):
+        """A directory where `run` or `replay` writes a file is refused by name, without a traceback."""
+        out = tmp_path / "out"
+        if command == "replay":
+            assert main(["run", "--config", tiny_config, "--out", str(out)]) == 0
+            (out / occupied).unlink()
+        (out / occupied).mkdir(parents=True)
+        capsys.readouterr()
+        args = ["--config", tiny_config] if command == "run" else []
+        assert main([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output file {out / occupied} is a directory\n"
+
     def test_policy_filter_and_seed_base_override(self, tiny_config, tmp_path):
         out = tmp_path / "filtered"
         code = main(
@@ -844,11 +891,35 @@ def test_replay_equals_run_for_every_offline_policy_without_rebuilding_records(t
     assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
 
 
-def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
-    """Records and turns are encoded without sorting, so each must be built with its keys in sorted order.
+def _json_form(record: dict) -> dict:
+    """A record as ``record_to_dict`` gives it, in its JSON form: named tuples as mappings, stages as labels."""
 
-    Every line equals its mapping encoded with sorted keys: a field declared
-    out of order fails here, not only in a pinned digest.
+    def action(a):
+        if isinstance(a, ScanAction):
+            return {"kind": "scan", "services": list(a.services)}
+        return {"kind": "exploit", "service": a.service, "stage": a.stage.label}
+
+    def alert(a):
+        return {**a._asdict(), "stage_hint": None if a.stage_hint is None else a.stage_hint.label}
+
+    epochs = [
+        {
+            **epoch,
+            "actions": list(map(action, epoch["actions"])),
+            "alerts": list(map(alert, epoch["alerts"])),
+            "decision": epoch["decision"]._asdict(),
+        }
+        for epoch in record["epochs"]
+    ]
+    return {**record, "epochs": epochs}
+
+
+def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
+    """Records are rendered from the engine's values and turns assembled from their fields, without sorting.
+
+    Every line equals its JSON form encoded with sorted keys: a field declared
+    out of order, or a value written unlike ``json.dumps``, fails here, not
+    only in a pinned digest.
     """
     replay = tmp_path / "replay.json"
     replies = [
@@ -873,11 +944,68 @@ def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
         result = run_cell(cell, matrix, out_dir=tmp_path)
         assert result.records
         for record in result.records:
-            assert engine.records_to_jsonl([record]) == json.dumps(record, sort_keys=True)
+            assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)
     turns = (tmp_path / expand_matrix(matrix)[-1].name / "turns.jsonl").read_text(encoding="utf-8").splitlines()
     assert {json.loads(line)["parsed_ok"] for line in turns} == {True, False}
     for line in turns:
         assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+# service ids and attacker labels that json.dumps escapes: quotes, backslashes, control and non-ASCII characters
+_AWKWARD_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\x7f", "a", "_", "\u00e9", "\u03a9", "\u2028", "\U0001f600"]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    decoys=st.lists(_AWKWARD_TEXT, min_size=1, max_size=3, unique=True),
+    labels=st.lists(_AWKWARD_TEXT, min_size=2, max_size=2),
+    budget=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_every_offline_kind_logs_its_json_form_with_sorted_keys(decoys, labels, budget, seed):
+    """A custom catalog and attacker labels with awkward characters: each line is ``json.dumps`` of its JSON form."""
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog, replay = Path(tmp, "catalog.yaml"), Path(tmp, "replay.json")
+        services = [
+            {"id": "gitlab", "vulnerable": True, "stages": ["Reconnaissance", "InitialAccess", "PrivEsc"]},
+            {"id": "apache_struts", "vulnerable": True, "stages": ["Reconnaissance", "InitialAccess"]},
+            *({"id": d, "display_name": d + "\t", "vulnerable": False, "stages": ["Reconnaissance"]} for d in decoys),
+        ]
+        catalog.write_text(yaml.safe_dump({"services": services}, allow_unicode=True), encoding="utf-8")
+        replies = [
+            json.dumps({"expose": [decoys[-1], "gitlab"], "stages": ["InitialAccess"], "done": False}),
+            "no decision in this reply",
+        ]
+        replay.write_text(json.dumps(replies), encoding="utf-8")
+        matrix = harness.matrix_from_dict({
+            **TINY_CONFIG,
+            "horizon": 4,
+            "budget": budget,
+            "seeds": [0],
+            "seed_base": seed,
+            "catalog": str(catalog),
+            "deployments": ["custom"],
+            "persistence_modes": ["deterministic", "probabilistic"],
+            "attackers": [{"target": "gitlab", "label": labels[0]}, {"target": "apache_struts", "label": labels[1]}],
+            "policies": [
+                "oracle",
+                "random",
+                "reactive",
+                {"name": "static", "kind": "static", "expose": [decoys[0]]},
+                "scripted",
+                {"name": "mock", "kind": "mock", "replay": str(replay)},
+            ],
+        })
+        assert {p.kind.__class__ for p in matrix.policies} == set(POLICY_KINDS.values()) - {LlmKind}
+        for cell in expand_matrix(matrix):
+            records = run_cell(cell, matrix).records
+            assert [r["attacker_label"] for r in records] == labels
+            for record in records:
+                assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)
 
 
 class TestExplicitAttackerQueue:

@@ -108,7 +108,7 @@ class TestRunEpisode:
             for epoch in rec.epochs:
                 assert len(epoch.exposed) <= SMALL.budget
                 assert set(epoch.exposed) <= set(SMALL.catalog.ids)
-                assert len(epoch.decision["exposed"]) <= SMALL.budget
+                assert len(epoch.decision.exposed) <= SMALL.budget
 
     def test_first_service_bootstrap_overrides_policy(self):
         cfg = _cfg(honeynet=SMALL, bootstrap="first_service")
@@ -169,7 +169,7 @@ class TestSerialization:
         records = run_simulation(cfg, lambda i, s: OraclePolicy())
         text = records_to_jsonl(map(record_to_dict, records))
         restored = records_from_jsonl(text)
-        assert records_to_jsonl(restored) == text
+        assert "\n".join(json.dumps(r, sort_keys=True) for r in restored) == text
         assert restored[0]["outcome"] == records[0].outcome
         assert restored[0]["epochs"][0]["gt_stages"] == list(records[0].epochs[0].gt_stages)
 
@@ -210,6 +210,19 @@ class TestSerialization:
         assert records_from_jsonl(line) == [json.loads(line)]
         with pytest.raises((TypeError, ValueError)):
             records_from_jsonl(json.dumps(edit(json.loads(line), json.loads(line)["epochs"][0])))
+
+    def test_alerts_whose_numbers_differ_only_in_type_are_written_apart(self):
+        """Cached alert text is keyed by the types of its numbers: 1, 1.0 and True are equal keys."""
+        cfg = _cfg()
+        rec = record_to_dict(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
+        alert = rec["epochs"][0]["alerts"][0]
+        twins = [
+            alert._replace(dest_port=port, severity=severity)
+            for port, severity in ((1, 2), (True, 2), (1.0, 2), (1, True), (1, 2.0), (1, 2))
+        ]
+        rec["epochs"][0]["alerts"] = tuple(twins)
+        written = json.dumps(json.loads(records_to_jsonl([rec]))["epochs"][0]["alerts"])
+        assert written == json.dumps([{**a._asdict(), "stage_hint": a.stage_hint.label} for a in twins], sort_keys=True)
 
     def test_records_carry_schema_version(self):
         cfg = _cfg()

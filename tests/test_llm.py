@@ -232,19 +232,19 @@ class TestScriptedEpisodes:
         assert rec.outcome in ("completed", "horizon_exhausted", "abandoned")
         assert rec.epochs  # every epoch produced an enforced decision
         for epoch in rec.epochs:
-            assert len(epoch.decision["exposed"]) <= HONEYNET.budget
+            assert len(epoch.decision.exposed) <= HONEYNET.budget
 
     def test_fallback_repeats_previous_decision(self):
         script = ['{"expose": ["docker_api"], "stages": []}', "garbage from here on"]
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=4)
-        exposures = [tuple(e.decision["exposed"]) for e in rec.epochs]
+        exposures = [e.decision.exposed for e in rec.epochs]
         assert all(e == ("docker_api",) for e in exposures)
 
     def test_fallback_after_over_budget_reply_repeats_clamped_exposure(self, caplog):
         script = ['{"expose": ["xdebug", "gitlab"], "stages": []}', "garbage from here on"]
         with caplog.at_level("WARNING"):
             rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=4)
-        assert [tuple(e.decision["exposed"]) for e in rec.epochs] == [("xdebug",)] * 4
+        assert [e.decision.exposed for e in rec.epochs] == [("xdebug",)] * 4
         assert caplog.text.count("exceeded budget") == 1  # one over-budget reply, one warning
         fallbacks = [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
         assert len(fallbacks) == 4

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from honeysim.engine import EpisodeRecord, EpochLog, RunConfig, record_to_dict, 
 from honeysim.metrics import (
     RunResult,
     SCORE_MODE_CURRENT,
+    _mean,
     aggregate,
     exploitation_achieved,
     inference_score,
@@ -20,21 +22,21 @@ from honeysim.metrics import (
     success_cell,
     success_csv,
 )
-from honeysim.policies import OraclePolicy, RandomPolicy
+from honeysim.policies import ExposureDecision, OraclePolicy, RandomPolicy
 from honeysim.telemetry import NoiseConfig
 
 STAGES = ("Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDataExfil")
 
 
 def make_record(pairs, target="gitlab", objective="RootDataExfil", outcome="completed"):
-    """Synthetic episode from (gt_stages, predicted_stages) pairs, as episodes.jsonl logs it."""
+    """Synthetic episode from (gt_stages, predicted_stages) pairs, as ``record_to_dict`` gives it."""
     epochs = [
         EpochLog(
             epoch=i + 1,
             exposed=(target,),
             actions=[],
-            alerts=[],
-            decision={"exposed": [target], "declared_done": False},
+            alerts=(),
+            decision=ExposureDecision((target,)),
             prediction=tuple(pred),
             gt_stages=tuple(gt),
         )
@@ -201,6 +203,15 @@ class TestRunLevelMetrics:
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40)
+    | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)
+)
+def test_run_mean_is_statistics_mean_bit_for_bit(values):
+    assert _mean(iter(values)).hex() == statistics.mean(values).hex()
 
 
 class TestCellFormats:
