@@ -16,6 +16,8 @@ from typing import Optional
 
 import yaml
 
+from .settings import ConfigError, read
+
 
 def name_key(text: str) -> str:
     """Lookup key for a stage or service name: lower case, no separators."""
@@ -171,13 +173,13 @@ class AttackGraph:
     def get(self, service_id: str) -> ServiceSpec:
         try:
             return self._by_id[service_id]
-        except (KeyError, TypeError):  # TypeError: a config file's list or mapping
+        except (KeyError, TypeError):  # TypeError: an unhashable id, say a list
             raise KeyError(f"unknown service: {service_id}") from None
 
     def __contains__(self, service_id: str) -> bool:
         try:
             return service_id in self._by_id
-        except TypeError:  # a config file's list or mapping names no service
+        except TypeError:  # an unhashable id, say a list, names no service
             return False
 
     def resolve(self, name: str) -> Optional[str]:
@@ -255,7 +257,7 @@ def deployment_config(name: str, budget: int = 1) -> HoneynetConfig:
     """Build one of the named deployments in ``_DEPLOYMENTS``."""
     try:
         exploitable, decoys = _DEPLOYMENTS[name]
-    except (KeyError, TypeError):  # TypeError: a config file's list or mapping as the name
+    except (KeyError, TypeError):  # TypeError: an unhashable name, say a list
         raise ValueError(f"unknown deployment {name!r}; expected one of {DEPLOYMENT_NAMES}") from None
     services = tuple(_BUILTIN_SERVICES[i] for i in exploitable) + tuple(map(make_decoy, range(1, decoys + 1)))
     return HoneynetConfig(catalog=AttackGraph(services), budget=budget, deployment_name=name)
@@ -281,42 +283,30 @@ def validate_deployment(cfg: HoneynetConfig) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Declarative catalog files
-#
-# services:
-#   - id: gitlab
-#     display_name: GitLab
-#     vulnerable: true
-#     stages: [Reconnaissance, InitialAccess, UserDataExfil, PrivEsc, RootDataExfil]
+# Declarative catalog files: a `services:` list of rows, as the README's "Catalog files" shows
 # ---------------------------------------------------------------------------
 
 
-def catalog_from_dict(data: dict) -> AttackGraph:
-    rows = data.get("services") if isinstance(data, dict) else None
+def catalog_from_dict(data) -> AttackGraph:
+    """The catalog a catalog file's mapping declares; ConfigError naming the row and key of a fault."""
+    rows = read(data, {"services": "list"}, required=("services",))["services"]
     if not rows:
-        raise ValueError("catalog file must define a non-empty 'services' list")
+        raise ConfigError("catalog file must define a non-empty 'services' list")
     services = []
     for index, row in enumerate(rows):
-        if not isinstance(row, dict):
-            raise ValueError(f"services[{index}] must be a mapping, got {row!r}")
-        # ids are sorted and hashed into ports and addresses, so a number (YAML's `id: 80`) is no id;
-        # and bool("false") is True, so a quoted flag is refused, not read as exploitable
-        for key, kind, what in (
-            ("id", str, "a string"),
-            ("display_name", str, "a string"),
-            ("vulnerable", bool, "true or false"),
-        ):
-            if key in row and not isinstance(row[key], kind):
-                raise ValueError(f"services[{index}]: {key!r} must be {what}, got {row[key]!r}")
-        stages = row.get("stages")
-        if not isinstance(stages, list) or not all(isinstance(s, str) for s in stages):
-            raise ValueError(f"services[{index}]: 'stages' must be a list of stage names, got {stages!r}")
+        # ids are sorted and hashed into ports and addresses, so a number (YAML's `id: 80`) is no id
+        row = read(
+            row,
+            {"id": "str", "display_name": "str", "vulnerable": "bool", "stages": "list[str]"},
+            f"services[{index}]",
+            required=("id", "vulnerable", "stages"),
+        )
         services.append(
             ServiceSpec(
                 id=row["id"],
                 display_name=row.get("display_name", row["id"]),
                 vulnerable=row["vulnerable"],
-                supported_stages=tuple(map(AttackStage.from_label, stages)),
+                supported_stages=tuple(map(AttackStage.from_label, row["stages"])),
             )
         )
     return AttackGraph(tuple(services))

@@ -16,7 +16,7 @@ import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -48,7 +48,6 @@ from .llm import (
     TurnLog,
     aligned_mock_script,
     builtin_template,
-    check_settings,
     load_replay_file,
     load_template,
 )
@@ -65,15 +64,12 @@ from .metrics import (
     aggregate,
 )
 from .policies import OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
+from .settings import ConfigError, Settings, check, read
 from .telemetry import NoiseConfig, SignatureCatalogMissError, signature_rows
 
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
-
-
-class ConfigError(ValueError):
-    """The run config cannot be executed as written."""
 
 
 @dataclass(frozen=True)
@@ -102,8 +98,8 @@ class ExperimentMatrix:
     backends: dict[str, HttpChatBackend] = field(default_factory=dict)
     catalog_path: Optional[str] = None
     prompt_template_path: Optional[str] = None
-    # explicit attacker queue; None derives one attacker per exploitable service
-    attackers: Optional[list[dict]] = None
+    # explicit attacker queue, each cell setting its persistence; None derives one attacker per exploitable service
+    attackers: Optional[list[AttackerProfile]] = None
 
 
 @dataclass(frozen=True)
@@ -163,17 +159,25 @@ def _parse_policy_entry(index: int, entry) -> PolicySpec:
     """A ``policies:`` entry: a kind, or a mapping of ``name``, ``kind`` (each defaults to the other) and parameters."""
     where = f"policies[{index}]"
     params = dict(entry) if isinstance(entry, dict) else {"kind": entry}
-    name, kind = params.pop("name", None), params.pop("kind", None)
-    for key, value in (("name", name), ("kind", kind)):
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{where}: {key!r} must be a string, got {value!r}")
-    kind = kind or name
+    names = {key: params.pop(key) for key in ("name", "kind") if key in params}
+    names = read(names, {"name": "str", "kind": "str"}, where)
+    kind = names.get("kind") or names.get("name")
     if kind not in POLICY_KINDS:
         raise ConfigError(f"{where}: unknown policy kind {kind!r}; the kinds are {', '.join(POLICY_KINDS)}")
+    return PolicySpec(label=names.get("name") or kind, kind=POLICY_KINDS[kind].read(params, where))
+
+
+def _parse_attacker_entry(index: int, entry, abandon_on_failure: bool) -> AttackerProfile:
+    """An ``attackers:`` entry, its persistence left for each cell to set."""
+    where = f"attackers[{index}]"
+    kinds = {"target": "str", "objective": "str", "label": "str", "abandon_on_failure": "bool"}
+    settings = {"abandon_on_failure": abandon_on_failure, **read(entry, kinds, where, ("target",))}
+    target, objective = settings.pop("target"), settings.pop("objective", None)
     try:
-        return PolicySpec(label=name or kind, kind=POLICY_KINDS[kind](**params))
-    except (TypeError, ValueError) as exc:  # TypeError: an unknown or missing parameter
+        stage = None if objective is None else AttackStage.from_label(objective)
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+    return AttackerProfile(target, objective_stage=stage, **settings)  # and label, when the entry has one
 
 
 def load_run_file(path: str) -> ExperimentMatrix:
@@ -182,7 +186,7 @@ def load_run_file(path: str) -> ExperimentMatrix:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path} is not YAML: {exc}") from None
-    return matrix_from_dict(data or {})
+    return matrix_from_dict({} if data is None else data)
 
 
 def load_builtin_config() -> ExperimentMatrix:
@@ -192,102 +196,56 @@ def load_builtin_config() -> ExperimentMatrix:
     return matrix_from_dict(yaml.safe_load(text))
 
 
-class _Reads:
-    """A mapping of a run config that records the keys read from it, so the others can be refused.
-
-    The keys a reader asks for are the keys it accepts: a misspelt one is
-    refused by name instead of leaving its setting at the default.
-    """
-
-    def __init__(self, data: dict, where: str) -> None:
-        self._data = data
-        self._where = where
-        self._read: set = set()
-
-    def get(self, key: str, default=None):
-        self._read.add(key)
-        return self._data.get(key, default)
-
-    def refuse_unread(self) -> None:
-        unknown = sorted(str(key) for key in self._data if key not in self._read)
-        if unknown:
-            raise ConfigError(f"unknown key {', '.join(map(repr, unknown))} in {self._where}")
-
-
-def _section(data: _Reads, key: str, kind: type):
-    """``data[key]``, empty when absent or null; ConfigError when it is not a ``kind``."""
-    value = data.get(key)
-    if value is None:
-        return kind()
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key!r} must be a {'mapping' if kind is dict else 'list'}, got {value!r}")
-    return value
+# the type of each key of a run config's top level; null leaves a section or an optional path at its default
+_RUN_CONFIG = {
+    "schema_version": "int",  # written by the built-in config; version 1 is the only one
+    "horizon": "int",
+    "budget": "int",
+    "seed_base": "int",
+    "seeds": "list[int]",
+    "policies": "list",
+    "deployments": "list[str]",
+    "persistence_modes": "list[str]",
+    "persistence": "Optional[dict]",
+    "noise": "Optional[dict]",
+    "attacker": "Optional[dict]",
+    "belief_carryover": "bool",
+    "bootstrap": "str",
+    "score_mode": "str",
+    "backends": "Optional[dict]",
+    "catalog": "Optional[str]",
+    "prompt_template": "Optional[str]",
+    "attackers": "Optional[list]",
+}
+_SAME_NAMED = ("horizon", "budget", "seed_base", "belief_carryover", "bootstrap", "score_mode")
 
 
-def _number(value, kind: type, key: str):
-    """``kind(value)``; ConfigError naming ``key`` when ``value`` is no ``kind``.
-
-    A fractional integer (``horizon: 2.9``) is refused rather than truncated,
-    and a boolean (``budget: true``) rather than read as 1 or 0.
-    """
-    try:
-        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}") from None
-
-
-def _flag(value, key: str) -> bool:
-    """``value``; ConfigError naming ``key`` when it is no boolean (``bool("false")`` would be True)."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
-    return value
-
-
-def matrix_from_dict(data: dict) -> ExperimentMatrix:
-    if not isinstance(data, dict):
-        raise ConfigError(f"a run config must be a mapping, got {data!r}")
-    top = _Reads(data, "the run config")
-    top.get("schema_version")  # written by the built-in config; version 1 is the only one
-    persistence, noise, attacker = (
-        _Reads(_section(top, key, dict), repr(key)) for key in ("persistence", "noise", "attacker")
-    )
-    backends = {}
-    for name, entry in _section(top, "backends", dict).items():
-        try:
-            backends[name] = HttpChatBackend(**entry)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"backend {name!r}: {exc}") from None
+def matrix_from_dict(data) -> ExperimentMatrix:
+    top = read(data, _RUN_CONFIG)
+    # these top-level keys, and persistence's and attacker's, name their matrix fields; an absent one keeps its default
+    same_named = {key: top[key] for key in _SAME_NAMED if key in top}
+    persistence = read(top.get("persistence", {}), {"decay": "float", "floor": "float"}, "persistence")
+    noise = read(top.get("noise", {}), {"false_positive_rate": "float", "hint_corruption_rate": "float"}, "noise")
+    attacker = read(top.get("attacker", {}), {"abandon_on_failure": "bool"}, "attacker")
     matrix = ExperimentMatrix(
-        policies=[_parse_policy_entry(i, p) for i, p in enumerate(_section(top, "policies", list))],
-        deployments=_section(top, "deployments", list),
-        modes=_section(top, "persistence_modes", list),
-        seeds=[_number(s, int, f"seeds[{i}]") for i, s in enumerate(_section(top, "seeds", list))],
-        horizon=_number(top.get("horizon", ExperimentMatrix.horizon), int, "horizon"),
-        budget=_number(top.get("budget", ExperimentMatrix.budget), int, "budget"),
-        seed_base=_number(top.get("seed_base", ExperimentMatrix.seed_base), int, "seed_base"),
-        decay=_number(persistence.get("decay", ExperimentMatrix.decay), float, "persistence.decay"),
-        floor=_number(persistence.get("floor", ExperimentMatrix.floor), float, "persistence.floor"),
-        noise=NoiseConfig(
-            **{
-                rate: _number(noise.get(rate, getattr(NoiseConfig, rate)), float, f"noise.{rate}")
-                for rate in ("false_positive_rate", "hint_corruption_rate")
-            }
-        ),
-        abandon_on_failure=_flag(
-            attacker.get("abandon_on_failure", ExperimentMatrix.abandon_on_failure), "attacker.abandon_on_failure"
-        ),
-        belief_carryover=_flag(top.get("belief_carryover", ExperimentMatrix.belief_carryover), "belief_carryover"),
-        bootstrap=str(top.get("bootstrap", ExperimentMatrix.bootstrap)),
-        score_mode=str(top.get("score_mode", ExperimentMatrix.score_mode)),
-        backends=backends,
+        policies=[_parse_policy_entry(i, entry) for i, entry in enumerate(top.get("policies", []))],
+        deployments=top.get("deployments", []),
+        modes=top.get("persistence_modes", []),
+        seeds=top.get("seeds", []),
+        noise=NoiseConfig(**noise),
+        backends={
+            name: HttpChatBackend.read(entry, f"backends.{name}") for name, entry in top.get("backends", {}).items()
+        },
         catalog_path=top.get("catalog"),
         prompt_template_path=top.get("prompt_template"),
-        attackers=top.get("attackers"),
+        **same_named,
+        **persistence,
+        **attacker,
     )
-    for section in (top, persistence, noise, attacker):
-        section.refuse_unread()
+    if "attackers" in top:
+        matrix.attackers = [
+            _parse_attacker_entry(i, entry, matrix.abandon_on_failure) for i, entry in enumerate(top["attackers"])
+        ]
     return matrix
 
 
@@ -301,19 +259,19 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     problems: list[str] = []
     files = _RunFiles(matrix, offline)
 
-    def check(build, *args) -> None:
+    def collect(build, *args) -> None:
         try:
             build(*args)
         except (ConfigError, ValueError, KeyError, OSError) as exc:
             if str(exc) not in problems:  # one bad setting fails many cells alike
                 problems.append(str(exc))
 
-    check(expand_matrix, matrix)
+    collect(expand_matrix, matrix)
     for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-        check(_cell_inputs, CellSpec(policy, deployment, mode, 0, matrix.seed_base), matrix, files, None)
+        collect(_cell_inputs, CellSpec(policy, deployment, mode, 0, matrix.seed_base), matrix, files, None)
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
-        check(files.template)
+        collect(files.template)
     if matrix.score_mode not in SCORE_MODES:
         problems.append(f"unknown score mode {matrix.score_mode!r}")
     return problems
@@ -330,7 +288,7 @@ def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
             raise ConfigError("deployment 'custom' requires a catalog file")
         try:
             catalog = load_catalog(matrix.catalog_path)
-        except (OSError, ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
+        except (OSError, ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"catalog file unusable: {exc}") from None
         honeynet = HoneynetConfig(catalog=catalog, budget=matrix.budget, deployment_name="custom")
     else:
@@ -344,31 +302,9 @@ def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
 def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persistence: PersistenceModel):
     """The cell's attackers, each checked to be runnable against ``honeynet``."""
     if matrix.attackers is None:
-        queue = default_attacker_queue(
-            honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure
-        )
-    elif not isinstance(matrix.attackers, list):
-        raise ConfigError(f"'attackers' must be a list of entries, got {matrix.attackers!r}")
+        queue = default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
     else:
-        queue = []
-        for index, entry in enumerate(matrix.attackers):
-            if not isinstance(entry, dict) or not entry.get("target"):
-                raise ConfigError(f"attacker entry needs a 'target': {entry!r}")
-            where = f"attackers[{index}]"
-            entry = _Reads(entry, where)
-            objective = entry.get("objective")
-            queue.append(
-                AttackerProfile(
-                    target_service=entry.get("target"),
-                    persistence=persistence,
-                    objective_stage=AttackStage.from_label(str(objective)) if objective else None,
-                    label=str(entry.get("label", "")),
-                    abandon_on_failure=_flag(
-                        entry.get("abandon_on_failure", matrix.abandon_on_failure), f"{where}.abandon_on_failure"
-                    ),
-                )
-            )
-            entry.refuse_unread()
+        queue = [replace(profile, persistence=persistence) for profile in matrix.attackers]
     for profile in queue:
         if profile.target_service not in honeynet.catalog:
             raise ConfigError(f"attacker target {profile.target_service!r} not in {honeynet.deployment_name}")
@@ -402,8 +338,6 @@ class _RunFiles:
 
     def honeynet(self, deployment: str) -> HoneynetConfig:
         """``_honeynet_for(deployment)``; raises what it raises, and caches only what it returns."""
-        if not isinstance(deployment, str):  # a config file's list or mapping: no deployment, and no key
-            return _honeynet_for(self._matrix, deployment)
         with self._lock:
             if deployment not in self._honeynets:
                 self._honeynets[deployment] = _honeynet_for(self._matrix, deployment)
@@ -415,7 +349,7 @@ class _RunFiles:
                 path = self._matrix.prompt_template_path
                 try:
                     self._template = load_template(path) if path else builtin_template()
-                except (OSError, ValueError, TypeError) as exc:
+                except (OSError, ValueError) as exc:
                     raise ConfigError(f"prompt template unusable: {exc}") from None
             return self._template
 
@@ -427,15 +361,11 @@ class _RunFiles:
             return self._replays[path]
 
 
-@dataclass(frozen=True, kw_only=True)
-class PolicyKind:
-    """A policy kind's parameters, each checked against its field's annotation.
+class PolicyKind(Settings):
+    """A policy kind's parameters: the keys of its ``policies:`` entries besides ``name`` and ``kind``.
 
     A kind's ``factory`` builds a cell's policies, or raises ConfigError on what the cell or environment lacks.
     """
-
-    def __post_init__(self) -> None:
-        check_settings(self)
 
 
 class OracleKind(PolicyKind):
@@ -450,7 +380,7 @@ class RandomKind(PolicyKind):
 
 @dataclass(frozen=True, kw_only=True)
 class StaticKind(PolicyKind):
-    expose: list
+    expose: list[str]
 
     def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
         if not self.expose:
@@ -625,6 +555,10 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     except (FileExistsError, NotADirectoryError):  # the path, or one of its parents, is a file
         raise ConfigError(f"output path {out} is not a directory") from None
     cells = expand_matrix(matrix)
+    # a directory where the manifest or a summary table goes is refused before the first cell, not after the last
+    for name in (MANIFEST_NAME, *(name for name, _ in SummaryTables([], [], [], []).files())):
+        if (out / name).is_dir():
+            raise ConfigError(f"output file {out / name} is a directory")
 
     manifest = {
         "schema_version": 1,
@@ -692,15 +626,20 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
         raise ConfigError(f"no {MANIFEST_NAME} in {out}") from None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path} is not a JSON run manifest: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path} must hold a JSON object, got {manifest!r}")
-    axes = {}
-    for key, kind in (("policies", str), ("deployments", str), ("persistence_modes", str), ("seeds", int)):
-        values = manifest.get(key)
-        if not isinstance(values, list) or not all(isinstance(v, kind) for v in values):
-            raise ConfigError(f"{path}: {key!r} must be a list of {kind.__name__}, got {values!r}")
-        axes[key] = values
-    score_mode = manifest.get("score_mode", SCORE_MODE_SETS)
+    try:
+        check(manifest, "dict", "")
+        axes = {
+            key: check(manifest.get(key), kind, key)
+            for key, kind in (
+                ("policies", "list[str]"),
+                ("deployments", "list[str]"),
+                ("persistence_modes", "list[str]"),
+                ("seeds", "list[int]"),
+            )
+        }
+        score_mode = check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode")
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if score_mode not in SCORE_MODES:
         raise ConfigError(f"{path}: unknown score mode {score_mode!r}")
     return ExperimentMatrix(

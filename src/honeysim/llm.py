@@ -14,7 +14,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import ClassVar, NamedTuple, Optional, Sequence
@@ -28,6 +28,7 @@ from .policies import (
     clamp_decision,
     make_prediction,
 )
+from .settings import Settings
 from .telemetry import EpochObservation, summarize_for_prompt
 
 logger = logging.getLogger(__name__)
@@ -216,27 +217,8 @@ class ScriptedMockBackend:
         return self.responses[idx]
 
 
-# what a setting of each annotated type accepts, and how a refusal names it (the annotations
-# are strings: the modules that declare settings import annotations from __future__)
-_SETTING_TYPES = {
-    "str": ((str,), "a string"),
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "list": ((list,), "a list"),
-}
-
-
-def check_settings(settings) -> None:
-    """ValueError naming the first field of the dataclass ``settings`` whose value is not of its annotated type."""
-    for setting in fields(settings):
-        value = getattr(settings, setting.name)
-        kinds, what = _SETTING_TYPES[setting.type]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ValueError(f"{setting.name!r} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True, kw_only=True)
-class HttpChatBackend:
+class HttpChatBackend(Settings):
     """OpenAI-compatible chat-completion client with bounded retries.
 
     Its fields are the keys of a ``backends:`` entry in a run config, each
@@ -256,7 +238,7 @@ class HttpChatBackend:
     backoff_seconds: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
-        check_settings(self)
+        super().__post_init__()
         if self.kind != HttpChatBackend.kind:  # the default is the only kind
             raise ValueError(f"unknown kind {self.kind!r}")
 

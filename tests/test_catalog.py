@@ -188,12 +188,12 @@ def test_catalog_dict_round_trip():
 @pytest.mark.parametrize(
     "row, message",
     [
-        ({"id": 80, "vulnerable": False, "stages": ["Reconnaissance"]}, "services[1]: 'id' must be a string, got 80"),
+        ({"id": 80, "vulnerable": False, "stages": ["Reconnaissance"]}, "'services[1].id' must be a string, got 80"),
         (
             {"id": "web", "display_name": ["Web"], "vulnerable": False, "stages": ["Reconnaissance"]},
-            "services[1]: 'display_name' must be a string, got ['Web']",
+            "'services[1].display_name' must be a string, got ['Web']",
         ),
-        ("ideal", "services[1] must be a mapping, got 'ideal'"),
+        ("ideal", "'services[1]' must be a mapping, got 'ideal'"),
     ],
     ids=["numeric-id", "list-display-name", "row-a-string"],
 )
@@ -210,7 +210,7 @@ def test_catalog_row_vulnerable_must_be_a_boolean(flag):
     web = {"id": "web", "vulnerable": flag, "stages": ["Reconnaissance", "InitialAccess"]}
     with pytest.raises(ValueError) as raised:
         catalog_from_dict({"services": [web]})
-    assert str(raised.value) == f"services[0]: 'vulnerable' must be true or false, got {flag!r}"
+    assert str(raised.value) == f"'services[0].vulnerable' must be true or false, got {flag!r}"
 
 
 # names built from few characters collide under name_key often: two services then claim one key

@@ -34,7 +34,8 @@ from honeysim.harness import (
     run_cell,
     validate_matrix,
 )
-from honeysim.llm import _SETTING_TYPES, HttpChatBackend, ScriptedMockBackend
+from honeysim.llm import HttpChatBackend, ScriptedMockBackend
+from honeysim.settings import TYPES
 
 TINY_CONFIG = {
     "horizon": 8,
@@ -51,48 +52,51 @@ TINY_CONFIG = {
 LLM_CONFIG = {**TINY_CONFIG, "policies": [{"name": "m", "kind": "llm", "backend": "b"}]}
 
 
-# policy entries refused as the config is read, each with the end of its error line
+# policy entries refused as the config is read at policies[1], each with the end of its error line
 _HOSTILE_POLICY_ENTRIES = {
     "policy-oracle-unknown-param": (
         {"name": "o", "kind": "oracle", "replay": "x.json"},
-        "PolicyKind.__init__() got an unexpected keyword argument 'replay'",
+        "unknown key 'replay' in policies[1]",
     ),
     "policy-random-unknown-param": (
         {"kind": "random", "seed": 3},
-        "PolicyKind.__init__() got an unexpected keyword argument 'seed'",
+        "unknown key 'seed' in policies[1]",
     ),
     "policy-static-unknown-param": (
         {"name": "s", "kind": "static", "expose": ["gitlab"], "exposee": ["decoy_1"]},
-        "StaticKind.__init__() got an unexpected keyword argument 'exposee'",
+        "unknown key 'exposee' in policies[1]",
     ),
     "policy-reactive-unknown-param": (
         {"kind": "reactive", "budget": 2},
-        "PolicyKind.__init__() got an unexpected keyword argument 'budget'",
+        "unknown key 'budget' in policies[1]",
     ),
     "policy-scripted-unknown-param": (
         {"kind": "scripted", "replay": "x.json"},
-        "PolicyKind.__init__() got an unexpected keyword argument 'replay'",
+        "unknown key 'replay' in policies[1]",
     ),
     "policy-mock-unknown-param": (
         {"kind": "mock", "replay": "x.json", "backend": "b"},
-        "MockKind.__init__() got an unexpected keyword argument 'backend'",
+        "unknown key 'backend' in policies[1]",
     ),
     "policy-llm-unknown-param": (
         {"kind": "llm", "backend": "b", "temperature": 2},
-        "LlmKind.__init__() got an unexpected keyword argument 'temperature'",
+        "unknown key 'temperature' in policies[1]",
     ),
     "policy-static-missing-param": (
         {"kind": "static"},
-        "StaticKind.__init__() missing 1 required keyword-only argument: 'expose'",
+        "missing key 'expose' in policies[1]",
     ),
-    "policy-expose-a-string": ({"kind": "static", "expose": "gitlab"}, "'expose' must be a list, got 'gitlab'"),
-    "policy-replay-a-number": ({"kind": "mock", "replay": 5}, "'replay' must be a string, got 5"),
-    "policy-name-a-list": ({"name": ["a"], "kind": "oracle"}, "'name' must be a string, got ['a']"),
-    "policy-name-a-number": ({"name": 5, "kind": "oracle"}, "'name' must be a string, got 5"),
-    "policy-kind-a-list": ({"name": "a", "kind": ["oracle"]}, "'kind' must be a string, got ['oracle']"),
-    "policy-empty": ({}, "unknown policy kind None; the kinds are "),
-    "policy-unknown-kind": ("ghost", f"unknown policy kind 'ghost'; the kinds are {', '.join(POLICY_KINDS)}"),
-    "policy-a-number": (5, "'kind' must be a string, got 5"),
+    "policy-expose-a-string": (
+        {"kind": "static", "expose": "gitlab"},
+        "'policies[1].expose' must be a list of strings, got 'gitlab'",
+    ),
+    "policy-replay-a-number": ({"kind": "mock", "replay": 5}, "'policies[1].replay' must be a string, got 5"),
+    "policy-name-a-list": ({"name": ["a"], "kind": "oracle"}, "'policies[1].name' must be a string, got ['a']"),
+    "policy-name-a-number": ({"name": 5, "kind": "oracle"}, "'policies[1].name' must be a string, got 5"),
+    "policy-kind-a-list": ({"name": "a", "kind": ["oracle"]}, "'policies[1].kind' must be a string, got ['oracle']"),
+    "policy-empty": ({}, "policies[1]: unknown policy kind None; the kinds are "),
+    "policy-unknown-kind": ("ghost", f"policies[1]: unknown policy kind 'ghost'; the kinds are {', '.join(POLICY_KINDS)}"),
+    "policy-a-number": (5, "'policies[1].kind' must be a string, got 5"),
 }
 
 
@@ -172,8 +176,8 @@ class TestValidate:
         "override, message",
         [
             ({"bootstrap": "bogus"}, "unknown bootstrap mode 'bogus'"),
-            ({"attackers": ["gitlab"]}, "attacker entry needs a 'target'"),
-            ({"attackers": 5}, "'attackers' must be a list"),
+            ({"attackers": ["gitlab"]}, "error: config unreadable: 'attackers[0]' must be a mapping, got 'gitlab'"),
+            ({"attackers": 5}, "error: config unreadable: 'attackers' must be a list, got 5"),
             (
                 {"policies": [{"name": "m", "kind": "mock", "replay": "bad.json"}]},
                 "replay file 'bad.json' unusable",
@@ -189,20 +193,31 @@ class TestValidate:
             ({"deployments": ["custom"], "catalog": "catalog.yaml", "budget": 3}, "budget exceeds catalog"),
             (
                 {"policies": [{"name": "m", "kind": "llm", "backend": ["x"]}]},
-                "error: config unreadable: policies[0]: 'backend' must be a string, got ['x']",
+                "error: config unreadable: 'policies[0].backend' must be a string, got ['x']",
             ),
-            ({"prompt_template": ["x"]}, "prompt template unusable"),
+            ({"prompt_template": ["x"]}, "error: config unreadable: 'prompt_template' must be a string, got ['x']"),
             ({"policies": [{"name": "deployment", "kind": "oracle"}]}, "policy label 'deployment' would overwrite"),
             ({"policies": ["oracle", {"name": "persistence", "kind": "random"}]}, "policy label 'persistence'"),
-            ({"deployments": [["small_mixed"]]}, "unknown deployment ['small_mixed']"),
+            ({"deployments": [["small_mixed"]]}, "error: config unreadable: 'deployments[0]' must be a string, got ['small_mixed']"),
             (
                 {"attackers": [{"target": "gitlab", "abandon_on_failure": "false"}]},
-                "'attackers[0].abandon_on_failure' must be true or false, got 'false'",
+                "error: config unreadable: 'attackers[0].abandon_on_failure' must be true or false, got 'false'",
             ),
-            ({"attackers": [{"target": "gitlab", "objectve": "PrivEsc"}]}, "unknown key 'objectve' in attackers[0]"),
+            (
+                {"attackers": [{"target": "gitlab", "objectve": "PrivEsc"}]},
+                "error: config unreadable: unknown key 'objectve' in attackers[0]",
+            ),
             (
                 {"deployments": ["custom"], "catalog": "quoted_flag.yaml"},
-                "catalog file unusable: services[0]: 'vulnerable' must be true or false, got 'false'",
+                "catalog file unusable: 'services[0].vulnerable' must be true or false, got 'false'",
+            ),
+            (
+                {"deployments": ["custom"], "catalog": "misspelt.yaml"},
+                "violation: catalog file unusable: unknown key 'port', 'vulnerabel' in services[0]",
+            ),
+            (
+                {"deployments": ["custom"], "catalog": "no_flag.yaml"},
+                "violation: catalog file unusable: missing key 'vulnerable' in services[0]",
             ),
         ],
         ids=[
@@ -224,6 +239,8 @@ class TestValidate:
             "attacker-entry-abandon-text",
             "unknown-attacker-entry-key",
             "catalog-vulnerable-text",
+            "catalog-row-unknown-keys",
+            "catalog-row-without-vulnerable",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -238,6 +255,10 @@ class TestValidate:
         Path("catalog.yaml").write_text(yaml.safe_dump(catalog), encoding="utf-8")
         quoted_flag = {"id": "redis", "vulnerable": "false", "stages": ["Reconnaissance", "InitialAccess"]}
         Path("quoted_flag.yaml").write_text(yaml.safe_dump({"services": [quoted_flag]}), encoding="utf-8")
+        misspelt = {"id": "redis", "vulnerabel": False, "port": 22, "stages": ["Reconnaissance"]}
+        Path("misspelt.yaml").write_text(yaml.safe_dump({"services": [misspelt]}), encoding="utf-8")
+        no_flag = {"id": "redis", "stages": ["Reconnaissance"]}
+        Path("no_flag.yaml").write_text(yaml.safe_dump({"services": [no_flag]}), encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
@@ -267,7 +288,7 @@ class TestValidate:
         extra = ["--out", "out"] if command == "run" else []
         assert main([command, "--offline", "--config", "custom.yaml", *extra]) == 2
         err = capsys.readouterr().err
-        assert "violation: catalog file unusable: services[1]: 'id' must be a string, got 80" in err
+        assert "violation: catalog file unusable: 'services[1].id' must be a string, got 80" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -286,10 +307,7 @@ class TestValidate:
         extra = ["--out", "out"] if command == "run" else []
         assert main([command, "--offline", "--config", "custom.yaml", *extra]) == 2
         err = capsys.readouterr().err
-        assert (
-            "violation: catalog file unusable: services[1]: 'stages' must be a list of stage names, "
-            "got ['Reconnaissance', 1]"
-        ) in err
+        assert "violation: catalog file unusable: 'services[1].stages[1]' must be a string, got 1" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -299,8 +317,8 @@ class TestValidate:
             ({**TINY_CONFIG, "noise": 5}, "'noise' must be a mapping, got 5"),
             ({**TINY_CONFIG, "attacker": True}, "'attacker' must be a mapping, got True"),
             ({**TINY_CONFIG, "backends": ["a"]}, "'backends' must be a mapping, got ['a']"),
-            ({**TINY_CONFIG, "seeds": 5}, "'seeds' must be a list, got 5"),
-            (["oracle"], "a run config must be a mapping, got ['oracle']"),
+            ({**TINY_CONFIG, "seeds": 5}, "'seeds' must be a list of integers, got 5"),
+            (["oracle"], "the top level must be a mapping, got ['oracle']"),
             ({**TINY_CONFIG, "horizon": [1]}, "'horizon' must be an integer, got [1]"),
             ({**TINY_CONFIG, "horizon": 1e400}, "'horizon' must be an integer, got inf"),
             ({**TINY_CONFIG, "horizon": 2.9}, "'horizon' must be an integer, got 2.9"),
@@ -318,27 +336,45 @@ class TestValidate:
                 {**TINY_CONFIG, "noise": {"false_positive_rate": True}},
                 "'noise.false_positive_rate' must be a number, got True",
             ),
-            ({**LLM_CONFIG, "backends": {"b": {"base_url": 5}}}, "backend 'b': 'base_url' must be a string, got 5"),
+            ({**LLM_CONFIG, "backends": {"b": {"base_url": 5}}}, "'backends.b.base_url' must be a string, got 5"),
             (
                 {**LLM_CONFIG, "backends": {"b": {"timeout": "soon"}}},
-                "backend 'b': 'timeout' must be a number, got 'soon'",
+                "'backends.b.timeout' must be a number, got 'soon'",
             ),
             (
                 {**LLM_CONFIG, "backends": {"b": {"temperature": "hot"}}},
-                "backend 'b': 'temperature' must be a number, got 'hot'",
+                "'backends.b.temperature' must be a number, got 'hot'",
             ),
             ({**TINY_CONFIG, "belief_carryover": "false"}, "'belief_carryover' must be true or false, got 'false'"),
             (
                 {**TINY_CONFIG, "attacker": {"abandon_on_failure": "false"}},
                 "'attacker.abandon_on_failure' must be true or false, got 'false'",
             ),
-            ({**TINY_CONFIG, "score_mod": "current_stage"}, "unknown key 'score_mod' in the run config"),
-            ({**TINY_CONFIG, "horizn": 3}, "unknown key 'horizn' in the run config"),
-            ({**TINY_CONFIG, "persistence": {"decy": 0.9}}, "unknown key 'decy' in 'persistence'"),
-            ({**TINY_CONFIG, "noise": {"false_positives": 0.2}}, "unknown key 'false_positives' in 'noise'"),
-            ({**TINY_CONFIG, "attacker": {"abandon": False}}, "unknown key 'abandon' in 'attacker'"),
+            ({**TINY_CONFIG, "score_mod": "current_stage"}, "unknown key 'score_mod' at the top level"),
+            ({**TINY_CONFIG, "horizn": 3}, "unknown key 'horizn' at the top level"),
+            ({**TINY_CONFIG, "persistence": {"decy": 0.9}}, "unknown key 'decy' in persistence"),
+            ({**TINY_CONFIG, "noise": {"false_positives": 0.2}}, "unknown key 'false_positives' in noise"),
+            ({**TINY_CONFIG, "attacker": {"abandon": False}}, "unknown key 'abandon' in attacker"),
+            ({**TINY_CONFIG, "horizon": "5"}, "'horizon' must be an integer, got '5'"),
+            ({**TINY_CONFIG, "horizon": 5.0}, "'horizon' must be an integer, got 5.0"),
+            ({**TINY_CONFIG, "prompt_template": 2}, "'prompt_template' must be a string, got 2"),
+            ({**TINY_CONFIG, "prompt_template": True}, "'prompt_template' must be a string, got True"),
+            ({**TINY_CONFIG, "catalog": True}, "'catalog' must be a string, got True"),
+            (
+                {**TINY_CONFIG, "attackers": [{"target": "gitlab", "objective": 3}]},
+                "'attackers[0].objective' must be a string, got 3",
+            ),
+            ({**TINY_CONFIG, "attackers": [{"label": "a"}]}, "missing key 'target' in attackers[0]"),
+            (
+                {**TINY_CONFIG, "attackers": [{"target": "gitlab", "objective": "Lateral"}]},
+                "attackers[0]: unknown attack stage: 'Lateral'",
+            ),
+            ({**TINY_CONFIG, "bootstrap": 5}, "'bootstrap' must be a string, got 5"),
+            ({**TINY_CONFIG, "score_mode": ["current_stage"]}, "'score_mode' must be a string, got ['current_stage']"),
+            ({**LLM_CONFIG, "backends": {"b": {"max_tokens": "512"}}}, "'backends.b.max_tokens' must be an integer"),
+            ({**LLM_CONFIG, "backends": {"b": {"kind": "grpc"}}}, "backends.b: unknown kind 'grpc'"),
             *(
-                ({**TINY_CONFIG, "policies": ["oracle", entry]}, f"policies[1]: {message}")
+                ({**TINY_CONFIG, "policies": ["oracle", entry]}, message)
                 for entry, message in _HOSTILE_POLICY_ENTRIES.values()
             ),
         ],
@@ -373,6 +409,18 @@ class TestValidate:
             "unknown-persistence-key",
             "unknown-noise-key",
             "unknown-attacker-key",
+            "horizon-quoted",
+            "horizon-float",
+            "template-a-number",
+            "template-a-flag",
+            "catalog-a-flag",
+            "attacker-objective-a-number",
+            "attacker-without-target",
+            "attacker-unknown-objective",
+            "bootstrap-a-number",
+            "score-mode-a-list",
+            "backend-max-tokens-quoted",
+            "backend-unknown-kind",
             *_HOSTILE_POLICY_ENTRIES,
         ],
     )
@@ -417,8 +465,7 @@ class TestValidate:
         bad.write_text(yaml.safe_dump({**LLM_CONFIG, "backends": {"b": {"max_retries": 9}}}), encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
-        assert "error: config unreadable: backend 'b': " in err
-        assert "unexpected keyword argument 'max_retries'" in err
+        assert "error: config unreadable: unknown key 'max_retries' in backends.b\n" == err
 
     def test_backend_is_named_by_the_policy_key(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("TEST_TOKEN_VAR", raising=False)
@@ -450,7 +497,7 @@ def test_readme_policy_table_lists_every_kind_and_parameter():
         kind, parameters = (cell.strip() for cell in row.strip("|").split("|")[:2])
         listed[kind.strip("`")] = parameters
     expected = {
-        kind: ", ".join(f"`{f.name}` ({_SETTING_TYPES[f.type][1].split()[-1]})" for f in fields(cls)) or "none"
+        kind: ", ".join(f"`{f.name}` ({TYPES[f.type][1].split(' ', 1)[1]})" for f in fields(cls)) or "none"
         for kind, cls in POLICY_KINDS.items()
     }
     assert listed == expected
@@ -572,13 +619,13 @@ class TestRunAndReplay:
         "edit, message",
         [
             (lambda m: "{not json", "is not a JSON run manifest"),
-            (lambda m: json.dumps(["oracle"]), "must hold a JSON object, got ['oracle']"),
+            (lambda m: json.dumps(["oracle"]), "the top level must be a mapping, got ['oracle']"),
             (
                 lambda m: json.dumps({k: v for k, v in m.items() if k != "deployments"}),
-                "'deployments' must be a list of str, got None",
+                "'deployments' must be a list of strings, got None",
             ),
-            (lambda m: json.dumps({**m, "policies": "oracle"}), "'policies' must be a list of str"),
-            (lambda m: json.dumps({**m, "seeds": ["0"]}), "'seeds' must be a list of int, got ['0']"),
+            (lambda m: json.dumps({**m, "policies": "oracle"}), "'policies' must be a list of strings"),
+            (lambda m: json.dumps({**m, "seeds": ["0"]}), "'seeds[0]' must be an integer, got '0'"),
             (lambda m: json.dumps({**m, "score_mode": "fuzzy"}), "unknown score mode 'fuzzy'"),
         ],
         ids=["not-json", "not-an-object", "no-deployments", "policies-text", "seeds-text", "unknown-score-mode"],
@@ -632,6 +679,8 @@ class TestRunAndReplay:
         assert main([command, *args, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: output file {out / occupied} is a directory\n"
+        if command == "run" and "/" not in occupied:  # the manifest's and summaries' paths are checked before any cell
+            assert [p.name for p in out.iterdir()] == [occupied]
 
     def test_policy_filter_and_seed_base_override(self, tiny_config, tmp_path):
         out = tmp_path / "filtered"
