@@ -24,7 +24,6 @@ from .catalog import (
     deployment_config,
     load_catalog,
     next_stage,
-    validate_deployment,
 )
 from .engine import EpisodeRecord, RunConfig, derive_seed, run_episode, run_simulation
 from .harness import ExperimentMatrix, PolicySpec, execute_matrix, expand_matrix, load_run_file

@@ -196,13 +196,20 @@ class AttackGraph:
             for svc in self.services
         )
 
+
 @dataclass(frozen=True)
 class HoneynetConfig:
-    """A deployed honeynet: catalog plus the per-epoch exposure budget."""
+    """A deployed honeynet: catalog plus the per-epoch exposure budget, which fits the catalog."""
 
     catalog: AttackGraph
     budget: int = 1
     deployment_name: str = "custom"
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        if self.budget > len(self.catalog):
+            raise ValueError(f"budget exceeds catalog: budget={self.budget}, services={len(self.catalog)}")
 
 
 _BUILTIN_SERVICES = {
@@ -263,25 +270,6 @@ def deployment_config(name: str, budget: int = 1) -> HoneynetConfig:
     return HoneynetConfig(catalog=AttackGraph(services), budget=budget, deployment_name=name)
 
 
-def validate_deployment(cfg: HoneynetConfig) -> list[str]:
-    """Collect invariant violations; an empty list means the config is sound."""
-    violations = []
-    n = len(cfg.catalog)
-    if cfg.budget < 1:
-        violations.append(f"budget must be at least 1, got {cfg.budget}")
-    elif cfg.budget > n:
-        violations.append(f"budget exceeds catalog: budget={cfg.budget}, services={n}")
-    if cfg.deployment_name in _DEPLOYMENTS:
-        vuln = len(cfg.catalog.vulnerable_ids)
-        exploitable, decoys = _DEPLOYMENTS[cfg.deployment_name]
-        want_n, want_vuln = len(exploitable) + decoys, len(exploitable)
-        if n != want_n:
-            violations.append(f"{cfg.deployment_name} requires {want_n} services, got {n}")
-        if vuln != want_vuln:
-            violations.append(f"vulnerable-count mismatch: {cfg.deployment_name} requires {want_vuln}, got {vuln}")
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # Declarative catalog files: a `services:` list of rows, as the README's "Catalog files" shows
 # ---------------------------------------------------------------------------
@@ -301,14 +289,13 @@ def catalog_from_dict(data) -> AttackGraph:
             f"services[{index}]",
             required=("id", "vulnerable", "stages"),
         )
-        services.append(
-            ServiceSpec(
-                id=row["id"],
-                display_name=row.get("display_name", row["id"]),
-                vulnerable=row["vulnerable"],
-                supported_stages=tuple(map(AttackStage.from_label, row["stages"])),
-            )
-        )
+        stages = []
+        for at, label in enumerate(row["stages"]):
+            try:
+                stages.append(AttackStage.from_label(label))
+            except ValueError as exc:
+                raise ConfigError(f"services[{index}].stages[{at}]: {exc}") from None
+        services.append(ServiceSpec(row["id"], row.get("display_name", row["id"]), row["vulnerable"], tuple(stages)))
     return AttackGraph(tuple(services))
 
 

@@ -24,14 +24,16 @@ from .attackers import (
     attacker_step,
     make_attacker_state,
 )
-from .catalog import STAGE_LABELS, HoneynetConfig
+from .catalog import STAGE_LABELS, AttackStage, HoneynetConfig
 from .policies import BeliefState, ExposureDecision, GroundTruthView, Policy, policy_decide
 from .telemetry import (
     IdsAlert,
     NoiseConfig,
+    SignatureCatalogMissError,
     aggregate_epoch,
     attacker_src_ip,
     empty_observation,
+    signature_rows,
     synthesize_alerts,
 )
 
@@ -55,7 +57,7 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation run needs, minus the policy object itself."""
+    """Everything one simulation run needs, minus the policy object itself; every attacker can run on the honeynet."""
 
     honeynet: HoneynetConfig
     attackers: tuple[AttackerProfile, ...]
@@ -66,6 +68,19 @@ class RunConfig:
     bootstrap: str = BOOTSTRAP_POLICY
 
     def __post_init__(self) -> None:
+        catalog = self.honeynet.catalog
+        for attacker in self.attackers:
+            if attacker.target_service not in catalog:
+                raise ValueError(f"attacker target {attacker.target_service!r} not in {self.honeynet.deployment_name}")
+            svc = catalog.get(attacker.target_service)
+            objective = attacker.resolve_objective(svc)
+            # every exploit on the way to the objective must render as alerts
+            for stage in svc.supported_stages:
+                if AttackStage.RECONNAISSANCE < stage <= objective:
+                    try:
+                        signature_rows().exploit(svc.id, stage)
+                    except SignatureCatalogMissError as exc:
+                        raise ValueError(f"attacker target {svc.id!r}: {exc.args[0]}") from None
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
         if not self.attackers:

@@ -24,13 +24,7 @@ from typing import Optional, Sequence
 import yaml
 
 from .attackers import AttackerProfile, PersistenceModel, default_attacker_queue
-from .catalog import (
-    AttackStage,
-    HoneynetConfig,
-    deployment_config,
-    load_catalog,
-    validate_deployment,
-)
+from .catalog import AttackStage, HoneynetConfig, deployment_config, load_catalog
 from .engine import (
     PolicyFactory,
     RunConfig,
@@ -65,7 +59,7 @@ from .metrics import (
 )
 from .policies import OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
 from .settings import ConfigError, Settings, check, read
-from .telemetry import NoiseConfig, SignatureCatalogMissError, signature_rows
+from .telemetry import NoiseConfig
 
 logger = logging.getLogger(__name__)
 
@@ -88,8 +82,8 @@ class ExperimentMatrix:
     horizon: int = RunConfig.horizon
     budget: int = HoneynetConfig.budget
     seed_base: int = 0
-    decay: float = PersistenceModel.decay
-    floor: float = PersistenceModel.floor
+    # the decay and floor of every cell's attackers; each cell sets the mode
+    persistence: PersistenceModel = PersistenceModel()
     noise: NoiseConfig = RunConfig.noise
     abandon_on_failure: bool = AttackerProfile.abandon_on_failure
     belief_carryover: bool = RunConfig.belief_carryover
@@ -100,6 +94,10 @@ class ExperimentMatrix:
     prompt_template_path: Optional[str] = None
     # explicit attacker queue, each cell setting its persistence; None derives one attacker per exploitable service
     attackers: Optional[list[AttackerProfile]] = None
+
+    def __post_init__(self) -> None:
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"unknown score mode {self.score_mode!r}; score_mode is one of {', '.join(SCORE_MODES)}")
 
 
 @dataclass(frozen=True)
@@ -222,24 +220,28 @@ _SAME_NAMED = ("horizon", "budget", "seed_base", "belief_carryover", "bootstrap"
 
 def matrix_from_dict(data) -> ExperimentMatrix:
     top = read(data, _RUN_CONFIG)
-    # these top-level keys, and persistence's and attacker's, name their matrix fields; an absent one keeps its default
+    # these top-level keys, and attacker's, name their matrix fields; an absent one keeps its default
     same_named = {key: top[key] for key in _SAME_NAMED if key in top}
+    # one persistence model for every cell, each setting its mode; ``mode`` is no key of this section
     persistence = read(top.get("persistence", {}), {"decay": "float", "floor": "float"}, "persistence")
-    noise = read(top.get("noise", {}), {"false_positive_rate": "float", "hint_corruption_rate": "float"}, "noise")
+    try:
+        persistence = PersistenceModel(**persistence)
+    except ValueError as exc:
+        raise ConfigError(f"persistence: {exc}") from None
     attacker = read(top.get("attacker", {}), {"abandon_on_failure": "bool"}, "attacker")
     matrix = ExperimentMatrix(
         policies=[_parse_policy_entry(i, entry) for i, entry in enumerate(top.get("policies", []))],
         deployments=top.get("deployments", []),
         modes=top.get("persistence_modes", []),
         seeds=top.get("seeds", []),
-        noise=NoiseConfig(**noise),
+        persistence=persistence,
+        noise=NoiseConfig.read(top.get("noise", {}), "noise"),
         backends={
             name: HttpChatBackend.read(entry, f"backends.{name}") for name, entry in top.get("backends", {}).items()
         },
         catalog_path=top.get("catalog"),
         prompt_template_path=top.get("prompt_template"),
         **same_named,
-        **persistence,
         **attacker,
     )
     if "attackers" in top:
@@ -272,8 +274,6 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
         collect(files.template)
-    if matrix.score_mode not in SCORE_MODES:
-        problems.append(f"unknown score mode {matrix.score_mode!r}")
     return problems
 
 
@@ -283,6 +283,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
 
 
 def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
+    """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
     if deployment == "custom":
         if not matrix.catalog_path:
             raise ConfigError("deployment 'custom' requires a catalog file")
@@ -290,34 +291,19 @@ def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
             catalog = load_catalog(matrix.catalog_path)
         except (OSError, ValueError, yaml.YAMLError) as exc:
             raise ConfigError(f"catalog file unusable: {exc}") from None
-        honeynet = HoneynetConfig(catalog=catalog, budget=matrix.budget, deployment_name="custom")
-    else:
-        honeynet = deployment_config(deployment, matrix.budget)
-    violations = validate_deployment(honeynet)
-    if violations:
-        raise ConfigError(f"{deployment}: {'; '.join(violations)}")
-    return honeynet
+    try:
+        if deployment == "custom":
+            return HoneynetConfig(catalog=catalog, budget=matrix.budget, deployment_name="custom")
+        return deployment_config(deployment, matrix.budget)
+    except ValueError as exc:  # also an unknown deployment name
+        raise ConfigError(f"{deployment}: {exc}") from None
 
 
 def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persistence: PersistenceModel):
-    """The cell's attackers, each checked to be runnable against ``honeynet``."""
+    """The cell's attackers; ``RunConfig`` refuses one that ``honeynet`` cannot run."""
     if matrix.attackers is None:
-        queue = default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
-    else:
-        queue = [replace(profile, persistence=persistence) for profile in matrix.attackers]
-    for profile in queue:
-        if profile.target_service not in honeynet.catalog:
-            raise ConfigError(f"attacker target {profile.target_service!r} not in {honeynet.deployment_name}")
-        svc = honeynet.catalog.get(profile.target_service)
-        objective = profile.resolve_objective(svc)
-        # every exploit on the way to the objective must render as alerts
-        for stage in svc.supported_stages:
-            if AttackStage.RECONNAISSANCE < stage <= objective:
-                try:
-                    signature_rows().exploit(svc.id, stage)
-                except SignatureCatalogMissError as exc:
-                    raise ConfigError(f"attacker target {svc.id!r}: {exc.args[0]}") from None
-    return queue
+        return default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
+    return [replace(profile, persistence=persistence) for profile in matrix.attackers]
 
 
 class _RunFiles:
@@ -415,7 +401,7 @@ class MockKind(ScriptedKind):
     def scripts(self, label, honeynet, queue, files) -> list[list[str]]:
         try:
             return files.replay(self.replay)
-        except (OSError, ValueError, TypeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"policy {label}: replay file {self.replay!r} unusable: {exc}") from None
 
 
@@ -458,9 +444,7 @@ def _cell_inputs(
     a config passes validation exactly when every cell can be built.
     """
     honeynet = files.honeynet(cell.deployment)
-    queue = _attacker_queue(
-        matrix, honeynet, PersistenceModel(mode=cell.persistence, decay=matrix.decay, floor=matrix.floor)
-    )
+    queue = _attacker_queue(matrix, honeynet, replace(matrix.persistence, mode=cell.persistence))
     cfg = RunConfig(
         honeynet=honeynet,
         attackers=tuple(queue),
@@ -637,15 +621,12 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
                 ("seeds", "list[int]"),
             )
         }
-        score_mode = check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode")
-    except ConfigError as exc:
+        return ExperimentMatrix(
+            policies=[PolicySpec(label) for label in axes["policies"]],
+            deployments=axes["deployments"],
+            modes=axes["persistence_modes"],
+            seeds=axes["seeds"],
+            score_mode=check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode"),
+        )
+    except ConfigError as exc:  # a wrongly typed axis, or an unknown score mode
         raise ConfigError(f"{path}: {exc}") from None
-    if score_mode not in SCORE_MODES:
-        raise ConfigError(f"{path}: unknown score mode {score_mode!r}")
-    return ExperimentMatrix(
-        policies=[PolicySpec(label) for label in axes["policies"]],
-        deployments=axes["deployments"],
-        modes=axes["persistence_modes"],
-        seeds=axes["seeds"],
-        score_mode=score_mode,
-    )

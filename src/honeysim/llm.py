@@ -28,7 +28,7 @@ from .policies import (
     clamp_decision,
     make_prediction,
 )
-from .settings import Settings
+from .settings import Settings, check
 from .telemetry import EpochObservation, summarize_for_prompt
 
 logger = logging.getLogger(__name__)
@@ -165,7 +165,8 @@ def _bracketed_end(text: str, start: int) -> int:
 def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, StagePrediction]:
     """Extract the decision object from model output, tolerating surrounding prose.
 
-    Unknown service or stage names are dropped with a warning. The expose
+    Unknown service or stage names are dropped with a warning, and a ``done``
+    other than true or false is read as not done, with a warning. The expose
     list keeps its order, repeats and length; ``policy_decide`` enforces the
     budget.
     """
@@ -193,8 +194,11 @@ def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, Sta
         except ValueError:
             logger.warning("model predicted unknown stage %r; dropped", name)
 
-    decision = ExposureDecision(exposed=tuple(exposed), declared_done=bool(payload.get("done", False)))
-    return decision, make_prediction(stages)
+    done = payload.get("done", False)
+    if type(done) is not bool:  # only JSON true declares done
+        logger.warning("model gave non-boolean done %r; read as not done", done)
+        done = False
+    return ExposureDecision(exposed=tuple(exposed), declared_done=done), make_prediction(stages)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ class HttpChatBackend(Settings):
 
 
 def load_replay_file(path: str) -> list[list[str]]:
-    """Load mock scripts: either a flat response list or per-episode lists."""
+    """Load mock scripts: either a flat response list or per-episode lists, each a list of strings."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
@@ -290,7 +294,7 @@ def load_replay_file(path: str) -> list[list[str]]:
         raise ValueError(f"{path}: expected a non-empty list of responses or episode lists")
     if all(isinstance(item, str) for item in data):
         return [list(data)]
-    return [[str(r) for r in episode] for episode in data]
+    return [check(episode, "list[str]", f"episodes[{i}]") for i, episode in enumerate(data)]
 
 
 def aligned_mock_script(svc: ServiceSpec, objective: Optional[AttackStage] = None) -> list[str]:

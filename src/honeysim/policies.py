@@ -156,7 +156,7 @@ class RandomPolicy(Policy):
 
     def decide(self, obs, belief, cfg):
         ids = cfg.catalog.sorted_ids
-        pick = self._rng.sample(ids, min(cfg.budget, len(ids)))
+        pick = self._rng.sample(ids, cfg.budget)
         return ExposureDecision(tuple(pick)), StagePrediction()
 
 

@@ -26,6 +26,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .attackers import AttackerAction, ExploitAction, ScanAction
 from .catalog import STAGE_LABELS, AttackGraph, AttackStage, service_port, stable_hash
+from .settings import Settings
 
 CLOCK_EPOCH_SECONDS = 60
 CLOCK_BASE = datetime(2025, 1, 1, tzinfo=timezone.utc)
@@ -47,13 +48,14 @@ def service_dest_ip(service_id: str) -> str:
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    """Telemetry imperfection knobs; both default on at a low rate."""
+class NoiseConfig(Settings):
+    """Telemetry imperfection knobs; both default on at a low rate. Its fields are the keys of ``noise:``."""
 
     false_positive_rate: float = 0.1
     hint_corruption_rate: float = 0.1
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         for name in ("false_positive_rate", "hint_corruption_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

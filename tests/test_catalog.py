@@ -19,7 +19,6 @@ from honeysim.catalog import (
     load_catalog,
     name_key,
     next_stage,
-    validate_deployment,
 )
 
 
@@ -127,20 +126,19 @@ class TestServiceSpecInvariants:
 
 
 class TestDeployments:
-    def test_fully_vulnerable_with_unit_budget_is_ok(self):
-        assert validate_deployment(deployment_config("fully_vulnerable", budget=1)) == []
-
-    def test_budget_beyond_catalog_is_flagged(self):
-        cfg = HoneynetConfig(catalog=deployment_config("fully_vulnerable").catalog, budget=5)
-        violations = validate_deployment(cfg)
-        assert any("budget exceeds catalog" in v for v in violations)
-
-    def test_vulnerable_count_mismatch_is_flagged(self):
-        base = deployment_config("small_mixed").catalog
-        tweaked = AttackGraph((builtin_catalog().get("docker_api"),) + base.services[:3])
-        cfg = HoneynetConfig(catalog=tweaked, budget=1, deployment_name="small_mixed")
-        violations = validate_deployment(cfg)
-        assert any("vulnerable-count mismatch" in v for v in violations)
+    @pytest.mark.parametrize(
+        "budget, message",
+        [(0, "budget must be at least 1, got 0"), (5, "budget exceeds catalog: budget=5, services=4")],
+        ids=["none", "past-the-catalog"],
+    )
+    def test_a_budget_outside_the_catalog_is_refused_when_built(self, budget, message):
+        """A library-built honeynet cannot hold a budget that the policies could not fill."""
+        catalog = deployment_config("small_mixed").catalog
+        assert HoneynetConfig(catalog=catalog, budget=4).budget == 4
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            HoneynetConfig(catalog=catalog, budget=budget)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            deployment_config("small_mixed", budget=budget)
 
     def test_named_shapes(self):
         fully = deployment_config("fully_vulnerable")

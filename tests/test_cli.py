@@ -30,6 +30,7 @@ from honeysim.harness import (
     expand_matrix,
     load_builtin_config,
     load_run_file,
+    matrix_from_dict,
     replay_out_dir,
     run_cell,
     validate_matrix,
@@ -158,19 +159,30 @@ class TestValidate:
         assert main(["validate"]) == 0
 
     @pytest.mark.parametrize(
-        "override, message",
+        "override, line",
         [
-            ({"persistence_modes": ["stochastic"]}, "unknown persistence mode 'stochastic'"),
-            ({"persistence": {"decay": 0}}, "decay must be in (0, 1], got 0.0"),
-            ({"persistence": {"floor": 1.5}}, "floor must be in [0, 1], got 1.5"),
+            ({"persistence_modes": ["stochastic"]}, "violation: unknown persistence mode 'stochastic'"),
+            (
+                {"persistence": {"decay": 0}},
+                "error: config unreadable: persistence: decay must be in (0, 1], got 0.0",
+            ),
+            (
+                {"persistence": {"floor": 1.5}},
+                "error: config unreadable: persistence: floor must be in [0, 1], got 1.5",
+            ),
+            (
+                {"noise": {"false_positive_rate": 1.5}},
+                "error: config unreadable: noise: false_positive_rate must be in [0, 1], got 1.5",
+            ),
         ],
-        ids=["unknown-mode", "zero-decay", "floor-above-one"],
+        ids=["unknown-mode", "zero-decay", "floor-above-one", "false-positive-above-one"],
     )
-    def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, capsys, override, message):
+    def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, capsys, override, line):
+        """A range fault of a section is one line at load that names its section, not one per cell."""
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
-        assert main(["validate", "--config", str(bad)]) != 0
-        assert message in capsys.readouterr().err
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
     @pytest.mark.parametrize(
         "override, message",
@@ -219,6 +231,20 @@ class TestValidate:
                 {"deployments": ["custom"], "catalog": "no_flag.yaml"},
                 "violation: catalog file unusable: missing key 'vulnerable' in services[0]",
             ),
+            (
+                {"deployments": ["custom"], "catalog": "lateral.yaml"},
+                "violation: catalog file unusable: services[0].stages[1]: unknown attack stage: 'Lateral'",
+            ),
+            (
+                {"policies": [{"name": "m", "kind": "mock", "replay": "numbers.json"}]},
+                "violation: policy m: replay file 'numbers.json' unusable: "
+                "'episodes[0]' must be a list of strings, got 1",
+            ),
+            (
+                {"policies": [{"name": "m", "kind": "mock", "replay": "number_lists.json"}]},
+                "violation: policy m: replay file 'number_lists.json' unusable: "
+                "'episodes[0][0]' must be a string, got 1",
+            ),
         ],
         ids=[
             "bad-bootstrap",
@@ -241,6 +267,9 @@ class TestValidate:
             "catalog-vulnerable-text",
             "catalog-row-unknown-keys",
             "catalog-row-without-vulnerable",
+            "catalog-row-unknown-stage",
+            "replay-episodes-numbers",
+            "replay-episode-of-numbers",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -259,6 +288,10 @@ class TestValidate:
         Path("misspelt.yaml").write_text(yaml.safe_dump({"services": [misspelt]}), encoding="utf-8")
         no_flag = {"id": "redis", "stages": ["Reconnaissance"]}
         Path("no_flag.yaml").write_text(yaml.safe_dump({"services": [no_flag]}), encoding="utf-8")
+        lateral = {"id": "redis", "vulnerable": True, "stages": ["Reconnaissance", "Lateral"]}
+        Path("lateral.yaml").write_text(yaml.safe_dump({"services": [lateral]}), encoding="utf-8")
+        Path("numbers.json").write_text("[1, 2]", encoding="utf-8")
+        Path("number_lists.json").write_text("[[1, 2]]", encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
@@ -371,6 +404,10 @@ class TestValidate:
             ),
             ({**TINY_CONFIG, "bootstrap": 5}, "'bootstrap' must be a string, got 5"),
             ({**TINY_CONFIG, "score_mode": ["current_stage"]}, "'score_mode' must be a string, got ['current_stage']"),
+            (
+                {**TINY_CONFIG, "score_mode": "fuzzy"},
+                "unknown score mode 'fuzzy'; score_mode is one of cumulative_sets, current_stage",
+            ),
             ({**LLM_CONFIG, "backends": {"b": {"max_tokens": "512"}}}, "'backends.b.max_tokens' must be an integer"),
             ({**LLM_CONFIG, "backends": {"b": {"kind": "grpc"}}}, "backends.b: unknown kind 'grpc'"),
             *(
@@ -419,6 +456,7 @@ class TestValidate:
             "attacker-unknown-objective",
             "bootstrap-a-number",
             "score-mode-a-list",
+            "score-mode-unknown",
             "backend-max-tokens-quoted",
             "backend-unknown-kind",
             *_HOSTILE_POLICY_ENTRIES,
@@ -872,6 +910,19 @@ def test_load_run_file_round_trip(tiny_config):
     assert [p.label for p in matrix.policies] == ["oracle", "reactive"]
     assert matrix.horizon == 8
     assert matrix.noise.false_positive_rate == 0.1
+
+
+def test_the_builtin_config_writes_every_default_as_the_dataclasses_declare_it():
+    """Deleting each key that has a default from default_config.yaml leaves the built-in matrix unchanged."""
+    from importlib import resources
+
+    text = resources.files("honeysim.data").joinpath("default_config.yaml").read_text(encoding="utf-8")
+    written = yaml.safe_load(text)
+    without_defaults = {
+        key: written[key] for key in ("seeds", "policies", "deployments", "persistence_modes", "backends")
+    }
+    assert len(without_defaults) < len(written)
+    assert load_builtin_config() == matrix_from_dict(without_defaults)
 
 
 def test_score_mode_flows_through_run_and_replay(tmp_path):

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from honeysim.attackers import AttackerProfile, PersistenceModel, default_attacker_queue
-from honeysim.catalog import deployment_config
+from honeysim.catalog import ALL_STAGES, AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, deployment_config
 from honeysim.engine import (
     OUTCOME_ABANDONED,
     OUTCOME_COMPLETED,
@@ -261,6 +262,30 @@ def test_derive_seed_is_stable_and_labelled():
     assert derive_seed(0, "a", "b") == derive_seed(0, "a", "b")
     assert derive_seed(0, "a", "b") != derive_seed(0, "a", "c")
     assert derive_seed(0, "ab") != derive_seed(0, "a", "b")
+
+
+@pytest.mark.parametrize(
+    "honeynet, attacker, message",
+    [
+        (SMALL, AttackerProfile("xdebug"), "attacker target 'xdebug' not in small_mixed"),
+        (SMALL, AttackerProfile("decoy_1"), "decoy_1 is not exploitable; cannot target it"),
+        (
+            SMALL,
+            AttackerProfile("apache_struts", objective_stage=AttackStage.USER_DATA_EXFIL),
+            "objective UserDataExfil not supported by apache_struts",
+        ),
+        (
+            HoneynetConfig(AttackGraph((*SMALL.catalog.services, ServiceSpec("redis", "Redis", True, ALL_STAGES[:2])))),
+            AttackerProfile("redis"),
+            "attacker target 'redis': no signatures for (redis, InitialAccess)",
+        ),
+    ],
+    ids=["target-outside", "decoy-target", "objective-outside-chain", "no-signatures"],
+)
+def test_run_config_refuses_an_attacker_its_honeynet_cannot_run(honeynet, attacker, message):
+    """A library-built run config names the attacker fault when it is built, not mid-episode."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RunConfig(honeynet=honeynet, attackers=(AttackerProfile("gitlab"), attacker))
 
 
 def test_run_config_validation():

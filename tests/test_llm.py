@@ -144,6 +144,20 @@ class TestParseResponse:
         assert decision.exposed == ("xdebug",)
         assert "exceeded budget" in caplog.text
 
+    @pytest.mark.parametrize("done", ['"false"', '"no"', "1", "null", '{"now": true}'])
+    def test_only_json_true_declares_done(self, caplog, done):
+        """A ``done`` that is not a JSON boolean is read as not done, with a warning."""
+        raw = f'{{"expose": ["gitlab"], "stages": [], "done": {done}}}'
+        with caplog.at_level("WARNING"):
+            decision, _ = parse_response(raw, HONEYNET)
+        assert decision == ExposureDecision(("gitlab",), False)
+        assert f"non-boolean done {json.loads(done)!r}" in caplog.text
+        caplog.clear()
+        for value, declared in (("true", True), ("false", False)):
+            decision, _ = parse_response(raw.replace(done, value), HONEYNET)
+            assert decision.declared_done is declared
+        assert not caplog.records
+
     def test_unknown_stage_dropped(self):
         _, prediction = parse_response(
             '{"expose": ["gitlab"], "stages": ["Reconnaissance", "Lateral"]}', HONEYNET
