@@ -206,10 +206,15 @@ class HoneynetConfig:
     deployment_name: str = "custom"
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError(f"budget must be at least 1, got {self.budget}")
+        self.check_budget(self.budget)
         if self.budget > len(self.catalog):
             raise ValueError(f"budget exceeds catalog: budget={self.budget}, services={len(self.catalog)}")
+
+    @staticmethod
+    def check_budget(budget: int) -> None:
+        """Refuse a budget below 1, which no catalog fits; the run matrix refuses its budget with it as it is built."""
+        if budget < 1:
+            raise ValueError(f"budget must be at least 1, got {budget}")
 
 
 _BUILTIN_SERVICES = {

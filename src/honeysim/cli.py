@@ -73,7 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     tables = execute_matrix(matrix, args.out, workers=args.workers)
     _print_tables(tables)
     print(f"results written to {args.out} "
-          f"({len(tables.success_by_deployment)} deployment cells)")
+          f"({len({(p, d) for (p, d, _), runs in tables.cells.items() if runs})} deployment cells)")
     return EXIT_OK
 
 

@@ -81,12 +81,21 @@ class RunConfig:
                         signature_rows().exploit(svc.id, stage)
                     except SignatureCatalogMissError as exc:
                         raise ValueError(f"attacker target {svc.id!r}: {exc.args[0]}") from None
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        self.check_horizon(self.horizon)
         if not self.attackers:
             raise ValueError("attacker queue must be non-empty")
-        if self.bootstrap not in (BOOTSTRAP_POLICY, BOOTSTRAP_FIRST_SERVICE):
-            raise ValueError(f"unknown bootstrap mode {self.bootstrap!r}")
+        self.check_bootstrap(self.bootstrap)
+
+    # the run matrix refuses its own horizon and bootstrap with these two, once, as it is built
+    @staticmethod
+    def check_horizon(horizon: int) -> None:
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
+
+    @staticmethod
+    def check_bootstrap(bootstrap: str) -> None:
+        if bootstrap not in (BOOTSTRAP_POLICY, BOOTSTRAP_FIRST_SERVICE):
+            raise ValueError(f"unknown bootstrap mode {bootstrap!r}")
 
 
 # An epoch's log keeps the values the loop already has: the attacker's actions,

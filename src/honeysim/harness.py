@@ -23,9 +23,10 @@ from typing import Optional, Sequence
 
 import yaml
 
-from .attackers import AttackerProfile, PersistenceModel, default_attacker_queue
-from .catalog import AttackStage, HoneynetConfig, deployment_config, load_catalog
+from .attackers import PERSISTENCE_MODES, AttackerProfile, PersistenceModel, default_attacker_queue
+from .catalog import DEPLOYMENT_NAMES, AttackStage, HoneynetConfig, deployment_config, load_catalog
 from .engine import (
+    SCHEMA_VERSION,
     PolicyFactory,
     RunConfig,
     derive_seed,
@@ -96,8 +97,21 @@ class ExperimentMatrix:
     attackers: Optional[list[AttackerProfile]] = None
 
     def __post_init__(self) -> None:
+        """Refuse, in one line, every fault of the settings that no cell changes; each cell's types check them again."""
+        faults = []
+        for check, value in (
+            (RunConfig.check_horizon, self.horizon),
+            (RunConfig.check_bootstrap, self.bootstrap),
+            (HoneynetConfig.check_budget, self.budget),
+        ):
+            try:
+                check(value)
+            except ValueError as exc:
+                faults.append(str(exc))
         if self.score_mode not in SCORE_MODES:
-            raise ConfigError(f"unknown score mode {self.score_mode!r}; score_mode is one of {', '.join(SCORE_MODES)}")
+            faults.append(f"unknown score mode {self.score_mode!r}; score_mode is one of {', '.join(SCORE_MODES)}")
+        if faults:
+            raise ConfigError("; ".join(faults))
 
 
 @dataclass(frozen=True)
@@ -218,8 +232,15 @@ _RUN_CONFIG = {
 _SAME_NAMED = ("horizon", "budget", "seed_base", "belief_carryover", "bootstrap", "score_mode")
 
 
+def _check_schema_version(version) -> None:
+    """Refuse a config or run manifest of any schema but this one, before any other of its values is used."""
+    if check(version, "int", "schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version {version} is unknown; the only version is {SCHEMA_VERSION}")
+
+
 def matrix_from_dict(data) -> ExperimentMatrix:
     top = read(data, _RUN_CONFIG)
+    _check_schema_version(top.get("schema_version", SCHEMA_VERSION))
     # these top-level keys, and attacker's, name their matrix fields; an absent one keeps its default
     same_named = {key: top[key] for key in _SAME_NAMED if key in top}
     # one persistence model for every cell, each setting its mode; ``mode`` is no key of this section
@@ -501,7 +522,7 @@ def _write(path: Path, text: str) -> None:
 
 
 def _cell_result(cell: CellSpec, records) -> RunResult:
-    return RunResult(cell.policy.label, cell.deployment, cell.persistence, cell.seed, tuple(records))
+    return RunResult(cell.policy.label, cell.deployment, cell.persistence, tuple(records))
 
 
 def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
@@ -540,12 +561,12 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
         raise ConfigError(f"output path {out} is not a directory") from None
     cells = expand_matrix(matrix)
     # a directory where the manifest or a summary table goes is refused before the first cell, not after the last
-    for name in (MANIFEST_NAME, *(name for name, _ in SummaryTables([], [], [], []).files())):
+    for name in (MANIFEST_NAME, *(name for name, _ in SummaryTables({}, (), (), ()).files())):
         if (out / name).is_dir():
             raise ConfigError(f"output file {out / name} is a directory")
 
     manifest = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "policies": [p.label for p in matrix.policies],
         "deployments": list(matrix.deployments),
         "persistence_modes": list(matrix.modes),
@@ -612,6 +633,7 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
         raise ConfigError(f"{path} is not a JSON run manifest: {exc}") from None
     try:
         check(manifest, "dict", "")
+        _check_schema_version(manifest.get("schema_version", SCHEMA_VERSION))
         axes = {
             key: check(manifest.get(key), kind, key)
             for key, kind in (
@@ -621,6 +643,11 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
                 ("seeds", "list[int]"),
             )
         }
+        # only the values ``run`` accepts, so no cell path leaves ``out``
+        for key, known in (("deployments", (*DEPLOYMENT_NAMES, "custom")), ("persistence_modes", PERSISTENCE_MODES)):
+            for value in axes[key]:
+                if value not in known:
+                    raise ConfigError(f"{key!r} holds {value!r}, not one of {', '.join(known)}")
         return ExperimentMatrix(
             policies=[PolicySpec(label) for label in axes["policies"]],
             deployments=axes["deployments"],
@@ -628,5 +655,5 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
             seeds=axes["seeds"],
             score_mode=check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode"),
         )
-    except ConfigError as exc:  # a wrongly typed axis, or an unknown score mode
+    except ConfigError as exc:  # another schema, a wrongly typed or unknown axis value, or an unknown score mode
         raise ConfigError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ import io
 import itertools
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .catalog import AttackStage
 
@@ -84,7 +84,6 @@ class RunResult:
     policy: str
     deployment: str
     persistence: str
-    seed: int
     records: tuple[dict, ...]
 
 
@@ -95,7 +94,6 @@ class RunMetrics:
     policy: str
     deployment: str
     persistence: str
-    seed: int
     exploitation: bool
     score: float
 
@@ -132,21 +130,9 @@ def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
         policy=result.policy,
         deployment=result.deployment,
         persistence=result.persistence,
-        seed=result.seed,
         exploitation=all(map(exploitation_achieved, common)),
         score=_mean(inference_score(r, mode)[3] for r in common),
     )
-
-
-def _ordered(values: Iterable[str], preferred: Optional[Sequence[str]]) -> list[str]:
-    seen: list[str] = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    if preferred:
-        head = [v for v in preferred if v in seen]
-        return head + [v for v in seen if v not in head]
-    return seen
 
 
 def success_cell(achieved: int, total: int) -> str:
@@ -161,84 +147,70 @@ def score_cell(scores: Sequence[float]) -> str:
     return f"{mean:.1f} ± {std:.1f}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SummaryTables:
-    success_by_deployment: list[dict]
-    success_by_persistence: list[dict]
-    scores: list[dict]
-    policy_order: list[str]
+    """The reduced runs of each (policy, deployment, persistence) cell, and the order of each axis."""
+
+    cells: dict[tuple[str, str, str], list[RunMetrics]]
+    policies: Sequence[str]
+    deployments: Sequence[str]
+    modes: Sequence[str]
 
     def files(self) -> list[tuple[str, str]]:
         """Each summary file's name and text; the one place that names them."""
         files = []
-        for axis in ("deployment", "persistence"):
-            rows = getattr(self, f"success_by_{axis}")
-            text_rows = [[row["policy"], row[axis], row["cell"]] for row in rows]
-            files.append((f"summary_success_by_{axis}.csv", success_csv(rows, axis)))
+        for index, axis, order in ((1, "deployment", self.deployments), (2, "persistence", self.modes)):
+            rows = []
+            for policy, value in itertools.product(self.policies, order):
+                # the policy's runs at this value of the axis, pooled over the other axis
+                cell = [m.exploitation for key, runs in self.cells.items() for m in runs
+                        if key[0] == policy and key[index] == value]
+                if cell:
+                    rows.append([policy, value, sum(cell), len(cell), success_cell(sum(cell), len(cell))])
+            files.append((
+                f"summary_success_by_{axis}.csv",
+                _csv(["policy", axis, "achieved", "total", "exploitation_achieved"], rows),
+            ))
             files.append((
                 f"summary_success_by_{axis}.txt",
-                _text(f"Exploitation success by {axis}", ["policy", axis, "exploitation achieved"], text_rows),
+                _text(
+                    f"Exploitation success by {axis}",
+                    ["policy", axis, "exploitation achieved"],
+                    [[policy, value, text] for policy, value, _, _, text in rows],
+                ),
             ))
-        files.append(("summary_scores.csv", scores_csv(self.scores, self.policy_order)))
-        files.append((
-            "summary_scores.txt",
-            _text("Stage-inference score (mean ± std over seeds)", *_scores_table(self.scores, self.policy_order)),
-        ))
+        scores = []
+        for deployment, mode in itertools.product(self.deployments, self.modes):
+            cells = [self.cells[policy, deployment, mode] for policy in self.policies]
+            if any(cells):
+                texts = (score_cell([m.score for m in runs]) if runs else "-" for runs in cells)
+                scores.append([deployment, mode, *texts])
+        header = [*SCORE_COORDINATES, *self.policies]
+        files.append(("summary_scores.csv", _csv(header, scores)))
+        files.append(("summary_scores.txt", _text("Stage-inference score (mean ± std over seeds)", header, scores)))
         return files
 
 
-def _success_rows(metrics: Sequence[RunMetrics], policy_order: list[str], axis: str, order: list[str]) -> list[dict]:
-    """One row per (policy, value of ``axis``) that has runs, in the given orders."""
-    rows = []
-    for policy, value in itertools.product(policy_order, order):
-        cell = [m.exploitation for m in metrics if m.policy == policy and getattr(m, axis) == value]
-        if cell:
-            achieved = sum(cell)
-            rows.append({"policy": policy, axis: value, "achieved": achieved, "total": len(cell),
-                         "cell": success_cell(achieved, len(cell))})
-    return rows
-
-
 def aggregate(
-    metrics: Sequence[RunMetrics],
-    *,
-    policies: Optional[Sequence[str]] = None,
-    deployments: Optional[Sequence[str]] = None,
-    modes: Optional[Sequence[str]] = None,
+    metrics: Sequence[RunMetrics], *, policies: Sequence[str], deployments: Sequence[str], modes: Sequence[str]
 ) -> SummaryTables:
-    """Group reduced runs into the three summary tables used by the harness.
+    """Group reduced runs by cell, the tables' rows and columns in the given axis orders.
 
     Each run arrives already reduced by ``run_metrics``, which applies the
     score mode, so memory grows with the number of runs, not their episodes.
+    A run off the axes is a ValueError.
     """
     if not metrics:
         raise ValueError("no run metrics to aggregate")
-    policy_order = _ordered((m.policy for m in metrics), policies)
-    deployment_order = _ordered((m.deployment for m in metrics), deployments)
-    mode_order = _ordered((m.persistence for m in metrics), modes)
-
-    scores = []
-    for deployment in deployment_order:
-        for mode in mode_order:
-            row: dict = {"deployment": deployment, "persistence": mode}
-            any_cell = False
-            for policy in policy_order:
-                cell = [
-                    m.score
-                    for m in metrics
-                    if m.policy == policy and m.deployment == deployment and m.persistence == mode
-                ]
-                row[policy] = score_cell(cell) if cell else "-"
-                any_cell = any_cell or bool(cell)
-            if any_cell:
-                scores.append(row)
-
-    return SummaryTables(
-        success_by_deployment=_success_rows(metrics, policy_order, "deployment", deployment_order),
-        success_by_persistence=_success_rows(metrics, policy_order, "persistence", mode_order),
-        scores=scores,
-        policy_order=policy_order,
-    )
+    cells: dict[tuple[str, str, str], list[RunMetrics]] = {
+        key: [] for key in itertools.product(policies, deployments, modes)
+    }
+    for m in metrics:
+        try:
+            cells[m.policy, m.deployment, m.persistence].append(m)
+        except KeyError:
+            raise ValueError(f"run {m.policy}/{m.deployment}/{m.persistence} is off the axes") from None
+    return SummaryTables(cells, policies, deployments, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +230,3 @@ def _text(title: str, header: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table]
     return title + "\n" + "\n".join(lines) + "\n"
-
-
-def success_csv(rows: list[dict], axis: str) -> str:
-    return _csv(
-        ["policy", axis, "achieved", "total", "exploitation_achieved"],
-        ([row["policy"], row[axis], row["achieved"], row["total"], row["cell"]] for row in rows),
-    )
-
-
-def _scores_table(rows: list[dict], policy_order: Sequence[str]) -> tuple[list[str], list[list[str]]]:
-    header = [*SCORE_COORDINATES, *policy_order]
-    return header, [[row[column] for column in header] for row in rows]
-
-
-def scores_csv(rows: list[dict], policy_order: Sequence[str]) -> str:
-    return _csv(*_scores_table(rows, policy_order))

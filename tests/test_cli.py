@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import subprocess
@@ -48,6 +49,8 @@ TINY_CONFIG = {
     "persistence_modes": ["deterministic"],
     "noise": {"false_positive_rate": 0.1, "hint_corruption_rate": 0.1},
 }
+
+TWO_DEPLOYMENTS = ["small_mixed", "large_mixed"]
 
 # TINY_CONFIG with its policies driven by backend "b", which each case configures
 LLM_CONFIG = {**TINY_CONFIG, "policies": [{"name": "m", "kind": "llm", "backend": "b"}]}
@@ -174,11 +177,34 @@ class TestValidate:
                 {"noise": {"false_positive_rate": 1.5}},
                 "error: config unreadable: noise: false_positive_rate must be in [0, 1], got 1.5",
             ),
+            ({"bootstrap": "bogus"}, "error: config unreadable: unknown bootstrap mode 'bogus'"),
+            ({"horizon": 0}, "error: config unreadable: horizon must be at least 1, got 0"),
+            ({"budget": 0, "deployments": TWO_DEPLOYMENTS}, "error: config unreadable: budget must be at least 1, got 0"),
+            (
+                {"budget": 0, "horizon": 0, "deployments": TWO_DEPLOYMENTS},
+                "error: config unreadable: horizon must be at least 1, got 0; budget must be at least 1, got 0",
+            ),
+            (
+                {"horizon": 0, "bootstrap": "bogus"},
+                "error: config unreadable: horizon must be at least 1, got 0; unknown bootstrap mode 'bogus'",
+            ),
+            ({"schema_version": 7}, "error: config unreadable: schema_version 7 is unknown; the only version is 1"),
         ],
-        ids=["unknown-mode", "zero-decay", "floor-above-one", "false-positive-above-one"],
+        ids=[
+            "unknown-mode",
+            "zero-decay",
+            "floor-above-one",
+            "false-positive-above-one",
+            "bad-bootstrap",
+            "zero-horizon",
+            "zero-budget",
+            "zero-budget-and-horizon",
+            "zero-horizon-and-bad-bootstrap",
+            "schema-version-7",
+        ],
     )
     def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, capsys, override, line):
-        """A range fault of a section is one line at load that names its section, not one per cell."""
+        """A range fault of a section or of a value no cell changes is one line at load, not one per cell."""
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", str(bad)]) == 2
@@ -187,7 +213,6 @@ class TestValidate:
     @pytest.mark.parametrize(
         "override, message",
         [
-            ({"bootstrap": "bogus"}, "unknown bootstrap mode 'bogus'"),
             ({"attackers": ["gitlab"]}, "error: config unreadable: 'attackers[0]' must be a mapping, got 'gitlab'"),
             ({"attackers": 5}, "error: config unreadable: 'attackers' must be a list, got 5"),
             (
@@ -247,7 +272,6 @@ class TestValidate:
             ),
         ],
         ids=[
-            "bad-bootstrap",
             "bare-string-attacker",
             "attackers-not-a-list",
             "replay-not-json",
@@ -541,6 +565,41 @@ def test_readme_policy_table_lists_every_kind_and_parameter():
     assert listed == expected
 
 
+
+def _readme_table_defaults(intro: str) -> dict[str, str]:
+    """Each key of the README table after the line ``intro``, with the text of its "default" column."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split(f"\n{intro}\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    rows = (row.strip("|").split("|") for row in table[2:])  # past the header and its rule
+    return {key.strip().strip("`"): default.strip() for key, _, default, *_ in rows}
+
+
+def _literal(default: str):
+    """The value of a default written as one `literal`, as YAML reads it; None for a default in words."""
+    if default.startswith("`") and default.endswith("`") and default.count("`") == 2:
+        return yaml.safe_load(default.strip("`"))
+    return None
+
+
+def test_readme_key_tables_give_the_code_defaults():
+    """Each literal in the "default" column of the README's top-level and backends tables is the code's default."""
+    top = _readme_table_defaults("The top level and its three sections:")
+    # what a config without the key gets: the matrix's dataclass defaults and its sections'
+    matrix = matrix_from_dict({})
+    named = {"schema_version": engine.SCHEMA_VERSION, "attacker.abandon_on_failure": matrix.abandon_on_failure}
+    in_words = {"seeds", "policies", "deployments", "persistence_modes", "backends", "catalog", "prompt_template",
+                "attackers"}
+    assert {key for key, default in top.items() if _literal(default) is None} == in_words
+    for key, default in top.items():
+        if key not in in_words:
+            value = named[key] if key in named else functools.reduce(getattr, key.split("."), matrix)
+            assert (key, _literal(default), type(_literal(default))) == (key, value, type(value))
+    backend = _readme_table_defaults("Each `backends:` entry, every key optional:")
+    assert list(backend) == [f.name for f in fields(HttpChatBackend)]
+    for key, default in backend.items():
+        value = getattr(HttpChatBackend(), key)
+        assert (key, _literal(default), type(_literal(default))) == (key, value, type(value))
+
 class TestRunAndReplay:
     def test_run_writes_cells_and_summaries(self, tiny_config, tmp_path):
         out = tmp_path / "results"
@@ -665,8 +724,27 @@ class TestRunAndReplay:
             (lambda m: json.dumps({**m, "policies": "oracle"}), "'policies' must be a list of strings"),
             (lambda m: json.dumps({**m, "seeds": ["0"]}), "'seeds[0]' must be an integer, got '0'"),
             (lambda m: json.dumps({**m, "score_mode": "fuzzy"}), "unknown score mode 'fuzzy'"),
+            (
+                lambda m: json.dumps({**m, "deployments": ["x/../../elsewhere"]}),
+                "'deployments' holds 'x/../../elsewhere', not one of fully_vulnerable, small_mixed, large_mixed, custom",
+            ),
+            (
+                lambda m: json.dumps({**m, "persistence_modes": ["../deterministic"]}),
+                "'persistence_modes' holds '../deterministic', not one of deterministic, probabilistic, consecutive",
+            ),
+            (lambda m: json.dumps({**m, "schema_version": 9}), "schema_version 9 is unknown; the only version is 1"),
         ],
-        ids=["not-json", "not-an-object", "no-deployments", "policies-text", "seeds-text", "unknown-score-mode"],
+        ids=[
+            "not-json",
+            "not-an-object",
+            "no-deployments",
+            "policies-text",
+            "seeds-text",
+            "unknown-score-mode",
+            "deployment-outside-out",
+            "mode-outside-out",
+            "schema-version-9",
+        ],
     )
     def test_replay_malformed_manifest_exits_2_naming_it(self, tiny_config, tmp_path, capsys, edit, message):
         out = tmp_path / "results"

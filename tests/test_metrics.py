@@ -18,14 +18,14 @@ from honeysim.metrics import (
     run_metrics,
     score_cell,
     score_from_counts,
-    scores_csv,
     success_cell,
-    success_csv,
 )
 from honeysim.policies import ExposureDecision, OraclePolicy, RandomPolicy
 from honeysim.telemetry import NoiseConfig
 
 STAGES = ("Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDataExfil")
+# the axes of the one cell the run-level tests aggregate
+AXES = {"policies": ["oracle"], "deployments": ["fully_vulnerable"], "modes": ["deterministic"]}
 
 
 def make_record(pairs, target="gitlab", objective="RootDataExfil", outcome="completed"):
@@ -162,14 +162,8 @@ def test_inference_score_matches_brute_force(data):
 
 
 class TestRunLevelMetrics:
-    def _result(self, records, policy="oracle", deployment="fully_vulnerable", seed=0):
-        return RunResult(
-            policy=policy,
-            deployment=deployment,
-            persistence="deterministic",
-            seed=seed,
-            records=tuple(records),
-        )
+    def _result(self, records, policy="oracle", deployment="fully_vulnerable"):
+        return RunResult(policy=policy, deployment=deployment, persistence="deterministic", records=tuple(records))
 
     def test_only_common_attackers_count(self):
         good = make_record([(STAGES, STAGES)])
@@ -192,17 +186,22 @@ class TestRunLevelMetrics:
 
     def test_aggregate_success_and_score_cells(self):
         results = []
-        for seed in range(9):
+        for _ in range(9):
             rec_a = make_record([(STAGES, STAGES)])
             rec_b = make_record([(STAGES, STAGES)], target="apache_struts")
-            results.append(run_metrics(self._result([rec_a, rec_b], seed=seed)))
-        tables = aggregate(results)
-        assert tables.success_by_deployment[0]["cell"] == "9/9 (100%)"
-        assert tables.scores[0]["oracle"] == "100.0 ± 0.0"
+            results.append(run_metrics(self._result([rec_a, rec_b])))
+        files = dict(aggregate(results, **AXES).files())
+        assert files["summary_success_by_deployment.csv"].splitlines()[1].split(",")[-1] == "9/9 (100%)"
+        assert files["summary_scores.csv"].splitlines()[1].split(",")[-1] == "100.0 ± 0.0"
 
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], **AXES)
+
+    def test_a_run_off_the_axes_is_refused(self):
+        run = run_metrics(self._result([make_record([(STAGES, STAGES)])], deployment="small_mixed"))
+        with pytest.raises(ValueError, match="oracle/small_mixed/deterministic is off the axes"):
+            aggregate([run], **AXES)
 
 
 @settings(max_examples=300)
@@ -236,13 +235,12 @@ class TestCellFormats:
             policy="oracle",
             deployment="fully_vulnerable",
             persistence="deterministic",
-            seed=0,
             records=(rec,),
         )
-        tables = aggregate([run_metrics(result)])
-        success = success_csv(tables.success_by_deployment, "deployment")
+        files = dict(aggregate([run_metrics(result)], **AXES).files())
+        success = files["summary_success_by_deployment.csv"]
         assert success.splitlines()[0] == "policy,deployment,achieved,total,exploitation_achieved"
-        scores = scores_csv(tables.scores, tables.policy_order)
+        scores = files["summary_scores.csv"]
         assert scores.splitlines()[0] == "deployment,persistence,oracle"
 
 
