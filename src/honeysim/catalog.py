@@ -304,6 +304,18 @@ def catalog_from_dict(data) -> AttackGraph:
     return AttackGraph(tuple(services))
 
 
-def load_catalog(path: str) -> AttackGraph:
+def load_yaml(path: str):
+    """The file's YAML document; a ConfigError of one line naming the file if it is not YAML."""
     with open(path, encoding="utf-8") as fh:
-        return catalog_from_dict(yaml.safe_load(fh))
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            # PyYAML's own text spans lines: the problem, then where it is
+            mark = getattr(exc, "problem_mark", None)
+            where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+            problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+            raise ConfigError(f"{path} is not YAML: {problem}{where}") from None
+
+
+def load_catalog(path: str) -> AttackGraph:
+    return catalog_from_dict(load_yaml(path))

@@ -66,6 +66,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     matrix = _apply_overrides(_load_config(args.config), args)
     problems = validate_matrix(matrix, offline=args.offline)
     if problems:

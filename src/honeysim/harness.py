@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import yaml
 
 from .attackers import PERSISTENCE_MODES, AttackerProfile, PersistenceModel, default_attacker_queue
-from .catalog import DEPLOYMENT_NAMES, AttackStage, HoneynetConfig, deployment_config, load_catalog
+from .catalog import DEPLOYMENT_NAMES, AttackStage, HoneynetConfig, deployment_config, load_catalog, load_yaml
 from .engine import (
     SCHEMA_VERSION,
     PolicyFactory,
@@ -193,11 +193,7 @@ def _parse_attacker_entry(index: int, entry, abandon_on_failure: bool) -> Attack
 
 
 def load_run_file(path: str) -> ExperimentMatrix:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path} is not YAML: {exc}") from None
+    data = load_yaml(path)
     return matrix_from_dict({} if data is None else data)
 
 
@@ -310,7 +306,7 @@ def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
             raise ConfigError("deployment 'custom' requires a catalog file")
         try:
             catalog = load_catalog(matrix.catalog_path)
-        except (OSError, ValueError, yaml.YAMLError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"catalog file unusable: {exc}") from None
     try:
         if deployment == "custom":

@@ -3,8 +3,8 @@
 The policy speaks to any OpenAI-style chat-completion endpoint over HTTP, or
 to a scripted mock that replays canned responses for offline runs and tests.
 Malformed or unreachable backends never crash an episode: the policy falls
-back to repeating its previous decision (or the first catalog service before
-one exists) and flags the turn.
+back to the exposure in force (at the bootstrap turn, the first ``budget``
+catalog services) and flags the turn.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .policies import (
     ExposureDecision,
     Policy,
     StagePrediction,
-    clamp_decision,
     make_prediction,
 )
 from .settings import Settings, check
@@ -384,12 +383,13 @@ def llm_decide(
     cfg: HoneynetConfig,
     *,
     template: PromptTemplate,
-    previous_decision: Optional[ExposureDecision] = None,
 ) -> tuple[ExposureDecision, StagePrediction, BeliefState, AgentTurn]:
     """One model turn: build prompt, call the backend, parse, fall back if needed.
 
     The caller is responsible for having already folded ``obs`` into
-    ``belief`` (``policy_decide`` does this).
+    ``belief`` (``policy_decide`` does this). A failed turn keeps the exposure
+    in force, ``obs.exposed_last``; the bootstrap turn (epoch 0) has none yet,
+    so it takes the first ``budget`` catalog services.
     """
     sections = _prompt_sections(belief, cfg)
     # the prompt without alerts, as build_prompt renders an empty digest
@@ -419,10 +419,7 @@ def llm_decide(
 
     fallback_used = decision is None
     if decision is None:
-        if previous_decision is not None:
-            decision = ExposureDecision(exposed=previous_decision.exposed)
-        else:
-            decision = ExposureDecision(exposed=cfg.catalog.ids[: cfg.budget])
+        decision = ExposureDecision(obs.exposed_last if obs.epoch else cfg.catalog.ids[: cfg.budget])
         logger.warning("model turn failed (%s); falling back to %s", error, decision.exposed)
 
     turn = AgentTurn(
@@ -451,23 +448,13 @@ class LlmPolicy(Policy):
     ) -> None:
         self.backend = backend
         self.template = template or builtin_template()
-        self._last_decision: Optional[ExposureDecision] = None
         self._turn_log = turn_log
         if label:
             self.name = label
 
     def decide(self, obs, belief, cfg):
-        decision, prediction, _, turn = llm_decide(
-            self.backend,
-            obs,
-            belief,
-            cfg,
-            template=self.template,
-            previous_decision=self._last_decision,
-        )
+        decision, prediction, _, turn = llm_decide(self.backend, obs, belief, cfg, template=self.template)
         # the turn hits disk before the decision it produced takes effect
         if self._turn_log is not None:
             self._turn_log.append(turn)
-        # a fallback repeats the exposure that took effect, not the raw reply
-        self._last_decision = clamp_decision(decision, cfg, self.name)
-        return self._last_decision, prediction
+        return decision, prediction

@@ -190,13 +190,13 @@ def synthesize_alerts(
 _CLOCK = attrgetter("clock")
 
 
-def aggregate_epoch(alerts: Iterable[IdsAlert], exposed: Iterable[str], epoch: int) -> EpochObservation:
-    """Bundle an epoch's alerts, in clock order, with the exposure in force."""
+def aggregate_epoch(alerts: Iterable[IdsAlert], exposed: tuple[str, ...], epoch: int) -> EpochObservation:
+    """Bundle an epoch's alerts, in clock order, with the exposure in force, unsorted: a failed turn repeats it."""
     bundled = tuple(sorted(alerts, key=_CLOCK))
     for alert in bundled:
         if alert.epoch != epoch:
             raise EpochMismatchError(f"alert from epoch {alert.epoch} passed to epoch {epoch}")
-    return EpochObservation(epoch, bundled, tuple(sorted(exposed)))
+    return EpochObservation(epoch, bundled, exposed)
 
 
 NO_ALERTS_DIGEST = "no alerts observed this epoch"

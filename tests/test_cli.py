@@ -189,6 +189,11 @@ class TestValidate:
                 "error: config unreadable: horizon must be at least 1, got 0; unknown bootstrap mode 'bogus'",
             ),
             ({"schema_version": 7}, "error: config unreadable: schema_version 7 is unknown; the only version is 1"),
+            (
+                "horizon: [1\n",
+                "error: config unreadable: bad.yaml is not YAML: expected ',' or ']', but got '<stream end>' "
+                "at line 2, column 1",
+            ),
         ],
         ids=[
             "unknown-mode",
@@ -201,13 +206,18 @@ class TestValidate:
             "zero-budget-and-horizon",
             "zero-horizon-and-bad-bootstrap",
             "schema-version-7",
+            "not-yaml",
         ],
     )
-    def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, capsys, override, line):
-        """A range fault of a section or of a value no cell changes is one line at load, not one per cell."""
-        bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
-        assert main(["validate", "--config", str(bad)]) == 2
+    def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, monkeypatch, capsys, override, line):
+        """A range fault of a section or of a value no cell changes is one line at load, not one per cell.
+
+        So is a file that is not YAML: an override that is text is the whole file.
+        """
+        monkeypatch.chdir(tmp_path)
+        text = override if isinstance(override, str) else yaml.safe_dump({**TINY_CONFIG, **override})
+        Path("bad.yaml").write_text(text, encoding="utf-8")
+        assert main(["validate", "--config", "bad.yaml"]) == 2
         assert capsys.readouterr().err.splitlines() == [line]
 
     @pytest.mark.parametrize(
@@ -261,6 +271,11 @@ class TestValidate:
                 "violation: catalog file unusable: services[0].stages[1]: unknown attack stage: 'Lateral'",
             ),
             (
+                {"deployments": ["custom"], "catalog": "not_yaml.yaml"},
+                "violation: catalog file unusable: not_yaml.yaml is not YAML: "
+                "expected the node content, but found '<stream end>' at line 2, column 1\n",
+            ),
+            (
                 {"policies": [{"name": "m", "kind": "mock", "replay": "numbers.json"}]},
                 "violation: policy m: replay file 'numbers.json' unusable: "
                 "'episodes[0]' must be a list of strings, got 1",
@@ -292,6 +307,7 @@ class TestValidate:
             "catalog-row-unknown-keys",
             "catalog-row-without-vulnerable",
             "catalog-row-unknown-stage",
+            "catalog-not-yaml",
             "replay-episodes-numbers",
             "replay-episode-of-numbers",
         ],
@@ -314,6 +330,7 @@ class TestValidate:
         Path("no_flag.yaml").write_text(yaml.safe_dump({"services": [no_flag]}), encoding="utf-8")
         lateral = {"id": "redis", "vulnerable": True, "stages": ["Reconnaissance", "Lateral"]}
         Path("lateral.yaml").write_text(yaml.safe_dump({"services": [lateral]}), encoding="utf-8")
+        Path("not_yaml.yaml").write_text("services: [\n", encoding="utf-8")
         Path("numbers.json").write_text("[1, 2]", encoding="utf-8")
         Path("number_lists.json").write_text("[[1, 2]]", encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
@@ -811,6 +828,13 @@ class TestRunAndReplay:
 
     def test_unknown_policy_filter_fails(self, tiny_config, tmp_path):
         assert main(["run", "--config", tiny_config, "--out", str(tmp_path / "x"), "--policy", "ghost"]) != 0
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_refused_before_anything_is_written(self, tiny_config, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        assert main(["run", "--config", tiny_config, "--out", str(out), "--workers", workers]) == 2
+        assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not out.exists()
 
     def test_workers_flag_produces_same_summaries(self, tiny_config, tmp_path):
         solo = tmp_path / "solo"

@@ -31,7 +31,7 @@ from honeysim.llm import (
 )
 from honeysim.metrics import exploitation_achieved, inference_score
 from honeysim.policies import BeliefState, ExposureDecision, make_prediction, policy_decide, update_belief
-from honeysim.telemetry import NoiseConfig, empty_observation
+from honeysim.telemetry import EpochObservation, NoiseConfig, empty_observation
 
 HONEYNET = deployment_config("fully_vulnerable")
 
@@ -90,7 +90,7 @@ class TestBuildPrompt:
             )
             for i in range(500)
         )
-        obs = aggregate_epoch(alerts, {"gitlab"}, 1)
+        obs = aggregate_epoch(alerts, ("gitlab",), 1)
         belief = update_belief(BeliefState(), obs)
         backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
         monkeypatch.setattr(llm, "PROMPT_CHAR_CAP", 3000)
@@ -272,6 +272,44 @@ class TestScriptedEpisodes:
         assert turn.fallback_used
         assert decision.exposed == ("gitlab",)
 
+    def test_fallback_repeats_an_empty_exposure_in_force(self):
+        """Only the bootstrap turn (epoch 0) falls back to the catalog; an empty exposure in force is kept."""
+        policy = LlmPolicy(ScriptedMockBackend(["nope"]))
+        obs = EpochObservation(epoch=3, alerts=(), exposed_last=())
+        decision, _, _, turn = llm_decide(policy.backend, obs, BeliefState(), HONEYNET, template=policy.template)
+        assert turn.fallback_used
+        assert decision.exposed == ()
+
+    def test_fallback_after_first_service_bootstrap_keeps_the_exposure_in_force(self):
+        """The engine discards the bootstrap reply under first_service, so a failed epoch-1 turn keeps gitlab."""
+        script = ['{"expose": ["docker_api"], "stages": []}', "garbage from here on"]
+        cfg = RunConfig(
+            honeynet=HONEYNET,
+            attackers=(AttackerProfile(target_service="docker_api"),),
+            horizon=4,
+            seed=11,
+            bootstrap="first_service",
+        )
+        rec = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)))[0]
+        assert rec.bootstrap_exposed == ("gitlab",)
+        assert rec.epochs[0].exposed == ("gitlab",)
+        assert rec.epochs[0].decision.exposed == ("gitlab",)
+
+    def test_failed_bootstrap_turn_under_carryover_takes_the_first_services(self):
+        """A carried-over policy's last decision is not in force in a new episode: its bootstrap falls back afresh."""
+        script = ['{"expose": ["docker_api"], "stages": []}', "garbage from here on"]
+        cfg = RunConfig(
+            honeynet=HONEYNET,
+            attackers=(AttackerProfile(target_service="xdebug"), AttackerProfile(target_service="apache_struts")),
+            horizon=3,
+            seed=11,
+            belief_carryover=True,
+        )
+        first, second = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
+        assert first.bootstrap_exposed == ("docker_api",)
+        assert second.bootstrap_exposed == ("gitlab",)
+        assert {e.decision.exposed for e in second.epochs} == {("gitlab",)}
+
     def test_overconfident_prediction_counts_false_positive(self):
         """Predicting the terminal stage while the chain is mid-way costs FP."""
         script = [
@@ -288,6 +326,55 @@ class TestScriptedEpisodes:
         rec_a = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         rec_b = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         assert records_to_jsonl([record_to_dict(rec_a)]) == records_to_jsonl([record_to_dict(rec_b)])
+
+
+_SERVICE_NAMES = [*HONEYNET.catalog.ids, "ghost"]
+_REPLIES = st.one_of(
+    st.sampled_from(["garbage", "{", '{"expose": "gitlab", "stages": []}', '{"expose": ["gitlab"], "stages"', ""]),
+    st.builds(
+        lambda expose, stages, done: json.dumps({"expose": expose, "stages": stages, "done": done}),
+        st.lists(st.sampled_from(_SERVICE_NAMES), max_size=4),  # empty, repeated and over-budget lists too
+        st.lists(st.sampled_from([s.label for s in AttackStage]), max_size=3),
+        st.sampled_from([False, False, False, True]),
+    ),
+)
+_OUTCOMES = {"completed", "abandoned", "declared_done", "horizon_exhausted"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    script=st.lists(_REPLIES, min_size=1, max_size=8),
+    budget=st.integers(1, 2),
+    bootstrap=st.sampled_from(["policy", "first_service"]),
+    carryover=st.booleans(),
+)
+def test_a_failed_turn_keeps_the_exposure_in_force(script, budget, bootstrap, carryover):
+    """Whatever the model replies, the budget holds, and a turn that falls back after epoch 0 changes nothing."""
+    honeynet = deployment_config("fully_vulnerable", budget)
+    cfg = RunConfig(
+        honeynet=honeynet,
+        attackers=(AttackerProfile(target_service="xdebug"), AttackerProfile(target_service="gitlab")),
+        horizon=5,
+        seed=3,
+        belief_carryover=carryover,
+        bootstrap=bootstrap,
+    )
+    turns = []  # every policy's turns in order; each episode's first is its bootstrap turn, epoch 0
+    records = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script), turn_log=turns))
+    episodes = []  # each episode's turns after its bootstrap turn
+    for turn in turns:
+        if turn.epoch == 0:
+            episodes.append([])
+        else:
+            episodes[-1].append(turn)
+    assert len(episodes) == len(records)
+    for rec, episode_turns in zip(records, episodes):
+        assert rec.outcome in _OUTCOMES
+        assert [t.epoch for t in episode_turns] == list(range(1, len(rec.epochs) + 1))
+        for epoch, turn in zip(rec.epochs, episode_turns):
+            assert set(epoch.exposed) <= set(honeynet.catalog.ids) and len(epoch.exposed) <= budget
+            if turn.fallback_used:
+                assert epoch.decision.exposed == epoch.exposed
 
 
 # the pattern that first defined a reply's fenced blocks, kept as the reference for _fenced_blocks
@@ -441,15 +528,8 @@ class TestHttpBackend:
         chat_server.script = [(500, {"error": "down"})]
         monkeypatch.setattr(HttpChatBackend, "max_retries", 1)
         backend = self._backend(chat_server)
-        previous = ExposureDecision(exposed=("xdebug",))
-        decision, _, _, turn = llm_decide(
-            backend,
-            empty_observation(),
-            BeliefState(),
-            HONEYNET,
-            template=builtin_template(),
-            previous_decision=previous,
-        )
+        obs = EpochObservation(epoch=1, alerts=(), exposed_last=("xdebug",))
+        decision, _, _, turn = llm_decide(backend, obs, BeliefState(), HONEYNET, template=builtin_template())
         assert turn.fallback_used
         assert "backend-unreachable" in turn.error
         assert decision.exposed == ("xdebug",)

@@ -26,7 +26,7 @@ QUIET = NoiseConfig(false_positive_rate=0.0, hint_corruption_rate=0.0)
 
 def _obs(actions, epoch=1, seed=0):
     alerts = synthesize_alerts(actions, epoch, QUIET, random.Random(seed), catalog=HONEYNET.catalog)
-    return aggregate_epoch(alerts, set(), epoch)
+    return aggregate_epoch(alerts, (), epoch)
 
 
 class TestUpdateBelief:
@@ -43,7 +43,7 @@ class TestUpdateBelief:
         obs1 = _obs([ScanAction(services=("gitlab",))])
         single = update_belief(BeliefState(), obs1)
         doubled_alerts = obs1.alerts + obs1.alerts
-        obs2 = aggregate_epoch(doubled_alerts, set(), 1)
+        obs2 = aggregate_epoch(doubled_alerts, (), 1)
         double = update_belief(BeliefState(), obs2)
         key = ("gitlab", AttackStage.RECONNAISSANCE)
         assert double.weights[key] == 2 * single.weights[key]
@@ -57,7 +57,7 @@ class TestUpdateBelief:
         ]
         alerts = list(_obs(actions).alerts)
         rng.shuffle(alerts)
-        shuffled_obs = aggregate_epoch(alerts, set(), 1)
+        shuffled_obs = aggregate_epoch(alerts, (), 1)
         base = update_belief(BeliefState(), _obs(actions))
         shuffled = update_belief(BeliefState(), shuffled_obs)
         assert base.weights == shuffled.weights
@@ -142,7 +142,7 @@ class TestBaselines:
         alerts = synthesize_alerts(
             [ScanAction(services=("decoy_1",))], 1, QUIET, random.Random(0), catalog=mixed.catalog
         )
-        obs = aggregate_epoch(alerts, {"decoy_1"}, 1)
+        obs = aggregate_epoch(alerts, ("decoy_1",), 1)
         decision, _ = policy.decide(obs, update_belief(BeliefState(), obs), mixed)
         assert decision.exposed[0] in mixed.catalog.ids  # falls back to round robin
 

@@ -145,24 +145,28 @@ def test_every_exploit_renders_the_rows_of_signatures_json(deployment, noise):
 
 class TestAggregateEpoch:
     def test_empty_observation(self):
-        obs = aggregate_epoch([], {"gitlab"}, 3)
+        obs = aggregate_epoch([], ("gitlab",), 3)
         assert obs.epoch == 3
         assert obs.alerts == ()
         assert obs.exposed_last == ("gitlab",)
+
+    def test_keeps_the_exposure_in_priority_order(self):
+        """A failed model turn repeats the exposure as it was decided, so the observation does not sort it."""
+        assert aggregate_epoch([], ("xdebug", "gitlab"), 1).exposed_last == ("xdebug", "gitlab")
 
     def test_sorts_by_clock(self):
         alerts = _synth(
             [ScanAction(services=("apache_struts", "gitlab"))], epoch=2
         )
         shuffled = list(reversed(alerts))
-        obs = aggregate_epoch(shuffled, set(), 2)
+        obs = aggregate_epoch(shuffled, (), 2)
         assert [a.clock for a in obs.alerts] == sorted(a.clock for a in alerts)
         assert len(obs.alerts) == 2
 
     def test_epoch_mismatch_raises(self):
         alerts = _synth([ScanAction(services=("gitlab",))], epoch=1)
         with pytest.raises(EpochMismatchError):
-            aggregate_epoch(alerts, set(), 2)
+            aggregate_epoch(alerts, (), 2)
 
 
 class TestSummarize:
@@ -180,7 +184,7 @@ class TestSummarize:
     def test_truncation_drops_lowest_severity_first(self):
         scans = _synth([ScanAction(services=tuple(CATALOG.ids))] * 25)
         exploit = _synth([ExploitAction(service="gitlab", stage=AttackStage.ROOT_DATA_EXFIL)])
-        obs = aggregate_epoch(scans + exploit, set(), 1)
+        obs = aggregate_epoch(scans + exploit, (), 1)
         full = summarize_for_prompt(obs, 10_000)
         tight = summarize_for_prompt(obs, 120)
         assert len(tight) <= 120
@@ -195,7 +199,7 @@ class TestSummarize:
             noise=NoiseConfig(false_positive_rate=0.8, hint_corruption_rate=0.0),
             seed=5,
         )
-        obs = aggregate_epoch(alerts, set(), 1)
+        obs = aggregate_epoch(alerts, (), 1)
         assert summarize_for_prompt(obs, 300) == summarize_for_prompt(obs, 300)
 
     def test_budget_must_be_positive(self):
