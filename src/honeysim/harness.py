@@ -58,13 +58,14 @@ from .metrics import (
     SummaryTables,
     aggregate,
 )
-from .policies import OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
+from .policies import DEGRADATIONS, CellStats, OraclePolicy, RandomPolicy, ReactivePolicy, StaticPolicy
 from .settings import ConfigError, Settings, check, read
 from .telemetry import NoiseConfig
 
 logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
+STATS_NAME = "run_stats.json"
 
 
 @dataclass(frozen=True)
@@ -486,10 +487,19 @@ def run_cell(
 
     With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
     happen, so partial runs still leave an audit trail. ``files`` shares the
-    loaded template and replay files between the cells of one run.
+    loaded template and replay files between the cells of one run. Every
+    policy of the cell counts its turns and degradations into the result's
+    ``stats``; a cell that degraded logs one warning with its counts.
     """
     turn_log = None if out_dir is None else TurnLog(out_dir / cell.name / "turns.jsonl")
-    cfg, make_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix), turn_log)
+    cfg, build_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix), turn_log)
+    stats = CellStats()
+
+    def make_policy(index: int, seed: int):
+        policy = build_policy(index, seed)
+        policy.stats = stats
+        return policy
+
     if turn_log is not None:
         # one mkdir for a fresh cell directory; a rerun also deletes the stale turn log, even of a cell without turns
         try:
@@ -503,10 +513,14 @@ def run_cell(
                 raise ConfigError(f"output file {turn_log.path} is a directory") from None
     try:
         # the records as record_to_dict maps them: write_cell writes them and run_metrics scores them
-        return _cell_result(cell, map(record_to_dict, run_simulation(cfg, make_policy)))
+        result = _cell_result(cell, map(record_to_dict, run_simulation(cfg, make_policy)), stats)
     finally:
         if turn_log is not None:
             turn_log.close()
+    degraded = stats.degraded()
+    if degraded:
+        logger.warning("cell %s degraded: %s", cell.name, degraded)
+    return result
 
 
 def _write(path: Path, text: str) -> None:
@@ -517,8 +531,8 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"output file {path} is a directory") from None
 
 
-def _cell_result(cell: CellSpec, records) -> RunResult:
-    return RunResult(cell.policy.label, cell.deployment, cell.persistence, tuple(records))
+def _cell_result(cell: CellSpec, records, stats: Optional[CellStats] = None) -> RunResult:
+    return RunResult(cell.policy.label, cell.deployment, cell.persistence, tuple(records), stats)
 
 
 def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
@@ -548,8 +562,15 @@ def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: Experimen
     return tables
 
 
+def _run_stats(cells: Sequence[CellSpec], stats: Sequence[CellStats]) -> str:
+    """``run_stats.json``: each cell's counts and latencies in matrix order, one cell a line, then the counts summed."""
+    rows = [{"cell": cell.name, **s.as_dict()} for cell, s in zip(cells, stats)]
+    totals = {key: sum(row[key] for row in rows) for key in ("turns", *DEGRADATIONS)}
+    return '{"cells": [\n' + ",\n".join(map(json.dumps, rows)) + f'\n], "totals": {json.dumps(totals)}}}\n'
+
+
 def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int = 1) -> SummaryTables:
-    """Run every cell, write per-cell logs plus the summary tables."""
+    """Run every cell, write per-cell logs, ``run_stats.json`` and the summary tables."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -557,7 +578,7 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
         raise ConfigError(f"output path {out} is not a directory") from None
     cells = expand_matrix(matrix)
     # a directory where the manifest or a summary table goes is refused before the first cell, not after the last
-    for name in (MANIFEST_NAME, *(name for name, _ in SummaryTables({}, (), (), ()).files())):
+    for name in (MANIFEST_NAME, STATS_NAME, *(name for name, _ in SummaryTables({}, (), (), ()).files())):
         if (out / name).is_dir():
             raise ConfigError(f"output file {out / name} is a directory")
 
@@ -576,19 +597,21 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
 
     files = _RunFiles(matrix)
 
-    def job(cell: CellSpec) -> RunMetrics:
+    def job(cell: CellSpec) -> tuple[RunMetrics, CellStats]:
         logger.info("running cell %s", cell.name)
         result = run_cell(cell, matrix, out_dir=out, files=files)
         write_cell(out, cell, result)
-        # only the metrics outlive the cell, so memory grows with cells, not episodes
-        return metrics.run_metrics(result, matrix.score_mode)
+        # only the metrics and counts outlive the cell, so memory grows with cells, not episodes
+        return metrics.run_metrics(result, matrix.score_mode), result.stats
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(job, cells))
+            done = list(pool.map(job, cells))
     else:
-        runs = [job(c) for c in cells]
+        done = [job(c) for c in cells]
 
+    runs = [run for run, _ in done]
+    _write(out / STATS_NAME, _run_stats(cells, [stats for _, stats in done]))
     return write_summaries(out, runs, matrix)
 
 

@@ -10,7 +10,6 @@ catalog services) and flags the turn.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
 import time
@@ -22,6 +21,7 @@ from typing import ClassVar, NamedTuple, Optional, Sequence
 from .catalog import AttackStage, HoneynetConfig, ServiceSpec
 from .policies import (
     BeliefState,
+    CellStats,
     ExposureDecision,
     Policy,
     StagePrediction,
@@ -29,8 +29,6 @@ from .policies import (
 )
 from .settings import Settings, check
 from .telemetry import EpochObservation, summarize_for_prompt
-
-logger = logging.getLogger(__name__)
 
 # the longest prompt a model turn sends; the alert digest is cut to fit
 PROMPT_CHAR_CAP = 8000
@@ -161,13 +159,14 @@ def _bracketed_end(text: str, start: int) -> int:
     return len(text)
 
 
-def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, StagePrediction]:
+def parse_response(
+    raw: str, cfg: HoneynetConfig, stats: Optional[CellStats] = None
+) -> tuple[ExposureDecision, StagePrediction]:
     """Extract the decision object from model output, tolerating surrounding prose.
 
-    Unknown service or stage names are dropped with a warning, and a ``done``
-    other than true or false is read as not done, with a warning. The expose
-    list keeps its order, repeats and length; ``policy_decide`` enforces the
-    budget.
+    Unknown service or stage names are dropped, and a ``done`` other than true
+    or false is read as not done; ``stats`` counts each. The expose list keeps
+    its order, repeats and length; ``policy_decide`` enforces the budget.
     """
     payload = _find_decision(raw)
     if payload is None:
@@ -181,21 +180,23 @@ def parse_response(raw: str, cfg: HoneynetConfig) -> tuple[ExposureDecision, Sta
     exposed: list[str] = []
     for name in expose_raw:
         sid = cfg.catalog.resolve(str(name))
-        if sid is None:
-            logger.warning("model exposed unknown service %r; dropped", name)
-        else:
+        if sid is not None:
             exposed.append(sid)
+        elif stats is not None:
+            stats.counts["unknown_services"] += 1
 
     stages: list[AttackStage] = []
     for name in stages_raw:
         try:
             stages.append(AttackStage.from_label(str(name)))
         except ValueError:
-            logger.warning("model predicted unknown stage %r; dropped", name)
+            if stats is not None:
+                stats.counts["unknown_stages"] += 1
 
     done = payload.get("done", False)
     if type(done) is not bool:  # only JSON true declares done
-        logger.warning("model gave non-boolean done %r; read as not done", done)
+        if stats is not None:
+            stats.counts["non_boolean_done"] += 1
         done = False
     return ExposureDecision(exposed=tuple(exposed), declared_done=done), make_prediction(stages)
 
@@ -284,7 +285,7 @@ class HttpChatBackend(Settings):
 
 
 def load_replay_file(path: str) -> list[list[str]]:
-    """Load mock scripts: either a flat response list or per-episode lists, each a list of strings."""
+    """Load mock scripts: either a flat response list or per-episode lists, each a non-empty list of strings."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict):
@@ -293,7 +294,10 @@ def load_replay_file(path: str) -> list[list[str]]:
         raise ValueError(f"{path}: expected a non-empty list of responses or episode lists")
     if all(isinstance(item, str) for item in data):
         return [list(data)]
-    return [check(episode, "list[str]", f"episodes[{i}]") for i, episode in enumerate(data)]
+    for i, episode in enumerate(data):
+        if not check(episode, "list[str]", f"episodes[{i}]"):
+            raise ValueError(f"episodes[{i}] is empty")  # a mock with no reply could only fall back
+    return data
 
 
 def aligned_mock_script(svc: ServiceSpec, objective: Optional[AttackStage] = None) -> list[str]:
@@ -321,12 +325,15 @@ def aligned_mock_script(svc: ServiceSpec, objective: Optional[AttackStage] = Non
 
 
 class AgentTurn(NamedTuple):
-    """One model turn as ``turns.jsonl`` logs it, its fields declared in the sorted order they are written in."""
+    """One model turn as ``turns.jsonl`` logs it, its fields declared in the sorted order they are written in.
+
+    It holds no wall-clock value, so the same inputs log the same bytes; the
+    backend's latency goes to the cell's ``CellStats``.
+    """
 
     epoch: int
     error: Optional[str]
     fallback_used: bool
-    latency_s: float
     parsed_ok: bool
     prompt: str
     raw_response: str
@@ -343,10 +350,10 @@ def _turn_line(turn: AgentTurn) -> bytes:
     in their sorted order, without a mapping or an encoder; only the two texts
     and the error need escaping.
     """
-    epoch, error, fallback_used, latency_s, parsed_ok, prompt, raw_response = turn
+    epoch, error, fallback_used, parsed_ok, prompt, raw_response = turn
     return (
         f'{{"epoch": {epoch}, "error": {"null" if error is None else _json_string(error)}, '
-        f'"fallback_used": {"true" if fallback_used else "false"}, "latency_s": {latency_s!r}, '
+        f'"fallback_used": {"true" if fallback_used else "false"}, '
         f'"parsed_ok": {"true" if parsed_ok else "false"}, "prompt": {_json_string(prompt)}, '
         f'"raw_response": {_json_string(raw_response)}}}\n'
     ).encode("utf-8")
@@ -357,7 +364,9 @@ class TurnLog:
 
     The file is created at the first turn, so a cell without model turns has
     none; every finished line is flushed, so a crash keeps the turns before
-    it. The owner calls ``close``.
+    it. The owner calls ``close``. A line holds no latency, so a rerun writes
+    the same bytes; the cell's turn and degradation counts and latencies are
+    in its ``CellStats``, which ``run_stats.json`` holds.
     """
 
     def __init__(self, path: Path) -> None:
@@ -383,13 +392,16 @@ def llm_decide(
     cfg: HoneynetConfig,
     *,
     template: PromptTemplate,
+    stats: Optional[CellStats] = None,
 ) -> tuple[ExposureDecision, StagePrediction, BeliefState, AgentTurn]:
     """One model turn: build prompt, call the backend, parse, fall back if needed.
 
     The caller is responsible for having already folded ``obs`` into
     ``belief`` (``policy_decide`` does this). A failed turn keeps the exposure
     in force, ``obs.exposed_last``; the bootstrap turn (epoch 0) has none yet,
-    so it takes the first ``budget`` catalog services.
+    so it takes the first ``budget`` catalog services. ``stats`` records the
+    turn, its backend latency, whether it fell back and what parsing dropped;
+    nothing is logged per turn.
     """
     sections = _prompt_sections(belief, cfg)
     # the prompt without alerts, as build_prompt renders an empty digest
@@ -412,7 +424,7 @@ def llm_decide(
     parsed_ok = False
     if error is None:
         try:
-            decision, prediction = parse_response(raw, cfg)
+            decision, prediction = parse_response(raw, cfg, stats)
             parsed_ok = True
         except ResponseParseError as exc:
             error = f"parse-failure: {exc}"
@@ -420,13 +432,13 @@ def llm_decide(
     fallback_used = decision is None
     if decision is None:
         decision = ExposureDecision(obs.exposed_last if obs.epoch else cfg.catalog.ids[: cfg.budget])
-        logger.warning("model turn failed (%s); falling back to %s", error, decision.exposed)
+    if stats is not None:
+        stats.record_turn(latency, fallback_used)
 
     turn = AgentTurn(
         epoch=obs.epoch,
         error=error,
         fallback_used=fallback_used,
-        latency_s=latency,
         parsed_ok=parsed_ok,
         prompt=prompt,
         raw_response=raw,
@@ -453,7 +465,9 @@ class LlmPolicy(Policy):
             self.name = label
 
     def decide(self, obs, belief, cfg):
-        decision, prediction, _, turn = llm_decide(self.backend, obs, belief, cfg, template=self.template)
+        decision, prediction, _, turn = llm_decide(
+            self.backend, obs, belief, cfg, template=self.template, stats=self.stats
+        )
         # the turn hits disk before the decision it produced takes effect
         if self._turn_log is not None:
             self._turn_log.append(turn)

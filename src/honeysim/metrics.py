@@ -16,9 +16,10 @@ import io
 import itertools
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .catalog import AttackStage
+from .policies import CellStats
 
 COMMON_TARGETS = ("gitlab", "apache_struts")
 
@@ -79,12 +80,14 @@ class RunResult:
     ``records`` are the cell's episodes as ``engine.record_to_dict`` maps them
     in a run, and as ``episodes.jsonl`` decodes in a replay. Both hold the
     same stage labels, targets and objectives, so both score the same.
+    ``stats`` are the run's turn and degradation counts; a replay has none.
     """
 
     policy: str
     deployment: str
     persistence: str
     records: tuple[dict, ...]
+    stats: Optional[CellStats] = None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ exposure budget.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -18,8 +17,6 @@ from typing import NamedTuple, Optional
 from .catalog import STAGE_LABELS, AttackGraph, AttackStage, HoneynetConfig
 from .telemetry import EpochObservation
 from .telemetry import summarize_for_prompt  # noqa: F401  kept: perfbench/tracer.py patches this name
-
-logger = logging.getLogger(__name__)
 
 
 # The value objects of one epoch (ExposureDecision, StagePrediction,
@@ -83,10 +80,58 @@ class GroundTruthView(NamedTuple):
     status: str
 
 
+# What a cell counts of its policies' degradation, in the order ``run_stats.json`` lists it:
+DEGRADATIONS = (
+    "fallbacks",  # model turns that fell back to the exposure in force
+    "unknown_services",  # service names in model replies that the catalog lacks, dropped
+    "unknown_stages",  # stage names in model replies that no stage has, dropped
+    "non_boolean_done",  # model replies whose ``done`` is not a JSON boolean, read as not done
+    "unlisted_services",  # services a decision exposed outside the catalog, dropped by the clamp
+    "over_budget",  # decisions clamped to the budget
+)
+
+
+class CellStats:
+    """One cell's model turns, each turn's backend latency, and its degradations counted by kind.
+
+    ``run_cell`` makes one per cell and hands it to every policy the cell
+    builds, as it hands its model policies the cell's turn log. No two cells
+    share one, so cells on different worker threads never count into the same
+    object. Counting replaces a log record per event: the cell logs one line.
+    """
+
+    def __init__(self) -> None:
+        self.latencies: list[float] = []
+        self.counts = dict.fromkeys(DEGRADATIONS, 0)
+
+    def record_turn(self, latency_s: float, fallback_used: bool) -> None:
+        self.latencies.append(latency_s)
+        self.counts["fallbacks"] += fallback_used
+
+    def degraded(self) -> str:
+        """The nonzero counts as ``kind=n`` pairs; empty for a cell that never degraded."""
+        return ", ".join(f"{kind}={n}" for kind, n in self.counts.items() if n)
+
+    def as_dict(self) -> dict:
+        """The turns, the counts, and the p50, p95 and max backend latency in s by nearest rank (None without turns)."""
+        latencies = sorted(self.latencies)
+        spread = None
+        if latencies:
+            spread = {"p50": _nearest_rank(latencies, 50), "p95": _nearest_rank(latencies, 95), "max": latencies[-1]}
+        return {"turns": len(latencies), **self.counts, "latency_s": spread}
+
+
+def _nearest_rank(ordered: list[float], pct: int) -> float:
+    """The smallest of ``ordered`` with at least ``pct`` percent of the values at or below it."""
+    return ordered[-(-pct * len(ordered) // 100) - 1]  # index ceil(pct * n / 100) - 1
+
+
 class Policy:
     """One defender policy instance, owned by a single episode."""
 
     name = "base"
+    # the cell's counts, when a cell built the policy; set by ``run_cell``
+    stats: Optional[CellStats] = None
 
     def decide(
         self, obs: EpochObservation, belief: BeliefState, cfg: HoneynetConfig
@@ -94,22 +139,21 @@ class Policy:
         raise NotImplementedError
 
 
-def clamp_decision(decision: ExposureDecision, cfg: HoneynetConfig, policy_name: str) -> ExposureDecision:
-    """Enforce the exposure budget and catalog membership, keeping priority order."""
+def clamp_decision(
+    decision: ExposureDecision, cfg: HoneynetConfig, stats: Optional[CellStats] = None
+) -> ExposureDecision:
+    """Enforce the exposure budget and catalog membership, keeping priority order; ``stats`` counts what it drops."""
     seen: list[str] = []
     for sid in decision.exposed:
         if sid not in cfg.catalog:
-            logger.warning("policy %s exposed unknown service %r; dropped", policy_name, sid)
+            if stats is not None:
+                stats.counts["unlisted_services"] += 1
             continue
         if sid not in seen:
             seen.append(sid)
     if len(seen) > cfg.budget:
-        logger.warning(
-            "policy %s exceeded budget (%d > %d); clamped to highest-priority services",
-            policy_name,
-            len(seen),
-            cfg.budget,
-        )
+        if stats is not None:
+            stats.counts["over_budget"] += 1
         seen = seen[: cfg.budget]
     clamped = tuple(seen)
     if clamped == decision.exposed:
@@ -123,7 +167,7 @@ def policy_decide(
     """Update belief with this epoch's evidence, then ask the policy to act."""
     belief = update_belief(belief, obs)
     decision, prediction = policy.decide(obs, belief, cfg)
-    return clamp_decision(decision, cfg, policy.name), prediction, belief
+    return clamp_decision(decision, cfg, policy.stats), prediction, belief
 
 
 class OraclePolicy(Policy):

@@ -285,6 +285,10 @@ class TestValidate:
                 "violation: policy m: replay file 'number_lists.json' unusable: "
                 "'episodes[0][0]' must be a string, got 1",
             ),
+            (
+                {"policies": [{"name": "m", "kind": "mock", "replay": "empty_script.json"}]},
+                "violation: policy m: replay file 'empty_script.json' unusable: episodes[0] is empty\n",
+            ),
         ],
         ids=[
             "bare-string-attacker",
@@ -310,6 +314,7 @@ class TestValidate:
             "catalog-not-yaml",
             "replay-episodes-numbers",
             "replay-episode-of-numbers",
+            "replay-empty-script",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -333,6 +338,7 @@ class TestValidate:
         Path("not_yaml.yaml").write_text("services: [\n", encoding="utf-8")
         Path("numbers.json").write_text("[1, 2]", encoding="utf-8")
         Path("number_lists.json").write_text("[[1, 2]]", encoding="utf-8")
+        Path("empty_script.json").write_text('{"episodes": [[]]}', encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
@@ -862,7 +868,9 @@ class TestMockDemo:
         assert main(["mock-demo", "--out", str(a)]) == 0
         assert main(["mock-demo", "--out", str(b)]) == 0
         cell = "scripted__fully_vulnerable__deterministic__seed0"
-        assert (a / cell / "episodes.jsonl").read_bytes() == (b / cell / "episodes.jsonl").read_bytes()
+        # a turn line holds no wall-clock value, so the turn log is as reproducible as the episode log
+        for name in ("episodes.jsonl", "turns.jsonl"):
+            assert (a / cell / name).read_bytes() == (b / cell / name).read_bytes()
 
 
 def test_console_script_is_installed():
@@ -974,6 +982,95 @@ def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, 
     run_cell(oracle_cell, matrix, out_dir=tmp_path)
     assert (tmp_path / oracle_cell.name).is_dir()
     assert not (tmp_path / oracle_cell.name / "turns.jsonl").exists()
+
+
+# one of each fault a model reply can have, in turns 0 to 2 of every episode; later turns repeat the clean last reply
+FAULTY_SCRIPT = [
+    json.dumps({"expose": ["gitlab", "redis"], "stages": ["Reconnaissance", "Lateral"], "done": "no"}),
+    "no decision in this reply",
+    json.dumps({"expose": ["gitlab", "decoy_1"], "stages": []}),
+    json.dumps({"expose": ["gitlab"], "stages": ["Reconnaissance"]}),
+]
+
+
+def _degrading_matrix(tmp_path, **axes) -> ExperimentMatrix:
+    """A faulty mock, a clean mock, an over-budget static policy and the oracle."""
+    faulty, clean = tmp_path / "faulty.json", tmp_path / "clean.json"
+    faulty.write_text(json.dumps(FAULTY_SCRIPT), encoding="utf-8")
+    clean.write_text(json.dumps(FAULTY_SCRIPT[-1:]), encoding="utf-8")
+    policies = [
+        PolicySpec(label="faulty", kind=MockKind(replay=str(faulty))),
+        PolicySpec(label="clean", kind=MockKind(replay=str(clean))),
+        PolicySpec(label="wide", kind=harness.StaticKind(expose=["gitlab", "apache_struts"])),
+        PolicySpec(label="oracle", kind=OracleKind()),
+    ]
+    return ExperimentMatrix(
+        policies=policies, **{"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0], **axes}
+    )
+
+
+def test_a_degraded_cell_counts_each_fault_and_logs_one_line_naming_it(tmp_path, caplog):
+    matrix = _degrading_matrix(tmp_path, horizon=6)
+    faulty, clean, wide, oracle = expand_matrix(matrix)
+    with caplog.at_level("WARNING"):
+        result = run_cell(faulty, matrix, out_dir=tmp_path)
+    episodes = len(result.records)
+    assert episodes == 2 and all(r["epochs_used"] >= 2 for r in result.records)  # every episode reaches turn 2
+    assert result.stats.as_dict()["turns"] == sum(1 + r["epochs_used"] for r in result.records)
+    # per episode: one dropped service, stage and done, one fallback and one over-budget reply
+    once_each = ("fallbacks", "unknown_services", "unknown_stages", "non_boolean_done", "over_budget")
+    assert result.stats.counts == {**dict.fromkeys(once_each, episodes), "unlisted_services": 0}
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        (
+            "WARNING",
+            f"cell {faulty.name} degraded: fallbacks=2, unknown_services=2, unknown_stages=2, "
+            "non_boolean_done=2, over_budget=2",
+        )
+    ]
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        for cell in (clean, oracle):
+            stats = run_cell(cell, matrix, out_dir=tmp_path).stats
+            assert not any(stats.counts.values())
+        wide_stats = run_cell(wide, matrix, out_dir=tmp_path).stats
+    over = wide_stats.counts["over_budget"]
+    assert [r.getMessage() for r in caplog.records] == [f"cell {wide.name} degraded: over_budget={over}"]
+    assert over > 0 and wide_stats.latencies == []
+
+
+def test_run_stats_counts_do_not_depend_on_workers(tmp_path):
+    """Each cell counts into its own stats, so cells sharing threads count the same as cells run one by one."""
+    matrix = _degrading_matrix(tmp_path, deployments=TWO_DEPLOYMENTS, seeds=[0, 1], horizon=5)
+    stats = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        execute_matrix(matrix, out, workers=workers)
+        stats[workers] = json.loads((out / "run_stats.json").read_text(encoding="utf-8"))
+        for cell in stats[workers]["cells"]:
+            latency = cell.pop("latency_s")
+            assert (latency is None) == (cell["turns"] == 0)
+    assert stats[1] == stats[2]
+    assert [cell["cell"] for cell in stats[1]["cells"]] == [cell.name for cell in expand_matrix(matrix)]
+    assert stats[1]["totals"] == {
+        key: sum(cell[key] for cell in stats[1]["cells"]) for key in stats[1]["totals"]
+    }
+    assert stats[1]["totals"]["fallbacks"] > 0 and stats[1]["totals"]["over_budget"] > 0
+
+
+def test_a_mock_with_an_empty_script_is_refused_before_any_cell_runs(tmp_path, capsys):
+    """An empty script could only fall back, as if the backend were unreachable: run refuses it by index."""
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"episodes": [["{}"], []]}), encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        yaml.safe_dump({**TINY_CONFIG, "policies": [{"name": "m", "kind": "mock", "replay": str(replay)}]}),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"violation: policy m: replay file {str(replay)!r} unusable: episodes[1] is empty\n"
+    assert not out.exists()
 
 
 def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from honeysim import llm
+from honeysim import harness, llm
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import ALL_STAGES, AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, deployment_config
 from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
@@ -30,10 +31,23 @@ from honeysim.llm import (
     parse_response,
 )
 from honeysim.metrics import exploitation_achieved, inference_score
-from honeysim.policies import BeliefState, ExposureDecision, make_prediction, policy_decide, update_belief
+from honeysim.policies import (
+    DEGRADATIONS,
+    BeliefState,
+    CellStats,
+    ExposureDecision,
+    make_prediction,
+    policy_decide,
+    update_belief,
+)
 from honeysim.telemetry import EpochObservation, NoiseConfig, empty_observation
 
 HONEYNET = deployment_config("fully_vulnerable")
+
+
+def _counts(**nonzero) -> dict:
+    """Every degradation count, zero but those given."""
+    return {**dict.fromkeys(DEGRADATIONS, 0), **nonzero}
 
 
 class TestBuildPrompt:
@@ -127,42 +141,48 @@ class TestParseResponse:
             parse_response('{"services": ["gitlab"]}', HONEYNET)
 
     def test_unknown_service_dropped(self, caplog):
+        stats = CellStats()
         with caplog.at_level("WARNING"):
             decision, _ = parse_response(
-                '{"expose": ["nginx", "gitlab"], "stages": []}', HONEYNET
+                '{"expose": ["nginx", "gitlab", "redis", "nginx"], "stages": []}', HONEYNET, stats
             )
         assert decision.exposed == ("gitlab",)
-        assert "unknown service" in caplog.text
+        assert stats.counts == _counts(unknown_services=3)
+        assert not caplog.records  # counted, not logged
 
-    def test_over_budget_truncated_in_given_order(self, caplog):
+    def test_over_budget_truncated_in_given_order(self):
         raw = '{"expose": ["xdebug", "gitlab", "xdebug", "docker_api"], "stages": []}'
-        decision, _ = parse_response(raw, HONEYNET)
+        stats = CellStats()
+        decision, _ = parse_response(raw, HONEYNET, stats)
         assert decision.exposed == ("xdebug", "gitlab", "xdebug", "docker_api")  # budget is not its job
+        assert stats.counts == _counts()
         policy = LlmPolicy(ScriptedMockBackend([raw]))
-        with caplog.at_level("WARNING"):
-            decision, _, _ = policy_decide(policy, empty_observation(), BeliefState(), HONEYNET)
+        policy.stats = stats
+        decision, _, _ = policy_decide(policy, empty_observation(), BeliefState(), HONEYNET)
         assert decision.exposed == ("xdebug",)
-        assert "exceeded budget" in caplog.text
+        assert stats.counts == _counts(over_budget=1)
+        assert len(stats.latencies) == 1  # the one turn
 
     @pytest.mark.parametrize("done", ['"false"', '"no"', "1", "null", '{"now": true}'])
-    def test_only_json_true_declares_done(self, caplog, done):
-        """A ``done`` that is not a JSON boolean is read as not done, with a warning."""
+    def test_only_json_true_declares_done(self, done):
+        """A ``done`` that is not a JSON boolean is read as not done, and counted."""
         raw = f'{{"expose": ["gitlab"], "stages": [], "done": {done}}}'
-        with caplog.at_level("WARNING"):
-            decision, _ = parse_response(raw, HONEYNET)
+        stats = CellStats()
+        decision, _ = parse_response(raw, HONEYNET, stats)
         assert decision == ExposureDecision(("gitlab",), False)
-        assert f"non-boolean done {json.loads(done)!r}" in caplog.text
-        caplog.clear()
+        assert stats.counts == _counts(non_boolean_done=1)
         for value, declared in (("true", True), ("false", False)):
-            decision, _ = parse_response(raw.replace(done, value), HONEYNET)
+            decision, _ = parse_response(raw.replace(done, value), HONEYNET, stats)
             assert decision.declared_done is declared
-        assert not caplog.records
+        assert stats.counts == _counts(non_boolean_done=1)
 
     def test_unknown_stage_dropped(self):
+        stats = CellStats()
         _, prediction = parse_response(
-            '{"expose": ["gitlab"], "stages": ["Reconnaissance", "Lateral"]}', HONEYNET
+            '{"expose": ["gitlab"], "stages": ["Reconnaissance", "Lateral"]}', HONEYNET, stats
         )
         assert prediction.stages == (AttackStage.RECONNAISSANCE,)
+        assert stats.counts == _counts(unknown_stages=1)
 
     @pytest.mark.parametrize(
         "raw, exposed",
@@ -254,15 +274,15 @@ class TestScriptedEpisodes:
         exposures = [e.decision.exposed for e in rec.epochs]
         assert all(e == ("docker_api",) for e in exposures)
 
-    def test_fallback_after_over_budget_reply_repeats_clamped_exposure(self, caplog):
+    def test_fallback_after_over_budget_reply_repeats_clamped_exposure(self):
         script = ['{"expose": ["xdebug", "gitlab"], "stages": []}', "garbage from here on"]
-        with caplog.at_level("WARNING"):
-            rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=4)
+        policy = LlmPolicy(ScriptedMockBackend(script))
+        policy.stats = stats = CellStats()
+        rec = self._run(lambda i, s: policy, horizon=4)
+        # each fallback repeats the clamped exposure, so only the one over-budget reply is clamped
         assert [e.decision.exposed for e in rec.epochs] == [("xdebug",)] * 4
-        assert caplog.text.count("exceeded budget") == 1  # one over-budget reply, one warning
-        fallbacks = [r.getMessage() for r in caplog.records if "falling back" in r.getMessage()]
-        assert len(fallbacks) == 4
-        assert all(m.endswith("falling back to ('xdebug',)") for m in fallbacks)
+        assert stats.counts == _counts(over_budget=1, fallbacks=4)
+        assert len(stats.latencies) == 5  # the bootstrap turn and one per epoch
 
     def test_fallback_on_first_turn_uses_first_catalog_service(self):
         policy = LlmPolicy(ScriptedMockBackend(["nope"]))
@@ -377,6 +397,33 @@ def test_a_failed_turn_keeps_the_exposure_in_force(script, budget, bootstrap, ca
                 assert epoch.decision.exposed == epoch.exposed
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(scripts=st.lists(st.lists(_REPLIES, min_size=1, max_size=6), min_size=1, max_size=2), budget=st.integers(1, 2))
+def test_run_stats_count_each_cells_turn_log(scripts, budget):
+    """Whatever the replies, a cell's ``turns`` and ``fallbacks`` in run_stats.json count its turns.jsonl lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        replay = f"{tmp}/replay.json"
+        with open(replay, "w", encoding="utf-8") as fh:
+            json.dump({"episodes": scripts}, fh)
+        matrix = harness.ExperimentMatrix(
+            policies=[harness.PolicySpec("mock", harness.MockKind(replay=replay))],
+            deployments=["fully_vulnerable", "small_mixed"],
+            modes=["deterministic"],
+            seeds=[0],
+            horizon=4,
+            budget=budget,
+        )
+        harness.execute_matrix(matrix, f"{tmp}/out")
+        with open(f"{tmp}/out/run_stats.json", encoding="utf-8") as fh:
+            stats = json.load(fh)
+        for cell in stats["cells"]:
+            with open(f"{tmp}/out/{cell['cell']}/turns.jsonl", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert cell["turns"] == len(lines)
+            assert cell["fallbacks"] == sum(json.loads(line)["fallback_used"] for line in lines)
+        assert stats["totals"]["turns"] == sum(cell["turns"] for cell in stats["cells"])
+
+
 # the pattern that first defined a reply's fenced blocks, kept as the reference for _fenced_blocks
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
@@ -391,12 +438,11 @@ def test_fenced_blocks_match_the_fence_pattern(chunks):
     epoch=st.integers(0, 10**6),
     error=st.none() | st.text(),
     flags=st.tuples(st.booleans(), st.booleans()),
-    latency=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
     texts=st.tuples(st.text(), st.text()),
 )
-def test_turn_line_is_the_turn_encoded_with_sorted_keys(epoch, error, flags, latency, texts):
+def test_turn_line_is_the_turn_encoded_with_sorted_keys(epoch, error, flags, texts):
     """A turn log line is assembled from the turn's fields; it must equal the json.dumps encoding of its mapping."""
-    turn = llm.AgentTurn(epoch, error, flags[0], latency, flags[1], *texts)
+    turn = llm.AgentTurn(epoch, error, flags[0], flags[1], *texts)
     assert llm._turn_line(turn) == (json.dumps(turn._asdict(), sort_keys=True) + "\n").encode("utf-8")
 
 

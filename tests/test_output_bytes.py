@@ -1,8 +1,8 @@
 """Pinned output bytes: a small matrix over every offline policy kind.
 
-The digest covers every cell's ``cell.json``, ``episodes.jsonl`` and
-``turns.jsonl`` (without the wall-clock ``latency_s``), every summary file,
-and what ``honeysim run`` prints with the output path masked. A refactor that
+The digest covers the bytes of every cell's ``cell.json``, ``episodes.jsonl``
+and ``turns.jsonl``, every summary file, and what ``honeysim run`` prints
+with the output path masked. No turn line holds a wall-clock value. A refactor that
 claims "same bytes" must leave it unchanged; a deliberate output change
 re-pins it and says so.
 """
@@ -15,7 +15,8 @@ import yaml
 from honeysim.cli import main
 from honeysim.harness import replay_out_dir
 
-# pinned at commit 5ddf1b2, before the summary and deployment tables were rewritten
+# pinned at commit 5ddf1b2, before the summary and deployment tables were rewritten; then the digest
+# read each turn line re-encoded without its latency_s, the bytes turns.jsonl now has
 PINNED_SHA256 = "cfdd980429986e06a77560bad258f51a1d22be59dda7a9ad83957953a11976ad"
 
 REPLIES = [
@@ -48,13 +49,6 @@ CONFIG = {
 CELL_FILES = ("cell.json", "episodes.jsonl", "turns.jsonl")
 
 
-def _canonical_turns(data: bytes) -> bytes:
-    turns = [json.loads(line) for line in data.decode("utf-8").splitlines()]
-    for turn in turns:
-        del turn["latency_s"]
-    return "".join(json.dumps(t, sort_keys=True) + "\n" for t in turns).encode("utf-8")
-
-
 def _summaries(out):
     return {p.name: p.read_bytes() for p in sorted(out.glob("summary_*"))}
 
@@ -65,8 +59,6 @@ def _digest(out, stdout: str) -> str:
         rel = path.relative_to(out)
         if len(rel.parts) == 2 and rel.name in CELL_FILES:
             data = path.read_bytes()
-            if rel.name == "turns.jsonl":
-                data = _canonical_turns(data)
         elif len(rel.parts) == 1 and rel.name.startswith("summary_"):
             data = path.read_bytes()
         else:
@@ -88,6 +80,8 @@ def test_offline_policy_matrix_bytes_are_pinned(tmp_path, capsys):
     assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert len([p for p in out.iterdir() if p.is_dir()]) == 6 * 2 * 2 * 2
+    turns = [json.loads(line) for path in out.glob("*/turns.jsonl") for line in path.read_bytes().splitlines()]
+    assert turns and not any("latency_s" in turn for turn in turns)
     assert _digest(out, stdout) == PINNED_SHA256
 
     ran = _summaries(out)

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 from honeysim.attackers import ExploitAction, ScanAction
 from honeysim.catalog import AttackStage, deployment_config
 from honeysim.policies import (
+    DEGRADATIONS,
     BeliefState,
+    CellStats,
     ExposureDecision,
     GroundTruthView,
     OraclePolicy,
@@ -64,23 +66,31 @@ class TestUpdateBelief:
 
 
 class TestPolicyDecide:
-    def test_budget_violation_is_clamped_and_logged(self, caplog):
+    def test_budget_violation_is_clamped_and_counted(self, caplog):
         class Greedy(Policy):
             name = "greedy"
 
             def decide(self, obs, belief, cfg):
                 return ExposureDecision(exposed=("gitlab", "xdebug", "docker_api")), StagePrediction()
 
+        greedy = Greedy()
+        greedy.stats = stats = CellStats()
         with caplog.at_level("WARNING"):
-            decision, _, _ = policy_decide(Greedy(), empty_observation(), BeliefState(), HONEYNET)
+            for _ in range(2):
+                decision, _, _ = policy_decide(greedy, empty_observation(), BeliefState(), HONEYNET)
         assert decision.exposed == ("gitlab",)
-        assert "exceeded budget" in caplog.text
+        assert stats.counts == {**dict.fromkeys(DEGRADATIONS, 0), "over_budget": 2}
+        assert stats.latencies == []  # no model turn
+        assert not caplog.records  # counted, not logged
+        # a policy no cell built counts nowhere, and clamps the same
+        assert policy_decide(Greedy(), empty_observation(), BeliefState(), HONEYNET)[0] == decision
 
     def test_unknown_services_are_dropped(self):
-        decision = clamp_decision(
-            ExposureDecision(exposed=("mystery", "gitlab")), HONEYNET, "test"
-        )
+        stats = CellStats()
+        decision = clamp_decision(ExposureDecision(exposed=("mystery", "gitlab", "ghost")), HONEYNET, stats)
         assert decision.exposed == ("gitlab",)
+        assert stats.counts == {**dict.fromkeys(DEGRADATIONS, 0), "unlisted_services": 2}
+        assert clamp_decision(ExposureDecision(exposed=("mystery", "gitlab")), HONEYNET).exposed == ("gitlab",)
 
 
 class TestBaselines:
