@@ -305,7 +305,7 @@ def catalog_from_dict(data) -> AttackGraph:
 
 
 def load_yaml(path: str):
-    """The file's YAML document; a ConfigError of one line naming the file if it is not YAML."""
+    """The file's YAML document; a ConfigError of one line naming the file if it is not YAML or nests too deep."""
     with open(path, encoding="utf-8") as fh:
         try:
             return yaml.safe_load(fh)
@@ -315,6 +315,8 @@ def load_yaml(path: str):
             where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
             problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
             raise ConfigError(f"{path} is not YAML: {problem}{where}") from None
+        except RecursionError:
+            raise ConfigError(f"{path} is nested too deep to read") from None
 
 
 def load_catalog(path: str) -> AttackGraph:

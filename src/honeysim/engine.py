@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -362,11 +363,41 @@ def _checked(record) -> dict:
         prediction, gt_stages = epoch["prediction"], epoch["gt_stages"]
         if type(prediction) is not list or type(gt_stages) is not list:
             raise ValueError(f"stage lists must be lists, got {prediction!r} and {gt_stages!r}")
-        if not _LABELS.issuperset(prediction + gt_stages):  # TypeError for an unhashable label
+        if not (_LABELS.issuperset(prediction) and _LABELS.issuperset(gt_stages)):  # TypeError if unhashable
             raise ValueError(f"stage lists must hold stage labels, got {prediction!r} and {gt_stages!r}")
     return record
 
 
+_decode = json.JSONDecoder().raw_decode
+# the blanks a line may hold around its record, or alone: the JSON whitespace that does not end a line
+_blanks = re.compile(r"[ \t\r]*").match
+
+
 def records_from_jsonl(text: str) -> list[dict]:
-    """Decode each non-blank line into a logged record; ValueError or TypeError on a malformed one."""
-    return [_checked(json.loads(line)) for line in text.splitlines() if line.strip()]
+    """Decode each line of ``text`` that is not blank into a logged record; ValueError or TypeError on a malformed one.
+
+    A line ends at ``\\n``. A line holding only spaces, tabs or ``\\r`` is
+    blank; any other holds exactly one record, with those blanks around it. A
+    record that runs past its line's end, or has data after it, is malformed,
+    and so is one nested too deep to decode. Each record is decoded in place,
+    at its offset in ``text``, so no line is copied.
+    """
+    records = []
+    start, size = 0, len(text)
+    try:
+        while start < size:
+            end = text.find("\n", start)
+            if end < 0:
+                end = size
+            at = _blanks(text, start, end).end()
+            if at < end:
+                record, at = _decode(text, at)
+                if at > end:
+                    raise ValueError(f"the record at offset {start} runs past the end of its line")
+                if _blanks(text, at, end).end() != end:
+                    raise ValueError(f"the record at offset {start} has data after it on its line")
+                records.append(_checked(record))
+            start = end + 1
+    except RecursionError:
+        raise ValueError("a record is nested too deep to decode") from None
+    return records

@@ -622,13 +622,16 @@ def replay_out_dir(out_dir: str | Path) -> SummaryTables:
     runs, missing, corrupt = [], [], []
     for cell in expand_matrix(matrix):
         try:
-            text = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8")
+            # the bytes as written: a line ends at "\n" alone, so no newline is translated
+            with open(os.path.join(out_dir, cell.name, "episodes.jsonl"), "rb") as fh:
+                text = fh.read().decode("utf-8")
             # each line is decoded and checked once, then reduced in the same expression,
             # bound to no name: no cell's records outlive it
             runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
         except FileNotFoundError:
             missing.append(cell.name)
-        # ValueError: also not JSON, not UTF-8, or no record to average; OSError: unreadable, say a directory
+        # ValueError: also not JSON, not UTF-8, nested too deep, or no record to average; OSError: unreadable,
+        # say a directory
         except (OSError, TypeError, ValueError):
             corrupt.append(cell.name)
     problems = [
@@ -648,6 +651,8 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"no {MANIFEST_NAME} in {out}") from None
+    except RecursionError:
+        raise ConfigError(f"{path} is not a JSON run manifest: nested too deep to decode") from None
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path} is not a JSON run manifest: {exc}") from None
     try:

@@ -287,7 +287,10 @@ class HttpChatBackend(Settings):
 def load_replay_file(path: str) -> list[list[str]]:
     """Load mock scripts: either a flat response list or per-episode lists, each a non-empty list of strings."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("nested too deep to decode") from None
     if isinstance(data, dict):
         data = data.get("episodes")
     if not isinstance(data, list) or not data:

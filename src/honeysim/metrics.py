@@ -38,32 +38,40 @@ def exploitation_achieved(rec: dict) -> bool:
 
 def inference_score(rec: dict, mode: str = SCORE_MODE_SETS) -> tuple[int, int, int, float]:
     """Accumulate (tp, fp, fn) across epochs and return them with the score."""
+    if mode == SCORE_MODE_SETS:
+        tp, fp, fn = _set_counts(rec["epochs"])
+    elif mode == SCORE_MODE_CURRENT:
+        tp, fp, fn = _current_stage_counts(rec["epochs"])
+    else:
+        raise ValueError(f"unknown score mode {mode!r}")
+    return tp, fp, fn, score_from_counts(tp, fp, fn)
+
+
+def _set_counts(epochs: list) -> tuple[int, int, int]:
+    """Each epoch's predicted stage set against its completed stage set."""
     tp = fp = fn = 0
-    for epoch in rec["epochs"]:
+    for epoch in epochs:
         gt = set(epoch["gt_stages"])
         pred = set(epoch["prediction"])
-        if mode == SCORE_MODE_SETS:
-            hits = len(pred & gt)
-            tp += hits
-            fp += len(pred) - hits
-            fn += len(gt) - hits
-        elif mode == SCORE_MODE_CURRENT:
-            gt_top = max(gt, key=AttackStage.from_label, default=None)
-            pred_top = max(pred, key=AttackStage.from_label, default=None)
-            if gt_top is None and pred_top is None:
-                continue
-            if gt_top == pred_top:
-                tp += 1
-            elif pred_top is None:
-                fn += 1
-            elif gt_top is None:
-                fp += 1
-            else:
-                fp += 1
-                fn += 1
+        hits = len(pred & gt)
+        tp += hits
+        fp += len(pred) - hits
+        fn += len(gt) - hits
+    return tp, fp, fn
+
+
+def _current_stage_counts(epochs: list) -> tuple[int, int, int]:
+    """Each epoch's furthest predicted stage against its furthest completed stage; None when a set is empty."""
+    tp = fp = fn = 0
+    for epoch in epochs:
+        gt_top = max(epoch["gt_stages"], key=AttackStage.from_label, default=None)
+        pred_top = max(epoch["prediction"], key=AttackStage.from_label, default=None)
+        if gt_top == pred_top:
+            tp += gt_top is not None  # two empty sets agree without counting
         else:
-            raise ValueError(f"unknown score mode {mode!r}")
-    return tp, fp, fn, score_from_counts(tp, fp, fn)
+            fp += pred_top is not None
+            fn += gt_top is not None
+    return tp, fp, fn
 
 
 def score_from_counts(tp: int, fp: int, fn: int) -> float:

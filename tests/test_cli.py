@@ -194,6 +194,7 @@ class TestValidate:
                 "error: config unreadable: bad.yaml is not YAML: expected ',' or ']', but got '<stream end>' "
                 "at line 2, column 1",
             ),
+            ("[" * 5000 + "\n", "error: config unreadable: bad.yaml is nested too deep to read"),
         ],
         ids=[
             "unknown-mode",
@@ -207,6 +208,7 @@ class TestValidate:
             "zero-horizon-and-bad-bootstrap",
             "schema-version-7",
             "not-yaml",
+            "nested-too-deep",
         ],
     )
     def test_cli_validate_broken_config_exits_nonzero(self, tmp_path, monkeypatch, capsys, override, line):
@@ -289,6 +291,14 @@ class TestValidate:
                 {"policies": [{"name": "m", "kind": "mock", "replay": "empty_script.json"}]},
                 "violation: policy m: replay file 'empty_script.json' unusable: episodes[0] is empty\n",
             ),
+            (
+                {"policies": [{"name": "m", "kind": "mock", "replay": "deep.json"}]},
+                "violation: policy m: replay file 'deep.json' unusable: nested too deep to decode\n",
+            ),
+            (
+                {"deployments": ["custom"], "catalog": "deep.yaml"},
+                "violation: catalog file unusable: deep.yaml is nested too deep to read\n",
+            ),
         ],
         ids=[
             "bare-string-attacker",
@@ -315,6 +325,8 @@ class TestValidate:
             "replay-episodes-numbers",
             "replay-episode-of-numbers",
             "replay-empty-script",
+            "replay-nested-too-deep",
+            "catalog-nested-too-deep",
         ],
     )
     def test_cli_validate_rejects_what_run_cannot_run(self, tmp_path, monkeypatch, capsys, override, message):
@@ -339,6 +351,8 @@ class TestValidate:
         Path("numbers.json").write_text("[1, 2]", encoding="utf-8")
         Path("number_lists.json").write_text("[[1, 2]]", encoding="utf-8")
         Path("empty_script.json").write_text('{"episodes": [[]]}', encoding="utf-8")
+        Path("deep.json").write_text("[" * 100_000, encoding="utf-8")
+        Path("deep.yaml").write_text("[" * 5000 + "\n", encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
@@ -703,6 +717,7 @@ class TestRunAndReplay:
             lambda rec: _log_line(rec, epochs=json.dumps(rec["epochs"])),
             lambda rec: _log_line(rec, epochs=[{**rec["epochs"][0], "gt_stages": 3}]),
             lambda rec: json.dumps([rec]) + "\n",
+            lambda rec: "[" * 100_000 + "\n",
             None,  # a directory in the log's place
         ],
         ids=[
@@ -714,6 +729,7 @@ class TestRunAndReplay:
             "epochs-a-string",
             "gt-stages-a-number",
             "a-json-list",
+            "nested-too-deep",
             "a-directory",
         ],
     )
@@ -756,6 +772,7 @@ class TestRunAndReplay:
                 "'persistence_modes' holds '../deterministic', not one of deterministic, probabilistic, consecutive",
             ),
             (lambda m: json.dumps({**m, "schema_version": 9}), "schema_version 9 is unknown; the only version is 1"),
+            (lambda m: "[" * 100_000, "is not a JSON run manifest: nested too deep to decode"),
         ],
         ids=[
             "not-json",
@@ -767,6 +784,7 @@ class TestRunAndReplay:
             "deployment-outside-out",
             "mode-outside-out",
             "schema-version-9",
+            "nested-too-deep",
         ],
     )
     def test_replay_malformed_manifest_exits_2_naming_it(self, tiny_config, tmp_path, capsys, edit, message):
@@ -1071,6 +1089,32 @@ def test_a_mock_with_an_empty_script_is_refused_before_any_cell_runs(tmp_path, c
     err = capsys.readouterr().err
     assert err == f"violation: policy m: replay file {str(replay)!r} unusable: episodes[1] is empty\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config, line",
+    [
+        ("[" * 5000 + "\n", "error: config unreadable: config.yaml is nested too deep to read"),
+        (
+            {**TINY_CONFIG, "policies": [{"name": "m", "kind": "mock", "replay": "deep.json"}]},
+            "violation: policy m: replay file 'deep.json' unusable: nested too deep to decode",
+        ),
+        (
+            {**TINY_CONFIG, "seeds": [0], "deployments": ["custom"], "catalog": "deep.yaml"},
+            "violation: catalog file unusable: deep.yaml is nested too deep to read",
+        ),
+    ],
+    ids=["config", "replay-file", "catalog"],
+)
+def test_run_refuses_input_nested_too_deep_before_any_cell_runs(tmp_path, monkeypatch, capsys, config, line):
+    """A file nested deeper than its decoder recurses is one line naming it, not a RecursionError traceback."""
+    monkeypatch.chdir(tmp_path)
+    Path("deep.json").write_text("[" * 100_000, encoding="utf-8")
+    Path("deep.yaml").write_text("[" * 5000 + "\n", encoding="utf-8")
+    Path("config.yaml").write_text(config if isinstance(config, str) else yaml.safe_dump(config), encoding="utf-8")
+    assert main(["run", "--config", "config.yaml", "--out", "out"]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not Path("out").exists()
 
 
 def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkeypatch):

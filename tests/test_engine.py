@@ -2,6 +2,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeysim.attackers import AttackerProfile, PersistenceModel, default_attacker_queue
 from honeysim.catalog import ALL_STAGES, AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, deployment_config
@@ -11,6 +13,7 @@ from honeysim.engine import (
     OUTCOME_DECLARED_DONE,
     OUTCOME_HORIZON,
     RunConfig,
+    _checked,
     derive_seed,
     record_to_dict,
     records_from_jsonl,
@@ -22,6 +25,7 @@ from honeysim.policies import (
     ExposureDecision,
     OraclePolicy,
     Policy,
+    RandomPolicy,
     StagePrediction,
     StaticPolicy,
 )
@@ -231,10 +235,124 @@ class TestSerialization:
         assert rec.schema_version == 1
 
 
+def _reference_records(text: str) -> list[dict]:
+    """The decoder before it read lines in place: each line ``str.splitlines`` gives, if not blank."""
+    return [_checked(json.loads(line)) for line in text.splitlines() if line.strip()]
+
+
+def _outcome(decode, text: str):
+    try:
+        return decode(text)
+    except (TypeError, ValueError):
+        return "refused"
+
+
+# lines as run writes them: an oracle's and a random policy's episodes, stage lists full and empty
+_LINES = records_to_jsonl(
+    map(
+        record_to_dict,
+        [
+            *run_simulation(_cfg(SMALL, targets=("gitlab", "apache_struts"), horizon=6), lambda i, s: OraclePolicy()),
+            *run_simulation(_cfg(SMALL, targets=("gitlab",), horizon=4, seed=3), lambda i, s: RandomPolicy(s)),
+        ],
+    )
+).split("\n")
+
+
+def _with_epoch(line: str, **changes) -> str:
+    rec = json.loads(line)
+    rec["epochs"][0] = {**rec["epochs"][0], **changes}
+    return json.dumps(rec, sort_keys=True)
+
+
+_FAULTS = ["truncated", "split", "data-after", "extra-key", "alias-label"]
+
+
+def _planted(draw, line: str, fault: str) -> str:
+    """``line`` with ``fault`` planted in it; its ending comes from the caller."""
+    if fault == "truncated":
+        return line[: draw(st.integers(1, len(line) - 1))]
+    if fault == "split":
+        cut = draw(st.integers(1, len(line) - 1))
+        return line[:cut] + draw(st.sampled_from(["\n", "\r\n"])) + line[cut:]
+    if fault == "data-after":
+        return line + draw(st.sampled_from([" x", "{}", " 1", "\t" + line]))
+    if fault == "extra-key":
+        rec = json.loads(line)
+        return draw(st.sampled_from([json.dumps({**rec, "note": 1}, sort_keys=True), _with_epoch(line, note=1)]))
+    alias = draw(st.sampled_from(["recon", "initial_access", "privesc"]))
+    return _with_epoch(line, **{draw(st.sampled_from(["gt_stages", "prediction"])): [alias]})
+
+
+_BLANK_LINES = st.sampled_from(["", " ", "\t", " \t  "])
+_PADDING = st.sampled_from(["", " ", "\t "])
+
+
+@st.composite
+def _jsonl_text(draw) -> str:
+    """Logged lines between blank or space-only lines, each ended by "\\n" or "\\r\\n"; half with one fault planted."""
+    records = draw(st.lists(st.sampled_from(_LINES), max_size=4))
+    if records and draw(st.booleans()):
+        at = draw(st.integers(0, len(records) - 1))
+        records[at] = _planted(draw, records[at], draw(st.sampled_from(_FAULTS)))
+    lines = []
+    for record in records:
+        lines += draw(st.lists(_BLANK_LINES, max_size=2))
+        lines.append(draw(_PADDING) + record + draw(_PADDING))
+    lines += draw(st.lists(_BLANK_LINES, max_size=2))
+    endings = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + ending for line, ending in zip(lines, endings))
+    return text if draw(st.booleans()) or not text else text[: -len(endings[-1])]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_jsonl_text())
+def test_records_from_jsonl_decodes_and_refuses_as_the_line_by_line_reference(text):
+    """Decoding in place returns the reference's records, and refuses whatever the reference refuses."""
+    assert _outcome(records_from_jsonl, text) == _outcome(_reference_records, text)
+
+
+# where str.splitlines ends a line and the JSON Lines rule does not; run writes none of them
+_SPLITLINES_ONLY = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_SEPARATOR_IDS = [f"U+{ord(sep):04X}" for sep in _SPLITLINES_ONLY]
+
+
+@pytest.mark.parametrize("sep", _SPLITLINES_ONLY, ids=_SEPARATOR_IDS)
+def test_two_records_apart_by_a_separator_other_than_newline_are_refused(sep):
+    text = f"{_LINES[0]}{sep}{_LINES[1]}\n"
+    assert len(_reference_records(text)) == 2
+    with pytest.raises(ValueError, match="has data after it"):
+        records_from_jsonl(text)
+
+
+@pytest.mark.parametrize("sep", _SPLITLINES_ONLY, ids=_SEPARATOR_IDS)
+def test_a_line_of_a_separator_other_than_newline_is_blank_only_if_it_is_a_carriage_return(sep):
+    text = f"{_LINES[0]}\n{sep}\n{_LINES[1]}\n"
+    assert len(_reference_records(text)) == 2
+    if sep == "\r":
+        assert records_from_jsonl(text) == _reference_records(text)
+    else:
+        with pytest.raises(ValueError):
+            records_from_jsonl(text)
+
+
+@pytest.mark.parametrize("sep", ["\x85", "\u2028", "\u2029"], ids=["U+0085", "U+2028", "U+2029"])
+def test_a_string_may_hold_a_separator_json_allows_unescaped(sep):
+    """JSON refuses only control characters below U+0020 in a string; these three end a line for splitlines alone."""
+    rec = {**json.loads(_LINES[0]), "attacker_label": f"gitlab{sep}attacker"}
+    text = json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n"
+    assert records_from_jsonl(text) == [rec]
+    with pytest.raises(ValueError):
+        _reference_records(text)
+
+
+def test_a_line_nested_too_deep_is_refused_as_malformed():
+    with pytest.raises(ValueError, match="nested too deep"):
+        records_from_jsonl(f"{_LINES[0]}\n{'[' * 100_000}\n")
+
+
 def test_invariants_hold_under_random_play():
     """Random exposure, every persistence mode: the core invariants never break."""
-    from honeysim.policies import RandomPolicy
-
     for mode in ("deterministic", "probabilistic", "consecutive"):
         for seed in range(10):
             queue = default_attacker_queue(SMALL.catalog, PersistenceModel(mode=mode))

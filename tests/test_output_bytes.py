@@ -2,13 +2,15 @@
 
 The digest covers the bytes of every cell's ``cell.json``, ``episodes.jsonl``
 and ``turns.jsonl``, every summary file, and what ``honeysim run`` prints
-with the output path masked. No turn line holds a wall-clock value. A refactor that
-claims "same bytes" must leave it unchanged; a deliberate output change
-re-pins it and says so.
+with the output path masked. No turn line holds a wall-clock value. A second
+digest covers ``run_stats.json`` with each cell's ``latency_s``, the one
+wall-clock value it holds, masked. A refactor that claims "same bytes" must
+leave both unchanged; a deliberate output change re-pins them and says so.
 """
 
 import hashlib
 import json
+import re
 
 import yaml
 
@@ -18,6 +20,9 @@ from honeysim.harness import replay_out_dir
 # pinned at commit 5ddf1b2, before the summary and deployment tables were rewritten; then the digest
 # read each turn line re-encoded without its latency_s, the bytes turns.jsonl now has
 PINNED_SHA256 = "cfdd980429986e06a77560bad258f51a1d22be59dda7a9ad83957953a11976ad"
+# run_stats.json with its latencies masked, so each cell's turn and degradation counts;
+# pinned at ece3339, the commit that first wrote it
+PINNED_RUN_STATS_SHA256 = "98b0a18afe580f136f0112a0a5888c2e97b71b0c4d93b3291ce673ef73e9ad8e"
 
 REPLIES = [
     json.dumps({"expose": ["gitlab"], "stages": ["Reconnaissance"], "done": False}),
@@ -68,6 +73,14 @@ def _digest(out, stdout: str) -> str:
     return digest.hexdigest()
 
 
+def _run_stats_digest(out) -> str:
+    """The digest of run_stats.json with each cell's latency_s, a wall-clock value, masked."""
+    text = (out / "run_stats.json").read_text(encoding="utf-8")
+    masked, latencies = re.subn(r'"latency_s": \{"p50": [^{}]*\}', '"latency_s": "<masked>"', text)
+    assert latencies == text.count('"latency_s": {')
+    return hashlib.sha256(masked.encode("utf-8")).hexdigest()
+
+
 def test_offline_policy_matrix_bytes_are_pinned(tmp_path, capsys):
     replay = tmp_path / "replies.json"
     replay.write_text(json.dumps([REPLIES, REPLIES[::-1]]), encoding="utf-8")
@@ -83,6 +96,7 @@ def test_offline_policy_matrix_bytes_are_pinned(tmp_path, capsys):
     turns = [json.loads(line) for path in out.glob("*/turns.jsonl") for line in path.read_bytes().splitlines()]
     assert turns and not any("latency_s" in turn for turn in turns)
     assert _digest(out, stdout) == PINNED_SHA256
+    assert _run_stats_digest(out) == PINNED_RUN_STATS_SHA256
 
     ran = _summaries(out)
     assert len(ran) == 6
