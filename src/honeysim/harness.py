@@ -66,6 +66,7 @@ logger = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
 STATS_NAME = "run_stats.json"
+NAME_MAX = 255  # the longest directory name, in bytes, that common file systems take
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ class CellSpec:
 def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
     """Cartesian expansion in lexicographic axis order; each cell derives its own seed.
 
-    Raises ConfigError unless every cell gets a directory of its own.
+    Raises ConfigError unless every cell gets a directory of its own that the file system can make.
     """
     for axis, values in (
         ("policies", matrix.policies),
@@ -147,7 +148,7 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
         if not values:
             raise ConfigError(f"matrix axis {axis!r} is empty")
     for policy in matrix.policies:
-        if policy.label in ("", ".", "..") or "/" in policy.label or "\\" in policy.label:
+        if not _safe_directory_name(policy.label):
             raise ConfigError(f"policy label {policy.label!r} is not a safe directory name")
         if policy.label in SCORE_COORDINATES:
             raise ConfigError(f"policy label {policy.label!r} would overwrite that column of summary_scores")
@@ -157,10 +158,23 @@ def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
             matrix.policies, matrix.deployments, matrix.modes, matrix.seeds
         )
     ]
-    shared = sorted(name for name, n in Counter(c.name for c in cells).items() if n > 1)
+    names = [c.name for c in cells]
+    shared = sorted(name for name, n in Counter(names).items() if n > 1)
     if shared:
         raise ConfigError(f"cells share a directory: {', '.join(shared)}")
+    too_long = [name for name in names if len(name.encode("utf-8")) > NAME_MAX]
+    if too_long:
+        raise ConfigError(f"cell name {too_long[0]!r} is longer than a directory name may be ({NAME_MAX} bytes)")
     return cells
+
+
+def _safe_directory_name(label: str) -> bool:
+    """Whether ``label`` names one directory in the output directory: no separator or NUL, and UTF-8 to write."""
+    try:
+        label.encode("utf-8")  # a lone surrogate, which YAML's escapes can spell, has no UTF-8 bytes
+    except UnicodeEncodeError:
+        return False
+    return label not in ("", ".", "..") and not any(c in label for c in "/\\\0")
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +422,7 @@ class ScriptedKind(PolicyKind):
         scripts, template = self.scripts(label, honeynet, queue, files), files.template()
         # the episode of the i-th attacker replays script i, cycling
         return lambda index, seed: LlmPolicy(
-            ScriptedMockBackend(scripts[index % len(scripts)]), template=template, label=label, turn_log=turn_log
+            ScriptedMockBackend(scripts[index % len(scripts)]), template=template, turn_log=turn_log
         )
 
 
@@ -436,7 +450,7 @@ class LlmKind(PolicyKind):
         if not os.environ.get(backend.auth_env):
             raise ConfigError(f"backend-auth-missing: set {backend.auth_env} for backend {self.backend}")
         template = files.template()
-        return lambda index, seed: LlmPolicy(backend, template=template, label=label, turn_log=turn_log)
+        return lambda index, seed: LlmPolicy(backend, template=template, turn_log=turn_log)
 
 
 POLICY_KINDS: dict[str, type[PolicyKind]] = {

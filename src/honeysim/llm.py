@@ -60,18 +60,12 @@ class PromptTemplate:
         if missing:
             raise MissingPlaceholderError(f"template is missing placeholders: {missing}")
         object.__setattr__(self, "_parts", parts)
-        object.__setattr__(self, "_names", parts[1::2])
-        object.__setattr__(self, "_literal_chars", sum(map(len, parts[::2])))
 
     def render(self, **values: str) -> str:
         """The text with each placeholder replaced by its value, in one pass: no value is scanned for placeholders."""
         parts = self._parts.copy()
-        parts[1::2] = map(values.__getitem__, self._names)
+        parts[1::2] = map(values.__getitem__, parts[1::2])
         return "".join(parts)
-
-    def rendered_chars(self, **values: str) -> int:
-        """``len(self.render(**values))``, without rendering."""
-        return self._literal_chars + sum(map(len, map(values.__getitem__, self._names)))
 
 
 def builtin_template() -> PromptTemplate:
@@ -408,7 +402,7 @@ def llm_decide(
     """
     sections = _prompt_sections(belief, cfg)
     # the prompt without alerts, as build_prompt renders an empty digest
-    overhead = template.rendered_chars(alerts="none", **sections)
+    overhead = len(template.render(alerts="none", **sections))
     digest_budget = max(100, PROMPT_CHAR_CAP - overhead)
     digest = summarize_for_prompt(obs, digest_budget)
     prompt = build_prompt(digest, belief, cfg, template, sections)
@@ -452,20 +446,12 @@ def llm_decide(
 class LlmPolicy(Policy):
     """Defender policy whose reasoning is delegated to a chat model backend."""
 
-    name = "llm"
-
     def __init__(
-        self,
-        backend,
-        template: Optional[PromptTemplate] = None,
-        label: Optional[str] = None,
-        turn_log: Optional[TurnLog] = None,
+        self, backend, template: Optional[PromptTemplate] = None, turn_log: Optional[TurnLog] = None
     ) -> None:
         self.backend = backend
         self.template = template or builtin_template()
         self._turn_log = turn_log
-        if label:
-            self.name = label
 
     def decide(self, obs, belief, cfg):
         decision, prediction, _, turn = llm_decide(

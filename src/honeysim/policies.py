@@ -129,7 +129,6 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 class Policy:
     """One defender policy instance, owned by a single episode."""
 
-    name = "base"
     # the cell's counts, when a cell built the policy; set by ``run_cell``
     stats: Optional[CellStats] = None
 
@@ -173,8 +172,6 @@ def policy_decide(
 class OraclePolicy(Policy):
     """Calibration upper bound: reads ground truth instead of telemetry."""
 
-    name = "oracle"
-
     def __init__(self) -> None:
         self._view: Optional[GroundTruthView] = None
 
@@ -193,8 +190,6 @@ class OraclePolicy(Policy):
 class RandomPolicy(Policy):
     """Uniformly samples a budget-sized exposure set each epoch."""
 
-    name = "random"
-
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
 
@@ -206,8 +201,6 @@ class RandomPolicy(Policy):
 
 class StaticPolicy(Policy):
     """Exposes the same fixed set every epoch."""
-
-    name = "static"
 
     def __init__(self, exposed) -> None:
         self._exposed = tuple(exposed)
@@ -221,8 +214,6 @@ class ReactivePolicy(Policy):
 
     Without usable evidence it cycles through the catalog round-robin.
     """
-
-    name = "reactive"
 
     def __init__(self) -> None:
         self._cursor = 0

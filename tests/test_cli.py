@@ -235,6 +235,9 @@ class TestValidate:
             ({"seeds": [0, 0]}, "cells share a directory: oracle__small_mixed__deterministic__seed0"),
             ({"policies": ["oracle", {"name": "oracle", "kind": "random"}]}, "cells share a directory"),
             ({"policies": [{"name": "../up", "kind": "oracle"}]}, "not a safe directory name"),
+            ({"policies": [{"name": "or\0acle", "kind": "oracle"}]}, "policy label 'or\\x00acle' is not a safe"),
+            ({"policies": [{"name": "or\ud800acle", "kind": "oracle"}]}, "policy label 'or\\ud800acle' is not a safe"),
+            ({"policies": [{"name": "o" * 221, "kind": "oracle"}]}, "is longer than a directory name may be (255 bytes)"),
             (
                 {"deployments": ["custom"], "catalog": "catalog.yaml"},
                 "no signatures for (redis, InitialAccess)",
@@ -308,6 +311,9 @@ class TestValidate:
             "duplicate-seeds",
             "duplicate-labels",
             "unsafe-label",
+            "nul-in-label",
+            "lone-surrogate-label",
+            "cell-name-over-255-bytes",
             "custom-catalog-without-signatures",
             "custom-catalog-over-budget",
             "backend-not-a-name",
@@ -359,6 +365,10 @@ class TestValidate:
         # a mistyped policy parameter is refused as the config is read, the other rows as its cells are built
         assert message in err and (message.startswith("error: ") or "violation: " in err)
         assert "Traceback" not in err
+        # run refuses the same config before it writes anything
+        assert main(["run", "--config", "bad.yaml", "--out", "out"]) == 2
+        assert message in capsys.readouterr().err
+        assert not Path("out", "run_manifest.json").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_custom_catalog_with_a_numeric_id_exits_2(self, tmp_path, monkeypatch, capsys, command):

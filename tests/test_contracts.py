@@ -1,0 +1,171 @@
+"""The README's run contracts as properties over small matrices: at most 8 cells, horizon at most 5.
+
+- A cell's logs do not depend on the matrix around it: run alone, or inside
+  a larger matrix whose axes are permuted, it writes the same bytes.
+- No reply text a model sends can expose a service outside the catalog or
+  over the budget, or end an episode other than in one of the four outcomes;
+  and ``replay`` rebuilds the run's summaries byte for byte.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from honeysim import engine
+from honeysim.attackers import PERSISTENCE_MODES
+from honeysim.catalog import DEPLOYMENT_NAMES, deployment_config
+from honeysim.harness import execute_matrix, expand_matrix, matrix_from_dict, replay_out_dir
+
+CELL_FILES = ("cell.json", "episodes.jsonl", "turns.jsonl")
+OUTCOMES = {
+    engine.OUTCOME_COMPLETED,
+    engine.OUTCOME_ABANDONED,
+    engine.OUTCOME_DECLARED_DONE,
+    engine.OUTCOME_HORIZON,
+}
+MAX_CELLS = 8
+
+
+def _run(config: dict, out: Path) -> list:
+    """Run ``config`` into ``out``; its cells in matrix order."""
+    matrix = matrix_from_dict(config)
+    execute_matrix(matrix, out)
+    return expand_matrix(matrix)
+
+
+def _cell_bytes(out: Path, name: str) -> dict:
+    """Each of a cell's files as bytes, None for one it lacks (a cell without model turns has no turn log)."""
+    files = {f: out / name / f for f in CELL_FILES}
+    return {f: path.read_bytes() if path.exists() else None for f, path in files.items()}
+
+
+@st.composite
+def _axes(draw, policies) -> dict:
+    """The four axes of a matrix of at most ``MAX_CELLS`` cells, ``policies`` drawn from the given labels."""
+    axes = {
+        "policies": draw(st.lists(st.sampled_from(policies), min_size=1, max_size=2, unique=True)),
+        "deployments": draw(st.lists(st.sampled_from(DEPLOYMENT_NAMES), min_size=1, max_size=2, unique=True)),
+        "persistence_modes": draw(st.lists(st.sampled_from(PERSISTENCE_MODES), min_size=1, max_size=2, unique=True)),
+    }
+    room = MAX_CELLS // (len(axes["policies"]) * len(axes["deployments"]) * len(axes["persistence_modes"]))
+    axes["seeds"] = draw(st.lists(st.integers(0, 99), min_size=1, max_size=room, unique=True))
+    return axes
+
+
+_SETTINGS = {
+    "horizon": st.integers(1, 5),
+    "budget": st.integers(1, 3),
+    "seed_base": st.integers(0, 2**16),
+    "belief_carryover": st.booleans(),
+    "bootstrap": st.sampled_from(["policy", "first_service"]),
+}
+
+# a bootstrap reply over budget, then one without a decision, so the model cells fall back and clamp too
+_MOCK_REPLIES = [
+    json.dumps({"expose": ["gitlab", "apache_struts", "decoy_1", "ghost"], "stages": ["Reconnaissance"]}),
+    "no decision in this reply",
+    json.dumps({"expose": ["apache_struts"], "stages": ["Reconnaissance", "InitialAccess"]}),
+]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    axes=_axes(["oracle", "random", "reactive", "scripted", "mock"]),
+    cell_settings=st.fixed_dictionaries(_SETTINGS),
+    data=st.data(),
+)
+def test_a_cell_writes_the_same_bytes_alone_as_inside_a_permuted_matrix(axes, cell_settings, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        replay = Path(tmp, "replay.json")
+        replay.write_text(json.dumps(_MOCK_REPLIES), encoding="utf-8")
+        entries = {"mock": {"name": "mock", "kind": "mock", "replay": str(replay)}}
+        config = {**cell_settings, **axes, "policies": [entries.get(p, p) for p in axes["policies"]]}
+        cells = _run(config, Path(tmp, "matrix"))
+        cell = data.draw(st.sampled_from(cells), label="cell")
+
+        alone = {
+            **config,
+            "policies": [entries.get(cell.policy.label, cell.policy.label)],
+            "deployments": [cell.deployment],
+            "persistence_modes": [cell.persistence],
+            "seeds": [cell.seed],
+        }
+        _run(alone, Path(tmp, "alone"))
+        permuted = {
+            **config,
+            **{axis: data.draw(st.permutations(config[axis]), label=axis) for axis in axes},
+        }
+        _run(permuted, Path(tmp, "permuted"))
+
+        expected = _cell_bytes(Path(tmp, "matrix"), cell.name)
+        assert expected["episodes.jsonl"]
+        assert _cell_bytes(Path(tmp, "alone"), cell.name) == expected
+        assert _cell_bytes(Path(tmp, "permuted"), cell.name) == expected
+
+
+_SERVICE_NAMES = ["gitlab", "GitLab", "xdebug", "apache_struts", "docker_api", "decoy_1", "decoy_4", "ghost", ""]
+_STAGE_NAMES = ["Reconnaissance", "recon", "InitialAccess", "PrivEsc", "RootDataExfil", "Lateral", 3]
+_DECISIONS = st.builds(
+    lambda expose, stages, done: json.dumps({"expose": expose, "stages": stages, "done": done}),
+    st.lists(st.sampled_from(_SERVICE_NAMES), max_size=7),  # as often over budget as not
+    st.lists(st.sampled_from(_STAGE_NAMES), max_size=3),
+    st.sampled_from([False, True, "false", 1, None]),
+)
+_FRAGMENTS = st.lists(
+    st.sampled_from(
+        ["{", "}", "[", "]", ":", ",", '"', "\\", '"expose"', '"stages"', '"done"', '"gitlab"', '"decoy_1"',
+         "true", "null", "```json\n", "```", " prose "]
+    ),
+    max_size=24,
+).map("".join)
+_REPLIES = st.one_of(
+    _DECISIONS,
+    _DECISIONS.map(lambda d: f"Here is my decision:\n```json\n{d}\n```\nThanks."),
+    _FRAGMENTS,
+    st.text(max_size=30),
+)
+# a flat script, or one script per episode
+_SCRIPTS = st.one_of(
+    st.lists(_REPLIES, min_size=1, max_size=6),
+    st.lists(st.lists(_REPLIES, min_size=1, max_size=4), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    axes=_axes(["mock_a", "mock_b"]),
+    scripts=st.tuples(_SCRIPTS, _SCRIPTS),
+    cell_settings=st.fixed_dictionaries(_SETTINGS),
+)
+def test_no_reply_text_breaks_the_budget_the_outcomes_or_replay(axes, scripts, cell_settings):
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = {}
+        for label, script in zip(("mock_a", "mock_b"), scripts):
+            replay = Path(tmp, f"{label}.json")
+            replay.write_text(json.dumps(script), encoding="utf-8")
+            entries[label] = {"name": label, "kind": "mock", "replay": str(replay)}
+        config = {**cell_settings, **axes, "policies": [entries[p] for p in axes["policies"]]}
+        out = Path(tmp, "out")
+        cells = _run(config, out)
+
+        budget = cell_settings["budget"]
+        for cell in cells:
+            catalog = set(deployment_config(cell.deployment).catalog.ids)
+            lines = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+            assert lines
+            for record in map(json.loads, lines):
+                assert record["outcome"] in OUTCOMES
+                exposures = [record["bootstrap_exposed"]]
+                for epoch in record["epochs"]:
+                    exposures += [epoch["exposed"], epoch["decision"]["exposed"]]
+                for exposed in exposures:
+                    assert len(set(exposed)) == len(exposed) <= budget, (cell.name, exposed)
+                    assert catalog.issuperset(exposed), (cell.name, exposed)
+
+        summaries = {p.name: p.read_bytes() for p in out.glob("summary_*")}
+        assert len(summaries) == 6
+        replay_out_dir(out)
+        assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == summaries

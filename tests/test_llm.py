@@ -40,7 +40,7 @@ from honeysim.policies import (
     policy_decide,
     update_belief,
 )
-from honeysim.telemetry import EpochObservation, NoiseConfig, empty_observation
+from honeysim.telemetry import EpochObservation, NoiseConfig, empty_observation, summarize_for_prompt
 
 HONEYNET = deployment_config("fully_vulnerable")
 
@@ -110,6 +110,26 @@ class TestBuildPrompt:
         monkeypatch.setattr(llm, "PROMPT_CHAR_CAP", 3000)
         _, _, _, turn = llm_decide(backend, obs, belief, HONEYNET, template=builtin_template())
         assert len(turn.prompt) <= 3000
+
+    @pytest.mark.parametrize("padding", [0, 7_400, 9_000], ids=["cap-minus-prompt", "one-above-floor", "floor"])
+    def test_digest_gets_what_the_alert_free_prompt_leaves(self, monkeypatch, padding):
+        """The digest budget is the cap less the prompt rendered with alerts "none", but at least 100."""
+        template = PromptTemplate("pad " + "x" * padding + "\n{progression}\n{alerts}\n{services}\nbudget {budget}\n")
+        belief = BeliefState({("gitlab", AttackStage.INITIAL_ACCESS): 3.0, ("xdebug", AttackStage.RECONNAISSANCE): 1.0})
+        budgets = []
+
+        def capture(obs, budget):
+            budgets.append(budget)
+            return summarize_for_prompt(obs, budget)
+
+        monkeypatch.setattr(llm, "summarize_for_prompt", capture)
+        backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
+        llm_decide(backend, empty_observation(1), belief, HONEYNET, template=template)
+        alert_free = build_prompt("", belief, HONEYNET, template)
+        assert "none" in alert_free and "gitlab InitialAccess weight=3" in alert_free
+        expected = max(100, llm.PROMPT_CHAR_CAP - len(alert_free))
+        assert budgets == [expected]
+        assert (expected == 100) == (padding == 9_000)
 
 
 class TestParseResponse:
