@@ -20,7 +20,6 @@ from .catalog import (
     AttackStage,
     HoneynetConfig,
     ServiceSpec,
-    builtin_catalog,
     deployment_config,
     load_catalog,
     next_stage,

@@ -241,8 +241,6 @@ _BUILTIN_SERVICES = {
             True,
             (AttackStage.RECONNAISSANCE, AttackStage.INITIAL_ACCESS, AttackStage.USER_DATA_EXFIL),
         ),
-        # template of the scan-only decoys
-        ServiceSpec("others", "Others", False, (AttackStage.RECONNAISSANCE,)),
     )
 }
 
@@ -256,13 +254,8 @@ DEPLOYMENT_NAMES = tuple(_DEPLOYMENTS)
 
 
 def make_decoy(index: int) -> ServiceSpec:
-    """Scan-only decoy instantiated from the non-vulnerable template."""
+    """The ``index``-th decoy: not vulnerable, so scans reach it and no exploit does."""
     return ServiceSpec(f"decoy_{index}", f"Decoy service {index}", False, (AttackStage.RECONNAISSANCE,))
-
-
-def builtin_catalog() -> AttackGraph:
-    """The five-row built-in catalog; pure and identical across calls."""
-    return AttackGraph(tuple(_BUILTIN_SERVICES.values()))
 
 
 def deployment_config(name: str, budget: int = 1) -> HoneynetConfig:

@@ -584,7 +584,12 @@ def _run_stats(cells: Sequence[CellSpec], stats: Sequence[CellStats]) -> str:
 
 
 def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int = 1) -> SummaryTables:
-    """Run every cell, write per-cell logs, ``run_stats.json`` and the summary tables."""
+    """Run every cell, write per-cell logs, ``run_stats.json``, the summary tables and, last, the run manifest.
+
+    An earlier run's manifest, ``run_stats.json`` and summaries are deleted
+    before the first cell, so a run that stops early leaves no manifest, and
+    ``replay`` refuses its directory rather than mixing two runs' logs.
+    """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -592,22 +597,12 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
         raise ConfigError(f"output path {out} is not a directory") from None
     cells = expand_matrix(matrix)
     # a directory where the manifest or a summary table goes is refused before the first cell, not after the last
-    for name in (MANIFEST_NAME, STATS_NAME, *(name for name, _ in SummaryTables({}, (), (), ()).files())):
+    run_files = (MANIFEST_NAME, STATS_NAME, *(name for name, _ in SummaryTables({}, (), (), ()).files()))
+    for name in run_files:
         if (out / name).is_dir():
             raise ConfigError(f"output file {out / name} is a directory")
-
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "policies": [p.label for p in matrix.policies],
-        "deployments": list(matrix.deployments),
-        "persistence_modes": list(matrix.modes),
-        "seeds": list(matrix.seeds),
-        "horizon": matrix.horizon,
-        "budget": matrix.budget,
-        "seed_base": matrix.seed_base,
-        "score_mode": matrix.score_mode,
-    }
-    _write(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    for name in run_files:  # the manifest first: once it is gone, no replay reads this directory
+        (out / name).unlink(missing_ok=True)
 
     files = _RunFiles(matrix)
 
@@ -626,7 +621,20 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
 
     runs = [run for run, _ in done]
     _write(out / STATS_NAME, _run_stats(cells, [stats for _, stats in done]))
-    return write_summaries(out, runs, matrix)
+    tables = write_summaries(out, runs, matrix)
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "policies": [p.label for p in matrix.policies],
+        "deployments": list(matrix.deployments),
+        "persistence_modes": list(matrix.modes),
+        "seeds": list(matrix.seeds),
+        "horizon": matrix.horizon,
+        "budget": matrix.budget,
+        "seed_base": matrix.seed_base,
+        "score_mode": matrix.score_mode,
+    }
+    _write(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return tables
 
 
 def replay_out_dir(out_dir: str | Path) -> SummaryTables:

@@ -2,8 +2,7 @@
 
 Attacker actions never reach the defender directly; they are rendered into
 IDS-style alerts (plus injected false positives), bundled per epoch, and
-optionally digested into a bounded text summary. Alert streams can be
-exported as line-delimited JSON records shaped like Suricata EVE alerts.
+optionally digested into a bounded text summary.
 
 Severity runs 1 (low, scans and noise) to 3 (high, deep exploitation).
 
@@ -18,7 +17,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
 from functools import cache
 from importlib import resources
 from operator import attrgetter
@@ -29,7 +27,7 @@ from .catalog import STAGE_LABELS, AttackGraph, AttackStage, service_port, stabl
 from .settings import Settings
 
 CLOCK_EPOCH_SECONDS = 60
-CLOCK_BASE = datetime(2025, 1, 1, tzinfo=timezone.utc)
+
 
 class SignatureCatalogMissError(KeyError):
     """No signature entry exists for the requested (service, stage) pair."""
@@ -41,10 +39,6 @@ class EpochMismatchError(ValueError):
 
 def attacker_src_ip(label: str) -> str:
     return f"198.51.100.{1 + stable_hash(label) % 254}"
-
-
-def service_dest_ip(service_id: str) -> str:
-    return f"203.0.113.{1 + stable_hash(service_id) % 254}"
 
 
 @dataclass(frozen=True)
@@ -245,40 +239,3 @@ def summarize_for_prompt(obs: EpochObservation, budget_chars: int) -> str:
     if not kept:
         return lines[0][:budget_chars]
     return "\n".join(kept)
-
-
-# ---------------------------------------------------------------------------
-# Suricata-EVE-shaped export
-# ---------------------------------------------------------------------------
-
-
-def eve_timestamp(clock: int) -> str:
-    moment = CLOCK_BASE + timedelta(seconds=clock)
-    return moment.strftime("%Y-%m-%dT%H:%M:%S.%f%z")
-
-
-def to_eve_dict(alert: IdsAlert) -> dict:
-    """Map an alert onto the Suricata EVE alert record shape."""
-    return {
-        "timestamp": eve_timestamp(alert.clock),
-        "event_type": "alert",
-        "src_ip": alert.src,
-        "src_port": 45000 + alert.clock % 1000,
-        "dest_ip": service_dest_ip(alert.dest_service),
-        "dest_port": alert.dest_port,
-        "proto": "TCP",
-        "alert": {
-            "signature": alert.signature,
-            "category": alert.category,
-            "severity": alert.severity,
-        },
-        "honeypot": {
-            "epoch": alert.epoch,
-            "service": alert.dest_service,
-            "stage_hint": alert.stage_hint.label if alert.stage_hint is not None else None,
-        },
-    }
-
-
-def alerts_to_eve_jsonl(alerts: Iterable[IdsAlert]) -> str:
-    return "\n".join(json.dumps(to_eve_dict(a), sort_keys=True) for a in alerts)

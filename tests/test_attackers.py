@@ -14,11 +14,12 @@ from honeysim.attackers import (
     default_attacker_queue,
     make_attacker_state,
 )
-from honeysim.catalog import AttackStage, builtin_catalog, deployment_config
+from honeysim.catalog import AttackStage, deployment_config
 
 PROBABILISTIC = PersistenceModel(mode="probabilistic", decay=0.25, floor=0.1)
 CONSECUTIVE = PersistenceModel(mode="consecutive")
 DETERMINISTIC = PersistenceModel(mode="deterministic")
+FULLY_VULNERABLE = deployment_config("fully_vulnerable").catalog
 
 
 class TestAttemptProbability:
@@ -65,7 +66,7 @@ def test_persistence_model_validation():
 
 def _fresh(target="gitlab", persistence=DETERMINISTIC, seed=1, **kwargs):
     profile = AttackerProfile(target_service=target, persistence=persistence, **kwargs)
-    state = make_attacker_state(profile, builtin_catalog(), seed)
+    state = make_attacker_state(profile, FULLY_VULNERABLE, seed)
     return profile, state
 
 
@@ -152,10 +153,10 @@ class TestAttackerStep:
     def test_exploits_stay_within_supported_stages(self):
         # random exposure schedules never produce an off-chain exploit action
         rng = random.Random(7)
-        ids = builtin_catalog().ids
+        ids = FULLY_VULNERABLE.ids
         for trial in range(50):
             profile, state = _fresh(target="apache_struts", persistence=PROBABILISTIC, seed=trial)
-            supported = set(builtin_catalog().get("apache_struts").supported_stages)
+            supported = set(FULLY_VULNERABLE.get("apache_struts").supported_stages)
             for _ in range(20):
                 if state.status != ACTIVE:
                     break
@@ -195,8 +196,7 @@ def test_monte_carlo_matches_decay_formula():
 
 
 def test_default_queue_orders_by_catalog():
-    fully = deployment_config("fully_vulnerable").catalog
-    queue = default_attacker_queue(fully, DETERMINISTIC)
+    queue = default_attacker_queue(FULLY_VULNERABLE, DETERMINISTIC)
     assert [p.target_service for p in queue] == ["gitlab", "xdebug", "apache_struts", "docker_api"]
     mixed = deployment_config("small_mixed").catalog
     assert [p.target_service for p in default_attacker_queue(mixed, DETERMINISTIC)] == [
@@ -214,4 +214,4 @@ def test_profile_rejects_decoy_target():
 def test_profile_rejects_unsupported_objective():
     profile = AttackerProfile(target_service="apache_struts", objective_stage=AttackStage.USER_DATA_EXFIL)
     with pytest.raises(ValueError):
-        make_attacker_state(profile, builtin_catalog(), 0)
+        make_attacker_state(profile, FULLY_VULNERABLE, 0)

@@ -13,13 +13,14 @@ from honeysim.catalog import (
     HoneynetConfig,
     ServiceSpec,
     StageNotSupportedError,
-    builtin_catalog,
     catalog_from_dict,
     deployment_config,
     load_catalog,
     name_key,
     next_stage,
 )
+
+FULLY_VULNERABLE = deployment_config("fully_vulnerable").catalog
 
 
 def test_stage_set_is_fixed_and_ordered():
@@ -50,51 +51,44 @@ def test_stage_parsing_rejects_unknown():
 
 class TestBuiltinCatalog:
     def test_gitlab_supports_all_five_stages(self):
-        cat = builtin_catalog()
-        assert cat.get("gitlab").supported_stages == ALL_STAGES
-        assert cat.get("xdebug").supported_stages == ALL_STAGES
+        assert FULLY_VULNERABLE.get("gitlab").supported_stages == ALL_STAGES
+        assert FULLY_VULNERABLE.get("xdebug").supported_stages == ALL_STAGES
 
     def test_struts_chain_skips_user_data_exfil(self):
-        struts = builtin_catalog().get("apache_struts")
+        struts = FULLY_VULNERABLE.get("apache_struts")
         assert AttackStage.USER_DATA_EXFIL not in struts.supported_stages
         assert struts.terminal_stage == AttackStage.ROOT_DATA_EXFIL
 
     def test_docker_chain_ends_at_user_data_exfil(self):
-        docker = builtin_catalog().get("docker_api")
+        docker = FULLY_VULNERABLE.get("docker_api")
         assert docker.terminal_stage == AttackStage.USER_DATA_EXFIL
         assert AttackStage.PRIV_ESC not in docker.supported_stages
 
-    def test_others_row_is_scan_only(self):
-        others = builtin_catalog().get("others")
-        assert not others.vulnerable
-        assert others.terminal_stage is None
-        assert others.supported_stages == (AttackStage.RECONNAISSANCE,)
-
     def test_catalog_is_pure(self):
-        assert builtin_catalog() == builtin_catalog()
+        assert deployment_config("fully_vulnerable").catalog == deployment_config("fully_vulnerable").catalog
 
 
 class TestNextStage:
     def test_struts_initial_access_jumps_to_priv_esc(self):
-        struts = builtin_catalog().get("apache_struts")
+        struts = FULLY_VULNERABLE.get("apache_struts")
         assert next_stage(struts, AttackStage.INITIAL_ACCESS) == AttackStage.PRIV_ESC
 
     def test_docker_user_data_exfil_is_done(self):
-        docker = builtin_catalog().get("docker_api")
+        docker = FULLY_VULNERABLE.get("docker_api")
         assert next_stage(docker, AttackStage.USER_DATA_EXFIL) is None
 
     def test_gitlab_terminal_is_done(self):
-        gitlab = builtin_catalog().get("gitlab")
+        gitlab = FULLY_VULNERABLE.get("gitlab")
         assert next_stage(gitlab, AttackStage.ROOT_DATA_EXFIL) is None
 
     def test_unsupported_stage_raises(self):
-        struts = builtin_catalog().get("apache_struts")
+        struts = FULLY_VULNERABLE.get("apache_struts")
         with pytest.raises(StageNotSupportedError):
             next_stage(struts, AttackStage.USER_DATA_EXFIL)
 
     def test_chains_terminate_within_four_steps(self):
         # every exploitable chain walks Recon -> terminal, strictly increasing
-        for svc in builtin_catalog().services:
+        for svc in FULLY_VULNERABLE.services:
             if not svc.vulnerable:
                 continue
             current = AttackStage.RECONNAISSANCE
@@ -172,7 +166,7 @@ def _catalog_file_dict(graph: AttackGraph) -> dict:
 
 
 def test_catalog_round_trips_through_file(tmp_path):
-    cat = builtin_catalog()
+    cat = FULLY_VULNERABLE
     path = tmp_path / "catalog.yaml"
     path.write_text(yaml.safe_dump(_catalog_file_dict(cat), sort_keys=False), encoding="utf-8")
     assert load_catalog(str(path)) == cat
@@ -231,7 +225,7 @@ def _variant(draw, names):
 @st.composite
 def _catalog_and_name(draw):
     named = draw(
-        st.sampled_from([*(deployment_config(d).catalog for d in DEPLOYMENT_NAMES), builtin_catalog(), None])
+        st.sampled_from([*(deployment_config(d).catalog for d in DEPLOYMENT_NAMES), None])
     )
     if named is None:
         rows = draw(st.lists(st.tuples(_NAMES, _NAMES), min_size=1, max_size=5, unique_by=lambda row: row[0]))

@@ -691,6 +691,45 @@ class TestRunAndReplay:
         assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == ran
         assert b"reactive" not in ran["summary_scores.csv"]
 
+    def test_replay_refuses_a_rerun_stopped_before_its_last_cell(self, tmp_path, monkeypatch, capsys):
+        """A rerun with another seed base and horizon stops at its third cell: its half-written directory holds
+        no manifest, so replay exits 2 instead of scoring the rerun's axes over the first run's logs."""
+        config = {
+            "policies": ["reactive", "random"],
+            "deployments": ["large_mixed"],
+            "persistence_modes": ["probabilistic"],
+            "seeds": [0, 1, 2, 3],
+            "seed_base": 0,
+            "horizon": 20,
+        }
+        first, rerun = tmp_path / "first.yaml", tmp_path / "rerun.yaml"
+        first.write_text(yaml.safe_dump(config), encoding="utf-8")
+        rerun.write_text(yaml.safe_dump({**config, "seed_base": 9, "horizon": 3}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+
+        run_cell, started = harness.run_cell, []
+
+        def stop_at_third_cell(cell, *args, **kwargs):
+            started.append(cell.name)
+            if len(started) == 3:
+                raise KeyboardInterrupt
+            return run_cell(cell, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", stop_at_third_cell)
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", "--config", str(rerun), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["replay", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no run_manifest.json in {out}\n"
+        assert not any(p.is_file() for p in out.iterdir())  # no manifest, run_stats.json or summary is left
+
+        monkeypatch.setattr(harness, "run_cell", run_cell)
+        assert main(["run", "--config", str(rerun), "--out", str(out)]) == 0
+        ran = capsys.readouterr().out
+        assert main(["replay", "--out", str(out)]) == 0
+        assert ran.startswith(capsys.readouterr().out)
+
     def test_replay_derives_no_seeds(self, tiny_config, tmp_path, monkeypatch):
         """Replay reads cells by name; the seeds a run derives for them are in no summary."""
         out = tmp_path / "results"

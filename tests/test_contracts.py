@@ -5,19 +5,30 @@
 - No reply text a model sends can expose a service outside the catalog or
   over the budget, or end an episode other than in one of the four outcomes;
   and ``replay`` rebuilds the run's summaries byte for byte.
+- A rerun into the first run's directory writes the same bytes in every file,
+  ``run_stats.json`` with its latencies masked.
+- A rerun with another seed base that stops at any cell leaves a directory
+  that ``replay`` refuses, and a complete rerun after it writes the first
+  run's bytes again.
+
+Each property's body is a plain function, so ``test_faults_are_caught.py``
+can show it fails on a planted fault.
 """
 
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_output_bytes import masked_run_stats
 
-from honeysim import engine
+from honeysim import engine, harness
 from honeysim.attackers import PERSISTENCE_MODES
 from honeysim.catalog import DEPLOYMENT_NAMES, deployment_config
-from honeysim.harness import execute_matrix, expand_matrix, matrix_from_dict, replay_out_dir
+from honeysim.harness import ConfigError, execute_matrix, expand_matrix, matrix_from_dict, replay_out_dir
 
 CELL_FILES = ("cell.json", "episodes.jsonl", "turns.jsonl")
 OUTCOMES = {
@@ -27,6 +38,7 @@ OUTCOMES = {
     engine.OUTCOME_HORIZON,
 }
 MAX_CELLS = 8
+AXES = ("policies", "deployments", "persistence_modes", "seeds")
 
 
 def _run(config: dict, out: Path) -> list:
@@ -40,6 +52,13 @@ def _cell_bytes(out: Path, name: str) -> dict:
     """Each of a cell's files as bytes, None for one it lacks (a cell without model turns has no turn log)."""
     files = {f: out / name / f for f in CELL_FILES}
     return {f: path.read_bytes() if path.exists() else None for f, path in files.items()}
+
+
+def _run_bytes(out: Path) -> dict:
+    """Every file under ``out`` as bytes by its relative path; run_stats.json with its latencies masked."""
+    files = {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    files[harness.STATS_NAME] = masked_run_stats(out).encode("utf-8")
+    return files
 
 
 @st.composite
@@ -71,6 +90,27 @@ _MOCK_REPLIES = [
 ]
 
 
+def _with_mock_replies(tmp: Path, axes: dict, cell_settings: dict) -> dict:
+    """The matrix config of ``axes`` and ``cell_settings``, its ``mock`` policy replaying ``_MOCK_REPLIES``."""
+    replay = tmp / "replay.json"
+    replay.write_text(json.dumps(_MOCK_REPLIES), encoding="utf-8")
+    mock_entry = {"name": "mock", "kind": "mock", "replay": str(replay)}
+    return {**cell_settings, **axes, "policies": [mock_entry if p == "mock" else p for p in axes["policies"]]}
+
+
+def check_cell_independence(tmp: Path, config: dict, cell: dict, permuted: dict) -> None:
+    """The cell with the axis values ``cell`` gives writes the same bytes inside ``config``'s matrix, run alone,
+    and inside the matrix with its axes in the orders ``permuted`` gives."""
+    _run(config, tmp / "matrix")
+    name = _run({**config, **{axis: [value] for axis, value in cell.items()}}, tmp / "alone")[0].name
+    _run({**config, **permuted}, tmp / "permuted")
+
+    expected = _cell_bytes(tmp / "matrix", name)
+    assert expected["episodes.jsonl"]
+    assert _cell_bytes(tmp / "alone", name) == expected
+    assert _cell_bytes(tmp / "permuted", name) == expected
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     axes=_axes(["oracle", "random", "reactive", "scripted", "mock"]),
@@ -79,31 +119,10 @@ _MOCK_REPLIES = [
 )
 def test_a_cell_writes_the_same_bytes_alone_as_inside_a_permuted_matrix(axes, cell_settings, data):
     with tempfile.TemporaryDirectory() as tmp:
-        replay = Path(tmp, "replay.json")
-        replay.write_text(json.dumps(_MOCK_REPLIES), encoding="utf-8")
-        entries = {"mock": {"name": "mock", "kind": "mock", "replay": str(replay)}}
-        config = {**cell_settings, **axes, "policies": [entries.get(p, p) for p in axes["policies"]]}
-        cells = _run(config, Path(tmp, "matrix"))
-        cell = data.draw(st.sampled_from(cells), label="cell")
-
-        alone = {
-            **config,
-            "policies": [entries.get(cell.policy.label, cell.policy.label)],
-            "deployments": [cell.deployment],
-            "persistence_modes": [cell.persistence],
-            "seeds": [cell.seed],
-        }
-        _run(alone, Path(tmp, "alone"))
-        permuted = {
-            **config,
-            **{axis: data.draw(st.permutations(config[axis]), label=axis) for axis in axes},
-        }
-        _run(permuted, Path(tmp, "permuted"))
-
-        expected = _cell_bytes(Path(tmp, "matrix"), cell.name)
-        assert expected["episodes.jsonl"]
-        assert _cell_bytes(Path(tmp, "alone"), cell.name) == expected
-        assert _cell_bytes(Path(tmp, "permuted"), cell.name) == expected
+        config = _with_mock_replies(Path(tmp), axes, cell_settings)
+        cell = {axis: data.draw(st.sampled_from(config[axis]), label=f"cell {axis}") for axis in AXES}
+        permuted = {axis: data.draw(st.permutations(config[axis]), label=axis) for axis in AXES}
+        check_cell_independence(Path(tmp), config, cell, permuted)
 
 
 _SERVICE_NAMES = ["gitlab", "GitLab", "xdebug", "apache_struts", "docker_api", "decoy_1", "decoy_4", "ghost", ""]
@@ -134,6 +153,32 @@ _SCRIPTS = st.one_of(
 )
 
 
+def check_replies_keep_the_contracts(tmp: Path, config: dict) -> None:
+    """Every exposure of ``config``'s run is in the catalog and within the budget, every episode ends in one of
+    the four outcomes, and ``replay`` rewrites the run's summaries byte for byte."""
+    out = tmp / "out"
+    cells = _run(config, out)
+
+    budget = config["budget"]
+    for cell in cells:
+        catalog = set(deployment_config(cell.deployment).catalog.ids)
+        lines = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
+        assert lines
+        for record in map(json.loads, lines):
+            assert record["outcome"] in OUTCOMES
+            exposures = [record["bootstrap_exposed"]]
+            for epoch in record["epochs"]:
+                exposures += [epoch["exposed"], epoch["decision"]["exposed"]]
+            for exposed in exposures:
+                assert len(set(exposed)) == len(exposed) <= budget, (cell.name, exposed)
+                assert catalog.issuperset(exposed), (cell.name, exposed)
+
+    summaries = {p.name: p.read_bytes() for p in out.glob("summary_*")}
+    assert len(summaries) == 6
+    replay_out_dir(out)
+    assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == summaries
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
     axes=_axes(["mock_a", "mock_b"]),
@@ -148,24 +193,62 @@ def test_no_reply_text_breaks_the_budget_the_outcomes_or_replay(axes, scripts, c
             replay.write_text(json.dumps(script), encoding="utf-8")
             entries[label] = {"name": label, "kind": "mock", "replay": str(replay)}
         config = {**cell_settings, **axes, "policies": [entries[p] for p in axes["policies"]]}
-        out = Path(tmp, "out")
-        cells = _run(config, out)
+        check_replies_keep_the_contracts(Path(tmp), config)
 
-        budget = cell_settings["budget"]
-        for cell in cells:
-            catalog = set(deployment_config(cell.deployment).catalog.ids)
-            lines = (out / cell.name / "episodes.jsonl").read_text(encoding="utf-8").splitlines()
-            assert lines
-            for record in map(json.loads, lines):
-                assert record["outcome"] in OUTCOMES
-                exposures = [record["bootstrap_exposed"]]
-                for epoch in record["epochs"]:
-                    exposures += [epoch["exposed"], epoch["decision"]["exposed"]]
-                for exposed in exposures:
-                    assert len(set(exposed)) == len(exposed) <= budget, (cell.name, exposed)
-                    assert catalog.issuperset(exposed), (cell.name, exposed)
 
-        summaries = {p.name: p.read_bytes() for p in out.glob("summary_*")}
-        assert len(summaries) == 6
+def check_rerun(tmp: Path, config: dict) -> None:
+    """A rerun of ``config`` into the first run's directory writes the same bytes in every file."""
+    out = tmp / "out"
+    _run(config, out)
+    first = _run_bytes(out)
+    _run(config, out)
+    assert _run_bytes(out) == first
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(axes=_axes(["oracle", "random", "reactive", "scripted", "mock"]), cell_settings=st.fixed_dictionaries(_SETTINGS))
+def test_a_rerun_writes_the_same_bytes_in_every_file(axes, cell_settings):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_rerun(Path(tmp), _with_mock_replies(Path(tmp), axes, cell_settings))
+
+
+def check_interrupted_rerun(tmp: Path, config: dict, seed_base: int, stop_at: int) -> None:
+    """A rerun of ``config`` with ``seed_base``, stopped as its cell ``stop_at`` (counted from 0) starts, leaves a
+    directory that ``replay`` refuses; a complete rerun of ``config`` after it writes the first run's bytes again."""
+    out = tmp / "out"
+    _run(config, out)
+    first = _run_bytes(out)
+
+    run_cell, started = harness.run_cell, []
+
+    def stop(cell, *args, **kwargs):
+        started.append(cell.name)
+        if len(started) > stop_at:
+            raise KeyboardInterrupt
+        return run_cell(cell, *args, **kwargs)
+
+    with mock.patch.object(harness, "run_cell", stop), pytest.raises(KeyboardInterrupt):
+        _run({**config, "seed_base": seed_base}, out)
+    try:
         replay_out_dir(out)
-        assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == summaries
+    except ConfigError:
+        pass
+    else:
+        raise AssertionError(f"replay read {out} after a rerun stopped at cell {stop_at}")
+    _run(config, out)
+    assert _run_bytes(out) == first
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    axes=_axes(["oracle", "random", "reactive", "scripted", "mock"]),
+    cell_settings=st.fixed_dictionaries(_SETTINGS),
+    data=st.data(),
+)
+def test_replay_refuses_an_interrupted_rerun_until_a_complete_one(axes, cell_settings, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _with_mock_replies(Path(tmp), axes, cell_settings)
+        cells = len(expand_matrix(matrix_from_dict(config)))
+        other = data.draw(st.integers(0, 2**16).filter(lambda base: base != config["seed_base"]), label="seed_base")
+        stop_at = data.draw(st.integers(0, cells - 1), label="stop_at")
+        check_interrupted_rerun(Path(tmp), config, other, stop_at)

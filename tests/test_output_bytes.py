@@ -8,7 +8,9 @@ wall-clock value it holds, masked. A refactor that claims "same bytes" must
 leave both unchanged; a deliberate output change re-pins them and says so.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 
@@ -73,15 +75,16 @@ def _digest(out, stdout: str) -> str:
     return digest.hexdigest()
 
 
-def _run_stats_digest(out) -> str:
-    """The digest of run_stats.json with each cell's latency_s, a wall-clock value, masked."""
+def masked_run_stats(out) -> str:
+    """run_stats.json with each cell's latency_s, a wall-clock value, masked."""
     text = (out / "run_stats.json").read_text(encoding="utf-8")
     masked, latencies = re.subn(r'"latency_s": \{"p50": [^{}]*\}', '"latency_s": "<masked>"', text)
     assert latencies == text.count('"latency_s": {')
-    return hashlib.sha256(masked.encode("utf-8")).hexdigest()
+    return masked
 
 
-def test_offline_policy_matrix_bytes_are_pinned(tmp_path, capsys):
+def check_pinned_bytes(tmp_path):
+    """Run the pinned matrix into ``tmp_path / "out"`` and check both digests; the output directory."""
     replay = tmp_path / "replies.json"
     replay.write_text(json.dumps([REPLIES, REPLIES[::-1]]), encoding="utf-8")
     policies = [*CONFIG["policies"], {"name": "mock", "kind": "mock", "replay": str(replay)}]
@@ -89,14 +92,19 @@ def test_offline_policy_matrix_bytes_are_pinned(tmp_path, capsys):
     config.write_text(yaml.safe_dump({**CONFIG, "policies": policies}), encoding="utf-8")
     out = tmp_path / "out"
 
-    capsys.readouterr()
-    assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
-    stdout = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert main(["run", "--offline", "--config", str(config), "--out", str(out)]) == 0
+    assert _digest(out, stdout.getvalue()) == PINNED_SHA256, "the run's output bytes moved"
+    digest = hashlib.sha256(masked_run_stats(out).encode("utf-8")).hexdigest()
+    assert digest == PINNED_RUN_STATS_SHA256, "run_stats.json's masked bytes moved"
+    return out
+
+
+def test_offline_policy_matrix_bytes_are_pinned(tmp_path):
+    out = check_pinned_bytes(tmp_path)
     assert len([p for p in out.iterdir() if p.is_dir()]) == 6 * 2 * 2 * 2
     turns = [json.loads(line) for path in out.glob("*/turns.jsonl") for line in path.read_bytes().splitlines()]
     assert turns and not any("latency_s" in turn for turn in turns)
-    assert _digest(out, stdout) == PINNED_SHA256
-    assert _run_stats_digest(out) == PINNED_RUN_STATS_SHA256
 
     ran = _summaries(out)
     assert len(ran) == 6

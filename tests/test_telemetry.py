@@ -14,13 +14,11 @@ from honeysim.telemetry import (
     NoiseConfig,
     SignatureCatalogMissError,
     aggregate_epoch,
-    alerts_to_eve_jsonl,
     empty_observation,
     summarize_for_prompt,
     synthesize_alerts,
 )
 
-GOLDEN = Path(__file__).parent / "data" / "golden_eve.jsonl"
 SIGNATURES_JSON = Path(__file__).parent.parent / "src" / "honeysim" / "data" / "signatures.json"
 SIGNATURES = json.loads(SIGNATURES_JSON.read_text(encoding="utf-8"))
 
@@ -206,28 +204,3 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize_for_prompt(empty_observation(), 0)
 
-
-def test_eve_export_matches_golden_file():
-    rng = random.Random(2024)
-    actions = [
-        ScanAction(services=("apache_struts", "gitlab")),
-        ExploitAction(service="gitlab", stage=AttackStage.INITIAL_ACCESS),
-    ]
-    alerts = synthesize_alerts(
-        actions,
-        3,
-        NoiseConfig(false_positive_rate=0.5, hint_corruption_rate=0.5),
-        rng,
-        catalog=CATALOG,
-        src="198.51.100.77",
-    )
-    assert alerts_to_eve_jsonl(alerts) + "\n" == GOLDEN.read_text(encoding="utf-8")
-
-
-def test_eve_records_carry_required_fields():
-    alerts = _synth([ExploitAction(service="docker_api", stage=AttackStage.USER_DATA_EXFIL)])
-    for line in alerts_to_eve_jsonl(alerts).splitlines():
-        record = json.loads(line)
-        assert {"timestamp", "src_ip", "dest_ip", "dest_port", "alert"} <= record.keys()
-        assert {"signature", "category", "severity"} <= record["alert"].keys()
-        assert record["dest_port"] == 2375
