@@ -24,7 +24,7 @@ from .catalog import (
     load_catalog,
     next_stage,
 )
-from .engine import EpisodeRecord, RunConfig, derive_seed, run_episode, run_simulation
+from .engine import RunConfig, derive_seed, run_episode, run_simulation
 from .harness import ExperimentMatrix, PolicySpec, execute_matrix, expand_matrix, load_run_file
 from .llm import (
     HttpChatBackend,

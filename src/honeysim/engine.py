@@ -12,8 +12,8 @@ import hashlib
 import json
 import random
 import re
-from dataclasses import dataclass, fields
-from typing import Callable, Iterable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from .attackers import (
     ABANDONED,
@@ -99,36 +99,6 @@ class RunConfig:
             raise ValueError(f"unknown bootstrap mode {bootstrap!r}")
 
 
-# An epoch's log keeps the values the loop already has: the attacker's actions,
-# the observation's alerts, the decision, and the stage lists as label tuples.
-# ``records_to_jsonl`` writes them in the order of their JSON keys, sorted, so
-# the fields of ``EpochLog`` and ``EpisodeRecord`` are declared in that order.
-
-
-class EpochLog(NamedTuple):
-    actions: list[AttackerAction]
-    alerts: tuple[IdsAlert, ...]
-    decision: ExposureDecision
-    epoch: int
-    exposed: tuple[str, ...]
-    gt_stages: tuple[str, ...]
-    prediction: tuple[str, ...]
-
-
-@dataclass(kw_only=True)
-class EpisodeRecord:
-    attacker_label: str
-    bootstrap_exposed: tuple[str, ...]
-    epochs: list[EpochLog]
-    epochs_used: int
-    objective_stage: str
-    outcome: str
-    persistence_mode: str
-    schema_version: int = SCHEMA_VERSION
-    seed: int
-    target_service: str
-
-
 # each stage tuple's labels; completed and predicted stages are subsets of the five stages
 _LABELS_OF: dict[tuple, tuple[str, ...]] = {}
 
@@ -145,8 +115,15 @@ def run_episode(
     attacker: AttackerProfile,
     policy: Policy,
     belief: Optional[BeliefState] = None,
-) -> EpisodeRecord:
-    """Run one attacker against one policy instance until a termination rule fires."""
+) -> dict:
+    """Run one attacker against one policy instance until a termination rule fires.
+
+    The record is the mapping its ``episodes.jsonl`` line encodes, each epoch
+    one too, with the keys in the sorted order the line writes them. It keeps
+    the loop's values: actions, alerts and the decision stay named tuples, and
+    the stage lists are label tuples. ``records_to_jsonl`` writes this form and
+    metrics score it, as they score the decoded form ``replay`` reads.
+    """
     honeynet, noise = cfg.honeynet, cfg.noise
     catalog = honeynet.catalog
     label = attacker.resolved_label()
@@ -165,7 +142,7 @@ def run_episode(
         decision = ExposureDecision(catalog.ids[: honeynet.budget])
     bootstrap_exposed = decision.exposed
 
-    epochs: list[EpochLog] = []
+    epochs: list[dict] = []
     outcome = OUTCOME_HORIZON
     epochs_used = cfg.horizon
     exposed = decision.exposed
@@ -180,9 +157,15 @@ def run_episode(
             observer(GroundTruthView(state.service.id, completed, state.status))
         decision, prediction, belief = policy_decide(policy, obs, belief, honeynet)
 
-        epochs.append(
-            EpochLog(actions, obs.alerts, decision, epoch, exposed, _labels(completed), _labels(prediction.stages))
-        )
+        epochs.append({
+            "actions": actions,
+            "alerts": obs.alerts,
+            "decision": decision,
+            "epoch": epoch,
+            "exposed": exposed,
+            "gt_stages": _labels(completed),
+            "prediction": _labels(prediction.stages),
+        })
 
         if state.status == COMPLETED:
             outcome, epochs_used = OUTCOME_COMPLETED, epoch
@@ -195,26 +178,27 @@ def run_episode(
             break
         exposed = decision.exposed
 
-    return EpisodeRecord(
-        attacker_label=label,
-        bootstrap_exposed=bootstrap_exposed,
-        epochs=epochs,
-        epochs_used=epochs_used,
-        objective_stage=STAGE_LABELS[state.objective],
-        outcome=outcome,
-        persistence_mode=attacker.persistence.mode,
-        seed=cfg.seed,
-        target_service=state.service.id,
-    )
+    return {
+        "attacker_label": label,
+        "bootstrap_exposed": bootstrap_exposed,
+        "epochs": epochs,
+        "epochs_used": epochs_used,
+        "objective_stage": STAGE_LABELS[state.objective],
+        "outcome": outcome,
+        "persistence_mode": attacker.persistence.mode,
+        "schema_version": SCHEMA_VERSION,
+        "seed": cfg.seed,
+        "target_service": state.service.id,
+    }
 
 
 PolicyFactory = Callable[[int, int], Policy]
 
 
-def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[EpisodeRecord]:
+def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[dict]:
     """Process the attacker queue sequentially; belief resets between attackers
     unless carryover is enabled."""
-    records: list[EpisodeRecord] = []
+    records: list[dict] = []
     policy: Optional[Policy] = None
     belief: Optional[BeliefState] = None
     for index, attacker in enumerate(cfg.attackers):
@@ -229,19 +213,7 @@ def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[Episod
 # Line-delimited JSON episode logs
 # ---------------------------------------------------------------------------
 
-
-def record_to_dict(rec: EpisodeRecord) -> dict:
-    """The record as a mapping with the keys of its ``episodes.jsonl`` line, each epoch one too.
-
-    It holds the engine's values, shared with ``rec``: actions, alerts and the
-    decision stay named tuples, and the stage lists are label tuples. Metrics
-    read records in this form and in the decoded form ``replay`` reads, which
-    agree on everything scoring reads. ``records_to_jsonl`` writes this form.
-    """
-    return {**vars(rec), "epochs": [e._asdict() for e in rec.epochs]}
-
-
-# A line is assembled from those values with the bytes of
+# A line is assembled from the values ``run_episode`` keeps with the bytes of
 # ``json.dumps(line, sort_keys=True)``, where ``line`` is the record's JSON form.
 # Only fragments bounded by the catalog are cached: an alert's text around its
 # clock and epoch, and a stage list's text. Each is a function of its key alone,
@@ -330,7 +302,7 @@ def _record_line(rec: dict) -> str:
 
 
 def records_to_jsonl(records: Iterable[dict]) -> str:
-    """Write records as ``record_to_dict`` gives them, one line each.
+    """Write records as ``run_episode`` builds them, one line each.
 
     Each line has the bytes of ``json.dumps(line, sort_keys=True)`` for the
     record's JSON form. Epoch numbers and alert clocks are written as ints,
@@ -340,8 +312,11 @@ def records_to_jsonl(records: Iterable[dict]) -> str:
     return "\n".join(map(_record_line, records))
 
 
-_RECORD_KEYS = frozenset(f.name for f in fields(EpisodeRecord))
-_EPOCH_KEYS = frozenset(EpochLog._fields)
+_RECORD_KEYS = frozenset({
+    "attacker_label", "bootstrap_exposed", "epochs", "epochs_used", "objective_stage",
+    "outcome", "persistence_mode", "schema_version", "seed", "target_service",
+})
+_EPOCH_KEYS = frozenset({"actions", "alerts", "decision", "epoch", "exposed", "gt_stages", "prediction"})
 _LABELS = frozenset(STAGE_LABELS)
 
 

@@ -30,7 +30,6 @@ from .engine import (
     PolicyFactory,
     RunConfig,
     derive_seed,
-    record_to_dict,
     records_from_jsonl,
     records_to_jsonl,
     run_simulation,
@@ -526,8 +525,8 @@ def run_cell(
             except IsADirectoryError:
                 raise ConfigError(f"output file {turn_log.path} is a directory") from None
     try:
-        # the records as record_to_dict maps them: write_cell writes them and run_metrics scores them
-        result = _cell_result(cell, map(record_to_dict, run_simulation(cfg, make_policy)), stats)
+        # the records as the epoch loop builds them: write_cell writes them and run_metrics scores them
+        result = _cell_result(cell, run_simulation(cfg, make_policy), stats)
     finally:
         if turn_log is not None:
             turn_log.close()

@@ -269,7 +269,8 @@ class HttpChatBackend(Settings):
                 if not isinstance(content, str):
                     raise TypeError(f"reply content is {type(content).__name__}, not a string")
                 return content
-            except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
+            # a reply nested too deep for the decoder is unusable, like one that is not JSON
+            except (OSError, http.client.HTTPException, LookupError, RecursionError, TypeError, ValueError) as exc:
                 if isinstance(exc, urllib.error.HTTPError):
                     exc.close()  # an error response keeps its connection open until closed
                 last_error = exc

@@ -85,9 +85,10 @@ def score_from_counts(tp: int, fp: int, fn: int) -> float:
 class RunResult:
     """One cell execution: a policy against one deployment and persistence mode.
 
-    ``records`` are the cell's episodes as ``engine.record_to_dict`` maps them
-    in a run, and as ``episodes.jsonl`` decodes in a replay. Both hold the
-    same stage labels, targets and objectives, so both score the same.
+    ``records`` are the cell's episodes as mappings with the keys of their
+    ``episodes.jsonl`` lines: built by the epoch loop in a run, decoded from
+    the log in a replay. Both hold the same stage labels, targets and
+    objectives, so both score the same.
     ``stats`` are the run's turn and degradation counts; a replay has none.
     """
 

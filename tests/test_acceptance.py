@@ -14,7 +14,7 @@ from pathlib import Path
 from honeysim.attackers import AttackerProfile, PersistenceModel, default_attacker_queue
 from honeysim.catalog import deployment_config
 from honeysim.cli import main
-from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
+from honeysim.engine import RunConfig, records_to_jsonl, run_episode, run_simulation
 from honeysim.harness import (
     ExperimentMatrix,
     OracleKind,
@@ -61,7 +61,7 @@ def _run(deployment: str, mode: str, seed: int, policy_factory, horizon: int = 2
         policy="test",
         deployment=deployment,
         persistence=mode,
-        records=tuple(map(record_to_dict, run_simulation(cfg, policy_factory))),
+        records=tuple(run_simulation(cfg, policy_factory)),
     )
 
 
@@ -133,9 +133,9 @@ def test_criterion_4_consecutive_semantics():
                 seed=seed,
             )
             steady = run_episode(cfg, attacker, StaticPolicy(("gitlab",)))
-            completed += steady.outcome == "completed"
+            completed += steady["outcome"] == "completed"
             gapped = run_episode(cfg, attacker, _GapPolicy("gitlab"))
-            abandoned += gapped.outcome == "abandoned"
+            abandoned += gapped["outcome"] == "abandoned"
         assert completed == 100
         assert abandoned == 100
 
@@ -167,7 +167,7 @@ def test_criterion_5_probabilistic_monte_carlo():
             # epoch 1: engage at gap 0; epoch 2: hidden; epoch 3: attempt at gap 1
             cfg = RunConfig(honeynet=honeynet, attackers=(attacker,), horizon=3, seed=seed)
             rec = run_episode(cfg, attacker, _AlternatingPolicy("gitlab"))
-            survived += rec.outcome != "abandoned"
+            survived += rec["outcome"] != "abandoned"
         assert abs(survived / trials - 0.75) <= 0.02
 
 

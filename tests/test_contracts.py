@@ -2,6 +2,8 @@
 
 - A cell's logs do not depend on the matrix around it: run alone, or inside
   a larger matrix whose axes are permuted, it writes the same bytes.
+- ``replay`` of a run of every offline policy kind, in either score mode,
+  reduces each cell to the run's metrics and writes the run's summaries.
 - No reply text a model sends can expose a service outside the catalog or
   over the budget, or end an episode other than in one of the four outcomes;
   and ``replay`` rebuilds the run's summaries byte for byte.
@@ -91,11 +93,15 @@ _MOCK_REPLIES = [
 
 
 def _with_mock_replies(tmp: Path, axes: dict, cell_settings: dict) -> dict:
-    """The matrix config of ``axes`` and ``cell_settings``, its ``mock`` policy replaying ``_MOCK_REPLIES``."""
+    """The matrix config of ``axes`` and ``cell_settings``, its ``mock`` policy replaying ``_MOCK_REPLIES``
+    and its ``static`` policy exposing gitlab, which every deployment has."""
     replay = tmp / "replay.json"
     replay.write_text(json.dumps(_MOCK_REPLIES), encoding="utf-8")
-    mock_entry = {"name": "mock", "kind": "mock", "replay": str(replay)}
-    return {**cell_settings, **axes, "policies": [mock_entry if p == "mock" else p for p in axes["policies"]]}
+    entries = {
+        "mock": {"name": "mock", "kind": "mock", "replay": str(replay)},
+        "static": {"name": "static", "kind": "static", "expose": ["gitlab"]},
+    }
+    return {**cell_settings, **axes, "policies": [entries.get(p, p) for p in axes["policies"]]}
 
 
 def check_cell_independence(tmp: Path, config: dict, cell: dict, permuted: dict) -> None:
@@ -123,6 +129,39 @@ def test_a_cell_writes_the_same_bytes_alone_as_inside_a_permuted_matrix(axes, ce
         cell = {axis: data.draw(st.sampled_from(config[axis]), label=f"cell {axis}") for axis in AXES}
         permuted = {axis: data.draw(st.permutations(config[axis]), label=axis) for axis in AXES}
         check_cell_independence(Path(tmp), config, cell, permuted)
+
+
+def check_replay_equals_run(tmp: Path, config: dict) -> None:
+    """``replay`` of ``config``'s run reduces every cell to the run's metrics and rewrites its six summaries."""
+    out = tmp / "out"
+    write_summaries, reduced = harness.write_summaries, []
+
+    def keep(out_dir, runs, matrix):
+        reduced.append(list(runs))
+        return write_summaries(out_dir, runs, matrix)
+
+    with mock.patch.object(harness, "write_summaries", keep):
+        _run(config, out)
+        summaries = {p.name: p.read_bytes() for p in out.glob("summary_*")}
+        assert len(summaries) == 6
+        for name in summaries:
+            (out / name).unlink()
+        try:
+            replay_out_dir(out)
+        except Exception as exc:  # a replay that cannot score what run logged gives no summaries at all
+            raise AssertionError(f"replay of {out} failed: {exc!r}") from exc
+    assert reduced[1] == reduced[0]
+    assert {p.name: p.read_bytes() for p in out.glob("summary_*")} == summaries
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    axes=_axes(["oracle", "random", "reactive", "static", "scripted", "mock"]),
+    cell_settings=st.fixed_dictionaries({**_SETTINGS, "score_mode": st.sampled_from(["cumulative_sets", "current_stage"])}),
+)
+def test_replay_reduces_every_cell_as_run_did(axes, cell_settings):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_replay_equals_run(Path(tmp), _with_mock_replies(Path(tmp), axes, cell_settings))
 
 
 _SERVICE_NAMES = ["gitlab", "GitLab", "xdebug", "apache_struts", "docker_api", "decoy_1", "decoy_4", "ghost", ""]

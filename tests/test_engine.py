@@ -15,7 +15,6 @@ from honeysim.engine import (
     RunConfig,
     _checked,
     derive_seed,
-    record_to_dict,
     records_from_jsonl,
     records_to_jsonl,
     run_episode,
@@ -58,23 +57,23 @@ class DeclareDoneAt(Policy):
 class TestRunEpisode:
     def test_oracle_completes_gitlab_quickly(self):
         rec = run_episode(_cfg(), _cfg().attackers[0], OraclePolicy())
-        assert rec.outcome == OUTCOME_COMPLETED
-        assert rec.epochs_used == 4
-        assert rec.epochs_used <= 6
+        assert rec["outcome"] == OUTCOME_COMPLETED
+        assert rec["epochs_used"] == 4
+        assert rec["epochs_used"] <= 6
 
     def test_never_aligned_static_policy_exhausts_horizon(self):
         cfg = _cfg(honeynet=SMALL)
         rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_1",)))
-        assert rec.outcome == OUTCOME_HORIZON
-        assert rec.epochs_used == cfg.horizon
-        assert "RootDataExfil" not in rec.epochs[-1].gt_stages
+        assert rec["outcome"] == OUTCOME_HORIZON
+        assert rec["epochs_used"] == cfg.horizon
+        assert "RootDataExfil" not in rec["epochs"][-1]["gt_stages"]
 
     def test_declared_done_terminates_episode(self):
         cfg = _cfg(honeynet=SMALL)
         rec = run_episode(cfg, cfg.attackers[0], DeclareDoneAt(3))
-        assert rec.outcome == OUTCOME_DECLARED_DONE
-        assert rec.epochs_used == 3
-        assert len(rec.epochs) == 3
+        assert rec["outcome"] == OUTCOME_DECLARED_DONE
+        assert rec["epochs_used"] == 3
+        assert len(rec["epochs"]) == 3
 
     def test_consecutive_attacker_abandons_after_gap(self):
         class AlternatingPolicy(Policy):
@@ -89,14 +88,14 @@ class TestRunEpisode:
         )
         cfg = RunConfig(honeynet=FULLY, attackers=(attacker,), horizon=10, seed=3)
         rec = run_episode(cfg, attacker, AlternatingPolicy())
-        assert rec.outcome == OUTCOME_ABANDONED
+        assert rec["outcome"] == OUTCOME_ABANDONED
 
     def test_ground_truth_is_monotone(self):
         cfg = _cfg(targets=("apache_struts",))
         rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
         previous = set()
-        for epoch in rec.epochs:
-            current = set(epoch.gt_stages)
+        for epoch in rec["epochs"]:
+            current = set(epoch["gt_stages"])
             assert previous <= current
             previous = current
 
@@ -104,24 +103,24 @@ class TestRunEpisode:
         for target in ("gitlab", "docker_api", "apache_struts"):
             cfg = _cfg(targets=(target,))
             rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
-            assert rec.outcome == OUTCOME_COMPLETED
-            assert rec.objective_stage in rec.epochs[-1].gt_stages
+            assert rec["outcome"] == OUTCOME_COMPLETED
+            assert rec["objective_stage"] in rec["epochs"][-1]["gt_stages"]
 
     def test_every_epoch_respects_budget_and_catalog(self):
         cfg = _cfg(honeynet=SMALL, targets=("gitlab", "apache_struts"))
         for rec in run_simulation(cfg, lambda i, s: OraclePolicy()):
-            for epoch in rec.epochs:
-                assert len(epoch.exposed) <= SMALL.budget
-                assert set(epoch.exposed) <= set(SMALL.catalog.ids)
-                assert len(epoch.decision.exposed) <= SMALL.budget
+            for epoch in rec["epochs"]:
+                assert len(epoch["exposed"]) <= SMALL.budget
+                assert set(epoch["exposed"]) <= set(SMALL.catalog.ids)
+                assert len(epoch["decision"].exposed) <= SMALL.budget
 
     def test_first_service_bootstrap_overrides_policy(self):
         cfg = _cfg(honeynet=SMALL, bootstrap="first_service")
         rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_2",)))
-        assert rec.bootstrap_exposed == ("gitlab",)
-        assert rec.epochs[0].exposed == ("gitlab",)
+        assert rec["bootstrap_exposed"] == ("gitlab",)
+        assert rec["epochs"][0]["exposed"] == ("gitlab",)
         # from epoch 2 on the policy's own decision is in force
-        assert rec.epochs[1].exposed == ("decoy_2",)
+        assert rec["epochs"][1]["exposed"] == ("decoy_2",)
 
 
 class TestRunSimulation:
@@ -130,7 +129,7 @@ class TestRunSimulation:
         cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=1)
         records = run_simulation(cfg, lambda i, s: OraclePolicy())
         assert len(records) == 4
-        assert [r.target_service for r in records] == ["gitlab", "xdebug", "apache_struts", "docker_api"]
+        assert [r["target_service"] for r in records] == ["gitlab", "xdebug", "apache_struts", "docker_api"]
 
     def test_queue_of_two_yields_two_records(self):
         queue = default_attacker_queue(SMALL.catalog, DETERMINISTIC)
@@ -142,14 +141,14 @@ class TestRunSimulation:
         cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=77)
         a = run_simulation(cfg, lambda i, s: OraclePolicy())
         b = run_simulation(cfg, lambda i, s: OraclePolicy())
-        assert records_to_jsonl(map(record_to_dict, a)) == records_to_jsonl(map(record_to_dict, b))
+        assert records_to_jsonl(a) == records_to_jsonl(b)
 
     def test_different_seeds_differ_somewhere(self):
         queue = default_attacker_queue(FULLY.catalog, PersistenceModel(mode="probabilistic"))
         texts = set()
         for seed in range(3):
             cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=seed)
-            texts.add(records_to_jsonl(map(record_to_dict, run_simulation(cfg, lambda i, s: OraclePolicy()))))
+            texts.add(records_to_jsonl(run_simulation(cfg, lambda i, s: OraclePolicy())))
         assert len(texts) > 1  # noise injection differs across seeds
 
     def test_belief_carryover_reuses_policy(self):
@@ -172,11 +171,11 @@ class TestSerialization:
     def test_jsonl_round_trip(self):
         cfg = _cfg(targets=("docker_api",))
         records = run_simulation(cfg, lambda i, s: OraclePolicy())
-        text = records_to_jsonl(map(record_to_dict, records))
+        text = records_to_jsonl(records)
         restored = records_from_jsonl(text)
         assert "\n".join(json.dumps(r, sort_keys=True) for r in restored) == text
-        assert restored[0]["outcome"] == records[0].outcome
-        assert restored[0]["epochs"][0]["gt_stages"] == list(records[0].epochs[0].gt_stages)
+        assert restored[0]["outcome"] == records[0]["outcome"]
+        assert restored[0]["epochs"][0]["gt_stages"] == list(records[0]["epochs"][0]["gt_stages"])
 
     @pytest.mark.parametrize(
         "edit",
@@ -210,7 +209,7 @@ class TestSerialization:
     def test_a_line_unlike_a_logged_record_is_refused(self, edit):
         """Replay scores only what run logs: exact keys, and stage lists of stage labels."""
         cfg = _cfg()
-        rec = record_to_dict(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
+        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
         line = records_to_jsonl([rec])
         assert records_from_jsonl(line) == [json.loads(line)]
         with pytest.raises((TypeError, ValueError)):
@@ -219,7 +218,7 @@ class TestSerialization:
     def test_alerts_whose_numbers_differ_only_in_type_are_written_apart(self):
         """Cached alert text is keyed by the types of its numbers: 1, 1.0 and True are equal keys."""
         cfg = _cfg()
-        rec = record_to_dict(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
+        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
         alert = rec["epochs"][0]["alerts"][0]
         twins = [
             alert._replace(dest_port=port, severity=severity)
@@ -232,7 +231,7 @@ class TestSerialization:
     def test_records_carry_schema_version(self):
         cfg = _cfg()
         rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
-        assert rec.schema_version == 1
+        assert rec["schema_version"] == 1
 
 
 def _reference_records(text: str) -> list[dict]:
@@ -249,13 +248,10 @@ def _outcome(decode, text: str):
 
 # lines as run writes them: an oracle's and a random policy's episodes, stage lists full and empty
 _LINES = records_to_jsonl(
-    map(
-        record_to_dict,
-        [
-            *run_simulation(_cfg(SMALL, targets=("gitlab", "apache_struts"), horizon=6), lambda i, s: OraclePolicy()),
-            *run_simulation(_cfg(SMALL, targets=("gitlab",), horizon=4, seed=3), lambda i, s: RandomPolicy(s)),
-        ],
-    )
+    [
+        *run_simulation(_cfg(SMALL, targets=("gitlab", "apache_struts"), horizon=6), lambda i, s: OraclePolicy()),
+        *run_simulation(_cfg(SMALL, targets=("gitlab",), horizon=4, seed=3), lambda i, s: RandomPolicy(s)),
+    ]
 ).split("\n")
 
 
@@ -358,22 +354,22 @@ def test_invariants_hold_under_random_play():
             queue = default_attacker_queue(SMALL.catalog, PersistenceModel(mode=mode))
             cfg = RunConfig(honeynet=SMALL, attackers=tuple(queue), horizon=20, seed=seed)
             for rec in run_simulation(cfg, lambda i, s: RandomPolicy(s)):
-                assert rec.outcome in (
+                assert rec["outcome"] in (
                     OUTCOME_COMPLETED,
                     OUTCOME_ABANDONED,
                     OUTCOME_DECLARED_DONE,
                     OUTCOME_HORIZON,
                 )
-                assert rec.epochs_used <= cfg.horizon
-                assert len(rec.epochs) == rec.epochs_used
+                assert rec["epochs_used"] <= cfg.horizon
+                assert len(rec["epochs"]) == rec["epochs_used"]
                 previous = set()
-                for epoch in rec.epochs:
-                    assert len(epoch.exposed) <= SMALL.budget
-                    assert set(epoch.exposed) <= set(SMALL.catalog.ids)
-                    assert previous <= set(epoch.gt_stages)
-                    previous = set(epoch.gt_stages)
-                if rec.outcome == OUTCOME_COMPLETED:
-                    assert rec.objective_stage in rec.epochs[-1].gt_stages
+                for epoch in rec["epochs"]:
+                    assert len(epoch["exposed"]) <= SMALL.budget
+                    assert set(epoch["exposed"]) <= set(SMALL.catalog.ids)
+                    assert previous <= set(epoch["gt_stages"])
+                    previous = set(epoch["gt_stages"])
+                if rec["outcome"] == OUTCOME_COMPLETED:
+                    assert rec["objective_stage"] in rec["epochs"][-1]["gt_stages"]
 
 
 def test_derive_seed_is_stable_and_labelled():

@@ -2,25 +2,38 @@
 
 Each case applies one fault with ``monkeypatch`` and calls the check it
 targets as a plain function: a contract property's body with fixed inputs,
-or the pinned-bytes digest. A refactor that leaves a check unable to see its
-fault fails here, not silently.
+the pinned-bytes digest, or a test of another module, a hypothesis property
+through its ``inner_test`` with one example. A fault inside a function that
+other modules import by name replaces that function's ``__code__``, so every
+importer runs it. A refactor that leaves a check unable to see its fault
+fails here, not silently.
 """
 
+import copy
 import itertools
 import json
 from pathlib import Path
 
 import pytest
+import test_cli
+import test_engine
+import test_llm
+import test_settings
+import test_telemetry
+import yaml
 from test_contracts import (
     check_cell_independence,
     check_interrupted_rerun,
+    check_replay_equals_run,
     check_replies_keep_the_contracts,
     check_rerun,
 )
 from test_output_bytes import check_pinned_bytes
 
-from honeysim import engine, harness, metrics, policies
+from honeysim import engine, harness, llm, metrics, policies, settings, telemetry
 from honeysim.policies import CellStats, RandomPolicy
+from honeysim.settings import TYPES, ConfigError, check
+from honeysim.telemetry import NoiseConfig
 
 # one random cell per seed in one deployment and mode, so a cell's position in the run is its seed's
 RANDOM_CELLS = {
@@ -94,3 +107,106 @@ def test_a_summary_table_without_its_last_newline_moves_the_pinned_bytes(monkeyp
     monkeypatch.setattr(metrics, "_text", lambda *args: text(*args)[:-1])
     with pytest.raises(AssertionError, match="output bytes"):
         check_pinned_bytes(tmp_path)
+
+
+def test_scoring_a_value_only_the_run_form_has_breaks_replay(monkeypatch, tmp_path):
+    achieved = metrics.exploitation_achieved
+
+    def unless_declared_done(rec):
+        # a run's decision is a named tuple; replay decodes it as a mapping
+        return achieved(rec) and not rec["epochs"][-1]["decision"].declared_done
+
+    monkeypatch.setattr(metrics, "exploitation_achieved", unless_declared_done)
+    with pytest.raises(AssertionError, match="replay of"):
+        check_replay_equals_run(tmp_path, {**RANDOM_CELLS, "policies": ["oracle", "random"]})
+
+
+def test_a_replay_that_keeps_its_decoded_records_outlives_its_cells(monkeypatch, tmp_path):
+    kept, decode = [], harness.records_from_jsonl
+
+    def keeping(text):
+        records = decode(text)
+        kept.extend(records)
+        return records
+
+    monkeypatch.setattr(harness, "records_from_jsonl", keeping)
+    config = tmp_path / "tiny.yaml"
+    config.write_text(yaml.safe_dump(test_cli.TINY_CONFIG), encoding="utf-8")
+    with pytest.raises(AssertionError):
+        test_cli.test_no_episode_record_outlives_its_cell(str(config), tmp_path, monkeypatch, "replay", 1)
+    assert kept
+
+
+def test_a_digest_budget_sized_with_empty_alerts_misses_the_alert_free_prompt(monkeypatch):
+    code = llm.llm_decide.__code__
+    consts = tuple("" if c == "none" else c for c in code.co_consts)  # the overhead rendered with alerts=""
+    assert consts.count("") == code.co_consts.count("") + 1
+    monkeypatch.setattr(llm.llm_decide, "__code__", code.replace(co_consts=consts))
+    with pytest.raises(AssertionError):
+        test_llm.TestBuildPrompt().test_digest_gets_what_the_alert_free_prompt_leaves(monkeypatch, 0)
+
+
+def test_an_alert_cache_key_without_the_value_types_writes_twins_alike(monkeypatch):
+    def alerts_text(alerts):
+        texts = []
+        for alert in alerts:
+            key = alert[2:]  # 1, 1.0 and True are one key
+            parts = engine._ALERT_PARTS.get(key) or engine._alert_parts(key)
+            texts.append(f"{parts[0]}{alert[1]}{parts[1]}{alert[0]}{parts[2]}")
+        return "[" + ", ".join(texts) + "]"
+
+    monkeypatch.setattr(engine, "_ALERT_PARTS", {})
+    monkeypatch.setattr(engine, "_alerts_text", alerts_text)
+    with pytest.raises(AssertionError):
+        test_engine.TestSerialization().test_alerts_whose_numbers_differ_only_in_type_are_written_apart()
+
+
+def test_naive_quoting_of_ids_breaks_the_json_form_of_a_line(monkeypatch):
+    monkeypatch.setattr(engine, "_STAGE_LIST_TEXT", {})
+    monkeypatch.setattr(engine, "_quote", lambda text: f'"{text}"')
+    prop = test_cli.test_every_offline_kind_logs_its_json_form_with_sorted_keys.hypothesis.inner_test
+    with pytest.raises(AssertionError):
+        prop(decoys=['"'], labels=["a\\", "\u00e9"], budget=1, seed=0)
+
+
+def test_a_settings_reader_that_keeps_nulls_refuses_a_null_section(monkeypatch, tmp_path):
+    def keeps_nulls(data, kinds, path="", required=()):
+        check(data, "dict", path)
+        unknown = [key for key in data if key not in kinds]
+        missing = [key for key in required if key not in data]
+        if unknown or missing:
+            raise ConfigError(f"unknown {unknown} or missing {missing} in {path}")
+        return {key: check(value, kinds[key], f"{path}.{key}" if path else key) for key, value in data.items()}
+
+    monkeypatch.setattr(settings.read, "__code__", keeps_nulls.__code__)
+    with pytest.raises(AssertionError, match="a null key is refused"):
+        test_settings.test_null_is_absent_for_a_section_or_an_optional_path(tmp_path)
+
+
+def test_a_type_rule_that_takes_a_bool_for_an_int_runs_a_flag_as_a_horizon(monkeypatch):
+    def takes_bools(value, kind, name):
+        if kind.startswith("Optional["):
+            if value is None:
+                return None
+            kind = kind[len("Optional[") : -1]
+        kinds, what = TYPES[kind]
+        if isinstance(value, kinds):  # True is an int to isinstance
+            if kind.startswith("list["):
+                for index, item in enumerate(value):
+                    check(item, kind[len("list[") : -1], f"{name}[{index}]")
+            return float(value) if kind == "float" else value
+        raise ConfigError(f"{name!r} must be {what}, got {value!r}")
+
+    monkeypatch.setattr(settings.check, "__code__", takes_bools.__code__)
+    site = next(site for site in test_settings.SITES if site[2] is None and site[3] == "horizon")
+    prop = test_settings.test_a_value_of_another_type_exits_2_naming_its_entry_and_key.hypothesis.inner_test
+    with pytest.raises(AssertionError):
+        prop(site=site, value=True)
+
+
+def test_reordered_noise_rows_draw_other_alerts_than_signatures_json(monkeypatch):
+    reordered = copy.copy(telemetry.signature_rows())
+    reordered.noise = reordered.noise[::-1]
+    monkeypatch.setattr(telemetry, "signature_rows", lambda: reordered)
+    with pytest.raises(AssertionError):
+        test_telemetry.test_every_exploit_renders_the_rows_of_signatures_json("small_mixed", NoiseConfig(0.6, 0.7))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from honeysim import harness, llm
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import ALL_STAGES, AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, deployment_config
-from honeysim.engine import RunConfig, record_to_dict, records_to_jsonl, run_episode, run_simulation
+from honeysim.engine import RunConfig, records_to_jsonl, run_episode, run_simulation
 from honeysim.llm import (
     BackendError,
     HttpChatBackend,
@@ -276,22 +276,21 @@ class TestScriptedEpisodes:
         svc = HONEYNET.catalog.get("gitlab")
         script = aligned_mock_script(svc)
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
-        assert rec.outcome == "completed"
-        logged = record_to_dict(rec)
-        assert exploitation_achieved(logged)
-        assert inference_score(logged)[3] == 1.0
+        assert rec["outcome"] == "completed"
+        assert exploitation_achieved(rec)
+        assert inference_score(rec)[3] == 1.0
 
     def test_malformed_output_every_turn_still_completes(self):
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(["%% not json %%"])))
-        assert rec.outcome in ("completed", "horizon_exhausted", "abandoned")
-        assert rec.epochs  # every epoch produced an enforced decision
-        for epoch in rec.epochs:
-            assert len(epoch.decision.exposed) <= HONEYNET.budget
+        assert rec["outcome"] in ("completed", "horizon_exhausted", "abandoned")
+        assert rec["epochs"]  # every epoch produced an enforced decision
+        for epoch in rec["epochs"]:
+            assert len(epoch["decision"].exposed) <= HONEYNET.budget
 
     def test_fallback_repeats_previous_decision(self):
         script = ['{"expose": ["docker_api"], "stages": []}', "garbage from here on"]
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=4)
-        exposures = [e.decision.exposed for e in rec.epochs]
+        exposures = [e["decision"].exposed for e in rec["epochs"]]
         assert all(e == ("docker_api",) for e in exposures)
 
     def test_fallback_after_over_budget_reply_repeats_clamped_exposure(self):
@@ -300,7 +299,7 @@ class TestScriptedEpisodes:
         policy.stats = stats = CellStats()
         rec = self._run(lambda i, s: policy, horizon=4)
         # each fallback repeats the clamped exposure, so only the one over-budget reply is clamped
-        assert [e.decision.exposed for e in rec.epochs] == [("xdebug",)] * 4
+        assert [e["decision"].exposed for e in rec["epochs"]] == [("xdebug",)] * 4
         assert stats.counts == _counts(over_budget=1, fallbacks=4)
         assert len(stats.latencies) == 5  # the bootstrap turn and one per epoch
 
@@ -331,9 +330,9 @@ class TestScriptedEpisodes:
             bootstrap="first_service",
         )
         rec = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)))[0]
-        assert rec.bootstrap_exposed == ("gitlab",)
-        assert rec.epochs[0].exposed == ("gitlab",)
-        assert rec.epochs[0].decision.exposed == ("gitlab",)
+        assert rec["bootstrap_exposed"] == ("gitlab",)
+        assert rec["epochs"][0]["exposed"] == ("gitlab",)
+        assert rec["epochs"][0]["decision"].exposed == ("gitlab",)
 
     def test_failed_bootstrap_turn_under_carryover_takes_the_first_services(self):
         """A carried-over policy's last decision is not in force in a new episode: its bootstrap falls back afresh."""
@@ -346,9 +345,9 @@ class TestScriptedEpisodes:
             belief_carryover=True,
         )
         first, second = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
-        assert first.bootstrap_exposed == ("docker_api",)
-        assert second.bootstrap_exposed == ("gitlab",)
-        assert {e.decision.exposed for e in second.epochs} == {("gitlab",)}
+        assert first["bootstrap_exposed"] == ("docker_api",)
+        assert second["bootstrap_exposed"] == ("gitlab",)
+        assert {e["decision"].exposed for e in second["epochs"]} == {("gitlab",)}
 
     def test_overconfident_prediction_counts_false_positive(self):
         """Predicting the terminal stage while the chain is mid-way costs FP."""
@@ -357,7 +356,7 @@ class TestScriptedEpisodes:
             json.dumps({"expose": ["gitlab"], "stages": ["Reconnaissance", "RootDataExfil"]}),
         ]
         rec = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)), horizon=1)
-        tp, fp, fn, _ = inference_score(record_to_dict(rec))
+        tp, fp, fn, _ = inference_score(rec)
         assert (tp, fp, fn) == (1, 1, 1)  # GT after epoch 1 is {Recon, InitialAccess}
 
     def test_mock_episodes_are_bit_reproducible(self):
@@ -365,7 +364,7 @@ class TestScriptedEpisodes:
         script = aligned_mock_script(svc)
         rec_a = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
         rec_b = self._run(lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
-        assert records_to_jsonl([record_to_dict(rec_a)]) == records_to_jsonl([record_to_dict(rec_b)])
+        assert records_to_jsonl([rec_a]) == records_to_jsonl([rec_b])
 
 
 _SERVICE_NAMES = [*HONEYNET.catalog.ids, "ghost"]
@@ -409,12 +408,12 @@ def test_a_failed_turn_keeps_the_exposure_in_force(script, budget, bootstrap, ca
             episodes[-1].append(turn)
     assert len(episodes) == len(records)
     for rec, episode_turns in zip(records, episodes):
-        assert rec.outcome in _OUTCOMES
-        assert [t.epoch for t in episode_turns] == list(range(1, len(rec.epochs) + 1))
-        for epoch, turn in zip(rec.epochs, episode_turns):
-            assert set(epoch.exposed) <= set(honeynet.catalog.ids) and len(epoch.exposed) <= budget
+        assert rec["outcome"] in _OUTCOMES
+        assert [t.epoch for t in episode_turns] == list(range(1, len(rec["epochs"]) + 1))
+        for epoch, turn in zip(rec["epochs"], episode_turns):
+            assert set(epoch["exposed"]) <= set(honeynet.catalog.ids) and len(epoch["exposed"]) <= budget
             if turn.fallback_used:
-                assert epoch.decision.exposed == epoch.exposed
+                assert epoch["decision"].exposed == epoch["exposed"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -502,7 +501,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             {"path": self.path, "auth": self.headers.get("Authorization"), "body": body}
         )
         status, payload = self.server.script[min(len(self.server.seen) - 1, len(self.server.script) - 1)]
-        data = json.dumps(payload).encode("utf-8")
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")  # bytes go as they are
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -590,6 +589,19 @@ class TestHttpBackend:
         assert "backend-unreachable" in turn.error
         assert decision.exposed == ("gitlab",)
 
+    def test_reply_nested_too_deep_to_decode_retried_then_falls_back(self, chat_server, monkeypatch):
+        chat_server.script = [(200, b"[" * 100_000)]
+        monkeypatch.setattr(HttpChatBackend, "max_retries", 2)
+        backend = self._backend(chat_server)
+        with pytest.raises(BackendError, match="after 2 attempts"):
+            backend.complete("x")
+        assert len(chat_server.seen) == 2
+        obs = EpochObservation(epoch=1, alerts=(), exposed_last=("xdebug",))
+        decision, _, _, turn = llm_decide(backend, obs, BeliefState(), HONEYNET, template=builtin_template())
+        assert turn.fallback_used
+        assert "backend-unreachable" in turn.error
+        assert decision.exposed == ("xdebug",)
+
     def test_unreachable_backend_degrades_to_fallback(self, chat_server, monkeypatch):
         chat_server.script = [(500, {"error": "down"})]
         monkeypatch.setattr(HttpChatBackend, "max_retries", 1)
@@ -611,8 +623,8 @@ class TestHttpBackend:
             seed=5,
         )
         rec = run_episode(cfg, cfg.attackers[0], LlmPolicy(backend))
-        assert rec.outcome == "completed"
-        assert exploitation_achieved(record_to_dict(rec))
+        assert rec["outcome"] == "completed"
+        assert exploitation_achieved(rec)
 
 
 class TestBackendSettings:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import deployment_config
-from honeysim.engine import EpisodeRecord, EpochLog, RunConfig, record_to_dict, run_episode
+from honeysim.engine import SCHEMA_VERSION, RunConfig, run_episode
 from honeysim.metrics import (
     RunResult,
     SCORE_MODE_CURRENT,
@@ -29,30 +29,31 @@ AXES = {"policies": ["oracle"], "deployments": ["fully_vulnerable"], "modes": ["
 
 
 def make_record(pairs, target="gitlab", objective="RootDataExfil", outcome="completed"):
-    """Synthetic episode from (gt_stages, predicted_stages) pairs, as ``record_to_dict`` gives it."""
+    """Synthetic episode from (gt_stages, predicted_stages) pairs, as ``run_episode`` builds it."""
     epochs = [
-        EpochLog(
-            epoch=i + 1,
-            exposed=(target,),
-            actions=[],
-            alerts=(),
-            decision=ExposureDecision((target,)),
-            prediction=tuple(pred),
-            gt_stages=tuple(gt),
-        )
+        {
+            "actions": [],
+            "alerts": (),
+            "decision": ExposureDecision((target,)),
+            "epoch": i + 1,
+            "exposed": (target,),
+            "gt_stages": tuple(gt),
+            "prediction": tuple(pred),
+        }
         for i, (gt, pred) in enumerate(pairs)
     ]
-    return record_to_dict(EpisodeRecord(
-        attacker_label=f"{target}_attacker",
-        target_service=target,
-        objective_stage=objective,
-        persistence_mode="deterministic",
-        seed=0,
-        outcome=outcome,
-        epochs_used=len(epochs),
-        bootstrap_exposed=(target,),
-        epochs=epochs,
-    ))
+    return {
+        "attacker_label": f"{target}_attacker",
+        "bootstrap_exposed": (target,),
+        "epochs": epochs,
+        "epochs_used": len(epochs),
+        "objective_stage": objective,
+        "outcome": outcome,
+        "persistence_mode": "deterministic",
+        "schema_version": SCHEMA_VERSION,
+        "seed": 0,
+        "target_service": target,
+    }
 
 
 class TestExploitationAchieved:
@@ -267,7 +268,7 @@ def test_random_policy_exploitation_matches_binomial_oracle():
             noise=quiet,
         )
         rec = run_episode(cfg, cfg.attackers[0], RandomPolicy(seed))
-        wins += exploitation_achieved(record_to_dict(rec))
+        wins += exploitation_achieved(rec)
     assert abs(wins / trials - analytic) < 0.015
 
 
@@ -284,7 +285,7 @@ def test_oracle_dominates_other_baselines():
                 horizon=20,
                 seed=seed,
             )
-            oracle_hit = exploitation_achieved(record_to_dict(run_episode(cfg, cfg.attackers[0], OraclePolicy())))
+            oracle_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
             for rival in (StaticPolicy(("decoy_1",)), ReactivePolicy(), RandomPolicy(seed)):
-                rival_hit = exploitation_achieved(record_to_dict(run_episode(cfg, cfg.attackers[0], rival)))
+                rival_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], rival))
                 assert oracle_hit >= rival_hit

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honeysim.cli import main
-from honeysim.harness import load_run_file
+from honeysim.harness import ConfigError, load_run_file
 from honeysim.llm import builtin_template
 
 # a config that validates offline and reads every mapping there is: each section, a backend entry,
@@ -183,7 +183,11 @@ def test_null_is_absent_for_a_section_or_an_optional_path(tmp_path):
     config["deployments"] = ["small_mixed"]
     (tmp_path / "absent.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
     (tmp_path / "null.yaml").write_text(yaml.safe_dump({**config, **dict.fromkeys(nulls)}), encoding="utf-8")
-    absent, null = (load_run_file(str(tmp_path / name)) for name in ("absent.yaml", "null.yaml"))
+    absent = load_run_file(str(tmp_path / "absent.yaml"))
+    try:
+        null = load_run_file(str(tmp_path / "null.yaml"))
+    except ConfigError as exc:
+        raise AssertionError(f"a null key is refused, not read as absent: {exc}") from None
     assert null == absent
     assert null.attackers is None and null.backends == {} and null.catalog_path is None
 
