@@ -39,7 +39,6 @@ from .llm import (
     LlmPolicy,
     PromptTemplate,
     ScriptedMockBackend,
-    TurnLog,
     aligned_mock_script,
     builtin_template,
     load_replay_file,
@@ -301,7 +300,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
 
     collect(expand_matrix, matrix)
     for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-        collect(_cell_inputs, CellSpec(policy, deployment, mode, 0, matrix.seed_base), matrix, files, None)
+        collect(_cell_inputs, CellSpec(policy, deployment, mode, 0, matrix.seed_base), matrix, files)
     # baseline cells never load the template, so check it even when none uses it
     if matrix.prompt_template_path:
         collect(files.template)
@@ -386,12 +385,12 @@ class PolicyKind(Settings):
 
 
 class OracleKind(PolicyKind):
-    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
         return lambda index, seed: OraclePolicy()
 
 
 class RandomKind(PolicyKind):
-    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
         return lambda index, seed: RandomPolicy(seed)
 
 
@@ -399,7 +398,7 @@ class RandomKind(PolicyKind):
 class StaticKind(PolicyKind):
     expose: list[str]
 
-    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
         if not self.expose:
             raise ConfigError(f"policy {label}: static policy needs a non-empty 'expose' list")
         unknown = [name for name in self.expose if name not in honeynet.catalog]
@@ -409,7 +408,7 @@ class StaticKind(PolicyKind):
 
 
 class ReactiveKind(PolicyKind):
-    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
         return lambda index, seed: ReactivePolicy()
 
 
@@ -417,12 +416,10 @@ class ScriptedKind(PolicyKind):
     def scripts(self, label, honeynet, queue, files) -> list[list[str]]:
         return [aligned_mock_script(honeynet.catalog.get(p.target_service), p.objective_stage) for p in queue]
 
-    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
         scripts, template = self.scripts(label, honeynet, queue, files), files.template()
         # the episode of the i-th attacker replays script i, cycling
-        return lambda index, seed: LlmPolicy(
-            ScriptedMockBackend(scripts[index % len(scripts)]), template=template, turn_log=turn_log
-        )
+        return lambda index, seed: LlmPolicy(ScriptedMockBackend(scripts[index % len(scripts)]), template=template)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -440,7 +437,7 @@ class MockKind(ScriptedKind):
 class LlmKind(PolicyKind):
     backend: str
 
-    def factory(self, label, matrix, honeynet, queue, files, turn_log) -> PolicyFactory:
+    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
         backend = matrix.backends.get(self.backend)
         if backend is None:
             raise ConfigError(f"policy {label}: unknown backend {self.backend!r}")
@@ -449,7 +446,7 @@ class LlmKind(PolicyKind):
         if not os.environ.get(backend.auth_env):
             raise ConfigError(f"backend-auth-missing: set {backend.auth_env} for backend {self.backend}")
         template = files.template()
-        return lambda index, seed: LlmPolicy(backend, template=template, turn_log=turn_log)
+        return lambda index, seed: LlmPolicy(backend, template=template)
 
 
 POLICY_KINDS: dict[str, type[PolicyKind]] = {
@@ -463,13 +460,10 @@ POLICY_KINDS: dict[str, type[PolicyKind]] = {
 }
 
 
-def _cell_inputs(
-    cell: CellSpec, matrix: ExperimentMatrix, files: _RunFiles, turn_log: Optional[TurnLog]
-) -> tuple[RunConfig, PolicyFactory]:
+def _cell_inputs(cell: CellSpec, matrix: ExperimentMatrix, files: _RunFiles) -> tuple[RunConfig, PolicyFactory]:
     """Build one cell's run config and policy factory; raise what makes the cell unrunnable.
 
-    Model policies read their template and scripts from ``files`` and append
-    their turns to ``turn_log`` unless it is None.
+    Model policies read their template and scripts from ``files``.
 
     ``run_cell`` runs what this returns. ``validate_matrix`` only builds it, so
     a config passes validation exactly when every cell can be built.
@@ -485,7 +479,7 @@ def _cell_inputs(
         belief_carryover=matrix.belief_carryover,
         bootstrap=matrix.bootstrap,
     )
-    return cfg, cell.policy.kind.factory(cell.policy.label, matrix, honeynet, queue, files, turn_log)
+    return cfg, cell.policy.kind.factory(cell.policy.label, matrix, honeynet, queue, files)
 
 
 # ---------------------------------------------------------------------------
@@ -498,38 +492,37 @@ def run_cell(
 ) -> RunResult:
     """Execute one cell.
 
-    With ``out_dir`` set, model turns stream to the cell's turns.jsonl as they
-    happen, so partial runs still leave an audit trail. ``files`` shares the
-    loaded template and replay files between the cells of one run. Every
-    policy of the cell counts its turns and degradations into the result's
-    ``stats``; a cell that degraded logs one warning with its counts.
+    Every policy of the cell counts its turns and degradations into the
+    result's ``stats``; with ``out_dir`` set, ``stats`` also writes each model
+    turn to the cell's turns.jsonl as it counts it, so partial runs still
+    leave an audit trail. ``files`` shares the loaded template and replay
+    files between the cells of one run. A cell that degraded logs one warning
+    with its counts.
     """
-    turn_log = None if out_dir is None else TurnLog(out_dir / cell.name / "turns.jsonl")
-    cfg, build_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix), turn_log)
-    stats = CellStats()
+    cfg, build_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix))
+    stats = CellStats() if out_dir is None else CellStats(out_dir / cell.name / "turns.jsonl")
 
     def make_policy(index: int, seed: int):
         policy = build_policy(index, seed)
         policy.stats = stats
         return policy
 
-    if turn_log is not None:
+    if stats.turns_path is not None:
         # one mkdir for a fresh cell directory; a rerun also deletes the stale turn log, even of a cell without turns
         try:
-            turn_log.path.parent.mkdir(parents=True)
+            stats.turns_path.parent.mkdir(parents=True)
         except FileExistsError:
             try:
-                turn_log.path.unlink(missing_ok=True)
+                stats.turns_path.unlink(missing_ok=True)
             except NotADirectoryError:
-                raise ConfigError(f"cell path {turn_log.path.parent} is not a directory") from None
+                raise ConfigError(f"cell path {stats.turns_path.parent} is not a directory") from None
             except IsADirectoryError:
-                raise ConfigError(f"output file {turn_log.path} is a directory") from None
+                raise ConfigError(f"output file {stats.turns_path} is a directory") from None
     try:
         # the records as the epoch loop builds them: write_cell writes them and run_metrics scores them
         result = _cell_result(cell, run_simulation(cfg, make_policy), stats)
     finally:
-        if turn_log is not None:
-            turn_log.close()
+        stats.close()
     degraded = stats.degraded()
     if degraded:
         logger.warning("cell %s degraded: %s", cell.name, degraded)
@@ -639,9 +632,9 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
 def replay_out_dir(out_dir: str | Path) -> SummaryTables:
     """Recompute summary tables from the episode logs of exactly the cells the manifest names."""
     out = Path(out_dir)
-    matrix = _manifest_matrix(out)
+    matrix, cells = _manifest_cells(out)
     runs, missing, corrupt = [], [], []
-    for cell in expand_matrix(matrix):
+    for cell in cells:
         try:
             # the bytes as written: a line ends at "\n" alone, so no newline is translated
             with open(os.path.join(out_dir, cell.name, "episodes.jsonl"), "rb") as fh:
@@ -665,8 +658,8 @@ def replay_out_dir(out_dir: str | Path) -> SummaryTables:
     return write_summaries(out, runs, matrix)
 
 
-def _manifest_matrix(out: Path) -> ExperimentMatrix:
-    """The matrix that ``out``'s run manifest names; ConfigError naming the manifest when it is unusable."""
+def _manifest_cells(out: Path) -> tuple[ExperimentMatrix, list[CellSpec]]:
+    """The matrix that ``out``'s run manifest names, and its cells; ConfigError naming the manifest if unusable."""
     path = out / MANIFEST_NAME
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
@@ -693,12 +686,13 @@ def _manifest_matrix(out: Path) -> ExperimentMatrix:
             for value in axes[key]:
                 if value not in known:
                     raise ConfigError(f"{key!r} holds {value!r}, not one of {', '.join(known)}")
-        return ExperimentMatrix(
+        matrix = ExperimentMatrix(
             policies=[PolicySpec(label) for label in axes["policies"]],
             deployments=axes["deployments"],
             modes=axes["persistence_modes"],
             seeds=axes["seeds"],
             score_mode=check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode"),
         )
-    except ConfigError as exc:  # another schema, a wrongly typed or unknown axis value, or an unknown score mode
+        return matrix, expand_matrix(matrix)
+    except ConfigError as exc:  # another schema, a bad axis value or score mode, or axes expand_matrix refuses
         raise ConfigError(f"{path}: {exc}") from None

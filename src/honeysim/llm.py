@@ -15,7 +15,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import ClassVar, NamedTuple, Optional, Sequence
 
 from .catalog import AttackStage, HoneynetConfig, ServiceSpec
@@ -336,6 +335,10 @@ class AgentTurn(NamedTuple):
     prompt: str
     raw_response: str
 
+    def line(self) -> bytes:
+        """The turn's line of ``turns.jsonl``."""
+        return _turn_line(self)
+
 
 # a string as json.dumps writes it, quoted and escaped to ASCII
 _json_string = json.encoder.encode_basestring_ascii
@@ -357,32 +360,6 @@ def _turn_line(turn: AgentTurn) -> bytes:
     ).encode("utf-8")
 
 
-class TurnLog:
-    """A cell's model turns, one JSON line each, through one handle.
-
-    The file is created at the first turn, so a cell without model turns has
-    none; every finished line is flushed, so a crash keeps the turns before
-    it. The owner calls ``close``. A line holds no latency, so a rerun writes
-    the same bytes; the cell's turn and degradation counts and latencies are
-    in its ``CellStats``, which ``run_stats.json`` holds.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self._fh = None
-
-    def append(self, turn: AgentTurn) -> None:
-        if self._fh is None:
-            self._fh = open(self.path, "wb")
-        self._fh.write(_turn_line(turn))
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 def llm_decide(
     backend,
     obs: EpochObservation,
@@ -397,9 +374,9 @@ def llm_decide(
     The caller is responsible for having already folded ``obs`` into
     ``belief`` (``policy_decide`` does this). A failed turn keeps the exposure
     in force, ``obs.exposed_last``; the bootstrap turn (epoch 0) has none yet,
-    so it takes the first ``budget`` catalog services. ``stats`` records the
-    turn, its backend latency, whether it fell back and what parsing dropped;
-    nothing is logged per turn.
+    so it takes the first ``budget`` catalog services. ``stats`` counts what
+    parsing dropped, then, in one call, counts the turn, its backend latency
+    and whether it fell back, and writes the turn's line to ``turns.jsonl``.
     """
     sections = _prompt_sections(belief, cfg)
     # the prompt without alerts, as build_prompt renders an empty digest
@@ -427,38 +404,28 @@ def llm_decide(
         except ResponseParseError as exc:
             error = f"parse-failure: {exc}"
 
-    fallback_used = decision is None
-    if decision is None:
-        decision = ExposureDecision(obs.exposed_last if obs.epoch else cfg.catalog.ids[: cfg.budget])
-    if stats is not None:
-        stats.record_turn(latency, fallback_used)
-
     turn = AgentTurn(
         epoch=obs.epoch,
         error=error,
-        fallback_used=fallback_used,
+        fallback_used=decision is None,
         parsed_ok=parsed_ok,
         prompt=prompt,
         raw_response=raw,
     )
+    if decision is None:
+        decision = ExposureDecision(obs.exposed_last if obs.epoch else cfg.catalog.ids[: cfg.budget])
+    if stats is not None:
+        # the turn is on disk before the decision it produced takes effect
+        stats.record_turn(latency, turn)
     return decision, prediction, belief, turn
 
 
 class LlmPolicy(Policy):
     """Defender policy whose reasoning is delegated to a chat model backend."""
 
-    def __init__(
-        self, backend, template: Optional[PromptTemplate] = None, turn_log: Optional[TurnLog] = None
-    ) -> None:
+    def __init__(self, backend, template: Optional[PromptTemplate] = None) -> None:
         self.backend = backend
         self.template = template or builtin_template()
-        self._turn_log = turn_log
 
     def decide(self, obs, belief, cfg):
-        decision, prediction, _, turn = llm_decide(
-            self.backend, obs, belief, cfg, template=self.template, stats=self.stats
-        )
-        # the turn hits disk before the decision it produced takes effect
-        if self._turn_log is not None:
-            self._turn_log.append(turn)
-        return decision, prediction
+        return llm_decide(self.backend, obs, belief, cfg, template=self.template, stats=self.stats)[:2]

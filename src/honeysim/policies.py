@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .catalog import STAGE_LABELS, AttackGraph, AttackStage, HoneynetConfig
@@ -95,18 +96,36 @@ class CellStats:
     """One cell's model turns, each turn's backend latency, and its degradations counted by kind.
 
     ``run_cell`` makes one per cell and hands it to every policy the cell
-    builds, as it hands its model policies the cell's turn log. No two cells
-    share one, so cells on different worker threads never count into the same
+    builds, so cells on different worker threads never count into the same
     object. Counting replaces a log record per event: the cell logs one line.
+
+    It writes each turn to the cell's ``turns_path``, if any, as it counts it,
+    so the cell's ``turns`` and ``fallbacks`` come from the same call as its
+    lines. The file is created at the first turn and every line is flushed, so
+    a crash keeps the turns before it. The owner calls ``close``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, turns_path: Optional[Path] = None) -> None:
+        self.turns_path = turns_path
+        self._turns = None
         self.latencies: list[float] = []
         self.counts = dict.fromkeys(DEGRADATIONS, 0)
 
-    def record_turn(self, latency_s: float, fallback_used: bool) -> None:
+    def record_turn(self, latency_s: float, turn) -> None:  # turn: an llm.AgentTurn
         self.latencies.append(latency_s)
-        self.counts["fallbacks"] += fallback_used
+        self.counts["fallbacks"] += turn.fallback_used
+        if self.turns_path is not None:
+            if self._turns is None:
+                self._turns = open(self.turns_path, "wb")
+            self._turns.write(turn.line())
+            self._turns.flush()
+
+    def close(self) -> None:
+        # the path goes too: a run holds every cell's stats until it writes run_stats.json
+        self.turns_path = None
+        if self._turns is not None:
+            self._turns.close()
+            self._turns = None
 
     def degraded(self) -> str:
         """The nonzero counts as ``kind=n`` pairs; empty for a cell that never degraded."""

@@ -821,6 +821,13 @@ class TestRunAndReplay:
             ),
             (lambda m: json.dumps({**m, "schema_version": 9}), "schema_version 9 is unknown; the only version is 1"),
             (lambda m: "[" * 100_000, "is not a JSON run manifest: nested too deep to decode"),
+            (lambda m: json.dumps({**m, "seeds": []}), "matrix axis 'seeds' is empty"),
+            (lambda m: json.dumps({**m, "seeds": [0, 0]}), "cells share a directory: "),
+            (lambda m: json.dumps({**m, "policies": ["a/b"]}), "policy label 'a/b' is not a safe directory name"),
+            (
+                lambda m: json.dumps({**m, "policies": ["deployment"]}),
+                "policy label 'deployment' would overwrite that column of summary_scores",
+            ),
         ],
         ids=[
             "not-json",
@@ -833,6 +840,10 @@ class TestRunAndReplay:
             "mode-outside-out",
             "schema-version-9",
             "nested-too-deep",
+            "no-seeds",
+            "seeds-repeated",
+            "policy-with-a-separator",
+            "policy-named-deployment",
         ],
     )
     def test_replay_malformed_manifest_exits_2_naming_it(self, tiny_config, tmp_path, capsys, edit, message):

@@ -12,6 +12,8 @@
 - A rerun with another seed base that stops at any cell leaves a directory
   that ``replay`` refuses, and a complete rerun after it writes the first
   run's bytes again.
+- A run on two worker threads writes the bytes a run on one writes in every
+  file, ``run_stats.json`` with its latencies masked.
 
 Each property's body is a plain function, so ``test_faults_are_caught.py``
 can show it fails on a planted fault.
@@ -43,10 +45,10 @@ MAX_CELLS = 8
 AXES = ("policies", "deployments", "persistence_modes", "seeds")
 
 
-def _run(config: dict, out: Path) -> list:
-    """Run ``config`` into ``out``; its cells in matrix order."""
+def _run(config: dict, out: Path, workers: int = 1) -> list:
+    """Run ``config`` into ``out`` on ``workers`` threads; its cells in matrix order."""
     matrix = matrix_from_dict(config)
-    execute_matrix(matrix, out)
+    execute_matrix(matrix, out, workers)
     return expand_matrix(matrix)
 
 
@@ -291,3 +293,20 @@ def test_replay_refuses_an_interrupted_rerun_until_a_complete_one(axes, cell_set
         other = data.draw(st.integers(0, 2**16).filter(lambda base: base != config["seed_base"]), label="seed_base")
         stop_at = data.draw(st.integers(0, cells - 1), label="stop_at")
         check_interrupted_rerun(Path(tmp), config, other, stop_at)
+
+
+def check_workers(tmp: Path, config: dict) -> None:
+    """A run of ``config`` on two worker threads writes the bytes a run on one writes in every file."""
+    _run(config, tmp / "one", workers=1)
+    _run(config, tmp / "two", workers=2)
+    assert _run_bytes(tmp / "two") == _run_bytes(tmp / "one")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    axes=_axes(["oracle", "random", "reactive", "static", "scripted", "mock"]),
+    cell_settings=st.fixed_dictionaries(_SETTINGS),
+)
+def test_two_workers_write_the_bytes_one_worker_writes(axes, cell_settings):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_workers(Path(tmp), _with_mock_replies(Path(tmp), axes, cell_settings))

@@ -12,6 +12,7 @@ fails here, not silently.
 import copy
 import itertools
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,8 @@ from test_contracts import (
     check_replay_equals_run,
     check_replies_keep_the_contracts,
     check_rerun,
+    check_workers,
+    _with_mock_replies,
 )
 from test_output_bytes import check_pinned_bytes
 
@@ -66,7 +69,7 @@ def test_policy_decide_without_its_clamp_breaks_the_budget(monkeypatch, tmp_path
 def test_a_random_policy_seeded_by_its_position_in_the_run_depends_on_the_matrix(monkeypatch, tmp_path):
     runs = []  # each random cell's run, named by the files object execute_matrix shares among its cells
 
-    def by_position(self, label, matrix, honeynet, queue, files, turn_log):
+    def by_position(self, label, matrix, honeynet, queue, files):
         position = sum(run is files for run in runs)
         runs.append(files)
         return lambda index, seed: RandomPolicy(1000 * position + index)
@@ -92,10 +95,50 @@ def test_a_run_that_deletes_no_earlier_file_lets_replay_read_an_interrupted_reru
         check_interrupted_rerun(tmp_path, RANDOM_CELLS, 7, 1)
 
 
-def test_counting_every_turn_as_a_fallback_moves_the_pinned_run_stats(monkeypatch, tmp_path):
-    def every_turn_falls_back(self, latency_s, fallback_used):
+def test_cells_on_one_pool_thread_counting_into_its_first_cell_stats_break_workers_2(monkeypatch, tmp_path):
+    pool_thread = threading.local()
+
+    def per_thread(turns_path=None):
+        stats = CellStats(turns_path)
+        if threading.current_thread() is not threading.main_thread():
+            first = pool_thread.__dict__.setdefault("stats", stats)
+            stats.latencies, stats.counts = first.latencies, first.counts
+        return stats
+
+    monkeypatch.setattr(harness, "CellStats", per_thread)
+    # three model cells with turns, so one of the two threads runs two of them
+    axes = {"policies": ["mock"], "deployments": ["small_mixed"], "persistence_modes": ["deterministic"]}
+    config = _with_mock_replies(tmp_path, {**axes, "seeds": [0, 1, 2]}, {"horizon": 3, "budget": 1})
+    with pytest.raises(AssertionError):
+        check_workers(tmp_path, config)
+
+
+def test_turns_written_without_flushing_are_lost_by_a_crash(monkeypatch, tmp_path):
+    def unflushed(self, latency_s, turn):
         self.latencies.append(latency_s)
-        self.counts["fallbacks"] += 1
+        self.counts["fallbacks"] += turn.fallback_used
+        if self.turns_path is not None:
+            if self._turns is None:
+                self._turns = open(self.turns_path, "wb")
+            self._turns.write(turn.line())
+
+    monkeypatch.setattr(CellStats, "record_turn", unflushed)
+    with pytest.raises(AssertionError):
+        test_cli.test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, monkeypatch)
+
+
+def test_a_cell_stats_left_open_by_a_crashed_cell_leaks_its_turns_file(monkeypatch, tmp_path):
+    monkeypatch.setattr(CellStats, "close", lambda self: None)  # run_cell's finally closes nothing
+    with pytest.raises(AssertionError):
+        test_cli.test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, monkeypatch)
+
+
+def test_counting_every_turn_as_a_fallback_moves_the_pinned_run_stats(monkeypatch, tmp_path):
+    record_turn = CellStats.record_turn
+
+    def every_turn_falls_back(self, latency_s, turn):
+        record_turn(self, latency_s, turn)
+        self.counts["fallbacks"] += not turn.fallback_used
 
     monkeypatch.setattr(CellStats, "record_turn", every_turn_falls_back)
     with pytest.raises(AssertionError, match="run_stats.json"):
@@ -198,10 +241,12 @@ def test_a_type_rule_that_takes_a_bool_for_an_int_runs_a_flag_as_a_horizon(monke
         raise ConfigError(f"{name!r} must be {what}, got {value!r}")
 
     monkeypatch.setattr(settings.check, "__code__", takes_bools.__code__)
-    site = next(site for site in test_settings.SITES if site[2] is None and site[3] == "horizon")
+    numeric = [site for site in test_settings.SITES if site[4] in ("integer", "number")]
+    assert len(numeric) == 11
     prop = test_settings.test_a_value_of_another_type_exits_2_naming_its_entry_and_key.hypothesis.inner_test
-    with pytest.raises(AssertionError):
-        prop(site=site, value=True)
+    for site in numeric:
+        with pytest.raises(AssertionError):
+            prop(site=site, value=True)
 
 
 def test_reordered_noise_rows_draw_other_alerts_than_signatures_json(monkeypatch):

@@ -399,7 +399,15 @@ def test_a_failed_turn_keeps_the_exposure_in_force(script, budget, bootstrap, ca
         bootstrap=bootstrap,
     )
     turns = []  # every policy's turns in order; each episode's first is its bootstrap turn, epoch 0
-    records = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script), turn_log=turns))
+    stats = CellStats()
+    stats.record_turn = lambda latency_s, turn: turns.append(turn)
+
+    def policy(index, seed):
+        policy = LlmPolicy(ScriptedMockBackend(script))
+        policy.stats = stats
+        return policy
+
+    records = run_simulation(cfg, policy)
     episodes = []  # each episode's turns after its bootstrap turn
     for turn in turns:
         if turn.epoch == 0:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honeysim.cli import main
@@ -195,6 +195,7 @@ def test_null_is_absent_for_a_section_or_an_optional_path(tmp_path):
 @pytest.mark.parametrize("site", SITES, ids=[f"{s[0]}:{s[2] or 'top'}.{s[3]}" for s in SITES])
 @settings(max_examples=8, deadline=None)
 @given(value=_VALUES)
+@example(value=True)  # a bool is no integer or number, which no random draw of 8 is sure to try
 def test_a_value_of_another_type_exits_2_naming_its_entry_and_key(site, value):
     """validate and run both exit 2 with one line naming the entry and the key, and every standard stream stays open."""
     _, _, entry, key, kind = site
