@@ -10,6 +10,7 @@ catalog services) and flags the turn.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -238,6 +239,15 @@ class HttpChatBackend(Settings):
         super().__post_init__()
         if self.kind != HttpChatBackend.kind:  # the default is the only kind
             raise ValueError(f"unknown kind {self.kind!r}")
+        scheme, separator, _ = self.base_url.partition("://")
+        if not separator or scheme.lower() not in ("http", "https"):  # urllib would open file:// and ftp:// too
+            raise ValueError(f"base_url must start with http:// or https://, got {self.base_url!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be a finite number above 0, got {self.timeout}")
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be at least 1, got {self.max_tokens}")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number of at least 0, got {self.temperature}")
 
     def complete(self, prompt: str) -> str:
         # imported here, not with the package: they load email and ssl, and offline runs never need them

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import types
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -14,6 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import honeysim
 from honeysim import engine, harness
 from honeysim.attackers import ScanAction
 from honeysim.cli import main
@@ -480,6 +482,24 @@ class TestValidate:
             ),
             ({**LLM_CONFIG, "backends": {"b": {"max_tokens": "512"}}}, "'backends.b.max_tokens' must be an integer"),
             ({**LLM_CONFIG, "backends": {"b": {"kind": "grpc"}}}, "backends.b: unknown kind 'grpc'"),
+            # of the right type but out of range: validate took them, and run crashed, retried each turn or read a file
+            (
+                {**LLM_CONFIG, "backends": {"b": {"base_url": "file:///some/dir"}}},
+                "backends.b: base_url must start with http:// or https://, got 'file:///some/dir'",
+            ),
+            (
+                {**LLM_CONFIG, "backends": {"b": {"timeout": float("inf")}}},
+                "backends.b: timeout must be a finite number above 0, got inf",
+            ),
+            (
+                {**LLM_CONFIG, "backends": {"b": {"timeout": -1}}},
+                "backends.b: timeout must be a finite number above 0, got -1.0",
+            ),
+            ({**LLM_CONFIG, "backends": {"b": {"max_tokens": 0}}}, "backends.b: max_tokens must be at least 1, got 0"),
+            (
+                {**LLM_CONFIG, "backends": {"b": {"temperature": float("nan")}}},
+                "backends.b: temperature must be a finite number of at least 0, got nan",
+            ),
             *(
                 ({**TINY_CONFIG, "policies": ["oracle", entry]}, message)
                 for entry, message in _HOSTILE_POLICY_ENTRIES.values()
@@ -529,6 +549,11 @@ class TestValidate:
             "score-mode-unknown",
             "backend-max-tokens-quoted",
             "backend-unknown-kind",
+            "backend-url-file",
+            "backend-timeout-inf",
+            "backend-timeout-negative",
+            "backend-max-tokens-zero",
+            "backend-temperature-nan",
             *_HOSTILE_POLICY_ENTRIES,
         ],
     )
@@ -645,6 +670,22 @@ def test_readme_key_tables_give_the_code_defaults():
     for key, default in backend.items():
         value = getattr(HttpChatBackend(), key)
         assert (key, _literal(default), type(_literal(default))) == (key, value, type(value))
+
+
+def test_readme_library_use_example_runs():
+    """The ``python`` block under the README's Library use runs in a fresh interpreter and prints what it says."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("\n```python\n", 1)[1].split("\n```\n", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "completed True 1.0\n"
+
+
+def test_package_root_holds_its_modules_and_version_only():
+    """Each public name has one import path, the module that defines it; the root re-exports none."""
+    exported = [name for name, value in vars(honeysim).items() if not isinstance(value, types.ModuleType)]
+    assert [name for name in exported if not name.startswith("_")] == []
+
 
 class TestRunAndReplay:
     def test_run_writes_cells_and_summaries(self, tiny_config, tmp_path):

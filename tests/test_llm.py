@@ -664,12 +664,24 @@ class TestBackendSettings:
             ({"timeout": True}, "'timeout' must be a number, got True"),
             ({"max_tokens": 512.0}, "'max_tokens' must be an integer, got 512.0"),
             ({"kind": "grpc"}, "unknown kind 'grpc'"),
+            ({"base_url": "file:///some/dir"}, "base_url must start with http:// or https://, got 'file:///some/dir'"),
+            ({"base_url": "example.com/v1"}, "base_url must start with http:// or https://, got 'example.com/v1'"),
+            ({"timeout": float("inf")}, "timeout must be a finite number above 0, got inf"),
+            ({"timeout": 0}, "timeout must be a finite number above 0, got 0"),
+            ({"timeout": float("nan")}, "timeout must be a finite number above 0, got nan"),
+            ({"max_tokens": 0}, "max_tokens must be at least 1, got 0"),
+            ({"temperature": -0.5}, "temperature must be a finite number of at least 0, got -0.5"),
+            ({"temperature": float("nan")}, "temperature must be a finite number of at least 0, got nan"),
         ],
     )
     def test_mistyped_setting_is_refused_by_name(self, settings, message):
         with pytest.raises(ValueError) as raised:
             HttpChatBackend(**settings)
         assert str(raised.value) == message
+
+    def test_settings_at_the_ends_of_their_ranges_are_taken(self):
+        backend = HttpChatBackend(base_url="HTTP://127.0.0.1:8080", timeout=1e-3, max_tokens=1, temperature=0)
+        assert (backend.timeout, backend.max_tokens, backend.temperature) == (1e-3, 1, 0.0)
 
     def test_integer_temperature_and_timeout_are_numbers(self):
         assert HttpChatBackend(temperature=1, timeout=5).timeout == 5
