@@ -68,9 +68,11 @@ class AttackerProfile:
     """Static description of one attacker in the queue.
 
     objective_stage defaults to the target's terminal stage; attackers with an
-    intermediate objective stop early. When abandon_on_failure is False a
-    failed attempt is skipped instead of ending the episode (sensitivity knob;
-    the gap counter is left untouched since the target was exposed).
+    intermediate objective stop early. It lies past Reconnaissance, which first
+    contact completes together with the next stage. When abandon_on_failure is
+    False a failed attempt is skipped instead of ending the episode
+    (sensitivity knob; the gap counter is left untouched since the target was
+    exposed).
     """
 
     target_service: str
@@ -78,6 +80,10 @@ class AttackerProfile:
     objective_stage: Optional[AttackStage] = None
     label: str = ""
     abandon_on_failure: bool = True
+
+    def __post_init__(self) -> None:
+        if self.objective_stage is AttackStage.RECONNAISSANCE:
+            raise ValueError("objective must be a stage past Reconnaissance, which first contact completes")
 
     def resolved_label(self) -> str:
         return self.label or f"{self.target_service}_attacker"

@@ -70,6 +70,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         catalog = self.honeynet.catalog
+        labels = [attacker.resolved_label() for attacker in self.attackers]
+        for label in labels:
+            if labels.count(label) > 1:  # the label seeds the episode, so two attackers of one label run alike
+                raise ValueError(f"attackers share the label {label!r}; each attacker's label must be unique")
         for attacker in self.attackers:
             if attacker.target_service not in catalog:
                 raise ValueError(f"attacker target {attacker.target_service!r} not in {self.honeynet.deployment_name}")

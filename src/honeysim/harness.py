@@ -13,7 +13,6 @@ import itertools
 import json
 import logging
 import os
-import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -200,9 +199,9 @@ def _parse_attacker_entry(index: int, entry, abandon_on_failure: bool) -> Attack
     target, objective = settings.pop("target"), settings.pop("objective", None)
     try:
         stage = None if objective is None else AttackStage.from_label(objective)
+        return AttackerProfile(target, objective_stage=stage, **settings)  # and label, when the entry has one
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    return AttackerProfile(target, objective_stage=stage, **settings)  # and label, when the entry has one
 
 
 def load_run_file(path: str) -> ExperimentMatrix:
@@ -284,27 +283,10 @@ def matrix_from_dict(data) -> ExperimentMatrix:
 def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str]:
     """Collect everything that would make a run fail; empty means runnable.
 
-    Builds the inputs of every (policy, deployment, persistence) cell with
-    ``run_cell``'s own builder, without running an episode; with ``offline``
-    set, an HTTP model backend is one of the problems.
+    Builds the inputs of every cell as ``execute_matrix`` does, without running
+    an episode; with ``offline`` set, an HTTP model backend is one of the problems.
     """
-    problems: list[str] = []
-    files = _RunFiles(matrix, offline)
-
-    def collect(build, *args) -> None:
-        try:
-            build(*args)
-        except (ConfigError, ValueError, KeyError, OSError) as exc:
-            if str(exc) not in problems:  # one bad setting fails many cells alike
-                problems.append(str(exc))
-
-    collect(expand_matrix, matrix)
-    for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-        collect(_cell_inputs, CellSpec(policy, deployment, mode, 0, matrix.seed_base), matrix, files)
-    # baseline cells never load the template, so check it even when none uses it
-    if matrix.prompt_template_path:
-        collect(files.template)
-    return problems
+    return _RunBuild(matrix, offline).faults
 
 
 # ---------------------------------------------------------------------------
@@ -312,75 +294,100 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
 # ---------------------------------------------------------------------------
 
 
-def _honeynet_for(matrix: ExperimentMatrix, deployment: str) -> HoneynetConfig:
-    """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
-    if deployment == "custom":
-        if not matrix.catalog_path:
-            raise ConfigError("deployment 'custom' requires a catalog file")
-        try:
-            catalog = load_catalog(matrix.catalog_path)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"catalog file unusable: {exc}") from None
-    try:
-        if deployment == "custom":
-            return HoneynetConfig(catalog=catalog, budget=matrix.budget, deployment_name="custom")
-        return deployment_config(deployment, matrix.budget)
-    except ValueError as exc:  # also an unknown deployment name
-        raise ConfigError(f"{deployment}: {exc}") from None
+class _RunBuild:
+    """Every cell's inputs, built once, on one thread, before any cell runs; ``offline`` forbids HTTP model backends.
 
-
-def _attacker_queue(matrix: ExperimentMatrix, honeynet: HoneynetConfig, persistence: PersistenceModel):
-    """The cell's attackers; ``RunConfig`` refuses one that ``honeynet`` cannot run."""
-    if matrix.attackers is None:
-        return default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
-    return [replace(profile, persistence=persistence) for profile in matrix.attackers]
-
-
-class _RunFiles:
-    """The deployments, prompt template and replay files of one ``execute_matrix`` or ``validate_matrix`` call.
-
-    Each is built or loaded at the first cell that needs it and shared by the
-    rest, also across worker threads. Nothing outlives the call, so a file
-    edited between two runs is read again. ``offline`` forbids HTTP model backends.
+    ``inputs`` maps each (policy label, deployment, persistence mode) to its
+    cells' run config, at seed 0, and policy factory. ``faults`` names, once
+    each, ``expand_matrix``'s fault, each (policy, deployment, mode)'s in matrix
+    order, then the prompt template's; with ``cell`` set, only that cell's
+    triple is built. Each honeynet, the template and each replay file loads at
+    the first cell that needs it; nothing outlives the build.
     """
 
-    def __init__(self, matrix: ExperimentMatrix, offline: bool = False) -> None:
+    def __init__(self, matrix: ExperimentMatrix, offline: bool = False, cell: Optional[CellSpec] = None) -> None:
         self._matrix = matrix
         self.offline = offline
         self._honeynets: dict[str, HoneynetConfig] = {}
         self._template: Optional[PromptTemplate] = None
         self._replays: dict[str, list[list[str]]] = {}
-        self._lock = threading.Lock()
+        self.inputs: dict[tuple[str, str, str], tuple[RunConfig, PolicyFactory]] = {}
+        self.faults: list[str] = []
+        if cell is not None:
+            self._collect(self._build, cell.policy, cell.deployment, cell.persistence)
+            return
+        self._collect(expand_matrix, matrix)
+        for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
+            self._collect(self._build, policy, deployment, mode)
+        # baseline cells never load the template, so check it even when none uses it
+        if matrix.prompt_template_path:
+            self._collect(self.template)
 
-    def honeynet(self, deployment: str) -> HoneynetConfig:
-        """``_honeynet_for(deployment)``; raises what it raises, and caches only what it returns."""
-        with self._lock:
-            if deployment not in self._honeynets:
-                self._honeynets[deployment] = _honeynet_for(self._matrix, deployment)
+    def _collect(self, build, *args) -> None:
+        try:
+            build(*args)
+        except (ConfigError, ValueError, KeyError, OSError) as exc:
+            if str(exc) not in self.faults:  # one bad setting fails many cells alike
+                self.faults.append(str(exc))
+
+    def checked(self) -> _RunBuild:
+        """This build; ConfigError naming every fault, when it has one."""
+        if self.faults:
+            raise ConfigError("; ".join(self.faults))
+        return self
+
+    def _build(self, policy: PolicySpec, deployment: str, mode: str) -> None:
+        matrix, honeynet = self._matrix, self._honeynet(deployment)
+        persistence = replace(matrix.persistence, mode=mode)
+        if matrix.attackers is None:
+            queue = default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
+        else:  # RunConfig refuses an attacker that the honeynet cannot run
+            queue = [replace(profile, persistence=persistence) for profile in matrix.attackers]
+        cfg = RunConfig(honeynet, tuple(queue), matrix.horizon, noise=matrix.noise, bootstrap=matrix.bootstrap,
+                        belief_carryover=matrix.belief_carryover)
+        factory = policy.kind.factory(policy.label, matrix, honeynet, queue, self)
+        self.inputs[policy.label, deployment, mode] = cfg, factory
+
+    def _honeynet(self, deployment: str) -> HoneynetConfig:
+        """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
+        if deployment in self._honeynets:
             return self._honeynets[deployment]
+        budget, path = self._matrix.budget, self._matrix.catalog_path
+        if deployment == "custom" and not path:
+            raise ConfigError("deployment 'custom' requires a catalog file")
+        try:
+            catalog = load_catalog(path) if deployment == "custom" else None
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"catalog file unusable: {exc}") from None
+        try:
+            honeynet = deployment_config(deployment, budget) if catalog is None else HoneynetConfig(catalog, budget)
+        except ValueError as exc:  # also an unknown deployment name
+            raise ConfigError(f"{deployment}: {exc}") from None
+        self._honeynets[deployment] = honeynet
+        return honeynet
 
     def template(self) -> PromptTemplate:
-        with self._lock:
-            if self._template is None:
-                path = self._matrix.prompt_template_path
-                try:
-                    self._template = load_template(path) if path else builtin_template()
-                except (OSError, ValueError) as exc:
-                    raise ConfigError(f"prompt template unusable: {exc}") from None
-            return self._template
+        if self._template is None:
+            path = self._matrix.prompt_template_path
+            try:
+                self._template = load_template(path) if path else builtin_template()
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"prompt template unusable: {exc}") from None
+        return self._template
 
     def replay(self, path: str) -> list[list[str]]:
         """``load_replay_file(path)``; raises what it raises."""
-        with self._lock:
-            if path not in self._replays:
-                self._replays[path] = load_replay_file(path)
-            return self._replays[path]
+        if path not in self._replays:
+            self._replays[path] = load_replay_file(path)
+        return self._replays[path]
 
 
 class PolicyKind(Settings):
     """A policy kind's parameters: the keys of its ``policies:`` entries besides ``name`` and ``kind``.
 
-    A kind's ``factory`` builds a cell's policies, or raises ConfigError on what the cell or environment lacks.
+    A kind's ``factory`` builds the policies of the cells of one (deployment, persistence mode), or raises
+    ConfigError on what they or the environment lack; ``files`` is the run's build, which loads the template and
+    replay files.
     """
 
 
@@ -460,46 +467,27 @@ POLICY_KINDS: dict[str, type[PolicyKind]] = {
 }
 
 
-def _cell_inputs(cell: CellSpec, matrix: ExperimentMatrix, files: _RunFiles) -> tuple[RunConfig, PolicyFactory]:
-    """Build one cell's run config and policy factory; raise what makes the cell unrunnable.
-
-    Model policies read their template and scripts from ``files``.
-
-    ``run_cell`` runs what this returns. ``validate_matrix`` only builds it, so
-    a config passes validation exactly when every cell can be built.
-    """
-    honeynet = files.honeynet(cell.deployment)
-    queue = _attacker_queue(matrix, honeynet, replace(matrix.persistence, mode=cell.persistence))
-    cfg = RunConfig(
-        honeynet=honeynet,
-        attackers=tuple(queue),
-        horizon=matrix.horizon,
-        seed=cell.derived_seed,
-        noise=matrix.noise,
-        belief_carryover=matrix.belief_carryover,
-        bootstrap=matrix.bootstrap,
-    )
-    return cfg, cell.policy.kind.factory(cell.policy.label, matrix, honeynet, queue, files)
-
-
 # ---------------------------------------------------------------------------
 # Cell execution
 # ---------------------------------------------------------------------------
 
 
 def run_cell(
-    cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None, files: Optional[_RunFiles] = None
+    cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None, build: Optional[_RunBuild] = None
 ) -> RunResult:
     """Execute one cell.
 
     Every policy of the cell counts its turns and degradations into the
     result's ``stats``; with ``out_dir`` set, ``stats`` also writes each model
     turn to the cell's turns.jsonl as it counts it, so partial runs still
-    leave an audit trail. ``files`` shares the loaded template and replay
-    files between the cells of one run. A cell that degraded logs one warning
-    with its counts.
+    leave an audit trail. ``build`` holds the inputs of the run's cells;
+    without it, the cell builds its own alone, or raises ConfigError. A cell
+    that degraded logs one warning with its counts.
     """
-    cfg, build_policy = _cell_inputs(cell, matrix, files or _RunFiles(matrix))
+    if build is None:
+        build = _RunBuild(matrix, cell=cell).checked()
+    cfg, build_policy = build.inputs[cell.policy.label, cell.deployment, cell.persistence]
+    cfg = replace(cfg, seed=cell.derived_seed)
     stats = CellStats() if out_dir is None else CellStats(out_dir / cell.name / "turns.jsonl")
 
     def make_policy(index: int, seed: int):
@@ -578,10 +566,13 @@ def _run_stats(cells: Sequence[CellSpec], stats: Sequence[CellStats]) -> str:
 def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int = 1) -> SummaryTables:
     """Run every cell, write per-cell logs, ``run_stats.json``, the summary tables and, last, the run manifest.
 
-    An earlier run's manifest, ``run_stats.json`` and summaries are deleted
-    before the first cell, so a run that stops early leaves no manifest, and
-    ``replay`` refuses its directory rather than mixing two runs' logs.
+    Every cell's inputs are built first: a matrix with a cell that cannot be
+    built raises one ConfigError naming every fault, and ``out_dir`` is left as
+    it was. An earlier run's manifest, ``run_stats.json`` and summaries are
+    then deleted before the first cell, so a run that stops early leaves no
+    manifest, and ``replay`` refuses its directory rather than mixing two runs' logs.
     """
+    build = _RunBuild(matrix).checked()
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -596,11 +587,9 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     for name in run_files:  # the manifest first: once it is gone, no replay reads this directory
         (out / name).unlink(missing_ok=True)
 
-    files = _RunFiles(matrix)
-
     def job(cell: CellSpec) -> tuple[RunMetrics, CellStats]:
         logger.info("running cell %s", cell.name)
-        result = run_cell(cell, matrix, out_dir=out, files=files)
+        result = run_cell(cell, matrix, out_dir=out, build=build)
         write_cell(out, cell, result)
         # only the metrics and counts outlive the cell, so memory grows with cells, not episodes
         return metrics.run_metrics(result, matrix.score_mode), result.stats

@@ -1,6 +1,7 @@
 import functools
 import gc
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -474,6 +475,14 @@ class TestValidate:
                 {**TINY_CONFIG, "attackers": [{"target": "gitlab", "objective": "Lateral"}]},
                 "attackers[0]: unknown attack stage: 'Lateral'",
             ),
+            # first contact completes Reconnaissance and the next stage: validate took it, and run overshot or crashed
+            *(
+                (
+                    {**TINY_CONFIG, "attackers": [{"target": "gitlab"}, {"target": "gitlab", "objective": stage}]},
+                    "attackers[1]: objective must be a stage past Reconnaissance, which first contact completes",
+                )
+                for stage in ("Reconnaissance", "recon")
+            ),
             ({**TINY_CONFIG, "bootstrap": 5}, "'bootstrap' must be a string, got 5"),
             ({**TINY_CONFIG, "score_mode": ["current_stage"]}, "'score_mode' must be a string, got ['current_stage']"),
             (
@@ -544,6 +553,8 @@ class TestValidate:
             "attacker-objective-a-number",
             "attacker-without-target",
             "attacker-unknown-objective",
+            "attacker-objective-reconnaissance",
+            "attacker-objective-recon",
             "bootstrap-a-number",
             "score-mode-a-list",
             "score-mode-unknown",
@@ -1192,6 +1203,46 @@ def test_a_mock_with_an_empty_script_is_refused_before_any_cell_runs(tmp_path, c
 
 
 @pytest.mark.parametrize(
+    "attackers",
+    [
+        [{"target": "gitlab"}, {"target": "gitlab"}],
+        [{"target": "gitlab"}, {"target": "apache_struts", "label": "gitlab_attacker"}],
+    ],
+    ids=["one-target-twice", "a-label-that-another-derives"],
+)
+def test_two_attackers_of_one_label_are_refused_before_any_cell_runs(tmp_path, capsys, attackers):
+    """An attacker's label seeds its episode, so two attackers of one label would log the same episode twice."""
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        yaml.safe_dump({**TINY_CONFIG, "deployments": TWO_DEPLOYMENTS, "attackers": attackers}), encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    for command in (["validate"], ["run", "--out", str(out)]):
+        assert main([*command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "violation: attackers share the label 'gitlab_attacker'; each attacker's label must be unique\n"
+        )
+    assert not out.exists()
+
+
+def test_a_refused_run_leaves_the_directory_as_it_was(tmp_path):
+    """A matrix with a cell that cannot be built is refused before any file is made, deleted or written: the earlier
+    run in the directory keeps every byte, and replay still reads it."""
+    out = tmp_path / "out"
+    oracle = PolicySpec(label="oracle", kind=OracleKind())
+    axes = {"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0, 1], "horizon": 4}
+    harness.execute_matrix(ExperimentMatrix(policies=[oracle], **axes), out)
+    ran = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    missing = str(tmp_path / "missing.json")
+    refused = ExperimentMatrix(policies=[oracle, PolicySpec(label="mock", kind=MockKind(replay=missing))], **axes)
+    with pytest.raises(ConfigError, match=f"policy mock: replay file {re.escape(repr(missing))} unusable"):
+        harness.execute_matrix(refused, out)
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == ran
+    replay_out_dir(out)
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == ran
+
+
+@pytest.mark.parametrize(
     "config, line",
     [
         ("[" * 5000 + "\n", "error: config unreadable: config.yaml is nested too deep to read"),
@@ -1405,7 +1456,7 @@ _AWKWARD_TEXT = st.text(
 @settings(max_examples=15, deadline=None)
 @given(
     decoys=st.lists(_AWKWARD_TEXT, min_size=1, max_size=3, unique=True),
-    labels=st.lists(_AWKWARD_TEXT, min_size=2, max_size=2),
+    labels=st.lists(_AWKWARD_TEXT, min_size=2, max_size=2, unique=True),  # a run config refuses a shared label
     budget=st.integers(1, 3),
     seed=st.integers(0, 2**16),
 )

@@ -393,8 +393,14 @@ def test_derive_seed_is_stable_and_labelled():
             AttackerProfile("redis"),
             "attacker target 'redis': no signatures for (redis, InitialAccess)",
         ),
+        # the label seeds the episode: two attackers of one label would run the same episode twice
+        (
+            SMALL,
+            AttackerProfile("gitlab"),
+            "attackers share the label 'gitlab_attacker'; each attacker's label must be unique",
+        ),
     ],
-    ids=["target-outside", "decoy-target", "objective-outside-chain", "no-signatures"],
+    ids=["target-outside", "decoy-target", "objective-outside-chain", "no-signatures", "shared-label"],
 )
 def test_run_config_refuses_an_attacker_its_honeynet_cannot_run(honeynet, attacker, message):
     """A library-built run config names the attacker fault when it is built, not mid-episode."""

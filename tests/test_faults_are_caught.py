@@ -67,12 +67,9 @@ def test_policy_decide_without_its_clamp_breaks_the_budget(monkeypatch, tmp_path
 
 
 def test_a_random_policy_seeded_by_its_position_in_the_run_depends_on_the_matrix(monkeypatch, tmp_path):
-    runs = []  # each random cell's run, named by the files object execute_matrix shares among its cells
-
     def by_position(self, label, matrix, honeynet, queue, files):
-        position = sum(run is files for run in runs)
-        runs.append(files)
-        return lambda index, seed: RandomPolicy(1000 * position + index)
+        built = itertools.count()  # the episodes built from this factory, which all the run's random cells share
+        return lambda index, seed: RandomPolicy(next(built))
 
     monkeypatch.setattr(harness.RandomKind, "factory", by_position)
     cell = {"policies": "random", "deployments": "large_mixed", "persistence_modes": "deterministic", "seeds": 1}
@@ -93,6 +90,19 @@ def test_a_run_that_deletes_no_earlier_file_lets_replay_read_an_interrupted_reru
     monkeypatch.setattr(Path, "unlink", lambda self, missing_ok=False: None)
     with pytest.raises(AssertionError, match="replay read"):
         check_interrupted_rerun(tmp_path, RANDOM_CELLS, 7, 1)
+
+
+def test_a_run_that_deletes_the_earlier_run_before_it_builds_its_cells_loses_that_run(monkeypatch, tmp_path):
+    execute_matrix = harness.execute_matrix
+
+    def deletes_first(matrix, out_dir, workers=1):
+        for name in (harness.MANIFEST_NAME, harness.STATS_NAME):
+            (Path(out_dir) / name).unlink(missing_ok=True)
+        return execute_matrix(matrix, out_dir, workers)
+
+    monkeypatch.setattr(harness, "execute_matrix", deletes_first)
+    with pytest.raises(AssertionError):
+        test_cli.test_a_refused_run_leaves_the_directory_as_it_was(tmp_path)
 
 
 def test_cells_on_one_pool_thread_counting_into_its_first_cell_stats_break_workers_2(monkeypatch, tmp_path):
