@@ -10,6 +10,7 @@ from .catalog import DEPLOYMENT_NAMES
 from .harness import (
     ConfigError,
     ExperimentMatrix,
+    MatrixFaults,
     PolicySpec,
     ScriptedKind,
     execute_matrix,
@@ -46,18 +47,11 @@ def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> Expe
     return matrix
 
 
-def _refuse(problems: list[str]) -> int:
-    """Print one ``violation:`` line per problem; the exit code of a config that cannot run."""
-    for p in problems:
-        print(f"violation: {p}", file=sys.stderr)
-    return EXIT_CONFIG
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     matrix = _load_config(args.config)
     problems = validate_matrix(matrix, offline=args.offline)
     if problems:
-        return _refuse(problems)
+        raise MatrixFaults(problems)
     cells = expand_matrix(matrix)
     print(f"config ok: {len(cells)} cells "
           f"({len(matrix.policies)} policies x {len(matrix.deployments)} deployments "
@@ -69,10 +63,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     matrix = _apply_overrides(_load_config(args.config), args)
-    problems = validate_matrix(matrix, offline=args.offline)
-    if problems:
-        return _refuse(problems)
-    tables = execute_matrix(matrix, args.out, workers=args.workers)
+    tables = execute_matrix(matrix, args.out, workers=args.workers, offline=args.offline)
     _print_tables(tables)
     print(f"results written to {args.out} "
           f"({len({(p, d) for (p, d, _), runs in tables.cells.items() if runs})} deployment cells)")
@@ -91,10 +82,7 @@ def cmd_mock_demo(args: argparse.Namespace) -> int:
         modes=["deterministic"],
         seeds=[args.seed],
     )
-    problems = validate_matrix(matrix, offline=True)
-    if problems:
-        return _refuse(problems)
-    _print_tables(execute_matrix(matrix, args.out, workers=1))
+    _print_tables(execute_matrix(matrix, args.out, offline=True))
     print(f"mock demo complete; logs in {args.out}")
     return EXIT_OK
 
@@ -154,6 +142,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except MatrixFaults as exc:  # a matrix that cannot be built: one line per fault
+        for fault in exc.faults:
+            print(f"violation: {fault}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -289,6 +289,14 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     return _RunBuild(matrix, offline).faults
 
 
+class MatrixFaults(ConfigError):
+    """A matrix that cannot be built: ``faults`` lists each fault, as ``validate_matrix`` does; its text joins them."""
+
+    def __init__(self, faults: list[str]) -> None:
+        super().__init__("; ".join(faults))
+        self.faults = faults
+
+
 # ---------------------------------------------------------------------------
 # Cell inputs
 # ---------------------------------------------------------------------------
@@ -301,16 +309,14 @@ class _RunBuild:
     cells' run config, at seed 0, and policy factory. ``faults`` names, once
     each, ``expand_matrix``'s fault, each (policy, deployment, mode)'s in matrix
     order, then the prompt template's; with ``cell`` set, only that cell's
-    triple is built. Each honeynet, the template and each replay file loads at
-    the first cell that needs it; nothing outlives the build.
+    triple is built. Each honeynet, the template and each replay file loads, or
+    fails, once, at the first cell that needs it; nothing outlives the build.
     """
 
     def __init__(self, matrix: ExperimentMatrix, offline: bool = False, cell: Optional[CellSpec] = None) -> None:
         self._matrix = matrix
         self.offline = offline
-        self._honeynets: dict[str, HoneynetConfig] = {}
-        self._template: Optional[PromptTemplate] = None
-        self._replays: dict[str, list[list[str]]] = {}
+        self._loads: dict[tuple, object] = {}  # each load's value, or the fault it raised, by load and arguments
         self.inputs: dict[tuple[str, str, str], tuple[RunConfig, PolicyFactory]] = {}
         self.faults: list[str] = []
         if cell is not None:
@@ -326,18 +332,31 @@ class _RunBuild:
     def _collect(self, build, *args) -> None:
         try:
             build(*args)
-        except (ConfigError, ValueError, KeyError, OSError) as exc:
+        except (ValueError, KeyError, OSError) as exc:  # ConfigError is a ValueError
             if str(exc) not in self.faults:  # one bad setting fails many cells alike
                 self.faults.append(str(exc))
 
     def checked(self) -> _RunBuild:
-        """This build; ConfigError naming every fault, when it has one."""
+        """This build; MatrixFaults naming every fault, when it has one."""
         if self.faults:
-            raise ConfigError("; ".join(self.faults))
+            raise MatrixFaults(self.faults)
         return self
 
+    def _load(self, load, *args):
+        """``load(*args)`` at its first call in this build; a later call returns its value, or raises its fault."""
+        key = (load, *args)
+        if key not in self._loads:
+            try:
+                self._loads[key] = load(*args)
+            except (ValueError, KeyError, OSError) as exc:
+                self._loads[key] = exc
+        if isinstance(self._loads[key], Exception):
+            raise self._loads[key]
+        return self._loads[key]
+
     def _build(self, policy: PolicySpec, deployment: str, mode: str) -> None:
-        matrix, honeynet = self._matrix, self._honeynet(deployment)
+        matrix = self._matrix
+        honeynet = self._load(_honeynet, deployment, matrix.budget, matrix.catalog_path)
         persistence = replace(matrix.persistence, mode=mode)
         if matrix.attackers is None:
             queue = default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
@@ -348,38 +367,30 @@ class _RunBuild:
         factory = policy.kind.factory(policy.label, matrix, honeynet, queue, self)
         self.inputs[policy.label, deployment, mode] = cfg, factory
 
-    def _honeynet(self, deployment: str) -> HoneynetConfig:
-        """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
-        if deployment in self._honeynets:
-            return self._honeynets[deployment]
-        budget, path = self._matrix.budget, self._matrix.catalog_path
-        if deployment == "custom" and not path:
-            raise ConfigError("deployment 'custom' requires a catalog file")
-        try:
-            catalog = load_catalog(path) if deployment == "custom" else None
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"catalog file unusable: {exc}") from None
-        try:
-            honeynet = deployment_config(deployment, budget) if catalog is None else HoneynetConfig(catalog, budget)
-        except ValueError as exc:  # also an unknown deployment name
-            raise ConfigError(f"{deployment}: {exc}") from None
-        self._honeynets[deployment] = honeynet
-        return honeynet
-
     def template(self) -> PromptTemplate:
-        if self._template is None:
-            path = self._matrix.prompt_template_path
-            try:
-                self._template = load_template(path) if path else builtin_template()
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"prompt template unusable: {exc}") from None
-        return self._template
+        path = self._matrix.prompt_template_path
+        try:
+            return self._load(load_template, path) if path else self._load(builtin_template)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"prompt template unusable: {exc}") from None
 
     def replay(self, path: str) -> list[list[str]]:
         """``load_replay_file(path)``; raises what it raises."""
-        if path not in self._replays:
-            self._replays[path] = load_replay_file(path)
-        return self._replays[path]
+        return self._load(load_replay_file, path)
+
+
+def _honeynet(deployment: str, budget: int, catalog_path: Optional[str]) -> HoneynetConfig:
+    """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
+    if deployment == "custom" and not catalog_path:
+        raise ConfigError("deployment 'custom' requires a catalog file")
+    try:
+        catalog = load_catalog(catalog_path) if deployment == "custom" else None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"catalog file unusable: {exc}") from None
+    try:
+        return deployment_config(deployment, budget) if catalog is None else HoneynetConfig(catalog, budget)
+    except ValueError as exc:  # also an unknown deployment name
+        raise ConfigError(f"{deployment}: {exc}") from None
 
 
 class PolicyKind(Settings):
@@ -563,16 +574,18 @@ def _run_stats(cells: Sequence[CellSpec], stats: Sequence[CellStats]) -> str:
     return '{"cells": [\n' + ",\n".join(map(json.dumps, rows)) + f'\n], "totals": {json.dumps(totals)}}}\n'
 
 
-def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int = 1) -> SummaryTables:
+def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int = 1,
+                   offline: bool = False) -> SummaryTables:
     """Run every cell, write per-cell logs, ``run_stats.json``, the summary tables and, last, the run manifest.
 
-    Every cell's inputs are built first: a matrix with a cell that cannot be
-    built raises one ConfigError naming every fault, and ``out_dir`` is left as
-    it was. An earlier run's manifest, ``run_stats.json`` and summaries are
-    then deleted before the first cell, so a run that stops early leaves no
-    manifest, and ``replay`` refuses its directory rather than mixing two runs' logs.
+    Every cell's inputs are built first, once, with ``offline`` forbidding HTTP
+    model backends: a matrix with a cell that cannot be built raises one
+    MatrixFaults listing every fault, and ``out_dir`` is left as it was. An
+    earlier run's manifest, ``run_stats.json`` and summaries are then deleted
+    before the first cell, so a run that stops early leaves no manifest, and
+    ``replay`` refuses its directory rather than mixing two runs' logs.
     """
-    build = _RunBuild(matrix).checked()
+    build = _RunBuild(matrix, offline).checked()
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

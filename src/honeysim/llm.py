@@ -298,7 +298,7 @@ def load_replay_file(path: str) -> list[list[str]]:
     if isinstance(data, dict):
         data = data.get("episodes")
     if not isinstance(data, list) or not data:
-        raise ValueError(f"{path}: expected a non-empty list of responses or episode lists")
+        raise ValueError("expected a non-empty list of responses or episode lists")
     if all(isinstance(item, str) for item in data):
         return [list(data)]
     for i, episode in enumerate(data):

@@ -25,6 +25,7 @@ from honeysim.harness import (
     ConfigError,
     ExperimentMatrix,
     LlmKind,
+    MatrixFaults,
     MockKind,
     OracleKind,
     PolicySpec,
@@ -301,6 +302,11 @@ class TestValidate:
                 "violation: policy m: replay file 'deep.json' unusable: nested too deep to decode\n",
             ),
             (
+                {"policies": [{"name": "m", "kind": "mock", "replay": "mapping.json"}]},
+                "violation: policy m: replay file 'mapping.json' unusable: "
+                "expected a non-empty list of responses or episode lists\n",
+            ),
+            (
                 {"deployments": ["custom"], "catalog": "deep.yaml"},
                 "violation: catalog file unusable: deep.yaml is nested too deep to read\n",
             ),
@@ -334,6 +340,7 @@ class TestValidate:
             "replay-episode-of-numbers",
             "replay-empty-script",
             "replay-nested-too-deep",
+            "replay-not-a-list",
             "catalog-nested-too-deep",
         ],
     )
@@ -360,6 +367,7 @@ class TestValidate:
         Path("number_lists.json").write_text("[[1, 2]]", encoding="utf-8")
         Path("empty_script.json").write_text('{"episodes": [[]]}', encoding="utf-8")
         Path("deep.json").write_text("[" * 100_000, encoding="utf-8")
+        Path("mapping.json").write_text('{"foo": 1}', encoding="utf-8")
         Path("deep.yaml").write_text("[" * 5000 + "\n", encoding="utf-8")
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
@@ -622,6 +630,18 @@ class TestValidate:
         assert "violation: policy m: HTTP backend b forbidden in offline mode" in capsys.readouterr().err
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         assert main(["validate", "--config", str(config)]) == 0
+
+    def test_run_offline_refuses_a_model_policy_before_any_request(self, tmp_path, monkeypatch, capsys):
+        """`run --offline` refuses from the build it runs: one `violation:` line, no request, no `--out`."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TEST_TOKEN_VAR", "x")
+        requests = []
+        monkeypatch.setattr(HttpChatBackend, "complete", lambda self, prompt: requests.append(prompt))
+        config = {**LLM_CONFIG, "backends": {"b": {"auth_env": "TEST_TOKEN_VAR"}}}
+        Path("llm.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["run", "--offline", "--config", "llm.yaml", "--out", "out"]) == 2
+        assert capsys.readouterr() == ("", "violation: policy m: HTTP backend b forbidden in offline mode\n")
+        assert requests == [] and not Path("out").exists()
 
     def test_offline_forbids_http_backends(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
@@ -1269,7 +1289,8 @@ def test_run_refuses_input_nested_too_deep_before_any_cell_runs(tmp_path, monkey
 
 
 def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkeypatch):
-    """validate_matrix and execute_matrix each read a replay path once and the template once, not once per cell."""
+    """validate_matrix and execute_matrix each read a replay path once and the template once, not once per cell,
+    also when the file fails to load."""
     matrix = _mock_matrix(
         tmp_path,
         [("mock_a", "a.json"), ("mock_a_again", "a.json"), ("mock_b", "b.json")],
@@ -1280,6 +1301,7 @@ def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkey
     )
     loads = Counter()
     load_replay_file, builtin_template = harness.load_replay_file, harness.builtin_template
+    load_template = harness.load_template
 
     def counted_replay(path):
         loads[Path(path).name] += 1
@@ -1289,14 +1311,87 @@ def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkey
         loads["template"] += 1
         return builtin_template()
 
+    def counted_template_file(path):
+        loads[Path(path).name] += 1
+        return load_template(path)
+
     monkeypatch.setattr(harness, "load_replay_file", counted_replay)
     monkeypatch.setattr(harness, "builtin_template", counted_template)
+    monkeypatch.setattr(harness, "load_template", counted_template_file)
     assert validate_matrix(matrix, offline=True) == []
     assert loads == {"a.json": 1, "b.json": 1, "template": 1}
     loads.clear()
     execute_matrix(matrix, tmp_path / "out")
     assert len(list((tmp_path / "out").glob("*/turns.jsonl"))) == 3 * 3 * 3 * 2
     assert loads == {"a.json": 1, "b.json": 1, "template": 1}
+    # a file that fails is read once too: a replay file two policies share and a template, neither of which exists
+    missing = str(tmp_path / "missing.json")
+    matrix.policies += [PolicySpec(label=label, kind=MockKind(replay=missing)) for label in ("mock_c", "mock_c_again")]
+    matrix.prompt_template_path = str(tmp_path / "missing.txt")
+    loads.clear()
+    faults = validate_matrix(matrix, offline=True)
+    heads = ["prompt template unusable", "policy mock_c", "policy mock_c_again"]
+    assert [fault.split(":")[0] for fault in faults] == heads
+    assert loads == {"a.json": 1, "b.json": 1, "missing.json": 1, "missing.txt": 1}
+    loads.clear()
+    with pytest.raises(MatrixFaults) as refused:
+        execute_matrix(matrix, tmp_path / "refused")
+    assert refused.value.faults == faults and str(refused.value) == "; ".join(faults)
+    assert loads == {"a.json": 1, "b.json": 1, "missing.json": 1, "missing.txt": 1}
+    assert not (tmp_path / "refused").exists()
+
+
+def _count_builds_and_calls(monkeypatch, name) -> tuple[list, Counter]:
+    """Count each ``harness._RunBuild`` made, and each call of the harness function ``name``, from here on."""
+    builds, calls = [], Counter()
+    run_build, function = harness._RunBuild, getattr(harness, name)
+
+    class CountedBuild(run_build):
+        def __init__(self, *args, **kwargs):
+            builds.append(args)
+            super().__init__(*args, **kwargs)
+
+    def counted(*args):
+        calls[name] += 1
+        return function(*args)
+
+    monkeypatch.setattr(harness, "_RunBuild", CountedBuild)
+    monkeypatch.setattr(harness, name, counted)
+    return builds, calls
+
+
+@pytest.mark.parametrize(
+    "argv, name, calls",
+    [(["run", "--out", "out"], "deployment_config", 3), (["mock-demo", "--out", "out"], "builtin_template", 1)],
+    ids=["run", "mock-demo"],
+)
+def test_run_and_mock_demo_build_once(tmp_path, monkeypatch, capsys, argv, name, calls):
+    """`run` on the built-in config, with its 3 deployments, and `mock-demo` make one build, the one that runs."""
+    monkeypatch.chdir(tmp_path)
+    builds, counted = _count_builds_and_calls(monkeypatch, name)
+    assert main(argv) == 0
+    assert len(builds) == 1 and counted == {name: calls}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "out"]], ids=["validate", "run"])
+def test_a_catalog_file_that_fails_is_read_once(tmp_path, monkeypatch, capsys, command):
+    """An unreadable catalog under 3 policies x 3 modes on `custom`: one read, one build, one `violation:` line."""
+    monkeypatch.chdir(tmp_path)
+    config = {
+        **TINY_CONFIG,
+        "policies": ["oracle", "random", "reactive"],
+        "deployments": ["custom"],
+        "persistence_modes": ["deterministic", "probabilistic", "consecutive"],
+        "catalog": "missing.yaml",
+    }
+    Path("config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    builds, counted = _count_builds_and_calls(monkeypatch, "load_catalog")
+    assert main([*command, "--config", "config.yaml"]) == 2
+    assert len(builds) == 1 and counted == {"load_catalog": 1}
+    err = capsys.readouterr().err
+    assert err == "violation: catalog file unusable: [Errno 2] No such file or directory: 'missing.yaml'\n"
+    assert not Path("out").exists()
 
 
 def test_load_run_file_round_trip(tiny_config):

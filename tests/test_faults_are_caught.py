@@ -33,7 +33,7 @@ from test_contracts import (
 )
 from test_output_bytes import check_pinned_bytes
 
-from honeysim import engine, harness, llm, metrics, policies, settings, telemetry
+from honeysim import cli, engine, harness, llm, metrics, policies, settings, telemetry
 from honeysim.policies import CellStats, RandomPolicy
 from honeysim.settings import TYPES, ConfigError, check
 from honeysim.telemetry import NoiseConfig
@@ -103,6 +103,35 @@ def test_a_run_that_deletes_the_earlier_run_before_it_builds_its_cells_loses_tha
     monkeypatch.setattr(harness, "execute_matrix", deletes_first)
     with pytest.raises(AssertionError):
         test_cli.test_a_refused_run_leaves_the_directory_as_it_was(tmp_path)
+
+
+def test_a_run_that_validates_before_it_executes_builds_every_cell_twice(monkeypatch, tmp_path, capsys):
+    cmd_run = cli.cmd_run
+
+    def validates_first(args):
+        matrix = cli._apply_overrides(cli._load_config(args.config), args)
+        problems = harness.validate_matrix(matrix, offline=args.offline)
+        if problems:
+            raise harness.MatrixFaults(problems)
+        return cmd_run(args)
+
+    monkeypatch.setattr(cli, "cmd_run", validates_first)
+    with pytest.raises(AssertionError):
+        test_cli.test_run_and_mock_demo_build_once(
+            tmp_path, monkeypatch, capsys, ["run", "--out", "out"], "deployment_config", 3
+        )
+
+
+def test_a_build_that_remembers_only_what_loads_reads_a_failing_catalog_at_every_cell(monkeypatch, tmp_path, capsys):
+    def remembers_values(self, load, *args):
+        key = (load, *args)
+        if key not in self._loads:
+            self._loads[key] = load(*args)
+        return self._loads[key]
+
+    monkeypatch.setattr(harness._RunBuild, "_load", remembers_values)
+    with pytest.raises(AssertionError):
+        test_cli.test_a_catalog_file_that_fails_is_read_once(tmp_path, monkeypatch, capsys, ["validate"])
 
 
 def test_cells_on_one_pool_thread_counting_into_its_first_cell_stats_break_workers_2(monkeypatch, tmp_path):
