@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from .catalog import DEPLOYMENT_NAMES
 from .harness import (
@@ -38,12 +39,12 @@ def _load_config(path: str | None) -> ExperimentMatrix:
 def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> ExperimentMatrix:
     if getattr(args, "policy", None):
         wanted = set(args.policy)
-        matrix.policies = [p for p in matrix.policies if p.label in wanted]
         missing = wanted - {p.label for p in matrix.policies}
         if missing:
             raise ConfigError(f"--policy names not in config: {sorted(missing)}")
+        matrix = replace(matrix, policies=[p for p in matrix.policies if p.label in wanted])
     if getattr(args, "seed_base", None) is not None:
-        matrix.seed_base = args.seed_base
+        matrix = replace(matrix, seed_base=args.seed_base)
     return matrix
 
 

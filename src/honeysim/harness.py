@@ -73,7 +73,7 @@ class PolicySpec:
     kind: Optional[PolicyKind] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentMatrix:
     policies: list[PolicySpec]
     deployments: list[str]
@@ -96,8 +96,8 @@ class ExperimentMatrix:
     attackers: Optional[list[AttackerProfile]] = None
 
     def __post_init__(self) -> None:
-        """Refuse, in one line, every fault of the settings that no cell changes; each cell's types check them again."""
-        faults = []
+        """Refuse, in one line, every fault of the axes and of the settings no cell changes; cells check those again."""
+        faults = self._axis_faults()
         for check, value in (
             (RunConfig.check_horizon, self.horizon),
             (RunConfig.check_bootstrap, self.bootstrap),
@@ -112,6 +112,33 @@ class ExperimentMatrix:
         if faults:
             raise ConfigError("; ".join(faults))
 
+    def _axis_faults(self) -> list[str]:
+        """Each fault of the axes; without one, every cell gets a directory of its own that the file system can make."""
+        labels = [policy.label for policy in self.policies]
+        axes = dict(policies=labels, deployments=self.deployments, persistence_modes=self.modes, seeds=self.seeds)
+        faults = [f"matrix axis {axis!r} is empty" for axis, values in axes.items() if not values]
+        for label in labels:
+            if not _safe_directory_name(label):
+                faults.append(f"policy label {label!r} is not a safe directory name")
+            elif label in SCORE_COORDINATES:
+                faults.append(f"policy label {label!r} would overwrite that column of summary_scores")
+        for axis, known in (("deployments", (*DEPLOYMENT_NAMES, "custom")), ("persistence_modes", PERSISTENCE_MODES)):
+            faults += [f"{axis!r} holds {v!r}, not one of {', '.join(known)}" for v in axes[axis] if v not in known]
+        if not all(axes.values()) or not all(map(_safe_directory_name, labels)):  # no cell, or an unwritable name
+            return faults
+        # no known deployment or mode holds "__", so, values all known, a cell's name spells its coordinates: cells
+        # share a directory only where an axis repeats a value, and no name is longer than the longest values joined
+        longest = len(_cell_name("", "", "", "")) + sum(max(len(str(v).encode()) for v in vs) for vs in axes.values())
+        if faults or longest > NAME_MAX or any(len(set(values)) < len(values) for values in axes.values()):
+            names = [_cell_name(*coordinates) for coordinates in itertools.product(*axes.values())]
+            shared = sorted(name for name, n in Counter(names).items() if n > 1)
+            if shared:
+                faults.append(f"cells share a directory: {', '.join(shared)}")
+            too_long = [name for name in names if len(name.encode("utf-8")) > NAME_MAX]
+            if too_long:
+                faults.append(f"cell name {too_long[0]!r} is longer than a directory name may be ({NAME_MAX} bytes)")
+        return faults
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -123,7 +150,7 @@ class CellSpec:
 
     @property
     def name(self) -> str:
-        return f"{self.policy.label}__{self.deployment}__{self.persistence}__seed{self.seed}"
+        return _cell_name(self.policy.label, self.deployment, self.persistence, self.seed)
 
     @cached_property
     def derived_seed(self) -> int:
@@ -131,38 +158,18 @@ class CellSpec:
         return derive_seed(self.seed_base, self.policy.label, self.deployment, self.persistence, self.seed)
 
 
-def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
-    """Cartesian expansion in lexicographic axis order; each cell derives its own seed.
+def _cell_name(label: str, deployment: str, mode: str, seed: int) -> str:
+    return f"{label}__{deployment}__{mode}__seed{seed}"
 
-    Raises ConfigError unless every cell gets a directory of its own that the file system can make.
-    """
-    for axis, values in (
-        ("policies", matrix.policies),
-        ("deployments", matrix.deployments),
-        ("persistence_modes", matrix.modes),
-        ("seeds", matrix.seeds),
-    ):
-        if not values:
-            raise ConfigError(f"matrix axis {axis!r} is empty")
-    for policy in matrix.policies:
-        if not _safe_directory_name(policy.label):
-            raise ConfigError(f"policy label {policy.label!r} is not a safe directory name")
-        if policy.label in SCORE_COORDINATES:
-            raise ConfigError(f"policy label {policy.label!r} would overwrite that column of summary_scores")
-    cells = [
+
+def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
+    """Cartesian expansion in lexicographic axis order; each cell derives its own seed and has its own directory."""
+    return [
         CellSpec(policy, deployment, mode, seed, matrix.seed_base)
         for policy, deployment, mode, seed in itertools.product(
             matrix.policies, matrix.deployments, matrix.modes, matrix.seeds
         )
     ]
-    names = [c.name for c in cells]
-    shared = sorted(name for name, n in Counter(names).items() if n > 1)
-    if shared:
-        raise ConfigError(f"cells share a directory: {', '.join(shared)}")
-    too_long = [name for name in names if len(name.encode("utf-8")) > NAME_MAX]
-    if too_long:
-        raise ConfigError(f"cell name {too_long[0]!r} is longer than a directory name may be ({NAME_MAX} bytes)")
-    return cells
 
 
 def _safe_directory_name(label: str) -> bool:
@@ -274,9 +281,9 @@ def matrix_from_dict(data) -> ExperimentMatrix:
         **attacker,
     )
     if "attackers" in top:
-        matrix.attackers = [
+        matrix = replace(matrix, attackers=[
             _parse_attacker_entry(i, entry, matrix.abandon_on_failure) for i, entry in enumerate(top["attackers"])
-        ]
+        ])
     return matrix
 
 
@@ -306,23 +313,18 @@ class _RunBuild:
     """Every cell's inputs, built once, on one thread, before any cell runs; ``offline`` forbids HTTP model backends.
 
     ``inputs`` maps each (policy label, deployment, persistence mode) to its
-    cells' run config, at seed 0, and policy factory. ``faults`` names, once
-    each, ``expand_matrix``'s fault, each (policy, deployment, mode)'s in matrix
-    order, then the prompt template's; with ``cell`` set, only that cell's
-    triple is built. Each honeynet, the template and each replay file loads, or
+    cells' run config, at seed 0, and policy factory. ``faults`` names each
+    (policy, deployment, mode)'s fault once, in matrix order, then the prompt
+    template's. Each honeynet, the template and each replay file loads, or
     fails, once, at the first cell that needs it; nothing outlives the build.
     """
 
-    def __init__(self, matrix: ExperimentMatrix, offline: bool = False, cell: Optional[CellSpec] = None) -> None:
+    def __init__(self, matrix: ExperimentMatrix, offline: bool = False) -> None:
         self._matrix = matrix
         self.offline = offline
         self._loads: dict[tuple, object] = {}  # each load's value, or the fault it raised, by load and arguments
         self.inputs: dict[tuple[str, str, str], tuple[RunConfig, PolicyFactory]] = {}
         self.faults: list[str] = []
-        if cell is not None:
-            self._collect(self._build, cell.policy, cell.deployment, cell.persistence)
-            return
-        self._collect(expand_matrix, matrix)
         for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
             self._collect(self._build, policy, deployment, mode)
         # baseline cells never load the template, so check it even when none uses it
@@ -389,7 +391,7 @@ def _honeynet(deployment: str, budget: int, catalog_path: Optional[str]) -> Hone
         raise ConfigError(f"catalog file unusable: {exc}") from None
     try:
         return deployment_config(deployment, budget) if catalog is None else HoneynetConfig(catalog, budget)
-    except ValueError as exc:  # also an unknown deployment name
+    except ValueError as exc:
         raise ConfigError(f"{deployment}: {exc}") from None
 
 
@@ -492,11 +494,11 @@ def run_cell(
     result's ``stats``; with ``out_dir`` set, ``stats`` also writes each model
     turn to the cell's turns.jsonl as it counts it, so partial runs still
     leave an audit trail. ``build`` holds the inputs of the run's cells;
-    without it, the cell builds its own alone, or raises ConfigError. A cell
-    that degraded logs one warning with its counts.
+    without it, the matrix is built as ``run`` builds it, or MatrixFaults
+    raised. A cell that degraded logs one warning with its counts.
     """
     if build is None:
-        build = _RunBuild(matrix, cell=cell).checked()
+        build = _RunBuild(matrix).checked()
     cfg, build_policy = build.inputs[cell.policy.label, cell.deployment, cell.persistence]
     cfg = replace(cfg, seed=cell.derived_seed)
     stats = CellStats() if out_dir is None else CellStats(out_dir / cell.name / "turns.jsonl")
@@ -683,11 +685,7 @@ def _manifest_cells(out: Path) -> tuple[ExperimentMatrix, list[CellSpec]]:
                 ("seeds", "list[int]"),
             )
         }
-        # only the values ``run`` accepts, so no cell path leaves ``out``
-        for key, known in (("deployments", (*DEPLOYMENT_NAMES, "custom")), ("persistence_modes", PERSISTENCE_MODES)):
-            for value in axes[key]:
-                if value not in known:
-                    raise ConfigError(f"{key!r} holds {value!r}, not one of {', '.join(known)}")
+        # the matrix refuses what ``run`` refuses, so no cell path leaves ``out``
         matrix = ExperimentMatrix(
             policies=[PolicySpec(label) for label in axes["policies"]],
             deployments=axes["deployments"],
@@ -696,5 +694,5 @@ def _manifest_cells(out: Path) -> tuple[ExperimentMatrix, list[CellSpec]]:
             score_mode=check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode"),
         )
         return matrix, expand_matrix(matrix)
-    except ConfigError as exc:  # another schema, a bad axis value or score mode, or axes expand_matrix refuses
+    except ConfigError as exc:  # another schema, a mistyped axis, or axes or a score mode the matrix refuses
         raise ConfigError(f"{path}: {exc}") from None

@@ -153,7 +153,7 @@ def success_cell(achieved: int, total: int) -> str:
 
 
 def score_cell(scores: Sequence[float]) -> str:
-    mean = 100.0 * statistics.mean(scores)
+    mean = 100.0 * _mean(scores)
     # population std: cells pool few repeats, not a sample of a larger design
     std = 100.0 * statistics.pstdev(scores)
     return f"{mean:.1f} ± {std:.1f}"

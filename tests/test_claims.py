@@ -82,8 +82,9 @@ def scores() -> dict:
     ]
     matrix = replace(BUILTIN, seeds=SEEDS, policies=[*BUILTIN.policies, *controls])
     runs: dict = {}
+    build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
     for cell in harness.expand_matrix(matrix):
-        result = harness.run_cell(cell, matrix)
+        result = harness.run_cell(cell, matrix, build=build)
         for mode in metrics.SCORE_MODES:
             key = (mode, cell.policy.label, cell.deployment, cell.persistence)
             runs.setdefault(key, []).append(100 * metrics.run_metrics(result, mode).score)

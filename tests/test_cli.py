@@ -8,7 +8,7 @@ import tempfile
 import types
 import warnings
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import honeysim
-from honeysim import engine, harness
+from honeysim import cli, engine, harness
 from honeysim.attackers import ScanAction
 from honeysim.cli import main
 from honeysim.harness import (
@@ -149,10 +149,66 @@ class TestExpandMatrix:
         assert len(set(seeds)) == len(seeds)
 
     def test_empty_axis_rejected(self):
-        matrix = self._matrix()
-        matrix.seeds = []
-        with pytest.raises(ConfigError):
-            expand_matrix(matrix)
+        with pytest.raises(ConfigError, match="matrix axis 'seeds' is empty"):
+            replace(self._matrix(), seeds=[])
+
+    @pytest.mark.parametrize(
+        "axes, fault",
+        [
+            ({"policies": []}, "matrix axis 'policies' is empty"),
+            (
+                {"deployments": [], "modes": []},
+                "matrix axis 'deployments' is empty; matrix axis 'persistence_modes' is empty",
+            ),
+            ({"policies": [PolicySpec("a/b")]}, "policy label 'a/b' is not a safe directory name"),
+            (
+                {"policies": [PolicySpec("persistence")]},
+                "policy label 'persistence' would overwrite that column of summary_scores",
+            ),
+            (
+                {"deployments": ["nowhere"]},
+                "'deployments' holds 'nowhere', not one of fully_vulnerable, small_mixed, large_mixed, custom",
+            ),
+            (
+                {"modes": ["stochastic"]},
+                "'persistence_modes' holds 'stochastic', not one of deterministic, probabilistic, consecutive",
+            ),
+            ({"seeds": [3, 3], "n": 1}, "cells share a directory: p0__fully_vulnerable__deterministic__seed3"),
+            (
+                {"policies": [PolicySpec("p" * 224)], "n": 1},
+                f"cell name '{'p' * 224}__fully_vulnerable__deterministic__seed0' is longer than a directory name may "
+                "be (255 bytes)",
+            ),
+            (
+                {"deployments": ["nowhere"], "seeds": [1, 1], "n": 1},
+                "'deployments' holds 'nowhere', not one of fully_vulnerable, small_mixed, large_mixed, custom; "
+                "cells share a directory: p0__nowhere__deterministic__seed1",
+            ),
+        ],
+        ids=[
+            "no-policies",
+            "no-deployments-or-modes",
+            "unsafe-label",
+            "label-a-column",
+            "unknown-deployment",
+            "unknown-mode",
+            "repeated-seed",
+            "name-over-255-bytes",
+            "unknown-deployment-and-repeated-seed",
+        ],
+    )
+    def test_the_matrix_refuses_each_fault_of_its_axes_when_it_is_built(self, axes, fault):
+        """Each fault of the axes, in one ConfigError; ``replace`` checks the new matrix again, and no field is set."""
+        n = axes.pop("n", 3)
+        matrix = self._matrix(n, n, n, n)
+        with pytest.raises(ConfigError) as refused:
+            ExperimentMatrix(**{**vars(matrix), **axes})
+        assert str(refused.value) == fault
+        with pytest.raises(ConfigError) as refused:
+            replace(matrix, **axes)
+        assert str(refused.value) == fault
+        with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
+            matrix.seeds = matrix.seeds
 
 
 class TestValidate:
@@ -167,7 +223,11 @@ class TestValidate:
     @pytest.mark.parametrize(
         "override, line",
         [
-            ({"persistence_modes": ["stochastic"]}, "violation: unknown persistence mode 'stochastic'"),
+            (
+                {"persistence_modes": ["stochastic"]},
+                "error: config unreadable: 'persistence_modes' holds 'stochastic', "
+                "not one of deterministic, probabilistic, consecutive",
+            ),
             (
                 {"persistence": {"decay": 0}},
                 "error: config unreadable: persistence: decay must be in (0, 1], got 0.0",
@@ -235,12 +295,31 @@ class TestValidate:
                 "replay file 'bad.json' unusable",
             ),
             ({"policies": [{"name": "s", "kind": "static", "expose": ["ghost"]}]}, "exposes ['ghost']"),
-            ({"seeds": [0, 0]}, "cells share a directory: oracle__small_mixed__deterministic__seed0"),
-            ({"policies": ["oracle", {"name": "oracle", "kind": "random"}]}, "cells share a directory"),
-            ({"policies": [{"name": "../up", "kind": "oracle"}]}, "not a safe directory name"),
-            ({"policies": [{"name": "or\0acle", "kind": "oracle"}]}, "policy label 'or\\x00acle' is not a safe"),
-            ({"policies": [{"name": "or\ud800acle", "kind": "oracle"}]}, "policy label 'or\\ud800acle' is not a safe"),
-            ({"policies": [{"name": "o" * 221, "kind": "oracle"}]}, "is longer than a directory name may be (255 bytes)"),
+            (
+                {"seeds": [0, 0]},
+                "error: config unreadable: cells share a directory: oracle__small_mixed__deterministic__seed0",
+            ),
+            (
+                {"policies": ["oracle", {"name": "oracle", "kind": "random"}]},
+                "error: config unreadable: cells share a directory",
+            ),
+            (
+                {"policies": [{"name": "../up", "kind": "oracle"}]},
+                "error: config unreadable: policy label '../up' is not a safe directory name",
+            ),
+            (
+                {"policies": [{"name": "or\0acle", "kind": "oracle"}]},
+                "error: config unreadable: policy label 'or\\x00acle' is not a safe",
+            ),
+            (
+                {"policies": [{"name": "or\ud800acle", "kind": "oracle"}]},
+                "error: config unreadable: policy label 'or\\ud800acle' is not a safe",
+            ),
+            (
+                {"policies": [{"name": "o" * 221, "kind": "oracle"}]},
+                f"error: config unreadable: cell name '{'o' * 221}__small_mixed__deterministic__seed0' "
+                "is longer than a directory name may be (255 bytes)",
+            ),
             (
                 {"deployments": ["custom"], "catalog": "catalog.yaml"},
                 "no signatures for (redis, InitialAccess)",
@@ -251,8 +330,14 @@ class TestValidate:
                 "error: config unreadable: 'policies[0].backend' must be a string, got ['x']",
             ),
             ({"prompt_template": ["x"]}, "error: config unreadable: 'prompt_template' must be a string, got ['x']"),
-            ({"policies": [{"name": "deployment", "kind": "oracle"}]}, "policy label 'deployment' would overwrite"),
-            ({"policies": ["oracle", {"name": "persistence", "kind": "random"}]}, "policy label 'persistence'"),
+            (
+                {"policies": [{"name": "deployment", "kind": "oracle"}]},
+                "error: config unreadable: policy label 'deployment' would overwrite",
+            ),
+            (
+                {"policies": ["oracle", {"name": "persistence", "kind": "random"}]},
+                "error: config unreadable: policy label 'persistence'",
+            ),
             ({"deployments": [["small_mixed"]]}, "error: config unreadable: 'deployments[0]' must be a string, got ['small_mixed']"),
             (
                 {"attackers": [{"target": "gitlab", "abandon_on_failure": "false"}]},
@@ -372,7 +457,8 @@ class TestValidate:
         Path("bad.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, **override}), encoding="utf-8")
         assert main(["validate", "--config", "bad.yaml"]) == 2
         err = capsys.readouterr().err
-        # a mistyped policy parameter is refused as the config is read, the other rows as its cells are built
+        # a mistyped policy parameter or a fault of the axes is refused as the config is read, the other rows as
+        # its cells are built
         assert message in err and (message.startswith("error: ") or "violation: " in err)
         assert "Traceback" not in err
         # run refuses the same config before it writes anything
@@ -602,9 +688,11 @@ class TestValidate:
 
     def test_http_policy_requires_auth_env(self, monkeypatch):
         monkeypatch.delenv("TEST_TOKEN_VAR", raising=False)
-        matrix = load_builtin_config()
-        matrix.policies = [PolicySpec(label="m", kind=LlmKind(backend="b"))]
-        matrix.backends = {"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")}
+        matrix = replace(
+            load_builtin_config(),
+            policies=[PolicySpec(label="m", kind=LlmKind(backend="b"))],
+            backends={"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")},
+        )
         problems = validate_matrix(matrix)
         assert any("backend-auth-missing" in p for p in problems)
         with pytest.raises(ConfigError, match="backend-auth-missing"):
@@ -645,9 +733,11 @@ class TestValidate:
 
     def test_offline_forbids_http_backends(self, monkeypatch):
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
-        matrix = load_builtin_config()
-        matrix.policies = [PolicySpec(label="m", kind=LlmKind(backend="b"))]
-        matrix.backends = {"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")}
+        matrix = replace(
+            load_builtin_config(),
+            policies=[PolicySpec(label="m", kind=LlmKind(backend="b"))],
+            backends={"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")},
+        )
         problems = validate_matrix(matrix, offline=True)
         assert any("forbidden in offline mode" in p for p in problems)
 
@@ -687,7 +777,9 @@ def test_readme_key_tables_give_the_code_defaults():
     """Each literal in the "default" column of the README's top-level and backends tables is the code's default."""
     top = _readme_table_defaults("The top level and its three sections:")
     # what a config without the key gets: the matrix's dataclass defaults and its sections'
-    matrix = matrix_from_dict({})
+    # a matrix refuses an empty axis when it is built, and the axes have no defaults
+    matrix = matrix_from_dict({"seeds": [0], "policies": ["oracle"], "deployments": ["small_mixed"],
+                               "persistence_modes": ["deterministic"]})
     named = {"schema_version": engine.SCHEMA_VERSION, "attacker.abandon_on_failure": matrix.abandon_on_failure}
     in_words = {"seeds", "policies", "deployments", "persistence_modes", "backends", "catalog", "prompt_template",
                 "attackers"}
@@ -1326,8 +1418,8 @@ def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkey
     assert loads == {"a.json": 1, "b.json": 1, "template": 1}
     # a file that fails is read once too: a replay file two policies share and a template, neither of which exists
     missing = str(tmp_path / "missing.json")
-    matrix.policies += [PolicySpec(label=label, kind=MockKind(replay=missing)) for label in ("mock_c", "mock_c_again")]
-    matrix.prompt_template_path = str(tmp_path / "missing.txt")
+    failing = [PolicySpec(label=label, kind=MockKind(replay=missing)) for label in ("mock_c", "mock_c_again")]
+    matrix = replace(matrix, policies=[*matrix.policies, *failing], prompt_template_path=str(tmp_path / "missing.txt"))
     loads.clear()
     faults = validate_matrix(matrix, offline=True)
     heads = ["prompt template unusable", "policy mock_c", "policy mock_c_again"]
@@ -1372,6 +1464,42 @@ def test_run_and_mock_demo_build_once(tmp_path, monkeypatch, capsys, argv, name,
     assert main(argv) == 0
     assert len(builds) == 1 and counted == {name: calls}
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["run", "--out", "out"], ["mock-demo", "--out", "out"]], ids=["validate", "run", "mock-demo"]
+)
+def test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, argv):
+    """The build checks no axis, since the matrix did when it was built: one expansion per command, for its cells."""
+    monkeypatch.chdir(tmp_path)
+    calls, expand = [], harness.expand_matrix
+
+    def counted(matrix):
+        calls.append(matrix)
+        return expand(matrix)
+
+    monkeypatch.setattr(harness, "expand_matrix", counted)
+    monkeypatch.setattr(cli, "expand_matrix", counted)  # validate counts its cells with the name it imported
+    assert main(argv) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "out"]], ids=["validate", "run"])
+def test_faults_of_the_axes_are_one_line_at_load(tmp_path, monkeypatch, capsys, command):
+    """Repeated seeds, an unknown deployment and an unknown mode: one `error:` line naming the three, no `--out`."""
+    monkeypatch.chdir(tmp_path)
+    config = {**TINY_CONFIG, "seeds": [0, 0], "deployments": ["nowhere"], "persistence_modes": ["stochastic"]}
+    Path("config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    assert main([*command, "--config", "config.yaml"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: config unreadable: "
+        "'deployments' holds 'nowhere', not one of fully_vulnerable, small_mixed, large_mixed, custom; "
+        "'persistence_modes' holds 'stochastic', not one of deterministic, probabilistic, consecutive; "
+        "cells share a directory: oracle__nowhere__stochastic__seed0, reactive__nowhere__stochastic__seed0\n",
+    )
+    assert not Path("out").exists()
 
 
 @pytest.mark.parametrize("command", [["validate"], ["run", "--out", "out"]], ids=["validate", "run"])
@@ -1529,8 +1657,9 @@ def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
     assert sorted(p.kind.__class__.__name__ for p in matrix.policies) == sorted(
         kind.__name__ for name, kind in POLICY_KINDS.items() if name != "llm"
     )
+    build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
     for cell in expand_matrix(matrix):
-        result = run_cell(cell, matrix, out_dir=tmp_path)
+        result = run_cell(cell, matrix, out_dir=tmp_path, build=build)
         assert result.records
         for record in result.records:
             assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)
@@ -1590,8 +1719,9 @@ def test_every_offline_kind_logs_its_json_form_with_sorted_keys(decoys, labels, 
             ],
         })
         assert {p.kind.__class__ for p in matrix.policies} == set(POLICY_KINDS.values()) - {LlmKind}
+        build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
         for cell in expand_matrix(matrix):
-            records = run_cell(cell, matrix).records
+            records = run_cell(cell, matrix, build=build).records
             assert [r["attacker_label"] for r in records] == labels
             for record in records:
                 assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)

@@ -134,6 +134,24 @@ def test_a_build_that_remembers_only_what_loads_reads_a_failing_catalog_at_every
         test_cli.test_a_catalog_file_that_fails_is_read_once(tmp_path, monkeypatch, capsys, ["validate"])
 
 
+def test_a_matrix_that_skips_the_checks_of_its_axes_leaves_them_to_violation_lines(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(harness.ExperimentMatrix, "_axis_faults", lambda self: [])
+    with pytest.raises(AssertionError):
+        test_cli.test_faults_of_the_axes_are_one_line_at_load(tmp_path, monkeypatch, capsys, ["run", "--out", "out"])
+
+
+def test_a_build_that_expands_the_matrix_again_makes_two_expansions_per_command(monkeypatch, tmp_path, capsys):
+    init = harness._RunBuild.__init__
+
+    def expands_again(self, matrix, offline=False):
+        harness.expand_matrix(matrix)  # a build that checks the axes itself, as the matrix already has
+        init(self, matrix, offline)
+
+    monkeypatch.setattr(harness._RunBuild, "__init__", expands_again)
+    with pytest.raises(AssertionError):
+        test_cli.test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, ["validate"])
+
+
 def test_cells_on_one_pool_thread_counting_into_its_first_cell_stats_break_workers_2(monkeypatch, tmp_path):
     pool_thread = threading.local()
 
