@@ -37,15 +37,16 @@ def _load_config(path: str | None) -> ExperimentMatrix:
 
 
 def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> ExperimentMatrix:
+    overrides = {}
     if getattr(args, "policy", None):
         wanted = set(args.policy)
         missing = wanted - {p.label for p in matrix.policies}
         if missing:
             raise ConfigError(f"--policy names not in config: {sorted(missing)}")
-        matrix = replace(matrix, policies=[p for p in matrix.policies if p.label in wanted])
+        overrides["policies"] = [p for p in matrix.policies if p.label in wanted]
     if getattr(args, "seed_base", None) is not None:
-        matrix = replace(matrix, seed_base=args.seed_base)
-    return matrix
+        overrides["seed_base"] = args.seed_base
+    return replace(matrix, **overrides) if overrides else matrix
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

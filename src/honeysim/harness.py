@@ -73,12 +73,21 @@ class PolicySpec:
     kind: Optional[PolicyKind] = None
 
 
+# each axis: its matrix field, and its key and type in a run config and a run manifest; a policy's label is a string
+_MATRIX_AXES = (
+    ("policies", "policies", "list"),
+    ("deployments", "deployments", "list[str]"),
+    ("modes", "persistence_modes", "list[str]"),
+    ("seeds", "seeds", "list[int]"),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    policies: list[PolicySpec]
-    deployments: list[str]
-    modes: list[str]
-    seeds: list[int]
+    policies: Sequence[PolicySpec]
+    deployments: Sequence[str]
+    modes: Sequence[str]
+    seeds: Sequence[int]
     horizon: int = RunConfig.horizon
     budget: int = HoneynetConfig.budget
     seed_base: int = 0
@@ -93,18 +102,23 @@ class ExperimentMatrix:
     catalog_path: Optional[str] = None
     prompt_template_path: Optional[str] = None
     # explicit attacker queue, each cell setting its persistence; None derives one attacker per exploitable service
-    attackers: Optional[list[AttackerProfile]] = None
+    attackers: Optional[Sequence[AttackerProfile]] = None
 
     def __post_init__(self) -> None:
-        """Refuse, in one line, every fault of the axes and of the settings no cell changes; cells check those again."""
+        """Hold each axis, and ``attackers`` when set, as a tuple, refusing an axis of another type as configs do; then
+        refuse, in one line, every fault of the axes and of the settings no cell changes (cells check those again)."""
+        for name, key, kind in _MATRIX_AXES:
+            object.__setattr__(self, name, tuple(check(getattr(self, name), kind, key)))
+        check([policy.label for policy in self.policies], "list[str]", "policies")
+        object.__setattr__(self, "attackers", None if self.attackers is None else tuple(self.attackers))
         faults = self._axis_faults()
-        for check, value in (
+        for check_value, value in (
             (RunConfig.check_horizon, self.horizon),
             (RunConfig.check_bootstrap, self.bootstrap),
             (HoneynetConfig.check_budget, self.budget),
         ):
             try:
-                check(value)
+                check_value(value)
             except ValueError as exc:
                 faults.append(str(exc))
         if self.score_mode not in SCORE_MODES:
@@ -198,11 +212,11 @@ def _parse_policy_entry(index: int, entry) -> PolicySpec:
     return PolicySpec(label=names.get("name") or kind, kind=POLICY_KINDS[kind].read(params, where))
 
 
-def _parse_attacker_entry(index: int, entry, abandon_on_failure: bool) -> AttackerProfile:
-    """An ``attackers:`` entry, its persistence left for each cell to set."""
+def _parse_attacker_entry(index: int, entry, attacker: dict) -> AttackerProfile:
+    """An ``attackers:`` entry, its persistence left for each cell to set; it overrides the ``attacker:`` section."""
     where = f"attackers[{index}]"
     kinds = {"target": "str", "objective": "str", "label": "str", "abandon_on_failure": "bool"}
-    settings = {"abandon_on_failure": abandon_on_failure, **read(entry, kinds, where, ("target",))}
+    settings = {**attacker, **read(entry, kinds, where, ("target",))}
     target, objective = settings.pop("target"), settings.pop("objective", None)
     try:
         stage = None if objective is None else AttackStage.from_label(objective)
@@ -229,10 +243,7 @@ _RUN_CONFIG = {
     "horizon": "int",
     "budget": "int",
     "seed_base": "int",
-    "seeds": "list[int]",
-    "policies": "list",
-    "deployments": "list[str]",
-    "persistence_modes": "list[str]",
+    **{key: kind for _, key, kind in _MATRIX_AXES},
     "persistence": "Optional[dict]",
     "noise": "Optional[dict]",
     "attacker": "Optional[dict]",
@@ -265,7 +276,7 @@ def matrix_from_dict(data) -> ExperimentMatrix:
     except ValueError as exc:
         raise ConfigError(f"persistence: {exc}") from None
     attacker = read(top.get("attacker", {}), {"abandon_on_failure": "bool"}, "attacker")
-    matrix = ExperimentMatrix(
+    return ExperimentMatrix(
         policies=[_parse_policy_entry(i, entry) for i, entry in enumerate(top.get("policies", []))],
         deployments=top.get("deployments", []),
         modes=top.get("persistence_modes", []),
@@ -277,14 +288,12 @@ def matrix_from_dict(data) -> ExperimentMatrix:
         },
         catalog_path=top.get("catalog"),
         prompt_template_path=top.get("prompt_template"),
+        attackers=None if "attackers" not in top else [
+            _parse_attacker_entry(i, entry, attacker) for i, entry in enumerate(top["attackers"])
+        ],
         **same_named,
         **attacker,
     )
-    if "attackers" in top:
-        matrix = replace(matrix, attackers=[
-            _parse_attacker_entry(i, entry, matrix.abandon_on_failure) for i, entry in enumerate(top["attackers"])
-        ])
-    return matrix
 
 
 def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str]:
@@ -621,9 +630,9 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "policies": [p.label for p in matrix.policies],
-        "deployments": list(matrix.deployments),
-        "persistence_modes": list(matrix.modes),
-        "seeds": list(matrix.seeds),
+        "deployments": matrix.deployments,
+        "persistence_modes": matrix.modes,
+        "seeds": matrix.seeds,
         "horizon": matrix.horizon,
         "budget": matrix.budget,
         "seed_base": matrix.seed_base,
@@ -676,23 +685,12 @@ def _manifest_cells(out: Path) -> tuple[ExperimentMatrix, list[CellSpec]]:
     try:
         check(manifest, "dict", "")
         _check_schema_version(manifest.get("schema_version", SCHEMA_VERSION))
-        axes = {
-            key: check(manifest.get(key), kind, key)
-            for key, kind in (
-                ("policies", "list[str]"),
-                ("deployments", "list[str]"),
-                ("persistence_modes", "list[str]"),
-                ("seeds", "list[int]"),
-            )
-        }
-        # the matrix refuses what ``run`` refuses, so no cell path leaves ``out``
-        matrix = ExperimentMatrix(
-            policies=[PolicySpec(label) for label in axes["policies"]],
-            deployments=axes["deployments"],
-            modes=axes["persistence_modes"],
-            seeds=axes["seeds"],
-            score_mode=check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode"),
-        )
+        # the matrix refuses what ``run`` refuses, so no cell path leaves ``out``; a manifest names each policy by its
+        # label, and a text, which is no list, would otherwise name one policy per character
+        axes = {name: manifest.get(key) for name, key, _ in _MATRIX_AXES}
+        axes["policies"] = [PolicySpec(label) for label in check(axes["policies"], "list[str]", "policies")]
+        score_mode = check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode")
+        matrix = ExperimentMatrix(**axes, score_mode=score_mode)
         return matrix, expand_matrix(matrix)
     except ConfigError as exc:  # another schema, a mistyped axis, or axes or a score mode the matrix refuses
         raise ConfigError(f"{path}: {exc}") from None

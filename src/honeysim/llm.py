@@ -14,6 +14,7 @@ import math
 import os
 import re
 import time
+import urllib.parse  # pathlib imports it already
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import ClassVar, NamedTuple, Optional, Sequence
@@ -242,6 +243,10 @@ class HttpChatBackend(Settings):
         scheme, separator, _ = self.base_url.partition("://")
         if not separator or scheme.lower() not in ("http", "https"):  # urllib would open file:// and ftp:// too
             raise ValueError(f"base_url must start with http:// or https://, got {self.base_url!r}")
+        if urllib.parse.urlsplit(self.base_url).hostname is None:  # http:// alone, or a port without a host
+            raise ValueError(f"base_url must name a host, got {self.base_url!r}")
+        if not self.auth_env:
+            raise ValueError("auth_env must name an environment variable, got ''")
         if not 0 < self.timeout < math.inf:
             raise ValueError(f"timeout must be a finite number above 0, got {self.timeout}")
         if self.max_tokens < 1:
@@ -270,11 +275,16 @@ class HttpChatBackend(Settings):
             f"{self.base_url.rstrip('/')}/chat/completions", data=json.dumps(body).encode("utf-8"), headers=headers
         )
 
+        # the most bytes of a reply read: room for the JSON around the text, and 64 bytes for each token of it
+        cap = 64 * 1024 + 64 * self.max_tokens
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                    content = json.load(resp)["choices"][0]["message"]["content"]
+                    body = resp.read(cap + 1)
+                if len(body) > cap:
+                    raise ValueError(f"reply longer than {cap} bytes")
+                content = json.loads(body)["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
                     raise TypeError(f"reply content is {type(content).__name__}, not a string")
                 return content

@@ -20,9 +20,9 @@ TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
     "bool": ((bool,), "true or false"),
-    "list": ((list,), "a list"),
-    "list[str]": ((list,), "a list of strings"),
-    "list[int]": ((list,), "a list of integers"),
+    "list": ((list, tuple), "a list"),  # no file holds a tuple: a tuple is a list that a frozen type holds
+    "list[str]": ((list, tuple), "a list of strings"),
+    "list[int]": ((list, tuple), "a list of integers"),
     "dict": ((dict,), "a mapping"),
 }
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import honeysim
 from honeysim import cli, engine, harness
-from honeysim.attackers import ScanAction
+from honeysim.attackers import AttackerProfile, ScanAction
 from honeysim.cli import main
 from honeysim.harness import (
     POLICY_KINDS,
@@ -209,6 +209,45 @@ class TestExpandMatrix:
         assert str(refused.value) == fault
         with pytest.raises(AttributeError):  # dataclasses.FrozenInstanceError
             matrix.seeds = matrix.seeds
+
+    @pytest.mark.parametrize(
+        "axes, fault",
+        [
+            ({"seeds": ["x"]}, "'seeds[0]' must be an integer, got 'x'"),
+            ({"seeds": [True]}, "'seeds[0]' must be an integer, got True"),
+            ({"seeds": [1.5]}, "'seeds[0]' must be an integer, got 1.5"),
+            ({"seeds": 5}, "'seeds' must be a list of integers, got 5"),
+            ({"deployments": "small_mixed"}, "'deployments' must be a list of strings, got 'small_mixed'"),
+            ({"modes": [None]}, "'persistence_modes[0]' must be a string, got None"),
+            ({"policies": [PolicySpec(label=5)]}, "'policies[0]' must be a string, got 5"),
+        ],
+        ids=[
+            "text-seed", "flag-seed", "fractional-seed", "seeds-a-number", "deployments-a-text", "null-mode", "label-5"
+        ],
+    )
+    def test_the_matrix_refuses_an_axis_of_another_type_as_a_config_does(self, axes, fault):
+        """A library-built matrix, and ``replace``, give the text that the config or manifest key of the axis gives."""
+        with pytest.raises(ConfigError) as refused:
+            ExperimentMatrix(**{**vars(self._matrix()), **axes})
+        assert str(refused.value) == fault
+        with pytest.raises(ConfigError) as refused:
+            replace(self._matrix(), **axes)
+        assert str(refused.value) == fault
+        (field, value), = axes.items()
+        if field != "policies":  # a config names a policy by its entry; a manifest, by its label, as the matrix does
+            key = {"modes": "persistence_modes"}.get(field, field)
+            with pytest.raises(ConfigError) as refused:
+                matrix_from_dict({**TINY_CONFIG, key: value})
+            assert str(refused.value) == fault
+
+    @pytest.mark.parametrize("axis", ["policies", "deployments", "modes", "seeds", "attackers"])
+    def test_no_axis_of_a_built_matrix_changes_in_place(self, axis):
+        """Each axis, and the attacker queue, is held as a tuple: ``replace``, which checks again, changes one."""
+        matrix = replace(self._matrix(1, 1, 1, 1), attackers=[AttackerProfile(target_service="gitlab")])
+        values = getattr(matrix, axis)
+        assert isinstance(values, tuple) and len(values) == 1
+        with pytest.raises(AttributeError):
+            values.append(values[0])
 
 
 class TestValidate:
@@ -1190,7 +1229,7 @@ def _mock_matrix(tmp_path, replays, **axes):
 def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, monkeypatch):
     """A backend that raises on turn k: the cell re-raises, k-1 turns are on disk, no handle is left open."""
     matrix = _mock_matrix(tmp_path, [("mock", "replay.json")], horizon=10)
-    matrix.policies.append(PolicySpec(label="oracle", kind=OracleKind()))
+    matrix = replace(matrix, policies=[*matrix.policies, PolicySpec(label="oracle", kind=OracleKind())])
     mock_cell, oracle_cell = expand_matrix(matrix)
     k = 4
     turn_log = tmp_path / mock_cell.name / "turns.jsonl"
@@ -1482,6 +1521,30 @@ def test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, arg
     monkeypatch.setattr(cli, "expand_matrix", counted)  # validate counts its cells with the name it imported
     assert main(argv) == 0
     assert len(calls) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_a_config_makes_one_matrix_and_the_run_overrides_make_one_more(tmp_path, monkeypatch, capsys):
+    """Reading a config with `attackers:` builds, and so checks, one matrix; `--policy` with `--seed-base` one more."""
+    monkeypatch.chdir(tmp_path)
+    config = {**TINY_CONFIG, "attackers": [{"target": "gitlab"}]}
+    Path("config.yaml").write_text(yaml.safe_dump(config), encoding="utf-8")
+    built, post_init = [], ExperimentMatrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ExperimentMatrix, "__post_init__", counted)
+    assert load_run_file("config.yaml").attackers == (AttackerProfile(target_service="gitlab"),)
+    assert len(built) == 1
+    built.clear()
+    argv = ["run", "--config", "config.yaml", "--out", "out", "--policy", "oracle", "--seed-base", "7"]
+    assert main(argv) == 0
+    assert len(built) <= 2
+    assert [p.label for p in built[-1].policies] == ["oracle"] and built[-1].seed_base == 7
+    axes = ("policies", "deployments", "modes", "seeds", "attackers")
+    assert all(isinstance(getattr(matrix, axis), tuple) for matrix in built for axis in axes)
     assert capsys.readouterr().err == ""
 
 

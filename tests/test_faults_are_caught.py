@@ -140,6 +140,21 @@ def test_a_matrix_that_skips_the_checks_of_its_axes_leaves_them_to_violation_lin
         test_cli.test_faults_of_the_axes_are_one_line_at_load(tmp_path, monkeypatch, capsys, ["run", "--out", "out"])
 
 
+def test_a_matrix_that_holds_its_axes_as_given_lets_one_change_in_place(monkeypatch):
+    post_init = harness.ExperimentMatrix.__post_init__
+
+    def as_given(self):
+        given = {name: getattr(self, name) for name in ("policies", "deployments", "modes", "seeds", "attackers")}
+        post_init(self)  # every check, then each axis back as the caller gave it
+        for name, value in given.items():
+            object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(harness.ExperimentMatrix, "__post_init__", as_given)
+    for axis in ("policies", "deployments", "modes", "seeds", "attackers"):
+        with pytest.raises(AssertionError):
+            test_cli.TestExpandMatrix().test_no_axis_of_a_built_matrix_changes_in_place(axis)
+
+
 def test_a_build_that_expands_the_matrix_again_makes_two_expansions_per_command(monkeypatch, tmp_path, capsys):
     init = harness._RunBuild.__init__
 

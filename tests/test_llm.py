@@ -525,7 +525,8 @@ def chat_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ChatHandler)
     server.seen = []
     server.script = [(200, {"choices": [{"message": {"content": "{}"}}]})]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that shutdown does not wait out serve_forever's default of half a second
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     yield server
     server.shutdown()
@@ -610,6 +611,28 @@ class TestHttpBackend:
         assert "backend-unreachable" in turn.error
         assert decision.exposed == ("xdebug",)
 
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-the-cap", "one-byte-over"])
+    def test_a_reply_over_the_byte_cap_is_retried_then_falls_back(self, chat_server, monkeypatch, over):
+        """A body is read up to 64 KiB plus 64 bytes per token of ``max_tokens``; one byte more fails the attempt."""
+        cap = 64 * 1024 + 64 * 2
+        text = "x" * (cap + over - len(json.dumps(_reply(""))))
+        chat_server.script = [(200, json.dumps(_reply(text)).encode("utf-8"))]
+        assert len(chat_server.script[0][1]) == cap + over
+        monkeypatch.setattr(HttpChatBackend, "max_retries", 2)
+        backend = dataclasses.replace(self._backend(chat_server), max_tokens=2)
+        if not over:
+            assert backend.complete("x") == text
+            return
+        with pytest.raises(BackendError, match=f"after 2 attempts: reply longer than {cap} bytes"):
+            backend.complete("x")
+        assert len(chat_server.seen) == 2
+        decision, _, _, turn = llm_decide(
+            backend, empty_observation(), BeliefState(), HONEYNET, template=builtin_template()
+        )
+        assert turn.fallback_used and turn.raw_response == ""
+        assert turn.error.startswith("backend-unreachable")
+        assert decision.exposed == ("gitlab",)
+
     def test_unreachable_backend_degrades_to_fallback(self, chat_server, monkeypatch):
         chat_server.script = [(500, {"error": "down"})]
         monkeypatch.setattr(HttpChatBackend, "max_retries", 1)
@@ -666,6 +689,10 @@ class TestBackendSettings:
             ({"kind": "grpc"}, "unknown kind 'grpc'"),
             ({"base_url": "file:///some/dir"}, "base_url must start with http:// or https://, got 'file:///some/dir'"),
             ({"base_url": "example.com/v1"}, "base_url must start with http:// or https://, got 'example.com/v1'"),
+            ({"base_url": "http://"}, "base_url must name a host, got 'http://'"),
+            ({"base_url": "https:///v1"}, "base_url must name a host, got 'https:///v1'"),
+            ({"base_url": "http://:8080/v1"}, "base_url must name a host, got 'http://:8080/v1'"),
+            ({"auth_env": ""}, "auth_env must name an environment variable, got ''"),
             ({"timeout": float("inf")}, "timeout must be a finite number above 0, got inf"),
             ({"timeout": 0}, "timeout must be a finite number above 0, got 0"),
             ({"timeout": float("nan")}, "timeout must be a finite number above 0, got nan"),
