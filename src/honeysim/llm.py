@@ -79,28 +79,21 @@ def load_template(path: str) -> PromptTemplate:
         return PromptTemplate(fh.read())
 
 
-def _prompt_sections(belief: BeliefState, cfg: HoneynetConfig) -> dict[str, str]:
-    """Every section of the prompt but the alerts."""
+def build_prompt(obs: EpochObservation, belief: BeliefState, cfg: HoneynetConfig, template: PromptTemplate) -> str:
+    """Deterministically instantiate the template with this epoch's context.
+
+    The alert digest gets what the prompt rendered with ``none`` for its
+    alerts leaves of ``PROMPT_CHAR_CAP``, but at least 100 characters.
+    """
     lines = belief.progression_lines(limit=12)
-    return {
+    sections = {
         "progression": "\n".join(lines) if lines else "no prior evidence",
         "services": cfg.catalog.outline,
         "budget": str(cfg.budget),
     }
-
-
-def build_prompt(
-    digest: str,
-    belief: BeliefState,
-    cfg: HoneynetConfig,
-    template: PromptTemplate,
-    sections: Optional[dict[str, str]] = None,
-) -> str:
-    """Deterministically instantiate the template with this epoch's context.
-
-    ``sections`` is ``_prompt_sections(belief, cfg)`` when the caller has built it already.
-    """
-    return template.render(alerts=digest if digest else "none", **(sections or _prompt_sections(belief, cfg)))
+    overhead = len(template.render(alerts="none", **sections))
+    digest = summarize_for_prompt(obs, max(100, PROMPT_CHAR_CAP - overhead))
+    return template.render(alerts=digest, **sections)
 
 
 _DECODER = json.JSONDecoder()
@@ -398,12 +391,7 @@ def llm_decide(
     parsing dropped, then, in one call, counts the turn, its backend latency
     and whether it fell back, and writes the turn's line to ``turns.jsonl``.
     """
-    sections = _prompt_sections(belief, cfg)
-    # the prompt without alerts, as build_prompt renders an empty digest
-    overhead = len(template.render(alerts="none", **sections))
-    digest_budget = max(100, PROMPT_CHAR_CAP - overhead)
-    digest = summarize_for_prompt(obs, digest_budget)
-    prompt = build_prompt(digest, belief, cfg, template, sections)
+    prompt = build_prompt(obs, belief, cfg, template)
 
     started = time.perf_counter()
     raw = ""
@@ -416,11 +404,9 @@ def llm_decide(
 
     decision: Optional[ExposureDecision] = None
     prediction = StagePrediction()
-    parsed_ok = False
     if error is None:
         try:
             decision, prediction = parse_response(raw, cfg, stats)
-            parsed_ok = True
         except ResponseParseError as exc:
             error = f"parse-failure: {exc}"
 
@@ -428,7 +414,7 @@ def llm_decide(
         epoch=obs.epoch,
         error=error,
         fallback_used=decision is None,
-        parsed_ok=parsed_ok,
+        parsed_ok=decision is not None,
         prompt=prompt,
         raw_response=raw,
     )

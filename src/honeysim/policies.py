@@ -15,6 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+from .attackers import COMPLETED
 from .catalog import STAGE_LABELS, AttackGraph, AttackStage, HoneynetConfig
 from .telemetry import EpochObservation
 from .telemetry import summarize_for_prompt  # noqa: F401  kept: perfbench/tracer.py patches this name
@@ -200,7 +201,7 @@ class OraclePolicy(Policy):
     def decide(self, obs, belief, cfg):
         if self._view is None:
             return ExposureDecision(exposed=cfg.catalog.ids[: cfg.budget]), StagePrediction()
-        done = self._view.status == "completed"
+        done = self._view.status == COMPLETED
         decision = ExposureDecision((self._view.target_service,), done)
         prediction = make_prediction(self._view.completed_stages, self._view.target_service)
         return decision, prediction

@@ -1729,7 +1729,9 @@ def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
     turns = (tmp_path / expand_matrix(matrix)[-1].name / "turns.jsonl").read_text(encoding="utf-8").splitlines()
     assert {json.loads(line)["parsed_ok"] for line in turns} == {True, False}
     for line in turns:
-        assert line == json.dumps(json.loads(line), sort_keys=True)
+        turn = json.loads(line)
+        assert line == json.dumps(turn, sort_keys=True)
+        assert turn["parsed_ok"] == (not turn["fallback_used"])
 
 
 # service ids and attacker labels that json.dumps escapes: quotes, backslashes, control and non-ASCII characters

@@ -253,10 +253,10 @@ def test_a_replay_that_keeps_its_decoded_records_outlives_its_cells(monkeypatch,
 
 
 def test_a_digest_budget_sized_with_empty_alerts_misses_the_alert_free_prompt(monkeypatch):
-    code = llm.llm_decide.__code__
+    code = llm.build_prompt.__code__
     consts = tuple("" if c == "none" else c for c in code.co_consts)  # the overhead rendered with alerts=""
     assert consts.count("") == code.co_consts.count("") + 1
-    monkeypatch.setattr(llm.llm_decide, "__code__", code.replace(co_consts=consts))
+    monkeypatch.setattr(llm.build_prompt, "__code__", code.replace(co_consts=consts))
     with pytest.raises(AssertionError):
         test_llm.TestBuildPrompt().test_digest_gets_what_the_alert_free_prompt_leaves(monkeypatch, 0)
 

@@ -40,7 +40,14 @@ from honeysim.policies import (
     policy_decide,
     update_belief,
 )
-from honeysim.telemetry import EpochObservation, NoiseConfig, empty_observation, summarize_for_prompt
+from honeysim.telemetry import (
+    EpochObservation,
+    IdsAlert,
+    NoiseConfig,
+    aggregate_epoch,
+    empty_observation,
+    summarize_for_prompt,
+)
 
 HONEYNET = deployment_config("fully_vulnerable")
 
@@ -50,23 +57,29 @@ def _counts(**nonzero) -> dict:
     return {**dict.fromkeys(DEGRADATIONS, 0), **nonzero}
 
 
+def _probe(signature: str) -> EpochObservation:
+    """Epoch 1's observation of one reconnaissance alert on gitlab with this signature."""
+    alert = IdsAlert(1, 0, "198.51.100.1", "gitlab", 443, signature, "misc", 1, AttackStage.RECONNAISSANCE)
+    return aggregate_epoch((alert,), ("gitlab",), 1)
+
+
 class TestBuildPrompt:
     def test_contains_budget_and_all_service_names(self):
-        prompt = build_prompt("", BeliefState(), HONEYNET, builtin_template())
+        prompt = build_prompt(empty_observation(0), BeliefState(), HONEYNET, builtin_template())
         assert "budget: 1" in prompt
         for sid in HONEYNET.catalog.ids:
             assert sid in prompt
 
     def test_same_inputs_same_prompt(self):
         belief = BeliefState()
-        a = build_prompt("digest", belief, HONEYNET, builtin_template())
-        b = build_prompt("digest", belief, HONEYNET, builtin_template())
+        a = build_prompt(_probe("digest"), belief, HONEYNET, builtin_template())
+        b = build_prompt(_probe("digest"), belief, HONEYNET, builtin_template())
         assert a == b
 
     def test_progression_section_reflects_belief(self):
         belief = BeliefState()
         belief.weights[("gitlab", AttackStage.INITIAL_ACCESS)] = 3.0
-        prompt = build_prompt("", belief, HONEYNET, builtin_template())
+        prompt = build_prompt(empty_observation(1), belief, HONEYNET, builtin_template())
         assert "gitlab InitialAccess" in prompt
 
     def test_missing_placeholder_rejected(self):
@@ -81,15 +94,13 @@ class TestBuildPrompt:
 
         catalog = AttackGraph((ServiceSpec("gitlab", "GitLab {budget}", True, ALL_STAGES),))
         cfg = HoneynetConfig(catalog=catalog, budget=1)
-        prompt = build_prompt('gitlab: "probe {budget}" x1', BeliefState(), cfg, builtin_template())
+        prompt = build_prompt(_probe("probe {budget}"), BeliefState(), cfg, builtin_template())
         assert 'gitlab: "probe {budget}" x1' in prompt
         assert "- gitlab (GitLab {budget}): exploitable" in prompt
         assert "Exposure budget: 1\n" in prompt
 
     def test_prompt_length_respects_cap(self, monkeypatch):
         # construct a belief-free turn with an enormous digest source
-        from honeysim.telemetry import IdsAlert, aggregate_epoch
-
         alerts = tuple(
             IdsAlert(
                 epoch=1,
@@ -116,20 +127,28 @@ class TestBuildPrompt:
         """The digest budget is the cap less the prompt rendered with alerts "none", but at least 100."""
         template = PromptTemplate("pad " + "x" * padding + "\n{progression}\n{alerts}\n{services}\nbudget {budget}\n")
         belief = BeliefState({("gitlab", AttackStage.INITIAL_ACCESS): 3.0, ("xdebug", AttackStage.RECONNAISSANCE): 1.0})
-        budgets = []
+        budgets, digests = [], []
 
         def capture(obs, budget):
             budgets.append(budget)
-            return summarize_for_prompt(obs, budget)
+            digests.append(summarize_for_prompt(obs, budget))
+            return digests[-1]
 
         monkeypatch.setattr(llm, "summarize_for_prompt", capture)
-        backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
-        llm_decide(backend, empty_observation(1), belief, HONEYNET, template=template)
-        alert_free = build_prompt("", belief, HONEYNET, template)
+        prompt = build_prompt(empty_observation(1), belief, HONEYNET, template)
+        alert_free = prompt.replace(digests[0], "none")
         assert "none" in alert_free and "gitlab InitialAccess weight=3" in alert_free
         expected = max(100, llm.PROMPT_CHAR_CAP - len(alert_free))
         assert budgets == [expected]
         assert (expected == 100) == (padding == 9_000)
+
+    def test_a_turn_logs_the_prompt_build_prompt_makes(self):
+        obs = _probe("HONEYPOT gitlab login")
+        belief = update_belief(BeliefState(), obs)
+        backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
+        _, _, _, turn = llm_decide(backend, obs, belief, HONEYNET, template=builtin_template())
+        assert 'gitlab: "HONEYPOT gitlab login" x1' in turn.prompt
+        assert turn.prompt == build_prompt(obs, belief, HONEYNET, builtin_template())
 
 
 class TestParseResponse:
