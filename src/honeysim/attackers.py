@@ -151,8 +151,8 @@ def make_attacker_state(profile: AttackerProfile, catalog: AttackGraph, seed: in
 
 def attacker_step(
     state: AttackerState, profile: AttackerProfile, exposed: frozenset[str] | set[str]
-) -> tuple[AttackerState, list[AttackerAction]]:
-    """Advance the attacker by one epoch against the exposed service set."""
+) -> list[AttackerAction]:
+    """Advance the attacker, in place, by one epoch against the exposed service set; the epoch's actions."""
     if state.status != ACTIVE:
         raise ValueError(f"attacker is {state.status}; cannot step")
 
@@ -161,25 +161,25 @@ def attacker_step(
     if profile.target_service not in exposed:
         if state.engaged:
             state.gap_epochs += 1
-        return state, actions
+        return actions
 
     p = attempt_probability(profile.persistence, state.gap_epochs)
     if state.rng.random() >= p:
         if profile.abandon_on_failure:
             state.status = ABANDONED
-        return state, actions
+        return actions
 
     advanced = next_stage(state.service, state.current_stage)
     if advanced is None:
         # chain already exhausted below the objective; nothing left to attempt
-        return state, actions
+        return actions
     state.current_stage = advanced
     state.gap_epochs = 0
     state.engaged = True
     actions.append(ExploitAction(service=state.service.id, stage=advanced))
     if state.current_stage >= state.objective:
         state.status = COMPLETED
-    return state, actions
+    return actions
 
 
 def default_attacker_queue(

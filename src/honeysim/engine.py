@@ -26,7 +26,7 @@ from .attackers import (
     make_attacker_state,
 )
 from .catalog import STAGE_LABELS, AttackStage, HoneynetConfig
-from .policies import BeliefState, ExposureDecision, GroundTruthView, Policy, policy_decide
+from .policies import ExposureDecision, GroundTruthView, Policy, policy_decide
 from .telemetry import (
     IdsAlert,
     NoiseConfig,
@@ -114,12 +114,7 @@ def _labels(stages: tuple) -> tuple[str, ...]:
     return labels
 
 
-def run_episode(
-    cfg: RunConfig,
-    attacker: AttackerProfile,
-    policy: Policy,
-    belief: Optional[BeliefState] = None,
-) -> dict:
+def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy) -> dict:
     """Run one attacker against one policy instance until a termination rule fires.
 
     The record is the mapping its ``episodes.jsonl`` line encodes, each epoch
@@ -134,14 +129,13 @@ def run_episode(
     state = make_attacker_state(attacker, catalog, derive_seed(cfg.seed, label, "attacker"))
     telemetry_rng = random.Random(derive_seed(cfg.seed, label, "telemetry"))
     src = attacker_src_ip(label)
-    belief = belief if belief is not None else BeliefState()
 
     # only a policy that observes ground truth (the oracle) gets a view of the attacker
     observer = getattr(policy, "observe_ground_truth", None)
     completed = state.completed_stages()
     if observer is not None:
         observer(GroundTruthView(state.service.id, completed, state.status))
-    decision, _, belief = policy_decide(policy, empty_observation(0), belief, honeynet)
+    decision, _ = policy_decide(policy, empty_observation(0), honeynet)
     if cfg.bootstrap == BOOTSTRAP_FIRST_SERVICE:
         decision = ExposureDecision(catalog.ids[: honeynet.budget])
     bootstrap_exposed = decision.exposed
@@ -152,14 +146,14 @@ def run_episode(
     exposed = decision.exposed
 
     for epoch in range(1, cfg.horizon + 1):
-        state, actions = attacker_step(state, attacker, set(exposed))
+        actions = attacker_step(state, attacker, set(exposed))
         alerts = synthesize_alerts(actions, epoch, noise, telemetry_rng, catalog=catalog, src=src)
         obs = aggregate_epoch(alerts, exposed, epoch)
         completed = state.completed_stages()
 
         if observer is not None:
             observer(GroundTruthView(state.service.id, completed, state.status))
-        decision, prediction, belief = policy_decide(policy, obs, belief, honeynet)
+        decision, prediction = policy_decide(policy, obs, honeynet)
 
         epochs.append({
             "actions": actions,
@@ -200,16 +194,14 @@ PolicyFactory = Callable[[int, int], Policy]
 
 
 def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[dict]:
-    """Process the attacker queue sequentially; belief resets between attackers
-    unless carryover is enabled."""
+    """Process the attacker queue sequentially, each attacker against a new policy, unless
+    ``belief_carryover`` keeps the first policy, and with it what it has inferred, for them all."""
     records: list[dict] = []
     policy: Optional[Policy] = None
-    belief: Optional[BeliefState] = None
     for index, attacker in enumerate(cfg.attackers):
         if policy is None or not cfg.belief_carryover:
             policy = policy_factory(index, derive_seed(cfg.seed, attacker.resolved_label(), "policy"))
-            belief = BeliefState()
-        records.append(run_episode(cfg, attacker, policy, belief=belief))
+        records.append(run_episode(cfg, attacker, policy))
     return records
 
 

@@ -384,9 +384,9 @@ def llm_decide(
 ) -> tuple[ExposureDecision, StagePrediction, BeliefState, AgentTurn]:
     """One model turn: build prompt, call the backend, parse, fall back if needed.
 
-    The caller is responsible for having already folded ``obs`` into
-    ``belief`` (``policy_decide`` does this). A failed turn keeps the exposure
-    in force, ``obs.exposed_last``; the bootstrap turn (epoch 0) has none yet,
+    ``belief`` is the policy's own, which ``policy_decide`` has already folded
+    ``obs`` into. A failed turn keeps the exposure in force,
+    ``obs.exposed_last``; the bootstrap turn (epoch 0) has none yet,
     so it takes the first ``budget`` catalog services. ``stats`` counts what
     parsing dropped, then, in one call, counts the turn, its backend latency
     and whether it fell back, and writes the turn's line to ``turns.jsonl``.
@@ -432,6 +432,7 @@ class LlmPolicy(Policy):
     def __init__(self, backend, template: Optional[PromptTemplate] = None) -> None:
         self.backend = backend
         self.template = template or builtin_template()
+        self.belief = BeliefState()
 
-    def decide(self, obs, belief, cfg):
-        return llm_decide(self.backend, obs, belief, cfg, template=self.template, stats=self.stats)[:2]
+    def decide(self, obs, cfg):
+        return llm_decide(self.backend, obs, self.belief, cfg, template=self.template, stats=self.stats)[:2]

@@ -1,10 +1,11 @@
 """Defender side: exposure decisions, stage predictions, belief tracking.
 
-A policy turns one epoch's observation (plus accumulated belief) into the
-exposure set for the next epoch and a prediction of how far the attack has
-progressed. Deterministic baselines live here; the model-backed policy is in
-``honeysim.llm``. Whatever a policy returns, ``policy_decide`` enforces the
-exposure budget.
+A policy turns one epoch's observation (plus the belief it keeps, if it reads
+one) into the exposure set for the next epoch and a prediction of how far the
+attack has progressed. Deterministic baselines live here; the model-backed
+policy is in ``honeysim.llm``. ``policy_decide`` folds the epoch's alerts into
+the policy's belief, and whatever the policy returns, it enforces the exposure
+budget.
 """
 
 from __future__ import annotations
@@ -64,14 +65,13 @@ class BeliefState:
         return [f"{svc} {STAGE_LABELS[stage]} weight={-neg:g}" for neg, svc, stage in entries[:limit]]
 
 
-def update_belief(belief: BeliefState, obs: EpochObservation) -> BeliefState:
+def update_belief(belief: BeliefState, obs: EpochObservation) -> None:
     """Fold one epoch of alerts into the belief; order of alerts is irrelevant."""
     for alert in obs.alerts:
         if alert.stage_hint is None:
             continue
         key = (alert.dest_service, alert.stage_hint)
         belief.weights[key] = belief.weights.get(key, 0.0) + float(alert.severity)
-    return belief
 
 
 class GroundTruthView(NamedTuple):
@@ -147,14 +147,14 @@ def _nearest_rank(ordered: list[float], pct: int) -> float:
 
 
 class Policy:
-    """One defender policy instance, owned by a single episode."""
+    """One defender policy instance: one episode's, or under belief carryover its whole attacker queue's."""
 
     # the cell's counts, when a cell built the policy; set by ``run_cell``
     stats: Optional[CellStats] = None
+    # the evidence of every epoch so far, for a policy that reads it; ``policy_decide`` folds each epoch in
+    belief: Optional[BeliefState] = None
 
-    def decide(
-        self, obs: EpochObservation, belief: BeliefState, cfg: HoneynetConfig
-    ) -> tuple[ExposureDecision, StagePrediction]:
+    def decide(self, obs: EpochObservation, cfg: HoneynetConfig) -> tuple[ExposureDecision, StagePrediction]:
         raise NotImplementedError
 
 
@@ -181,12 +181,13 @@ def clamp_decision(
 
 
 def policy_decide(
-    policy: Policy, obs: EpochObservation, belief: BeliefState, cfg: HoneynetConfig
-) -> tuple[ExposureDecision, StagePrediction, BeliefState]:
-    """Update belief with this epoch's evidence, then ask the policy to act."""
-    belief = update_belief(belief, obs)
-    decision, prediction = policy.decide(obs, belief, cfg)
-    return clamp_decision(decision, cfg, policy.stats), prediction, belief
+    policy: Policy, obs: EpochObservation, cfg: HoneynetConfig
+) -> tuple[ExposureDecision, StagePrediction]:
+    """Fold this epoch's evidence into the policy's belief, if it keeps one, then ask the policy to act."""
+    if policy.belief is not None:
+        update_belief(policy.belief, obs)
+    decision, prediction = policy.decide(obs, cfg)
+    return clamp_decision(decision, cfg, policy.stats), prediction
 
 
 class OraclePolicy(Policy):
@@ -198,7 +199,7 @@ class OraclePolicy(Policy):
     def observe_ground_truth(self, view: GroundTruthView) -> None:
         self._view = view
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         if self._view is None:
             return ExposureDecision(exposed=cfg.catalog.ids[: cfg.budget]), StagePrediction()
         done = self._view.status == COMPLETED
@@ -213,7 +214,7 @@ class RandomPolicy(Policy):
     def __init__(self, seed: int) -> None:
         self._rng = random.Random(seed)
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         ids = cfg.catalog.sorted_ids
         pick = self._rng.sample(ids, cfg.budget)
         return ExposureDecision(tuple(pick)), StagePrediction()
@@ -225,7 +226,7 @@ class StaticPolicy(Policy):
     def __init__(self, exposed) -> None:
         self._exposed = tuple(exposed)
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         return ExposureDecision(self._exposed), StagePrediction()
 
 
@@ -237,13 +238,14 @@ class ReactivePolicy(Policy):
 
     def __init__(self) -> None:
         self._cursor = 0
+        self.belief = BeliefState()
 
     def _round_robin(self, catalog: AttackGraph) -> str:
         sid = catalog.ids[self._cursor % len(catalog.ids)]
         self._cursor += 1
         return sid
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         choice: Optional[str] = None
         for alert in sorted(obs.alerts, key=attrgetter("severity", "clock"), reverse=True):
             svc = cfg.catalog.get(alert.dest_service)
@@ -258,6 +260,6 @@ class ReactivePolicy(Policy):
             extra = self._round_robin(cfg.catalog)
             if extra not in exposed:
                 exposed.append(extra)
-        prediction = make_prediction(belief.stages_for(choice), choice)
+        prediction = make_prediction(self.belief.stages_for(choice), choice)
         return ExposureDecision(tuple(exposed)), prediction
 

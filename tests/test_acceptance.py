@@ -113,7 +113,7 @@ class _GapPolicy(Policy):
         self.target = target
         self.gap_epoch = gap_epoch
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         next_epoch = obs.epoch + 1
         exposed = () if next_epoch == self.gap_epoch else (self.target,)
         return ExposureDecision(exposed=exposed), StagePrediction()
@@ -148,7 +148,7 @@ class _AlternatingPolicy(Policy):
     def __init__(self, target: str):
         self.target = target
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         next_epoch = obs.epoch + 1
         exposed = (self.target,) if next_epoch % 2 == 1 else ()
         return ExposureDecision(exposed=exposed), StagePrediction()

@@ -73,13 +73,13 @@ def _fresh(target="gitlab", persistence=DETERMINISTIC, seed=1, **kwargs):
 class TestAttackerStep:
     def test_always_scans_exposed_services(self):
         profile, state = _fresh()
-        _, actions = attacker_step(state, profile, {"xdebug", "docker_api"})
+        actions = attacker_step(state, profile, {"xdebug", "docker_api"})
         assert actions[0].kind == "scan"
         assert actions[0].services == ("docker_api", "xdebug")
 
     def test_first_contact_completes_recon_and_initial_access(self):
         profile, state = _fresh()
-        state, actions = attacker_step(state, profile, {"gitlab"})
+        actions = attacker_step(state, profile, {"gitlab"})
         assert state.engaged
         assert state.current_stage == AttackStage.INITIAL_ACCESS
         assert state.completed_stages() == (AttackStage.RECONNAISSANCE, AttackStage.INITIAL_ACCESS)
@@ -88,20 +88,20 @@ class TestAttackerStep:
 
     def test_gap_increments_only_after_engagement(self):
         profile, state = _fresh()
-        state, _ = attacker_step(state, profile, {"xdebug"})
+        attacker_step(state, profile, {"xdebug"})
         assert state.gap_epochs == 0 and not state.engaged  # waiting, no penalty
-        state, _ = attacker_step(state, profile, {"gitlab"})
-        state, _ = attacker_step(state, profile, set())
+        attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, set())
         assert state.gap_epochs == 1
         assert state.current_stage == AttackStage.INITIAL_ACCESS
 
     def test_gap_resets_after_successful_attempt(self):
         profile, state = _fresh(persistence=PROBABILISTIC, seed=3)
-        state, _ = attacker_step(state, profile, {"gitlab"})
-        state, _ = attacker_step(state, profile, set())
+        attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, set())
         assert state.gap_epochs == 1
         # g=1 gives p=0.75; pick a seed whose next draw succeeds
-        state, actions = attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, {"gitlab"})
         if state.status == ACTIVE:
             assert state.gap_epochs == 0
 
@@ -111,7 +111,7 @@ class TestAttackerStep:
             profile, state = _fresh(target=target)
             epochs = 0
             while state.status == ACTIVE:
-                state, _ = attacker_step(state, profile, {target})
+                attacker_step(state, profile, {target})
                 epochs += 1
                 assert epochs <= 10
             assert state.status == COMPLETED
@@ -119,32 +119,32 @@ class TestAttackerStep:
 
     def test_consecutive_gap_then_contact_abandons(self):
         profile, state = _fresh(persistence=CONSECUTIVE)
-        state, _ = attacker_step(state, profile, {"gitlab"})
-        state, _ = attacker_step(state, profile, set())
-        state, _ = attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, set())
+        attacker_step(state, profile, {"gitlab"})
         assert state.status == ABANDONED
 
     def test_skip_semantics_keeps_attacker_alive(self):
         profile, state = _fresh(persistence=CONSECUTIVE, abandon_on_failure=False)
-        state, _ = attacker_step(state, profile, {"gitlab"})
-        state, _ = attacker_step(state, profile, set())
-        state, _ = attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, set())
+        attacker_step(state, profile, {"gitlab"})
         assert state.status == ACTIVE
         assert state.current_stage == AttackStage.INITIAL_ACCESS
 
     def test_objective_below_terminal_stops_early(self):
         profile, state = _fresh(objective_stage=AttackStage.USER_DATA_EXFIL)
-        state, _ = attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, {"gitlab"})
         assert state.status == ACTIVE
-        state, _ = attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, {"gitlab"})
         assert state.status == COMPLETED
         assert state.current_stage == AttackStage.USER_DATA_EXFIL
 
     def test_stepping_terminal_attacker_rejected(self):
         profile, state = _fresh(target="docker_api")
         assert state.status == ACTIVE  # at Reconnaissance
-        state, _ = attacker_step(state, profile, {"docker_api"})
-        state, _ = attacker_step(state, profile, {"docker_api"})
+        attacker_step(state, profile, {"docker_api"})
+        attacker_step(state, profile, {"docker_api"})
         assert state.status == COMPLETED
         assert state.current_stage == AttackStage.USER_DATA_EXFIL
         with pytest.raises(ValueError):
@@ -161,7 +161,7 @@ class TestAttackerStep:
                 if state.status != ACTIVE:
                     break
                 exposed = {sid for sid in ids if rng.random() < 0.5}
-                state, actions = attacker_step(state, profile, exposed)
+                actions = attacker_step(state, profile, exposed)
                 for action in actions:
                     if action.kind == "exploit":
                         assert action.stage in supported
@@ -174,7 +174,7 @@ class TestAttackerStep:
             for exposed in schedule:
                 if state.status != ACTIVE:
                     break
-                state, actions = attacker_step(state, profile, exposed)
+                actions = attacker_step(state, profile, exposed)
                 out.append((state.current_stage, state.gap_epochs, state.status, len(actions)))
             return out
 
@@ -187,9 +187,9 @@ def test_monte_carlo_matches_decay_formula():
     trials = 4000
     for seed in range(trials):
         profile, state = _fresh(persistence=PROBABILISTIC, seed=seed)
-        state, _ = attacker_step(state, profile, {"gitlab"})  # engage at gap 0
-        state, _ = attacker_step(state, profile, set())  # force gap 1
-        state, _ = attacker_step(state, profile, {"gitlab"})
+        attacker_step(state, profile, {"gitlab"})  # engage at gap 0
+        attacker_step(state, profile, set())  # force gap 1
+        attacker_step(state, profile, {"gitlab"})
         if state.status != ABANDONED:
             successes += 1
     assert abs(successes / trials - 0.75) < 0.025

@@ -45,9 +45,9 @@ class ExposureOnlyPolicy(ReactivePolicy):
     def predicted_service(self, obs, decision):
         return obs.exposed_last[0] if obs.exposed_last else None  # none in force at the bootstrap decision
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         self.epochs_exposed.update(obs.exposed_last)
-        decision, _ = super().decide(obs, belief, cfg)
+        decision, _ = super().decide(obs, cfg)
         service = self.predicted_service(obs, decision)
         count = self.epochs_exposed[service]
         if not count:

@@ -20,14 +20,20 @@ from honeysim.engine import (
     run_episode,
     run_simulation,
 )
+from honeysim.llm import LlmPolicy, ScriptedMockBackend
 from honeysim.policies import (
+    BeliefState,
+    CellStats,
     ExposureDecision,
     OraclePolicy,
     Policy,
     RandomPolicy,
+    ReactivePolicy,
     StagePrediction,
     StaticPolicy,
+    update_belief,
 )
+from honeysim.telemetry import EpochObservation
 
 FULLY = deployment_config("fully_vulnerable")
 SMALL = deployment_config("small_mixed")
@@ -48,7 +54,7 @@ class DeclareDoneAt(Policy):
         self.done_epoch = done_epoch
         self.calls = 0
 
-    def decide(self, obs, belief, cfg):
+    def decide(self, obs, cfg):
         self.calls += 1
         done = obs.epoch >= self.done_epoch
         return ExposureDecision(exposed=("decoy_1",), declared_done=done), StagePrediction()
@@ -79,7 +85,7 @@ class TestRunEpisode:
         class AlternatingPolicy(Policy):
             name = "alternating"
 
-            def decide(self, obs, belief, cfg):
+            def decide(self, obs, cfg):
                 expose = ("gitlab",) if obs.epoch != 1 else ()
                 return ExposureDecision(exposed=expose), StagePrediction()
 
@@ -165,6 +171,71 @@ class TestRunSimulation:
         )
         run_simulation(cfg, factory)
         assert len(instances) == 1
+
+
+class _RecordingReactive(ReactivePolicy):
+    """Reactive, keeping every prediction it makes, the bootstrap's too, which no record logs."""
+
+    def __init__(self):
+        super().__init__()
+        self.predictions = []
+
+    def decide(self, *args):
+        decision, prediction = super().decide(*args)
+        self.predictions.append(prediction)
+        return decision, prediction
+
+
+def _evidence(record) -> BeliefState:
+    """Every alert of a logged episode, folded into one belief."""
+    belief = BeliefState()
+    for e in record["epochs"]:
+        update_belief(belief, EpochObservation(e["epoch"], e["alerts"], e["exposed"]))
+    return belief
+
+
+@pytest.mark.parametrize("carryover", [True, False], ids=["carryover", "fresh"])
+def test_belief_carryover_carries_the_evidence_into_the_next_episode(carryover):
+    """The second episode's bootstrap sees the first episode's alerts under carryover, and nothing without it."""
+    honeynet = deployment_config("fully_vulnerable", 4)  # every service exposed, so every one is scanned
+    attackers = (AttackerProfile(target_service="gitlab"), AttackerProfile(target_service="xdebug"))
+    cfg = RunConfig(honeynet=honeynet, attackers=attackers, horizon=6, seed=5, belief_carryover=carryover)
+
+    turns = []
+    stats = CellStats()
+    stats.record_turn = lambda latency_s, turn: turns.append(turn)
+    expose_all = json.dumps({"expose": list(honeynet.catalog.ids), "stages": []})
+
+    def mock(index, seed):
+        policy = LlmPolicy(ScriptedMockBackend([expose_all]))
+        policy.stats = stats
+        return policy
+
+    first, _ = run_simulation(cfg, mock)
+    assert first["outcome"] == OUTCOME_COMPLETED
+    bootstraps = [turn.prompt for turn in turns if turn.epoch == 0]
+    assert len(bootstraps) == 2 and "no prior evidence" in bootstraps[0]
+    progression = "\n".join(_evidence(first).progression_lines(limit=12))
+    assert "gitlab InitialAccess weight=" in progression
+    if carryover:
+        assert "no prior evidence" not in bootstraps[1] and progression in bootstraps[1]
+    else:
+        assert "no prior evidence" in bootstraps[1] and "gitlab InitialAccess" not in bootstraps[1]
+
+    reactives = []
+
+    def reactive(index, seed):
+        reactives.append(_RecordingReactive())
+        return reactives[-1]
+
+    first, _ = run_simulation(cfg, reactive)
+    assert len(reactives) == (1 if carryover else 2)
+    # each episode makes a bootstrap prediction, then one per epoch
+    bootstrap = reactives[-1].predictions[len(first["epochs"]) + 1 if carryover else 0]
+    if carryover:
+        assert bootstrap.stages and bootstrap.stages == _evidence(first).stages_for(bootstrap.target_service)
+    else:
+        assert bootstrap.stages == ()
 
 
 class TestSerialization:

@@ -34,6 +34,7 @@ from test_contracts import (
 from test_output_bytes import check_pinned_bytes
 
 from honeysim import cli, engine, harness, llm, metrics, policies, settings, telemetry
+from honeysim.engine import derive_seed, run_episode
 from honeysim.policies import CellStats, RandomPolicy
 from honeysim.settings import TYPES, ConfigError, check
 from honeysim.telemetry import NoiseConfig
@@ -51,10 +52,10 @@ RANDOM_CELLS = {
 
 
 def test_policy_decide_without_its_clamp_breaks_the_budget(monkeypatch, tmp_path):
-    def unclamped(policy, obs, belief, cfg):
-        belief = policies.update_belief(belief, obs)
-        decision, prediction = policy.decide(obs, belief, cfg)
-        return decision, prediction, belief
+    def unclamped(policy, obs, cfg):
+        if policy.belief is not None:
+            policies.update_belief(policy.belief, obs)
+        return policy.decide(obs, cfg)
 
     monkeypatch.setattr(engine, "policy_decide", unclamped)
     replay = tmp_path / "replay.json"
@@ -64,6 +65,29 @@ def test_policy_decide_without_its_clamp_breaks_the_budget(monkeypatch, tmp_path
     config = {**RANDOM_CELLS, "policies": [mock], "deployments": ["fully_vulnerable"], "seeds": [0]}
     with pytest.raises(AssertionError):
         check_replies_keep_the_contracts(tmp_path, config)
+
+
+def test_a_policy_decide_that_never_folds_the_alerts_moves_the_pinned_bytes(monkeypatch, tmp_path):
+    def never_folds(policy, obs, cfg):
+        decision, prediction = policy.decide(obs, cfg)
+        return policies.clamp_decision(decision, cfg, policy.stats), prediction
+
+    monkeypatch.setattr(engine, "policy_decide", never_folds)
+    with pytest.raises(AssertionError, match="output bytes"):
+        check_pinned_bytes(tmp_path)
+
+
+def test_a_run_that_builds_a_policy_per_attacker_under_carryover_starts_each_episode_empty(monkeypatch):
+    def policy_per_attacker(cfg, policy_factory):
+        records = []
+        for index, attacker in enumerate(cfg.attackers):
+            policy = policy_factory(index, derive_seed(cfg.seed, attacker.resolved_label(), "policy"))
+            records.append(run_episode(cfg, attacker, policy))
+        return records
+
+    monkeypatch.setattr(engine.run_simulation, "__code__", policy_per_attacker.__code__)
+    with pytest.raises(AssertionError):
+        test_engine.test_belief_carryover_carries_the_evidence_into_the_next_episode(True)
 
 
 def test_a_random_policy_seeded_by_its_position_in_the_run_depends_on_the_matrix(monkeypatch, tmp_path):

@@ -116,7 +116,8 @@ class TestBuildPrompt:
             for i in range(500)
         )
         obs = aggregate_epoch(alerts, ("gitlab",), 1)
-        belief = update_belief(BeliefState(), obs)
+        belief = BeliefState()
+        update_belief(belief, obs)
         backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
         monkeypatch.setattr(llm, "PROMPT_CHAR_CAP", 3000)
         _, _, _, turn = llm_decide(backend, obs, belief, HONEYNET, template=builtin_template())
@@ -144,7 +145,8 @@ class TestBuildPrompt:
 
     def test_a_turn_logs_the_prompt_build_prompt_makes(self):
         obs = _probe("HONEYPOT gitlab login")
-        belief = update_belief(BeliefState(), obs)
+        belief = BeliefState()
+        update_belief(belief, obs)
         backend = ScriptedMockBackend(['{"expose": ["gitlab"], "stages": []}'])
         _, _, _, turn = llm_decide(backend, obs, belief, HONEYNET, template=builtin_template())
         assert 'gitlab: "HONEYPOT gitlab login" x1' in turn.prompt
@@ -197,7 +199,7 @@ class TestParseResponse:
         assert stats.counts == _counts()
         policy = LlmPolicy(ScriptedMockBackend([raw]))
         policy.stats = stats
-        decision, _, _ = policy_decide(policy, empty_observation(), BeliefState(), HONEYNET)
+        decision, _ = policy_decide(policy, empty_observation(), HONEYNET)
         assert decision.exposed == ("xdebug",)
         assert stats.counts == _counts(over_budget=1)
         assert len(stats.latencies) == 1  # the one turn

@@ -1,9 +1,12 @@
+import json
 import random
 
 from hypothesis import given, strategies as st
 
+from honeysim import harness, policies
 from honeysim.attackers import ExploitAction, ScanAction
 from honeysim.catalog import AttackStage, deployment_config
+from honeysim.engine import records_from_jsonl
 from honeysim.policies import (
     DEGRADATIONS,
     BeliefState,
@@ -31,22 +34,28 @@ def _obs(actions, epoch=1, seed=0):
     return aggregate_epoch(alerts, (), epoch)
 
 
+def _folded(obs) -> BeliefState:
+    belief = BeliefState()
+    update_belief(belief, obs)
+    return belief
+
+
 class TestUpdateBelief:
     def test_empty_obs_leaves_weights_empty(self):
-        belief = update_belief(BeliefState(), empty_observation())
+        belief = _folded(empty_observation())
         assert belief.weights == {}
 
     def test_alert_accumulates_severity_weight(self):
         obs = _obs([ExploitAction(service="gitlab", stage=AttackStage.INITIAL_ACCESS)])
-        belief = update_belief(BeliefState(), obs)
+        belief = _folded(obs)
         assert belief.weights.get(("gitlab", AttackStage.INITIAL_ACCESS), 0.0) > 0
 
     def test_two_identical_alerts_double_the_weight(self):
         obs1 = _obs([ScanAction(services=("gitlab",))])
-        single = update_belief(BeliefState(), obs1)
+        single = _folded(obs1)
         doubled_alerts = obs1.alerts + obs1.alerts
         obs2 = aggregate_epoch(doubled_alerts, (), 1)
-        double = update_belief(BeliefState(), obs2)
+        double = _folded(obs2)
         key = ("gitlab", AttackStage.RECONNAISSANCE)
         assert double.weights[key] == 2 * single.weights[key]
 
@@ -60,8 +69,8 @@ class TestUpdateBelief:
         alerts = list(_obs(actions).alerts)
         rng.shuffle(alerts)
         shuffled_obs = aggregate_epoch(alerts, (), 1)
-        base = update_belief(BeliefState(), _obs(actions))
-        shuffled = update_belief(BeliefState(), shuffled_obs)
+        base = _folded(_obs(actions))
+        shuffled = _folded(shuffled_obs)
         assert base.weights == shuffled.weights
 
 
@@ -70,20 +79,20 @@ class TestPolicyDecide:
         class Greedy(Policy):
             name = "greedy"
 
-            def decide(self, obs, belief, cfg):
+            def decide(self, obs, cfg):
                 return ExposureDecision(exposed=("gitlab", "xdebug", "docker_api")), StagePrediction()
 
         greedy = Greedy()
         greedy.stats = stats = CellStats()
         with caplog.at_level("WARNING"):
             for _ in range(2):
-                decision, _, _ = policy_decide(greedy, empty_observation(), BeliefState(), HONEYNET)
+                decision, _ = policy_decide(greedy, empty_observation(), HONEYNET)
         assert decision.exposed == ("gitlab",)
         assert stats.counts == {**dict.fromkeys(DEGRADATIONS, 0), "over_budget": 2}
         assert stats.latencies == []  # no model turn
         assert not caplog.records  # counted, not logged
         # a policy no cell built counts nowhere, and clamps the same
-        assert policy_decide(Greedy(), empty_observation(), BeliefState(), HONEYNET)[0] == decision
+        assert policy_decide(Greedy(), empty_observation(), HONEYNET)[0] == decision
 
     def test_unknown_services_are_dropped(self):
         stats = CellStats()
@@ -99,7 +108,7 @@ class TestBaselines:
         oracle.observe_ground_truth(
             GroundTruthView(target_service="apache_struts", completed_stages=(), status="active")
         )
-        decision, prediction = oracle.decide(empty_observation(), BeliefState(), HONEYNET)
+        decision, prediction = oracle.decide(empty_observation(), HONEYNET)
         assert decision.exposed == ("apache_struts",)
         assert not decision.declared_done
         assert prediction.stages == ()
@@ -110,22 +119,22 @@ class TestBaselines:
         oracle.observe_ground_truth(
             GroundTruthView(target_service="gitlab", completed_stages=stages, status="completed")
         )
-        decision, prediction = oracle.decide(empty_observation(), BeliefState(), HONEYNET)
+        decision, prediction = oracle.decide(empty_observation(), HONEYNET)
         assert prediction.stages == stages
         assert decision.declared_done
 
     def test_random_respects_budget_and_seed(self):
         a = RandomPolicy(99)
         b = RandomPolicy(99)
-        picks_a = [a.decide(empty_observation(), BeliefState(), HONEYNET)[0].exposed for _ in range(6)]
-        picks_b = [b.decide(empty_observation(), BeliefState(), HONEYNET)[0].exposed for _ in range(6)]
+        picks_a = [a.decide(empty_observation(), HONEYNET)[0].exposed for _ in range(6)]
+        picks_b = [b.decide(empty_observation(), HONEYNET)[0].exposed for _ in range(6)]
         assert picks_a == picks_b
         assert all(len(p) == 1 and p[0] in HONEYNET.catalog.ids for p in picks_a)
 
     def test_static_never_moves(self):
         policy = StaticPolicy(("docker_api",))
         for _ in range(3):
-            decision, _ = policy.decide(empty_observation(), BeliefState(), HONEYNET)
+            decision, _ = policy.decide(empty_observation(), HONEYNET)
             assert decision.exposed == ("docker_api",)
 
     def test_reactive_chases_latest_exploit_alert(self):
@@ -136,14 +145,14 @@ class TestBaselines:
                 ExploitAction(service="gitlab", stage=AttackStage.INITIAL_ACCESS),
             ]
         )
-        belief = update_belief(BeliefState(), obs)
-        decision, prediction = policy.decide(obs, belief, HONEYNET)
+        update_belief(policy.belief, obs)
+        decision, prediction = policy.decide(obs, HONEYNET)
         assert decision.exposed == ("gitlab",)
         assert prediction.target_service == "gitlab"
 
     def test_reactive_round_robin_without_evidence(self):
         policy = ReactivePolicy()
-        seen = [policy.decide(empty_observation(), BeliefState(), HONEYNET)[0].exposed[0] for _ in range(4)]
+        seen = [policy.decide(empty_observation(), HONEYNET)[0].exposed[0] for _ in range(4)]
         assert seen == list(HONEYNET.catalog.ids)
 
     def test_reactive_ignores_decoy_alerts(self):
@@ -153,7 +162,8 @@ class TestBaselines:
             [ScanAction(services=("decoy_1",))], 1, QUIET, random.Random(0), catalog=mixed.catalog
         )
         obs = aggregate_epoch(alerts, ("decoy_1",), 1)
-        decision, _ = policy.decide(obs, update_belief(BeliefState(), obs), mixed)
+        update_belief(policy.belief, obs)
+        decision, _ = policy.decide(obs, mixed)
         assert decision.exposed[0] in mixed.catalog.ids  # falls back to round robin
 
 
@@ -164,3 +174,41 @@ def test_prediction_normalizes_order_and_duplicates():
         [AttackStage.PRIV_ESC, AttackStage.RECONNAISSANCE, AttackStage.PRIV_ESC]
     )
     assert pred.stages == (AttackStage.RECONNAISSANCE, AttackStage.PRIV_ESC)
+
+
+# two cells, which each kind runs alone; the mock replays a decision, then a reply without one
+FOLD_CELLS = {
+    "horizon": 5,
+    "budget": 1,
+    "seeds": [0, 1],
+    "deployments": ["small_mixed"],
+    "persistence_modes": ["probabilistic"],
+    "noise": {"false_positive_rate": 0.3, "hint_corruption_rate": 0.3},
+}
+# whether a kind reads a belief: each of its decisions folds that epoch's alerts if so, none if not
+READS_BELIEF = {"oracle": False, "random": False, "static": False, "reactive": True, "scripted": True, "mock": True}
+
+
+def test_only_the_policies_that_read_a_belief_fold_alerts(monkeypatch, tmp_path):
+    """``policy_decide`` folds each decision's alerts for reactive and the model policies, and for no other kind."""
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(['{"expose": ["gitlab"], "stages": ["recon"]}', "no decision"]), encoding="utf-8")
+    entries = {"static": {"kind": "static", "expose": ["gitlab"]}, "mock": {"kind": "mock", "replay": str(replay)}}
+    folds = []
+    fold = policies.update_belief
+
+    def counted(belief, obs):
+        folds.append(obs)
+        fold(belief, obs)
+
+    monkeypatch.setattr(policies, "update_belief", counted)
+    for kind, reads in READS_BELIEF.items():
+        folds.clear()
+        entry = {"name": kind, **entries.get(kind, {"kind": kind})}
+        out = tmp_path / kind
+        harness.execute_matrix(harness.matrix_from_dict({**FOLD_CELLS, "policies": [entry]}), out)
+        logs = [path.read_text(encoding="utf-8") for path in out.glob("*/episodes.jsonl")]
+        records = [rec for text in logs for rec in records_from_jsonl(text)]
+        decisions = sum(len(rec["epochs"]) + 1 for rec in records)  # each episode's bootstrap, then one per epoch
+        assert decisions > len(records) > 0
+        assert len(folds) == (decisions if reads else 0), kind
