@@ -61,8 +61,8 @@ class AttackStage(IntEnum):
             raise ValueError(f"unknown attack stage: {text!r}") from None
 
 
-# each stage's label, indexed by the stage: the epoch loop reads STAGE_LABELS[stage]
-STAGE_LABELS = ("Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDataExfil")
+# each stage's label, indexed by the stage: the epoch loop reads STAGE_LABELS[stage]; INITIAL_ACCESS is InitialAccess
+STAGE_LABELS = tuple(stage.name.title().replace("_", "") for stage in AttackStage)
 
 _STAGE_BY_KEY = {label.lower(): stage for stage, label in zip(AttackStage, STAGE_LABELS, strict=True)}
 # common aliases seen in alert feeds and model output
@@ -251,6 +251,10 @@ _DEPLOYMENTS = {
     "large_mixed": (("gitlab", "apache_struts"), 4),
 }
 DEPLOYMENT_NAMES = tuple(_DEPLOYMENTS)
+# the services exploitable in every named deployment, in catalog order: the attackers a run is scored on
+COMMON_TARGETS = tuple(
+    service for service in _BUILTIN_SERVICES if all(service in exploitable for exploitable, _ in _DEPLOYMENTS.values())
+)
 
 
 def make_decoy(index: int) -> ServiceSpec:

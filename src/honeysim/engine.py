@@ -58,12 +58,11 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one simulation run needs, minus the policy object itself; every attacker can run on the honeynet."""
+    """The checked environment of a run, without its policy and its seed; every attacker can run on the honeynet."""
 
     honeynet: HoneynetConfig
     attackers: tuple[AttackerProfile, ...]
     horizon: int = 20
-    seed: int = 0
     noise: NoiseConfig = NoiseConfig()
     belief_carryover: bool = False
     bootstrap: str = BOOTSTRAP_POLICY
@@ -114,8 +113,8 @@ def _labels(stages: tuple) -> tuple[str, ...]:
     return labels
 
 
-def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy) -> dict:
-    """Run one attacker against one policy instance until a termination rule fires.
+def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy, seed: int) -> dict:
+    """Run one attacker against one policy instance until a termination rule fires; ``seed`` is the record's seed.
 
     The record is the mapping its ``episodes.jsonl`` line encodes, each epoch
     one too, with the keys in the sorted order the line writes them. It keeps
@@ -126,8 +125,8 @@ def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy) -> di
     honeynet, noise = cfg.honeynet, cfg.noise
     catalog = honeynet.catalog
     label = attacker.resolved_label()
-    state = make_attacker_state(attacker, catalog, derive_seed(cfg.seed, label, "attacker"))
-    telemetry_rng = random.Random(derive_seed(cfg.seed, label, "telemetry"))
+    state = make_attacker_state(attacker, catalog, derive_seed(seed, label, "attacker"))
+    telemetry_rng = random.Random(derive_seed(seed, label, "telemetry"))
     src = attacker_src_ip(label)
 
     # only a policy that observes ground truth (the oracle) gets a view of the attacker
@@ -185,7 +184,7 @@ def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy) -> di
         "outcome": outcome,
         "persistence_mode": attacker.persistence.mode,
         "schema_version": SCHEMA_VERSION,
-        "seed": cfg.seed,
+        "seed": seed,
         "target_service": state.service.id,
     }
 
@@ -193,15 +192,15 @@ def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy) -> di
 PolicyFactory = Callable[[int, int], Policy]
 
 
-def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory) -> list[dict]:
-    """Process the attacker queue sequentially, each attacker against a new policy, unless
+def run_simulation(cfg: RunConfig, policy_factory: PolicyFactory, seed: int) -> list[dict]:
+    """Process the attacker queue sequentially at ``seed``, each attacker against a new policy, unless
     ``belief_carryover`` keeps the first policy, and with it what it has inferred, for them all."""
     records: list[dict] = []
     policy: Optional[Policy] = None
     for index, attacker in enumerate(cfg.attackers):
         if policy is None or not cfg.belief_carryover:
-            policy = policy_factory(index, derive_seed(cfg.seed, attacker.resolved_label(), "policy"))
-        records.append(run_episode(cfg, attacker, policy))
+            policy = policy_factory(index, derive_seed(seed, attacker.resolved_label(), "policy"))
+        records.append(run_episode(cfg, attacker, policy, seed))
     return records
 
 

@@ -322,7 +322,7 @@ class _RunBuild:
     """Every cell's inputs, built once, on one thread, before any cell runs; ``offline`` forbids HTTP model backends.
 
     ``inputs`` maps each (policy label, deployment, persistence mode) to its
-    cells' run config, at seed 0, and policy factory. ``faults`` names each
+    cells' shared run config and policy factory. ``faults`` names each
     (policy, deployment, mode)'s fault once, in matrix order, then the prompt
     template's. Each honeynet, the template and each replay file loads, or
     fails, once, at the first cell that needs it; nothing outlives the build.
@@ -509,7 +509,6 @@ def run_cell(
     if build is None:
         build = _RunBuild(matrix).checked()
     cfg, build_policy = build.inputs[cell.policy.label, cell.deployment, cell.persistence]
-    cfg = replace(cfg, seed=cell.derived_seed)
     stats = CellStats() if out_dir is None else CellStats(out_dir / cell.name / "turns.jsonl")
 
     def make_policy(index: int, seed: int):
@@ -530,7 +529,7 @@ def run_cell(
                 raise ConfigError(f"output file {stats.turns_path} is a directory") from None
     try:
         # the records as the epoch loop builds them: write_cell writes them and run_metrics scores them
-        result = _cell_result(cell, run_simulation(cfg, make_policy), stats)
+        result = _cell_result(cell, run_simulation(cfg, make_policy, cell.derived_seed), stats)
     finally:
         stats.close()
     degraded = stats.degraded()

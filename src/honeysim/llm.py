@@ -9,6 +9,7 @@ catalog services) and flags the turn.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -263,7 +264,7 @@ class HttpChatBackend(Settings):
         token = os.environ.get(self.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        # urlopen raises HTTPError (an OSError) on any status >= 400
+        # an opener raises HTTPError (an OSError) on any status >= 400
         request = urllib.request.Request(
             f"{self.base_url.rstrip('/')}/chat/completions", data=json.dumps(body).encode("utf-8"), headers=headers
         )
@@ -273,7 +274,8 @@ class HttpChatBackend(Settings):
         last_error: Exception | None = None
         for attempt in range(self.max_retries):
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                # the attempt's deadline: every read of its reply, from the status line on, ends by then
+                with _opener(time.monotonic() + self.timeout).open(request, timeout=self.timeout) as resp:
                     body = resp.read(cap + 1)
                 if len(body) > cap:
                     raise ValueError(f"reply longer than {cap} bytes")
@@ -289,6 +291,62 @@ class HttpChatBackend(Settings):
                 if attempt + 1 < self.max_retries:
                     time.sleep(self.backoff_seconds * (2**attempt))
         raise BackendError(f"backend unreachable after {self.max_retries} attempts: {last_error}")
+
+
+class _DeadlineReads(io.RawIOBase):
+    """The reads of one HTTP reply from ``sock``, each waiting at most until ``deadline``; TimeoutError after it.
+
+    ``deadline`` is a ``time.monotonic()`` value. A reply that trickles in a
+    byte at a time passes it as surely as one that never comes.
+    """
+
+    def __init__(self, sock, deadline: float) -> None:
+        super().__init__()
+        self._sock, self._deadline = sock, deadline
+        self._reads = sock.makefile("rb", buffering=0)  # keeps the socket open until this closes, as a reply's file does
+
+    def makefile(self, mode: str) -> io.BufferedReader:  # how http.client.HTTPResponse opens the socket it reads
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("the reply did not arrive within the timeout")
+        self._sock.settimeout(left)
+        return self._reads.readinto(buffer)
+
+    def close(self) -> None:
+        self._reads.close()
+        super().close()
+
+
+def _opener(deadline: float):
+    """urllib's default opener, proxies included, whose connections read each reply through ``_DeadlineReads``."""
+    import http.client
+    import urllib.request
+
+    def bounded(connection):
+        def connect(host, **kwargs):
+            conn = connection(host, **kwargs)
+            conn.response_class = lambda sock, *args, **kw: http.client.HTTPResponse(
+                _DeadlineReads(sock, deadline), *args, **kw
+            )
+            return conn
+
+        return connect
+
+    class Http(urllib.request.HTTPHandler):
+        def http_open(self, req):
+            return self.do_open(bounded(http.client.HTTPConnection), req)
+
+    class Https(urllib.request.HTTPSHandler):
+        def https_open(self, req):
+            return self.do_open(bounded(http.client.HTTPSConnection), req)
+
+    return urllib.request.build_opener(Http, Https)
 
 
 def load_replay_file(path: str) -> list[list[str]]:

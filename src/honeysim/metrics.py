@@ -18,10 +18,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .catalog import AttackStage
+from .catalog import COMMON_TARGETS, AttackStage
 from .policies import CellStats
-
-COMMON_TARGETS = ("gitlab", "apache_struts")
 
 SCORE_MODE_SETS = "cumulative_sets"
 SCORE_MODE_CURRENT = "current_stage"

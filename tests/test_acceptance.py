@@ -56,12 +56,12 @@ def criterion(number: int, name: str, budget_seconds: float):
 def _run(deployment: str, mode: str, seed: int, policy_factory, horizon: int = 20) -> RunResult:
     honeynet = deployment_config(deployment)
     queue = default_attacker_queue(honeynet.catalog, PersistenceModel(mode=mode))
-    cfg = RunConfig(honeynet=honeynet, attackers=tuple(queue), horizon=horizon, seed=seed)
+    cfg = RunConfig(honeynet=honeynet, attackers=tuple(queue), horizon=horizon)
     return RunResult(
         policy="test",
         deployment=deployment,
         persistence=mode,
-        records=tuple(run_simulation(cfg, policy_factory)),
+        records=tuple(run_simulation(cfg, policy_factory, seed)),
     )
 
 
@@ -130,11 +130,10 @@ def test_criterion_4_consecutive_semantics():
                 honeynet=deployment_config("fully_vulnerable"),
                 attackers=(attacker,),
                 horizon=20,
-                seed=seed,
             )
-            steady = run_episode(cfg, attacker, StaticPolicy(("gitlab",)))
+            steady = run_episode(cfg, attacker, StaticPolicy(("gitlab",)), seed)
             completed += steady["outcome"] == "completed"
-            gapped = run_episode(cfg, attacker, _GapPolicy("gitlab"))
+            gapped = run_episode(cfg, attacker, _GapPolicy("gitlab"), seed)
             abandoned += gapped["outcome"] == "abandoned"
         assert completed == 100
         assert abandoned == 100
@@ -165,8 +164,8 @@ def test_criterion_5_probabilistic_monte_carlo():
                 persistence=PersistenceModel(mode="probabilistic", decay=0.25, floor=0.1),
             )
             # epoch 1: engage at gap 0; epoch 2: hidden; epoch 3: attempt at gap 1
-            cfg = RunConfig(honeynet=honeynet, attackers=(attacker,), horizon=3, seed=seed)
-            rec = run_episode(cfg, attacker, _AlternatingPolicy("gitlab"))
+            cfg = RunConfig(honeynet=honeynet, attackers=(attacker,), horizon=3)
+            rec = run_episode(cfg, attacker, _AlternatingPolicy("gitlab"), seed)
             survived += rec["outcome"] != "abandoned"
         assert abs(survived / trials - 0.75) <= 0.02
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from honeysim.catalog import (
     _STAGE_BY_KEY,
     ALL_STAGES,
+    COMMON_TARGETS,
     DEPLOYMENT_NAMES,
     STAGE_LABELS,
     AttackGraph,
@@ -29,6 +30,7 @@ def test_stage_set_is_fixed_and_ordered():
     assert AttackStage.ROOT_DATA_EXFIL == 4
     labels = [s.label for s in ALL_STAGES]
     assert labels == ["Reconnaissance", "InitialAccess", "UserDataExfil", "PrivEsc", "RootDataExfil"]
+    assert STAGE_LABELS == tuple(labels)
 
 
 @pytest.mark.parametrize(
@@ -141,6 +143,11 @@ class TestDeployments:
         assert len(fully.catalog) == 4 and len(fully.catalog.vulnerable_ids) == 4
         assert len(small.catalog) == 4 and small.catalog.vulnerable_ids == ("gitlab", "apache_struts")
         assert len(large.catalog) == 6 and large.catalog.vulnerable_ids == ("gitlab", "apache_struts")
+
+    def test_the_common_targets_are_the_services_exploitable_in_every_deployment(self):
+        assert COMMON_TARGETS == ("gitlab", "apache_struts")
+        for name in DEPLOYMENT_NAMES:
+            assert set(COMMON_TARGETS) <= set(deployment_config(name).catalog.vulnerable_ids)
 
     def test_unknown_deployment_rejected(self):
         with pytest.raises(ValueError):

@@ -1524,6 +1524,22 @@ def test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err == ""
 
 
+def test_execute_matrix_checks_one_run_config_per_policy_deployment_and_mode(tmp_path, monkeypatch):
+    """Every seed of a (policy, deployment, mode) runs the one `RunConfig` that the build checked."""
+    checks, post_init = [], engine.RunConfig.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(engine.RunConfig, "__post_init__", counted)
+    modes, seeds = ["deterministic", "probabilistic"], [0, 1, 2]
+    matrix = matrix_from_dict({**TINY_CONFIG, "deployments": TWO_DEPLOYMENTS, "persistence_modes": modes, "seeds": seeds})
+    execute_matrix(matrix, tmp_path / "out")
+    assert len(list((tmp_path / "out").glob("*/episodes.jsonl"))) == 2 * 2 * 2 * 3
+    assert len(checks) == 2 * 2 * 2  # policies, deployments and modes; not seeds
+
+
 def test_a_config_makes_one_matrix_and_the_run_overrides_make_one_more(tmp_path, monkeypatch, capsys):
     """Reading a config with `attackers:` builds, and so checks, one matrix; `--policy` with `--seed-base` one more."""
     monkeypatch.chdir(tmp_path)

@@ -40,9 +40,9 @@ SMALL = deployment_config("small_mixed")
 DETERMINISTIC = PersistenceModel(mode="deterministic")
 
 
-def _cfg(honeynet=FULLY, targets=("gitlab",), seed=0, horizon=20, **kwargs):
+def _cfg(honeynet=FULLY, targets=("gitlab",), horizon=20, **kwargs):
     attackers = tuple(AttackerProfile(target_service=t) for t in targets)
-    return RunConfig(honeynet=honeynet, attackers=attackers, horizon=horizon, seed=seed, **kwargs)
+    return RunConfig(honeynet=honeynet, attackers=attackers, horizon=horizon, **kwargs)
 
 
 class DeclareDoneAt(Policy):
@@ -62,21 +62,21 @@ class DeclareDoneAt(Policy):
 
 class TestRunEpisode:
     def test_oracle_completes_gitlab_quickly(self):
-        rec = run_episode(_cfg(), _cfg().attackers[0], OraclePolicy())
+        rec = run_episode(_cfg(), _cfg().attackers[0], OraclePolicy(), 0)
         assert rec["outcome"] == OUTCOME_COMPLETED
         assert rec["epochs_used"] == 4
         assert rec["epochs_used"] <= 6
 
     def test_never_aligned_static_policy_exhausts_horizon(self):
         cfg = _cfg(honeynet=SMALL)
-        rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_1",)))
+        rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_1",)), 0)
         assert rec["outcome"] == OUTCOME_HORIZON
         assert rec["epochs_used"] == cfg.horizon
         assert "RootDataExfil" not in rec["epochs"][-1]["gt_stages"]
 
     def test_declared_done_terminates_episode(self):
         cfg = _cfg(honeynet=SMALL)
-        rec = run_episode(cfg, cfg.attackers[0], DeclareDoneAt(3))
+        rec = run_episode(cfg, cfg.attackers[0], DeclareDoneAt(3), 0)
         assert rec["outcome"] == OUTCOME_DECLARED_DONE
         assert rec["epochs_used"] == 3
         assert len(rec["epochs"]) == 3
@@ -92,13 +92,13 @@ class TestRunEpisode:
         attacker = AttackerProfile(
             target_service="gitlab", persistence=PersistenceModel(mode="consecutive")
         )
-        cfg = RunConfig(honeynet=FULLY, attackers=(attacker,), horizon=10, seed=3)
-        rec = run_episode(cfg, attacker, AlternatingPolicy())
+        cfg = RunConfig(honeynet=FULLY, attackers=(attacker,), horizon=10)
+        rec = run_episode(cfg, attacker, AlternatingPolicy(), 3)
         assert rec["outcome"] == OUTCOME_ABANDONED
 
     def test_ground_truth_is_monotone(self):
         cfg = _cfg(targets=("apache_struts",))
-        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
+        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy(), 0)
         previous = set()
         for epoch in rec["epochs"]:
             current = set(epoch["gt_stages"])
@@ -108,13 +108,13 @@ class TestRunEpisode:
     def test_completed_implies_objective_in_final_gt(self):
         for target in ("gitlab", "docker_api", "apache_struts"):
             cfg = _cfg(targets=(target,))
-            rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
+            rec = run_episode(cfg, cfg.attackers[0], OraclePolicy(), 0)
             assert rec["outcome"] == OUTCOME_COMPLETED
             assert rec["objective_stage"] in rec["epochs"][-1]["gt_stages"]
 
     def test_every_epoch_respects_budget_and_catalog(self):
         cfg = _cfg(honeynet=SMALL, targets=("gitlab", "apache_struts"))
-        for rec in run_simulation(cfg, lambda i, s: OraclePolicy()):
+        for rec in run_simulation(cfg, lambda i, s: OraclePolicy(), 0):
             for epoch in rec["epochs"]:
                 assert len(epoch["exposed"]) <= SMALL.budget
                 assert set(epoch["exposed"]) <= set(SMALL.catalog.ids)
@@ -122,7 +122,7 @@ class TestRunEpisode:
 
     def test_first_service_bootstrap_overrides_policy(self):
         cfg = _cfg(honeynet=SMALL, bootstrap="first_service")
-        rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_2",)))
+        rec = run_episode(cfg, cfg.attackers[0], StaticPolicy(("decoy_2",)), 0)
         assert rec["bootstrap_exposed"] == ("gitlab",)
         assert rec["epochs"][0]["exposed"] == ("gitlab",)
         # from epoch 2 on the policy's own decision is in force
@@ -132,29 +132,29 @@ class TestRunEpisode:
 class TestRunSimulation:
     def test_queue_of_four_yields_four_records(self):
         queue = default_attacker_queue(FULLY.catalog, DETERMINISTIC)
-        cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=1)
-        records = run_simulation(cfg, lambda i, s: OraclePolicy())
+        cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20)
+        records = run_simulation(cfg, lambda i, s: OraclePolicy(), 1)
         assert len(records) == 4
         assert [r["target_service"] for r in records] == ["gitlab", "xdebug", "apache_struts", "docker_api"]
 
     def test_queue_of_two_yields_two_records(self):
         queue = default_attacker_queue(SMALL.catalog, DETERMINISTIC)
-        cfg = RunConfig(honeynet=SMALL, attackers=tuple(queue), horizon=20, seed=1)
-        assert len(run_simulation(cfg, lambda i, s: OraclePolicy())) == 2
+        cfg = RunConfig(honeynet=SMALL, attackers=tuple(queue), horizon=20)
+        assert len(run_simulation(cfg, lambda i, s: OraclePolicy(), 1)) == 2
 
     def test_same_seed_reproduces_identical_records(self):
         queue = default_attacker_queue(FULLY.catalog, PersistenceModel(mode="probabilistic"))
-        cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=77)
-        a = run_simulation(cfg, lambda i, s: OraclePolicy())
-        b = run_simulation(cfg, lambda i, s: OraclePolicy())
+        cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20)
+        a = run_simulation(cfg, lambda i, s: OraclePolicy(), 77)
+        b = run_simulation(cfg, lambda i, s: OraclePolicy(), 77)
         assert records_to_jsonl(a) == records_to_jsonl(b)
 
     def test_different_seeds_differ_somewhere(self):
         queue = default_attacker_queue(FULLY.catalog, PersistenceModel(mode="probabilistic"))
         texts = set()
         for seed in range(3):
-            cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20, seed=seed)
-            texts.add(records_to_jsonl(run_simulation(cfg, lambda i, s: OraclePolicy())))
+            cfg = RunConfig(honeynet=FULLY, attackers=tuple(queue), horizon=20)
+            texts.add(records_to_jsonl(run_simulation(cfg, lambda i, s: OraclePolicy(), seed)))
         assert len(texts) > 1  # noise injection differs across seeds
 
     def test_belief_carryover_reuses_policy(self):
@@ -167,9 +167,9 @@ class TestRunSimulation:
 
         queue = default_attacker_queue(SMALL.catalog, DETERMINISTIC)
         cfg = RunConfig(
-            honeynet=SMALL, attackers=tuple(queue), horizon=20, seed=1, belief_carryover=True
+            honeynet=SMALL, attackers=tuple(queue), horizon=20, belief_carryover=True
         )
-        run_simulation(cfg, factory)
+        run_simulation(cfg, factory, 1)
         assert len(instances) == 1
 
 
@@ -199,7 +199,7 @@ def test_belief_carryover_carries_the_evidence_into_the_next_episode(carryover):
     """The second episode's bootstrap sees the first episode's alerts under carryover, and nothing without it."""
     honeynet = deployment_config("fully_vulnerable", 4)  # every service exposed, so every one is scanned
     attackers = (AttackerProfile(target_service="gitlab"), AttackerProfile(target_service="xdebug"))
-    cfg = RunConfig(honeynet=honeynet, attackers=attackers, horizon=6, seed=5, belief_carryover=carryover)
+    cfg = RunConfig(honeynet=honeynet, attackers=attackers, horizon=6, belief_carryover=carryover)
 
     turns = []
     stats = CellStats()
@@ -211,7 +211,7 @@ def test_belief_carryover_carries_the_evidence_into_the_next_episode(carryover):
         policy.stats = stats
         return policy
 
-    first, _ = run_simulation(cfg, mock)
+    first, _ = run_simulation(cfg, mock, 5)
     assert first["outcome"] == OUTCOME_COMPLETED
     bootstraps = [turn.prompt for turn in turns if turn.epoch == 0]
     assert len(bootstraps) == 2 and "no prior evidence" in bootstraps[0]
@@ -228,7 +228,7 @@ def test_belief_carryover_carries_the_evidence_into_the_next_episode(carryover):
         reactives.append(_RecordingReactive())
         return reactives[-1]
 
-    first, _ = run_simulation(cfg, reactive)
+    first, _ = run_simulation(cfg, reactive, 5)
     assert len(reactives) == (1 if carryover else 2)
     # each episode makes a bootstrap prediction, then one per epoch
     bootstrap = reactives[-1].predictions[len(first["epochs"]) + 1 if carryover else 0]
@@ -241,7 +241,7 @@ def test_belief_carryover_carries_the_evidence_into_the_next_episode(carryover):
 class TestSerialization:
     def test_jsonl_round_trip(self):
         cfg = _cfg(targets=("docker_api",))
-        records = run_simulation(cfg, lambda i, s: OraclePolicy())
+        records = run_simulation(cfg, lambda i, s: OraclePolicy(), 0)
         text = records_to_jsonl(records)
         restored = records_from_jsonl(text)
         assert "\n".join(json.dumps(r, sort_keys=True) for r in restored) == text
@@ -280,7 +280,7 @@ class TestSerialization:
     def test_a_line_unlike_a_logged_record_is_refused(self, edit):
         """Replay scores only what run logs: exact keys, and stage lists of stage labels."""
         cfg = _cfg()
-        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
+        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy(), 0)
         line = records_to_jsonl([rec])
         assert records_from_jsonl(line) == [json.loads(line)]
         with pytest.raises((TypeError, ValueError)):
@@ -289,7 +289,7 @@ class TestSerialization:
     def test_alerts_whose_numbers_differ_only_in_type_are_written_apart(self):
         """Cached alert text is keyed by the types of its numbers: 1, 1.0 and True are equal keys."""
         cfg = _cfg()
-        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
+        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy(), 0)
         alert = rec["epochs"][0]["alerts"][0]
         twins = [
             alert._replace(dest_port=port, severity=severity)
@@ -301,7 +301,7 @@ class TestSerialization:
 
     def test_records_carry_schema_version(self):
         cfg = _cfg()
-        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy())
+        rec = run_episode(cfg, cfg.attackers[0], OraclePolicy(), 0)
         assert rec["schema_version"] == 1
 
 
@@ -320,8 +320,8 @@ def _outcome(decode, text: str):
 # lines as run writes them: an oracle's and a random policy's episodes, stage lists full and empty
 _LINES = records_to_jsonl(
     [
-        *run_simulation(_cfg(SMALL, targets=("gitlab", "apache_struts"), horizon=6), lambda i, s: OraclePolicy()),
-        *run_simulation(_cfg(SMALL, targets=("gitlab",), horizon=4, seed=3), lambda i, s: RandomPolicy(s)),
+        *run_simulation(_cfg(SMALL, targets=("gitlab", "apache_struts"), horizon=6), lambda i, s: OraclePolicy(), 0),
+        *run_simulation(_cfg(SMALL, targets=("gitlab",), horizon=4), lambda i, s: RandomPolicy(s), 3),
     ]
 ).split("\n")
 
@@ -423,8 +423,8 @@ def test_invariants_hold_under_random_play():
     for mode in ("deterministic", "probabilistic", "consecutive"):
         for seed in range(10):
             queue = default_attacker_queue(SMALL.catalog, PersistenceModel(mode=mode))
-            cfg = RunConfig(honeynet=SMALL, attackers=tuple(queue), horizon=20, seed=seed)
-            for rec in run_simulation(cfg, lambda i, s: RandomPolicy(s)):
+            cfg = RunConfig(honeynet=SMALL, attackers=tuple(queue), horizon=20)
+            for rec in run_simulation(cfg, lambda i, s: RandomPolicy(s), seed):
                 assert rec["outcome"] in (
                     OUTCOME_COMPLETED,
                     OUTCOME_ABANDONED,
@@ -481,7 +481,7 @@ def test_run_config_refuses_an_attacker_its_honeynet_cannot_run(honeynet, attack
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(honeynet=FULLY, attackers=(), horizon=20, seed=0)
+        RunConfig(honeynet=FULLY, attackers=(), horizon=20)
     with pytest.raises(ValueError):
         _cfg(horizon=0)
     with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ fails here, not silently.
 """
 
 import copy
+import dataclasses
 import itertools
 import json
 import threading
@@ -78,11 +79,11 @@ def test_a_policy_decide_that_never_folds_the_alerts_moves_the_pinned_bytes(monk
 
 
 def test_a_run_that_builds_a_policy_per_attacker_under_carryover_starts_each_episode_empty(monkeypatch):
-    def policy_per_attacker(cfg, policy_factory):
+    def policy_per_attacker(cfg, policy_factory, seed):
         records = []
         for index, attacker in enumerate(cfg.attackers):
-            policy = policy_factory(index, derive_seed(cfg.seed, attacker.resolved_label(), "policy"))
-            records.append(run_episode(cfg, attacker, policy))
+            policy = policy_factory(index, derive_seed(seed, attacker.resolved_label(), "policy"))
+            records.append(run_episode(cfg, attacker, policy, seed))
         return records
 
     monkeypatch.setattr(engine.run_simulation, "__code__", policy_per_attacker.__code__)
@@ -177,6 +178,32 @@ def test_a_matrix_that_holds_its_axes_as_given_lets_one_change_in_place(monkeypa
     for axis in ("policies", "deployments", "modes", "seeds", "attackers"):
         with pytest.raises(AssertionError):
             test_cli.TestExpandMatrix().test_no_axis_of_a_built_matrix_changes_in_place(axis)
+
+
+def test_a_cell_that_rebuilds_its_run_config_at_its_seed_checks_one_config_per_cell(monkeypatch, tmp_path):
+    """``run_cell`` as it was when the seed was a field: a new config per cell, so one check per cell. Every byte a
+    run writes stays the same under this fault; only the count of checks sees it."""
+    run_simulation = engine.run_simulation
+
+    def rebuilt_per_cell(cfg, policy_factory, seed):
+        return run_simulation(dataclasses.replace(cfg), policy_factory, seed)
+
+    monkeypatch.setattr(harness, "run_simulation", rebuilt_per_cell)
+    with pytest.raises(AssertionError):
+        test_cli.test_execute_matrix_checks_one_run_config_per_policy_deployment_and_mode(tmp_path, monkeypatch)
+
+
+def test_an_http_backend_that_bounds_each_read_alone_waits_out_a_trickled_reply(monkeypatch):
+    def each_read_alone(self, prompt):
+        import urllib.request
+
+        request = urllib.request.Request(f"{self.base_url.rstrip('/')}/chat/completions", data=b"{}")
+        with urllib.request.urlopen(request, timeout=self.timeout) as resp:  # each read waits at most the timeout
+            return json.loads(resp.read())["choices"][0]["message"]["content"]
+
+    monkeypatch.setattr(llm.HttpChatBackend, "complete", each_read_alone)
+    with pytest.raises(AssertionError):
+        test_llm.test_a_reply_that_trickles_past_the_timeout_fails_its_attempts_and_falls_back(monkeypatch, False)
 
 
 def test_a_build_that_expands_the_matrix_again_makes_two_expansions_per_command(monkeypatch, tmp_path, capsys):

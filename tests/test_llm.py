@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -288,10 +289,9 @@ class TestScriptedEpisodes:
             honeynet=HONEYNET,
             attackers=(AttackerProfile(target_service=target),),
             horizon=horizon,
-            seed=11,
             noise=noise or NoiseConfig(),
         )
-        return run_simulation(cfg, policy_factory)[0]
+        return run_simulation(cfg, policy_factory, 11)[0]
 
     def test_aligned_script_achieves_exploitation(self):
         svc = HONEYNET.catalog.get("gitlab")
@@ -347,10 +347,9 @@ class TestScriptedEpisodes:
             honeynet=HONEYNET,
             attackers=(AttackerProfile(target_service="docker_api"),),
             horizon=4,
-            seed=11,
             bootstrap="first_service",
         )
-        rec = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)))[0]
+        rec = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)), 11)[0]
         assert rec["bootstrap_exposed"] == ("gitlab",)
         assert rec["epochs"][0]["exposed"] == ("gitlab",)
         assert rec["epochs"][0]["decision"].exposed == ("gitlab",)
@@ -362,10 +361,9 @@ class TestScriptedEpisodes:
             honeynet=HONEYNET,
             attackers=(AttackerProfile(target_service="xdebug"), AttackerProfile(target_service="apache_struts")),
             horizon=3,
-            seed=11,
             belief_carryover=True,
         )
-        first, second = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)))
+        first, second = run_simulation(cfg, lambda i, s: LlmPolicy(ScriptedMockBackend(script)), 11)
         assert first["bootstrap_exposed"] == ("docker_api",)
         assert second["bootstrap_exposed"] == ("gitlab",)
         assert {e["decision"].exposed for e in second["epochs"]} == {("gitlab",)}
@@ -415,7 +413,6 @@ def test_a_failed_turn_keeps_the_exposure_in_force(script, budget, bootstrap, ca
         honeynet=honeynet,
         attackers=(AttackerProfile(target_service="xdebug"), AttackerProfile(target_service="gitlab")),
         horizon=5,
-        seed=3,
         belief_carryover=carryover,
         bootstrap=bootstrap,
     )
@@ -428,7 +425,7 @@ def test_a_failed_turn_keeps_the_exposure_in_force(script, budget, bootstrap, ca
         policy.stats = stats
         return policy
 
-    records = run_simulation(cfg, policy)
+    records = run_simulation(cfg, policy, 3)
     episodes = []  # each episode's turns after its bootstrap turn
     for turn in turns:
         if turn.epoch == 0:
@@ -672,11 +669,60 @@ class TestHttpBackend:
             honeynet=HONEYNET,
             attackers=(AttackerProfile(target_service="docker_api"),),
             horizon=10,
-            seed=5,
         )
-        rec = run_episode(cfg, cfg.attackers[0], LlmPolicy(backend))
+        rec = run_episode(cfg, cfg.attackers[0], LlmPolicy(backend), 5)
         assert rec["outcome"] == "completed"
         assert exploitation_achieved(rec)
+
+
+class _TrickleHandler(BaseHTTPRequestHandler):
+    """Answers with a decision one byte at a time, ``server.pause`` seconds apart: the reply's body, or all of it."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append(self.path)
+        body = json.dumps(_reply('{"expose": ["apache_struts"], "stages": []}')).encode("utf-8")
+        head = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n" % len(body)
+        try:
+            if not self.server.whole:
+                self.wfile.write(head)
+                head = b""
+            for byte in head + body:
+                time.sleep(self.server.pause)
+                self.wfile.write(bytes([byte]))
+        except OSError:  # the client gave up on the reply
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("whole", [False, True], ids=["body", "whole-reply"])
+def test_a_reply_that_trickles_past_the_timeout_fails_its_attempts_and_falls_back(monkeypatch, whole):
+    """``timeout`` is each attempt's deadline across all its reads: a valid reply whose every byte comes well within
+    it, but whose last comes after it, fails the attempt, and the turn falls back as ``backend-unreachable``."""
+    monkeypatch.setattr(HttpChatBackend, "backoff_seconds", 0.01)
+    monkeypatch.setattr(HttpChatBackend, "max_retries", 2)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _TrickleHandler)
+    server.pause, server.whole, server.seen = 0.01, whole, []  # 92 bytes of body: about 1 s per reply
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    backend = HttpChatBackend(
+        base_url=f"http://127.0.0.1:{server.server_port}/v1", auth_env="HONEYSIM_TEST_TOKEN", timeout=0.3
+    )
+    try:
+        start = time.monotonic()
+        decision, _, _, turn = llm_decide(
+            backend, empty_observation(), BeliefState(), HONEYNET, template=builtin_template()
+        )
+        elapsed = time.monotonic() - start
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert turn.fallback_used and turn.error.startswith("backend-unreachable")
+    assert decision.exposed == ("gitlab",)  # the first service, not the reply's
+    assert server.seen == ["/v1/chat/completions"] * 2
+    assert elapsed < 2 * 0.3 + 0.5  # two attempts of 0.3 s each, a pause of 0.01 s, and room for a slow machine
 
 
 class TestBackendSettings:

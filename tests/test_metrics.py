@@ -264,10 +264,9 @@ def test_random_policy_exploitation_matches_binomial_oracle():
             honeynet=fully,
             attackers=(AttackerProfile(target_service="gitlab"),),
             horizon=20,
-            seed=seed,
             noise=quiet,
         )
-        rec = run_episode(cfg, cfg.attackers[0], RandomPolicy(seed))
+        rec = run_episode(cfg, cfg.attackers[0], RandomPolicy(seed), seed)
         wins += exploitation_achieved(rec)
     assert abs(wins / trials - analytic) < 0.015
 
@@ -283,9 +282,8 @@ def test_oracle_dominates_other_baselines():
                 honeynet=small,
                 attackers=(AttackerProfile(target_service=target),),
                 horizon=20,
-                seed=seed,
             )
-            oracle_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], OraclePolicy()))
+            oracle_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], OraclePolicy(), seed))
             for rival in (StaticPolicy(("decoy_1",)), ReactivePolicy(), RandomPolicy(seed)):
-                rival_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], rival))
+                rival_hit = exploitation_achieved(run_episode(cfg, cfg.attackers[0], rival, seed))
                 assert oracle_hit >= rival_hit
