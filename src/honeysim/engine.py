@@ -30,7 +30,6 @@ from .policies import ExposureDecision, GroundTruthView, Policy, policy_decide
 from .telemetry import (
     IdsAlert,
     NoiseConfig,
-    SignatureCatalogMissError,
     aggregate_epoch,
     attacker_src_ip,
     empty_observation,
@@ -68,7 +67,7 @@ class RunConfig:
     bootstrap: str = BOOTSTRAP_POLICY
 
     def __post_init__(self) -> None:
-        catalog = self.honeynet.catalog
+        catalog, exploits = self.honeynet.catalog, signature_rows().exploits
         labels = [attacker.resolved_label() for attacker in self.attackers]
         for label in labels:
             if labels.count(label) > 1:  # the label seeds the episode, so two attackers of one label run alike
@@ -80,11 +79,8 @@ class RunConfig:
             objective = attacker.resolve_objective(svc)
             # every exploit on the way to the objective must render as alerts
             for stage in svc.supported_stages:
-                if AttackStage.RECONNAISSANCE < stage <= objective:
-                    try:
-                        signature_rows().exploit(svc.id, stage)
-                    except SignatureCatalogMissError as exc:
-                        raise ValueError(f"attacker target {svc.id!r}: {exc.args[0]}") from None
+                if AttackStage.RECONNAISSANCE < stage <= objective and (svc.id, stage) not in exploits:
+                    raise ValueError(f"attacker target {svc.id!r}: no signatures for ({svc.id}, {STAGE_LABELS[stage]})")
         self.check_horizon(self.horizon)
         if not self.attackers:
             raise ValueError("attacker queue must be non-empty")

@@ -140,17 +140,13 @@ class ExperimentMatrix:
             faults += [f"{axis!r} holds {v!r}, not one of {', '.join(known)}" for v in axes[axis] if v not in known]
         if not all(axes.values()) or not all(map(_safe_directory_name, labels)):  # no cell, or an unwritable name
             return faults
-        # no known deployment or mode holds "__", so, values all known, a cell's name spells its coordinates: cells
-        # share a directory only where an axis repeats a value, and no name is longer than the longest values joined
-        longest = len(_cell_name("", "", "", "")) + sum(max(len(str(v).encode()) for v in vs) for vs in axes.values())
-        if faults or longest > NAME_MAX or any(len(set(values)) < len(values) for values in axes.values()):
-            names = [_cell_name(*coordinates) for coordinates in itertools.product(*axes.values())]
-            shared = sorted(name for name, n in Counter(names).items() if n > 1)
-            if shared:
-                faults.append(f"cells share a directory: {', '.join(shared)}")
-            too_long = [name for name in names if len(name.encode("utf-8")) > NAME_MAX]
-            if too_long:
-                faults.append(f"cell name {too_long[0]!r} is longer than a directory name may be ({NAME_MAX} bytes)")
+        names = [_cell_name(*coordinates) for coordinates in itertools.product(*axes.values())]
+        shared = sorted(name for name, n in Counter(names).items() if n > 1)
+        if shared:
+            faults.append(f"cells share a directory: {', '.join(shared)}")
+        too_long = [name for name in names if len(name.encode("utf-8")) > NAME_MAX]
+        if too_long:
+            faults.append(f"cell name {too_long[0]!r} is longer than a directory name may be ({NAME_MAX} bytes)")
         return faults
 
 
@@ -322,15 +318,16 @@ class _RunBuild:
     """Every cell's inputs, built once, on one thread, before any cell runs; ``offline`` forbids HTTP model backends.
 
     ``inputs`` maps each (policy label, deployment, persistence mode) to its
-    cells' shared run config and policy factory. ``faults`` names each
-    (policy, deployment, mode)'s fault once, in matrix order, then the prompt
-    template's. Each honeynet, the template and each replay file loads, or
-    fails, once, at the first cell that needs it; nothing outlives the build.
+    cells' run config and policy factory; every policy at one deployment and
+    mode shares one run config. ``faults`` names each (policy, deployment,
+    mode)'s fault once, in matrix order, then the prompt template's. Each
+    honeynet, run config, the template and each replay file loads, or fails,
+    once, at the first cell that needs it; nothing outlives the build.
     """
 
     def __init__(self, matrix: ExperimentMatrix, offline: bool = False) -> None:
         self._matrix = matrix
-        self.offline = offline
+        self.offline, self.backends = offline, matrix.backends
         self._loads: dict[tuple, object] = {}  # each load's value, or the fault it raised, by load and arguments
         self.inputs: dict[tuple[str, str, str], tuple[RunConfig, PolicyFactory]] = {}
         self.faults: list[str] = []
@@ -361,11 +358,17 @@ class _RunBuild:
                 self._loads[key] = load(*args)
             except (ValueError, KeyError, OSError) as exc:
                 self._loads[key] = exc
-        if isinstance(self._loads[key], Exception):
-            raise self._loads[key]
-        return self._loads[key]
+        value = self._loads[key]
+        if isinstance(value, Exception):
+            raise value.with_traceback(None)  # a fresh traceback each time, not one that grows with every cell
+        return value
 
     def _build(self, policy: PolicySpec, deployment: str, mode: str) -> None:
+        cfg = self._load(self._run_config, deployment, mode)
+        self.inputs[policy.label, deployment, mode] = cfg, policy.kind.factory(policy.label, cfg, self)
+
+    def _run_config(self, deployment: str, mode: str) -> RunConfig:
+        """The run config that every policy's cells at ``deployment`` and ``mode`` share."""
         matrix = self._matrix
         honeynet = self._load(_honeynet, deployment, matrix.budget, matrix.catalog_path)
         persistence = replace(matrix.persistence, mode=mode)
@@ -373,10 +376,8 @@ class _RunBuild:
             queue = default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
         else:  # RunConfig refuses an attacker that the honeynet cannot run
             queue = [replace(profile, persistence=persistence) for profile in matrix.attackers]
-        cfg = RunConfig(honeynet, tuple(queue), matrix.horizon, noise=matrix.noise, bootstrap=matrix.bootstrap,
-                        belief_carryover=matrix.belief_carryover)
-        factory = policy.kind.factory(policy.label, matrix, honeynet, queue, self)
-        self.inputs[policy.label, deployment, mode] = cfg, factory
+        return RunConfig(honeynet, tuple(queue), matrix.horizon, noise=matrix.noise, bootstrap=matrix.bootstrap,
+                         belief_carryover=matrix.belief_carryover)
 
     def template(self) -> PromptTemplate:
         path = self._matrix.prompt_template_path
@@ -407,19 +408,19 @@ def _honeynet(deployment: str, budget: int, catalog_path: Optional[str]) -> Hone
 class PolicyKind(Settings):
     """A policy kind's parameters: the keys of its ``policies:`` entries besides ``name`` and ``kind``.
 
-    A kind's ``factory`` builds the policies of the cells of one (deployment, persistence mode), or raises
-    ConfigError on what they or the environment lack; ``files`` is the run's build, which loads the template and
-    replay files.
+    A kind's ``factory(label, cfg, build)`` builds the policies of the cells of one (deployment, persistence mode),
+    whose run config is ``cfg``, or raises ConfigError on what they or the environment lack; ``build`` is the run's
+    build, which holds the backends and ``offline`` and loads the template and replay files.
     """
 
 
 class OracleKind(PolicyKind):
-    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
+    def factory(self, label, cfg, build) -> PolicyFactory:
         return lambda index, seed: OraclePolicy()
 
 
 class RandomKind(PolicyKind):
-    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
+    def factory(self, label, cfg, build) -> PolicyFactory:
         return lambda index, seed: RandomPolicy(seed)
 
 
@@ -427,26 +428,27 @@ class RandomKind(PolicyKind):
 class StaticKind(PolicyKind):
     expose: list[str]
 
-    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
+    def factory(self, label, cfg, build) -> PolicyFactory:
         if not self.expose:
             raise ConfigError(f"policy {label}: static policy needs a non-empty 'expose' list")
-        unknown = [name for name in self.expose if name not in honeynet.catalog]
+        unknown = [name for name in self.expose if name not in cfg.honeynet.catalog]
         if unknown:
-            raise ConfigError(f"policy {label}: exposes {unknown}, not in {honeynet.deployment_name}")
+            raise ConfigError(f"policy {label}: exposes {unknown}, not in {cfg.honeynet.deployment_name}")
         return lambda index, seed: StaticPolicy(self.expose)
 
 
 class ReactiveKind(PolicyKind):
-    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
+    def factory(self, label, cfg, build) -> PolicyFactory:
         return lambda index, seed: ReactivePolicy()
 
 
 class ScriptedKind(PolicyKind):
-    def scripts(self, label, honeynet, queue, files) -> list[list[str]]:
-        return [aligned_mock_script(honeynet.catalog.get(p.target_service), p.objective_stage) for p in queue]
+    def scripts(self, label, cfg, build) -> list[list[str]]:
+        catalog = cfg.honeynet.catalog
+        return [aligned_mock_script(catalog.get(p.target_service), p.objective_stage) for p in cfg.attackers]
 
-    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
-        scripts, template = self.scripts(label, honeynet, queue, files), files.template()
+    def factory(self, label, cfg, build) -> PolicyFactory:
+        scripts, template = self.scripts(label, cfg, build), build.template()
         # the episode of the i-th attacker replays script i, cycling
         return lambda index, seed: LlmPolicy(ScriptedMockBackend(scripts[index % len(scripts)]), template=template)
 
@@ -455,9 +457,9 @@ class ScriptedKind(PolicyKind):
 class MockKind(ScriptedKind):
     replay: str
 
-    def scripts(self, label, honeynet, queue, files) -> list[list[str]]:
+    def scripts(self, label, cfg, build) -> list[list[str]]:
         try:
-            return files.replay(self.replay)
+            return build.replay(self.replay)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"policy {label}: replay file {self.replay!r} unusable: {exc}") from None
 
@@ -466,15 +468,15 @@ class MockKind(ScriptedKind):
 class LlmKind(PolicyKind):
     backend: str
 
-    def factory(self, label, matrix, honeynet, queue, files) -> PolicyFactory:
-        backend = matrix.backends.get(self.backend)
+    def factory(self, label, cfg, build) -> PolicyFactory:
+        backend = build.backends.get(self.backend)
         if backend is None:
             raise ConfigError(f"policy {label}: unknown backend {self.backend!r}")
-        if files.offline:
+        if build.offline:
             raise ConfigError(f"policy {label}: HTTP backend {self.backend} forbidden in offline mode")
         if not os.environ.get(backend.auth_env):
             raise ConfigError(f"backend-auth-missing: set {backend.auth_env} for backend {self.backend}")
-        template = files.template()
+        template = build.template()
         return lambda index, seed: LlmPolicy(backend, template=template)
 
 

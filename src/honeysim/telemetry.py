@@ -7,9 +7,8 @@ optionally digested into a bounded text summary.
 Severity runs 1 (low, scans and noise) to 3 (high, deep exploitation).
 
 An epoch renders tens of alerts, so this module keeps their cost down: each
-alert is an ``IdsAlert`` named tuple, and each signature entry is read from
-``signatures.json`` into a ``(signature, category, severity)`` row once per
-process, at the first alert that needs it.
+alert is an ``IdsAlert`` named tuple, and ``signatures.json`` is read into
+one table of ``(signature, category, severity)`` rows once per process.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .attackers import AttackerAction, ExploitAction, ScanAction
 from .catalog import STAGE_LABELS, AttackGraph, AttackStage, service_port, stable_hash
@@ -91,37 +91,28 @@ def _row(entry: dict) -> SignatureRow:
     return entry["signature"], entry["category"], int(entry["severity"])
 
 
-class _SignatureRows:
-    """``signatures.json`` as alert rows; ``signature_rows()`` builds the one instance.
+class SignatureTable(NamedTuple):
+    """``signatures.json`` as alert rows; ``signature_rows()`` builds the one table."""
 
-    The file is read and the scan and noise rows are built at construction.
-    The rows of a (service, stage) are built at its first exploit, so a pair
-    that no attacker reaches needs no entry, and a missing one raises
-    ``SignatureCatalogMissError`` there.
-    """
-
-    def __init__(self) -> None:
-        with resources.files("honeysim.data").joinpath("signatures.json").open(encoding="utf-8") as fh:
-            sigs = json.load(fh)
-        self.scan: SignatureRow = _row(sigs["scan"])
-        self.noise: tuple[SignatureRow, ...] = tuple(map(_row, sigs["noise"]))
-        self._entries: dict = sigs["services"]
-        self._exploits: dict[tuple[str, AttackStage], tuple[SignatureRow, ...]] = {}
-
-    def exploit(self, service_id: str, stage: AttackStage) -> tuple[SignatureRow, ...]:
-        key = (service_id, stage)
-        rows = self._exploits.get(key)
-        if rows is None:
-            entries = self._entries.get(service_id, {}).get(STAGE_LABELS[stage])
-            if not entries:
-                raise SignatureCatalogMissError(f"no signatures for ({service_id}, {STAGE_LABELS[stage]})")
-            rows = self._exploits[key] = tuple(map(_row, entries))
-        return rows
+    scan: SignatureRow
+    noise: tuple[SignatureRow, ...]
+    # the rows of each (service id, stage) with an entry; ``RunConfig`` refuses an attacker that reaches another pair
+    exploits: Mapping[tuple[str, AttackStage], tuple[SignatureRow, ...]]
 
 
 @cache
-def signature_rows() -> _SignatureRows:
-    return _SignatureRows()
+def signature_rows() -> SignatureTable:
+    """The table, built from ``signatures.json`` at the first call; ValueError for a stage key that names no stage."""
+    with resources.files("honeysim.data").joinpath("signatures.json").open(encoding="utf-8") as fh:
+        sigs = json.load(fh)
+    exploits = {
+        (service_id, AttackStage.from_label(label)): tuple(map(_row, entries))
+        for service_id, stages in sigs["services"].items()
+        for label, entries in stages.items()
+        if entries
+    }
+    # every caller shares the table, so none may change it
+    return SignatureTable(_row(sigs["scan"]), tuple(map(_row, sigs["noise"])), MappingProxyType(exploits))
 
 
 def _corrupt_hint(stage: AttackStage, rng: random.Random) -> AttackStage:
@@ -162,7 +153,10 @@ def synthesize_alerts(
         elif isinstance(action, ExploitAction):
             dest, stage = action.service, action.stage
             port = ports[dest] if dest in ports else service_port(dest)
-            for idx, (signature, category, severity) in enumerate(rows.exploit(dest, stage)):
+            entries = rows.exploits.get((dest, stage))
+            if entries is None:
+                raise SignatureCatalogMissError(f"no signatures for ({dest}, {STAGE_LABELS[stage]})")
+            for idx, (signature, category, severity) in enumerate(entries):
                 hint = stage
                 if idx > 0 and rng.random() < noise.hint_corruption_rate:
                     hint = _corrupt_hint(stage, rng)

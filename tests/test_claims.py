@@ -64,7 +64,7 @@ class ExposureOnTargetPolicy(ExposureOnlyPolicy):
 
 def _kind(policy: type) -> harness.PolicyKind:
     class Kind(harness.PolicyKind):
-        def factory(self, label, matrix, honeynet, queue, files):
+        def factory(self, label, cfg, build):
             return lambda index, seed: policy()
 
     return Kind()

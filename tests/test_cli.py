@@ -1524,8 +1524,8 @@ def test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err == ""
 
 
-def test_execute_matrix_checks_one_run_config_per_policy_deployment_and_mode(tmp_path, monkeypatch):
-    """Every seed of a (policy, deployment, mode) runs the one `RunConfig` that the build checked."""
+def test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, monkeypatch):
+    """Every policy and seed at one deployment and mode runs the one `RunConfig` that the build checked."""
     checks, post_init = [], engine.RunConfig.__post_init__
 
     def counted(self):
@@ -1537,7 +1537,7 @@ def test_execute_matrix_checks_one_run_config_per_policy_deployment_and_mode(tmp
     matrix = matrix_from_dict({**TINY_CONFIG, "deployments": TWO_DEPLOYMENTS, "persistence_modes": modes, "seeds": seeds})
     execute_matrix(matrix, tmp_path / "out")
     assert len(list((tmp_path / "out").glob("*/episodes.jsonl"))) == 2 * 2 * 2 * 3
-    assert len(checks) == 2 * 2 * 2  # policies, deployments and modes; not seeds
+    assert len(checks) == 2 * 2  # deployments and modes; not policies or seeds
 
 
 def test_a_config_makes_one_matrix_and_the_run_overrides_make_one_more(tmp_path, monkeypatch, capsys):
@@ -1599,6 +1599,23 @@ def test_a_catalog_file_that_fails_is_read_once(tmp_path, monkeypatch, capsys, c
     err = capsys.readouterr().err
     assert err == "violation: catalog file unusable: [Errno 2] No such file or directory: 'missing.yaml'\n"
     assert not Path("out").exists()
+
+
+@pytest.mark.parametrize("policies", [1, 6])
+def test_a_fault_raised_at_every_cell_keeps_a_traceback_of_one_raise(tmp_path, policies):
+    """The build keeps each load's fault and raises it again at each cell that needs it, with a traceback of that
+    raise alone: one that grew at every raise would keep every cell's frames alive."""
+    labels = [{"name": f"p{i}", "kind": "oracle"} for i in range(policies)]
+    config = {**TINY_CONFIG, "policies": labels, "deployments": ["custom"], "catalog": str(tmp_path / "missing.yaml")}
+    build = harness._RunBuild(matrix_from_dict(config))
+    assert build.faults == [f"catalog file unusable: [Errno 2] No such file or directory: '{tmp_path / 'missing.yaml'}'"]
+    depths = []
+    for fault in build._loads.values():
+        depth, frame = 0, fault.__traceback__
+        while frame is not None:
+            depth, frame = depth + 1, frame.tb_next
+        depths.append(depth)
+    assert len(depths) == 2 and max(depths) <= 3  # the honeynet's fault and the run config's, each raised by _load
 
 
 def test_load_run_file_round_trip(tiny_config):

@@ -9,7 +9,6 @@ importer runs it. A refactor that leaves a check unable to see its fault
 fails here, not silently.
 """
 
-import copy
 import dataclasses
 import itertools
 import json
@@ -92,7 +91,7 @@ def test_a_run_that_builds_a_policy_per_attacker_under_carryover_starts_each_epi
 
 
 def test_a_random_policy_seeded_by_its_position_in_the_run_depends_on_the_matrix(monkeypatch, tmp_path):
-    def by_position(self, label, matrix, honeynet, queue, files):
+    def by_position(self, label, cfg, build):
         built = itertools.count()  # the episodes built from this factory, which all the run's random cells share
         return lambda index, seed: RandomPolicy(next(built))
 
@@ -190,7 +189,19 @@ def test_a_cell_that_rebuilds_its_run_config_at_its_seed_checks_one_config_per_c
 
     monkeypatch.setattr(harness, "run_simulation", rebuilt_per_cell)
     with pytest.raises(AssertionError):
-        test_cli.test_execute_matrix_checks_one_run_config_per_policy_deployment_and_mode(tmp_path, monkeypatch)
+        test_cli.test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, monkeypatch)
+
+
+def test_a_build_that_makes_a_run_config_per_policy_checks_one_per_policy(monkeypatch, tmp_path):
+    """``_RunBuild._build`` as it was before the run config was memoized: each policy builds and checks its own."""
+
+    def one_per_policy(self, policy, deployment, mode):
+        cfg = self._run_config(deployment, mode)
+        self.inputs[policy.label, deployment, mode] = cfg, policy.kind.factory(policy.label, cfg, self)
+
+    monkeypatch.setattr(harness._RunBuild, "_build", one_per_policy)
+    with pytest.raises(AssertionError):
+        test_cli.test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, monkeypatch)
 
 
 def test_an_http_backend_that_bounds_each_read_alone_waits_out_a_trickled_reply(monkeypatch):
@@ -204,6 +215,24 @@ def test_an_http_backend_that_bounds_each_read_alone_waits_out_a_trickled_reply(
     monkeypatch.setattr(llm.HttpChatBackend, "complete", each_read_alone)
     with pytest.raises(AssertionError):
         test_llm.test_a_reply_that_trickles_past_the_timeout_fails_its_attempts_and_falls_back(monkeypatch, False)
+
+
+def test_an_http_backend_that_reads_a_reply_without_a_cap_takes_one_past_it(monkeypatch):
+    def uncapped(self, prompt):
+        import urllib.request
+
+        request = urllib.request.Request(f"{self.base_url.rstrip('/')}/chat/completions", data=b"{}")
+        for _ in range(self.max_retries):
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    return json.loads(resp.read())["choices"][0]["message"]["content"]
+            except (OSError, LookupError, ValueError) as exc:
+                error = exc
+        raise llm.BackendError(f"backend unreachable after {self.max_retries} attempts: {error}")
+
+    monkeypatch.setattr(llm.HttpChatBackend, "complete", uncapped)
+    with pytest.raises(AssertionError):
+        test_llm.test_every_turn_on_a_faulty_reply_ends_in_time_falls_back_and_is_counted(monkeypatch, "over-the-cap")
 
 
 def test_a_build_that_expands_the_matrix_again_makes_two_expansions_per_command(monkeypatch, tmp_path, capsys):
@@ -373,8 +402,8 @@ def test_a_type_rule_that_takes_a_bool_for_an_int_runs_a_flag_as_a_horizon(monke
 
 
 def test_reordered_noise_rows_draw_other_alerts_than_signatures_json(monkeypatch):
-    reordered = copy.copy(telemetry.signature_rows())
-    reordered.noise = reordered.noise[::-1]
+    table = telemetry.signature_rows()
+    reordered = telemetry.SignatureTable(table.scan, table.noise[::-1], table.exploits)
     monkeypatch.setattr(telemetry, "signature_rows", lambda: reordered)
     with pytest.raises(AssertionError):
         test_telemetry.test_every_exploit_renders_the_rows_of_signatures_json("small_mixed", NoiseConfig(0.6, 0.7))

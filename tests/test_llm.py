@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 from honeysim import harness, llm
 from honeysim.attackers import AttackerProfile
-from honeysim.catalog import ALL_STAGES, AttackGraph, AttackStage, HoneynetConfig, ServiceSpec, deployment_config
+from honeysim.catalog import (
+    ALL_STAGES,
+    STAGE_LABELS,
+    AttackGraph,
+    AttackStage,
+    HoneynetConfig,
+    ServiceSpec,
+    deployment_config,
+)
 from honeysim.engine import RunConfig, records_to_jsonl, run_episode, run_simulation
 from honeysim.llm import (
     BackendError,
@@ -501,6 +509,14 @@ def test_aligned_scripts_cover_every_builtin_chain():
         assert last["done"] is True
 
 
+def test_the_builtin_template_lists_the_stage_labels_in_order():
+    """The template spells the labels out, since its bytes are pinned; they must be the labels the code derives."""
+    folded = " ".join(builtin_template().text.split())
+    listed = re.search(r"Attack stages, in order: (.*?)\. ", folded)
+    assert listed is not None
+    assert listed.group(1) == ", ".join(STAGE_LABELS)
+
+
 def test_replay_file_formats(tmp_path):
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps(["a", "b"]), encoding="utf-8")
@@ -723,6 +739,113 @@ def test_a_reply_that_trickles_past_the_timeout_fails_its_attempts_and_falls_bac
     assert decision.exposed == ("gitlab",)  # the first service, not the reply's
     assert server.seen == ["/v1/chat/completions"] * 2
     assert elapsed < 2 * 0.3 + 0.5  # two attempts of 0.3 s each, a pause of 0.01 s, and room for a slow machine
+
+
+_DECISION = '{"expose": ["gitlab"], "stages": []}'
+# every fault a reply can have that fails its attempt; each request of a test gets the same one
+REPLY_FAULTS = [
+    "status-503",
+    "no-content-length",
+    "content-length-short",
+    "content-length-long",
+    "not-json",
+    "wrong-shape",
+    "trickle",
+    "over-the-cap",
+    "closed-mid-body",
+]
+FAULT_TIMEOUT = 0.1  # each attempt's deadline: the faults that send too little wait it out
+
+
+class _FaultyReplyHandler(BaseHTTPRequestHandler):
+    """Answers each request with the reply fault ``server.fault`` names, for a backend with ``max_tokens`` 1.
+
+    A reply that leaves the client waiting for more holds the connection
+    until the client closes it, or for at most a second.
+    """
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append(self.path)
+        self.connection.settimeout(1.0)
+        fault = self.server.fault
+        status, length_delta, hold, pause = 200, 0, False, 0.0
+        body = json.dumps(_reply(_DECISION)).encode("utf-8")
+        if fault == "status-503":
+            status = 503
+        elif fault == "no-content-length":
+            length_delta, hold = None, True
+        elif fault == "content-length-short":
+            length_delta = -10  # the JSON is cut short
+        elif fault == "content-length-long":
+            length_delta, hold = 10, True
+        elif fault == "not-json":
+            body = b"<html>busy</html>"
+        elif fault == "wrong-shape":
+            body = b'{"choices": []}'
+        elif fault == "trickle":
+            pause = 0.01  # about a second a reply
+        elif fault == "over-the-cap":  # a decision, padded one byte past 64 KiB plus 64 bytes for the one token
+            padding = 64 * 1024 + 64 + 1 - len(json.dumps(_reply(_DECISION)))
+            body = json.dumps(_reply(_DECISION + " " * padding)).encode("utf-8")
+        elif fault == "closed-mid-body":
+            length_delta = len(body)  # half of the body goes, then the connection closes
+            body = body[: len(body) // 2]
+        head = b"HTTP/1.0 %d Fault\r\nContent-Type: application/json\r\n" % status
+        if length_delta is not None:
+            head += b"Content-Length: %d\r\n" % (len(body) + length_delta)
+        try:
+            if pause:
+                self.wfile.write(head + b"\r\n")
+                for byte in body:
+                    time.sleep(pause)
+                    self.wfile.write(bytes([byte]))
+            else:
+                self.wfile.write(head + b"\r\n" + body)
+            if hold:
+                self.rfile.read(1)  # until the client closes the connection
+        except OSError:  # the client gave up on the reply
+            pass
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("fault", REPLY_FAULTS)
+def test_every_turn_on_a_faulty_reply_ends_in_time_falls_back_and_is_counted(monkeypatch, fault):
+    """Over a local server whose every reply has ``fault``, an episode finishes: each turn ends within
+    ``max_retries`` attempts of ``timeout`` plus the backoff, falls back, and the cell's ``CellStats`` counts it, and
+    the exposure stays in the catalog and within the budget."""
+    monkeypatch.setattr(HttpChatBackend, "backoff_seconds", 0.01)
+    monkeypatch.setattr(HttpChatBackend, "max_retries", 2)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FaultyReplyHandler)
+    server.fault, server.seen = fault, []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+    backend = HttpChatBackend(
+        base_url=f"http://127.0.0.1:{server.server_port}/v1",
+        auth_env="HONEYSIM_TEST_TOKEN",
+        timeout=FAULT_TIMEOUT,
+        max_tokens=1,
+    )
+    honeynet = deployment_config("small_mixed", budget=2)
+    cfg = RunConfig(honeynet=honeynet, attackers=(AttackerProfile(target_service="gitlab"),), horizon=2)
+    policy, stats = LlmPolicy(backend), CellStats()
+    policy.stats = stats
+    try:
+        record = run_episode(cfg, cfg.attackers[0], policy, 3)
+    finally:
+        server.shutdown()
+        server.server_close()
+    turns = 1 + len(record["epochs"])  # the bootstrap turn, then one an epoch
+    assert stats.as_dict() == {**_counts(fallbacks=turns), "turns": turns, "latency_s": stats.as_dict()["latency_s"]}
+    assert server.seen == ["/v1/chat/completions"] * (2 * turns)
+    backoff = HttpChatBackend.backoff_seconds  # one pause, between the two attempts
+    assert max(stats.latencies) < 2 * FAULT_TIMEOUT + backoff + 0.5  # and room for a slow machine
+    exposures = [record["bootstrap_exposed"], *(epoch["exposed"] for epoch in record["epochs"])]
+    exposures += [epoch["decision"].exposed for epoch in record["epochs"]]
+    for exposed in exposures:
+        assert set(exposed) <= set(honeynet.catalog.ids) and len(exposed) <= honeynet.budget
 
 
 class TestBackendSettings:

@@ -1,11 +1,13 @@
 import json
 import random
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
 from honeysim.attackers import ExploitAction, ScanAction
-from honeysim.catalog import DEPLOYMENT_NAMES, AttackStage, deployment_config, service_port
+from honeysim import telemetry
+from honeysim.catalog import DEPLOYMENT_NAMES, STAGE_LABELS, AttackStage, deployment_config, service_port
 from honeysim.telemetry import (
     CLOCK_EPOCH_SECONDS,
     NO_ALERTS_DIGEST,
@@ -120,6 +122,31 @@ def _alerts_from_json(actions, epoch, noise, rng, catalog, src):
             if rng.random() < noise.false_positive_rate:
                 push(sid, rng.choice(sigs["noise"]), AttackStage.RECONNAISSANCE)
     return out
+
+
+def test_every_stage_key_of_signatures_json_is_a_stage_label_as_written():
+    keys = {key for stages in SIGNATURES["services"].values() for key in stages}
+    assert keys and keys <= set(STAGE_LABELS)
+
+
+def test_the_signature_table_holds_every_entry_of_signatures_json_by_service_and_stage():
+    table = telemetry.signature_rows()
+    assert table is telemetry.signature_rows()  # built once
+    row = itemgetter("signature", "category", "severity")
+    assert table.exploits == {
+        (sid, AttackStage(STAGE_LABELS.index(key))): tuple(map(row, entries))
+        for sid, stages in SIGNATURES["services"].items()
+        for key, entries in stages.items()
+    }
+
+
+def test_a_misspelt_stage_key_in_signatures_json_fails_as_the_table_is_built(monkeypatch, tmp_path):
+    entries = SIGNATURES["services"]["gitlab"]["InitialAccess"]
+    misspelt = {**SIGNATURES, "services": {"gitlab": {"InitialAcess": entries}}}
+    (tmp_path / "signatures.json").write_text(json.dumps(misspelt), encoding="utf-8")
+    monkeypatch.setattr(telemetry.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ValueError, match="InitialAcess"):
+        telemetry.signature_rows.__wrapped__()
 
 
 @pytest.mark.parametrize("noise", [QUIET, NoiseConfig(), NoiseConfig(0.6, 0.7)], ids=["quiet", "default", "loud"])
