@@ -51,7 +51,6 @@ from .metrics import (
     SCORE_MODE_SETS,
     SCORE_MODES,
     RunMetrics,
-    RunResult,
     SummaryTables,
     aggregate,
 )
@@ -152,7 +151,7 @@ class ExperimentMatrix:
 
 @dataclass(frozen=True)
 class CellSpec:
-    policy: PolicySpec
+    policy: str  # the policy's label
     deployment: str
     persistence: str
     seed: int
@@ -160,12 +159,12 @@ class CellSpec:
 
     @property
     def name(self) -> str:
-        return _cell_name(self.policy.label, self.deployment, self.persistence, self.seed)
+        return _cell_name(self.policy, self.deployment, self.persistence, self.seed)
 
     @cached_property
     def derived_seed(self) -> int:
         """The seed of this cell's run, from its coordinates; derived at first use, so ``replay`` derives none."""
-        return derive_seed(self.seed_base, self.policy.label, self.deployment, self.persistence, self.seed)
+        return derive_seed(self.seed_base, self.policy, self.deployment, self.persistence, self.seed)
 
 
 def _cell_name(label: str, deployment: str, mode: str, seed: int) -> str:
@@ -175,7 +174,7 @@ def _cell_name(label: str, deployment: str, mode: str, seed: int) -> str:
 def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
     """Cartesian expansion in lexicographic axis order; each cell derives its own seed and has its own directory."""
     return [
-        CellSpec(policy, deployment, mode, seed, matrix.seed_base)
+        CellSpec(policy.label, deployment, mode, seed, matrix.seed_base)
         for policy, deployment, mode, seed in itertools.product(
             matrix.policies, matrix.deployments, matrix.modes, matrix.seeds
         )
@@ -498,19 +497,19 @@ POLICY_KINDS: dict[str, type[PolicyKind]] = {
 
 def run_cell(
     cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None, build: Optional[_RunBuild] = None
-) -> RunResult:
-    """Execute one cell.
+) -> tuple[list[dict], CellStats]:
+    """Execute one cell: its records, as the epoch loop builds them, and its ``CellStats``.
 
     Every policy of the cell counts its turns and degradations into the
-    result's ``stats``; with ``out_dir`` set, ``stats`` also writes each model
-    turn to the cell's turns.jsonl as it counts it, so partial runs still
-    leave an audit trail. ``build`` holds the inputs of the run's cells;
+    cell's stats; with ``out_dir`` set, the stats also write each model turn
+    to the cell's turns.jsonl as they count it, so partial runs still leave
+    an audit trail. ``build`` holds the inputs of the run's cells;
     without it, the matrix is built as ``run`` builds it, or MatrixFaults
     raised. A cell that degraded logs one warning with its counts.
     """
     if build is None:
         build = _RunBuild(matrix).checked()
-    cfg, build_policy = build.inputs[cell.policy.label, cell.deployment, cell.persistence]
+    cfg, build_policy = build.inputs[cell.policy, cell.deployment, cell.persistence]
     stats = CellStats() if out_dir is None else CellStats(out_dir / cell.name / "turns.jsonl")
 
     def make_policy(index: int, seed: int):
@@ -530,14 +529,13 @@ def run_cell(
             except IsADirectoryError:
                 raise ConfigError(f"output file {stats.turns_path} is a directory") from None
     try:
-        # the records as the epoch loop builds them: write_cell writes them and run_metrics scores them
-        result = _cell_result(cell, run_simulation(cfg, make_policy, cell.derived_seed), stats)
+        records = run_simulation(cfg, make_policy, cell.derived_seed)
     finally:
         stats.close()
     degraded = stats.degraded()
     if degraded:
         logger.warning("cell %s degraded: %s", cell.name, degraded)
-    return result
+    return records, stats
 
 
 def _write(path: Path, text: str) -> None:
@@ -548,22 +546,18 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"output file {path} is a directory") from None
 
 
-def _cell_result(cell: CellSpec, records, stats: Optional[CellStats] = None) -> RunResult:
-    return RunResult(cell.policy.label, cell.deployment, cell.persistence, tuple(records), stats)
-
-
-def write_cell(out_dir: Path, cell: CellSpec, result: RunResult) -> None:
+def write_cell(out_dir: Path, cell: CellSpec, records: Sequence[dict]) -> None:
     """Write the cell's ``cell.json`` and ``episodes.jsonl`` into the directory ``run_cell`` made, one write each."""
     cell_dir = out_dir / cell.name
     manifest = {
-        "policy": cell.policy.label,
+        "policy": cell.policy,
         "deployment": cell.deployment,
         "persistence": cell.persistence,
         "seed": cell.seed,
         "derived_seed": cell.derived_seed,
     }
     _write(cell_dir / "cell.json", json.dumps(manifest, sort_keys=True) + "\n")
-    _write(cell_dir / "episodes.jsonl", records_to_jsonl(result.records) + "\n")
+    _write(cell_dir / "episodes.jsonl", records_to_jsonl(records) + "\n")
 
 
 def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: ExperimentMatrix) -> SummaryTables:
@@ -614,10 +608,10 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
 
     def job(cell: CellSpec) -> tuple[RunMetrics, CellStats]:
         logger.info("running cell %s", cell.name)
-        result = run_cell(cell, matrix, out_dir=out, build=build)
-        write_cell(out, cell, result)
+        records, stats = run_cell(cell, matrix, out_dir=out, build=build)
+        write_cell(out, cell, records)
         # only the metrics and counts outlive the cell, so memory grows with cells, not episodes
-        return metrics.run_metrics(result, matrix.score_mode), result.stats
+        return metrics.run_metrics(cell, records, matrix.score_mode), stats
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -655,7 +649,7 @@ def replay_out_dir(out_dir: str | Path) -> SummaryTables:
                 text = fh.read().decode("utf-8")
             # each line is decoded and checked once, then reduced in the same expression,
             # bound to no name: no cell's records outlive it
-            runs.append(metrics.run_metrics(_cell_result(cell, records_from_jsonl(text)), matrix.score_mode))
+            runs.append(metrics.run_metrics(cell, records_from_jsonl(text), matrix.score_mode))
         except FileNotFoundError:
             missing.append(cell.name)
         # ValueError: also not JSON, not UTF-8, nested too deep, or no record to average; OSError: unreadable,

@@ -277,8 +277,12 @@ class HttpChatBackend(Settings):
                 # the attempt's deadline: every read of its reply, from the status line on, ends by then
                 with _opener(time.monotonic() + self.timeout).open(request, timeout=self.timeout) as resp:
                     body = resp.read(cap + 1)
+                    # the bytes its Content-Length promised that never came (the connection closed early); None without one
+                    owed = resp.length
                 if len(body) > cap:
                     raise ValueError(f"reply longer than {cap} bytes")
+                if owed:
+                    raise http.client.IncompleteRead(body, owed)
                 content = json.loads(body)["choices"][0]["message"]["content"]
                 if not isinstance(content, str):
                     raise TypeError(f"reply content is {type(content).__name__}, not a string")

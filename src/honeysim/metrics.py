@@ -16,10 +16,9 @@ import io
 import itertools
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .catalog import COMMON_TARGETS, AttackStage
-from .policies import CellStats
 
 SCORE_MODE_SETS = "cumulative_sets"
 SCORE_MODE_CURRENT = "current_stage"
@@ -80,24 +79,6 @@ def score_from_counts(tp: int, fp: int, fn: int) -> float:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    """One cell execution: a policy against one deployment and persistence mode.
-
-    ``records`` are the cell's episodes as mappings with the keys of their
-    ``episodes.jsonl`` lines: built by the epoch loop in a run, decoded from
-    the log in a replay. Both hold the same stage labels, targets and
-    objectives, so both score the same.
-    ``stats`` are the run's turn and degradation counts; a replay has none.
-    """
-
-    policy: str
-    deployment: str
-    persistence: str
-    records: tuple[dict, ...]
-    stats: Optional[CellStats] = None
-
-
-@dataclass(frozen=True)
 class RunMetrics:
     """One run reduced to what the summary tables need; it keeps no episode record."""
 
@@ -128,18 +109,23 @@ def _mean(values: Iterable[float]) -> float:
     return sum([n * (denominator // d) for n, d in ratios]) / (len(ratios) * denominator)
 
 
-def run_metrics(result: RunResult, mode: str = SCORE_MODE_SETS) -> RunMetrics:
-    """Reduce one run to comparable numbers over the common attackers.
+def run_metrics(cell, records: Sequence[dict], mode: str = SCORE_MODE_SETS) -> RunMetrics:
+    """Reduce one cell's run to comparable numbers over the common attackers.
 
-    A run counts as exploitation-achieved only if every common attacker
-    completed its chain; the run score is the mean of their episode scores.
-    Custom deployments without common attackers fall back to all episodes.
+    ``cell`` gives the run's ``policy`` label, ``deployment`` and
+    ``persistence``, as a ``harness.CellSpec`` does. ``records`` are its
+    episodes as mappings with the keys of their ``episodes.jsonl`` lines:
+    built by the epoch loop in a run, decoded from the log in a replay; both
+    score the same. A run counts as exploitation-achieved only if every
+    common attacker completed its chain; the run score is the mean of their
+    episode scores. Custom deployments without common attackers fall back to
+    all episodes.
     """
-    common = [r for r in result.records if r["target_service"] in COMMON_TARGETS] or result.records
+    common = [r for r in records if r["target_service"] in COMMON_TARGETS] or records
     return RunMetrics(
-        policy=result.policy,
-        deployment=result.deployment,
-        persistence=result.persistence,
+        policy=cell.policy,
+        deployment=cell.deployment,
+        persistence=cell.persistence,
         exploitation=all(map(exploitation_achieved, common)),
         score=_mean(inference_score(r, mode)[3] for r in common),
     )

@@ -16,6 +16,7 @@ from honeysim.catalog import deployment_config
 from honeysim.cli import main
 from honeysim.engine import RunConfig, records_to_jsonl, run_episode, run_simulation
 from honeysim.harness import (
+    CellSpec,
     ExperimentMatrix,
     OracleKind,
     PolicySpec,
@@ -25,7 +26,6 @@ from honeysim.harness import (
     run_cell,
 )
 from honeysim.metrics import (
-    RunResult,
     aggregate,
     inference_score,
     run_metrics,
@@ -53,16 +53,11 @@ def criterion(number: int, name: str, budget_seconds: float):
     print(f"[criterion {number}] {name}: PASS ({elapsed:.2f}s)")
 
 
-def _run(deployment: str, mode: str, seed: int, policy_factory, horizon: int = 20) -> RunResult:
+def _run(deployment: str, mode: str, seed: int, policy_factory, horizon: int = 20) -> tuple[CellSpec, list[dict]]:
     honeynet = deployment_config(deployment)
     queue = default_attacker_queue(honeynet.catalog, PersistenceModel(mode=mode))
     cfg = RunConfig(honeynet=honeynet, attackers=tuple(queue), horizon=horizon)
-    return RunResult(
-        policy="test",
-        deployment=deployment,
-        persistence=mode,
-        records=tuple(run_simulation(cfg, policy_factory, seed)),
-    )
+    return CellSpec("test", deployment, mode, seed, 0), run_simulation(cfg, policy_factory, seed)
 
 
 def test_criterion_1_persistence_formula():
@@ -78,7 +73,7 @@ def test_criterion_1_persistence_formula():
 def test_criterion_2_oracle_upper_bound():
     with criterion(2, "oracle upper bound 9/9 and score 1.0", 5.0):
         runs = [
-            run_metrics(_run(dep, "deterministic", seed, lambda i, s: OraclePolicy()))
+            run_metrics(*_run(dep, "deterministic", seed, lambda i, s: OraclePolicy()))
             for dep in DEPLOYMENTS
             for seed in SEEDS
         ]
@@ -96,7 +91,7 @@ def test_criterion_3_misalignment_sanity():
             # fully vulnerable has no decoys: pin a service no scored attacker targets
             target = decoys[0] if decoys else "xdebug"
             runs = [
-                run_metrics(_run(deployment, mode, seed, lambda i, s: StaticPolicy((target,))))
+                run_metrics(*_run(deployment, mode, seed, lambda i, s: StaticPolicy((target,))))
                 for mode in MODES
                 for seed in SEEDS
             ]
@@ -201,7 +196,7 @@ def test_criterion_7_matrix_shape_and_replay(tmp_path):
             seeds=list(SEEDS),
             horizon=20,
         )
-        results = [run_metrics(run_cell(cell, matrix)) for cell in expand_matrix(matrix)]
+        results = [run_metrics(cell, run_cell(cell, matrix)[0]) for cell in expand_matrix(matrix)]
         files = dict(aggregate(results, policies=["oracle"], deployments=DEPLOYMENTS, modes=MODES).files())
         for axis in ("deployment", "persistence"):
             rows = files[f"summary_success_by_{axis}.csv"].splitlines()[1:]
@@ -251,9 +246,9 @@ def test_criterion_9_determinism():
             horizon=20,
         )
         cell = expand_matrix(matrix)[0]
-        first = run_cell(cell, matrix)
-        second = run_cell(cell, matrix)
-        assert records_to_jsonl(first.records) == records_to_jsonl(second.records)
+        first, _ = run_cell(cell, matrix)
+        second, _ = run_cell(cell, matrix)
+        assert records_to_jsonl(first) == records_to_jsonl(second)
 
         # and through the CLI layer, bytes on disk match across whole reruns
         import tempfile

@@ -84,10 +84,10 @@ def scores() -> dict:
     runs: dict = {}
     build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
     for cell in harness.expand_matrix(matrix):
-        result = harness.run_cell(cell, matrix, build=build)
+        records, _ = harness.run_cell(cell, matrix, build=build)
         for mode in metrics.SCORE_MODES:
-            key = (mode, cell.policy.label, cell.deployment, cell.persistence)
-            runs.setdefault(key, []).append(100 * metrics.run_metrics(result, mode).score)
+            key = (mode, cell.policy, cell.deployment, cell.persistence)
+            runs.setdefault(key, []).append(100 * metrics.run_metrics(cell, records, mode).score)
     return runs
 
 

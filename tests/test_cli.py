@@ -1174,9 +1174,9 @@ def _scripted_matrix():
 def test_run_cell_returns_turn_logs_for_scripted_policy(tmp_path):
     matrix = _scripted_matrix()
     cell = expand_matrix(matrix)[0]
-    result = run_cell(cell, matrix, out_dir=tmp_path)
-    assert len(result.records) == 2
-    assert all(r["outcome"] == "completed" for r in result.records)
+    records, _ = run_cell(cell, matrix, out_dir=tmp_path)
+    assert len(records) == 2
+    assert all(r["outcome"] == "completed" for r in records)
     turn_file = tmp_path / cell.name / "turns.jsonl"
     turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
     assert turns and all("prompt" in t for t in turns)
@@ -1186,12 +1186,12 @@ def test_run_cell_streams_turns_to_disk(tmp_path):
     """Turn records land on disk during the run, not only at cell write-out."""
     matrix = _scripted_matrix()
     cell = expand_matrix(matrix)[0]
-    result = run_cell(cell, matrix, out_dir=tmp_path)
+    records, _ = run_cell(cell, matrix, out_dir=tmp_path)
     turn_file = tmp_path / cell.name / "turns.jsonl"
     assert turn_file.exists()  # written before write_cell was ever called
     turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
     # bootstrap turn plus one per epoch, for each of the two attackers
-    assert len(turns) == sum(1 + r["epochs_used"] for r in result.records)
+    assert len(turns) == sum(1 + r["epochs_used"] for r in records)
     # a rerun replaces rather than appends
     run_cell(cell, matrix, out_dir=tmp_path)
     assert len(turn_file.read_text(encoding="utf-8").splitlines()) == len(turns)
@@ -1293,13 +1293,13 @@ def test_a_degraded_cell_counts_each_fault_and_logs_one_line_naming_it(tmp_path,
     matrix = _degrading_matrix(tmp_path, horizon=6)
     faulty, clean, wide, oracle = expand_matrix(matrix)
     with caplog.at_level("WARNING"):
-        result = run_cell(faulty, matrix, out_dir=tmp_path)
-    episodes = len(result.records)
-    assert episodes == 2 and all(r["epochs_used"] >= 2 for r in result.records)  # every episode reaches turn 2
-    assert result.stats.as_dict()["turns"] == sum(1 + r["epochs_used"] for r in result.records)
+        records, stats = run_cell(faulty, matrix, out_dir=tmp_path)
+    episodes = len(records)
+    assert episodes == 2 and all(r["epochs_used"] >= 2 for r in records)  # every episode reaches turn 2
+    assert stats.as_dict()["turns"] == sum(1 + r["epochs_used"] for r in records)
     # per episode: one dropped service, stage and done, one fallback and one over-budget reply
     once_each = ("fallbacks", "unknown_services", "unknown_stages", "non_boolean_done", "over_budget")
-    assert result.stats.counts == {**dict.fromkeys(once_each, episodes), "unlisted_services": 0}
+    assert stats.counts == {**dict.fromkeys(once_each, episodes), "unlisted_services": 0}
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
         (
             "WARNING",
@@ -1310,9 +1310,9 @@ def test_a_degraded_cell_counts_each_fault_and_logs_one_line_naming_it(tmp_path,
     caplog.clear()
     with caplog.at_level("WARNING"):
         for cell in (clean, oracle):
-            stats = run_cell(cell, matrix, out_dir=tmp_path).stats
+            _, stats = run_cell(cell, matrix, out_dir=tmp_path)
             assert not any(stats.counts.values())
-        wide_stats = run_cell(wide, matrix, out_dir=tmp_path).stats
+        _, wide_stats = run_cell(wide, matrix, out_dir=tmp_path)
     over = wide_stats.counts["over_budget"]
     assert [r.getMessage() for r in caplog.records] == [f"cell {wide.name} degraded: over_budget={over}"]
     assert over > 0 and wide_stats.latencies == []
@@ -1755,9 +1755,9 @@ def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
     )
     build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
     for cell in expand_matrix(matrix):
-        result = run_cell(cell, matrix, out_dir=tmp_path, build=build)
-        assert result.records
-        for record in result.records:
+        records, _ = run_cell(cell, matrix, out_dir=tmp_path, build=build)
+        assert records
+        for record in records:
             assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)
     turns = (tmp_path / expand_matrix(matrix)[-1].name / "turns.jsonl").read_text(encoding="utf-8").splitlines()
     assert {json.loads(line)["parsed_ok"] for line in turns} == {True, False}
@@ -1819,7 +1819,7 @@ def test_every_offline_kind_logs_its_json_form_with_sorted_keys(decoys, labels, 
         assert {p.kind.__class__ for p in matrix.policies} == set(POLICY_KINDS.values()) - {LlmKind}
         build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
         for cell in expand_matrix(matrix):
-            records = run_cell(cell, matrix, build=build).records
+            records, _ = run_cell(cell, matrix, build=build)
             assert [r["attacker_label"] for r in records] == labels
             for record in records:
                 assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)

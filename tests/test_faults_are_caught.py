@@ -235,6 +235,32 @@ def test_an_http_backend_that_reads_a_reply_without_a_cap_takes_one_past_it(monk
         test_llm.test_every_turn_on_a_faulty_reply_ends_in_time_falls_back_and_is_counted(monkeypatch, "over-the-cap")
 
 
+def test_an_http_backend_that_trusts_the_bytes_it_got_takes_a_reply_cut_short_of_its_length(monkeypatch):
+    def without_the_length_check(self, prompt):
+        import http.client
+        import time
+        import urllib.request
+
+        request = urllib.request.Request(f"{self.base_url.rstrip('/')}/chat/completions", data=b"{}")
+        cap = 64 * 1024 + 64 * self.max_tokens
+        for _ in range(self.max_retries):
+            try:
+                with llm._opener(time.monotonic() + self.timeout).open(request, timeout=self.timeout) as resp:
+                    body = resp.read(cap + 1)  # short, and no error, when the connection closes before its length
+                if len(body) > cap:
+                    raise ValueError(f"reply longer than {cap} bytes")
+                return json.loads(body)["choices"][0]["message"]["content"]
+            except (OSError, http.client.HTTPException, LookupError, ValueError) as exc:
+                error = exc
+        raise llm.BackendError(f"backend unreachable after {self.max_retries} attempts: {error}")
+
+    monkeypatch.setattr(llm.HttpChatBackend, "complete", without_the_length_check)
+    with pytest.raises(AssertionError):
+        test_llm.test_every_turn_on_a_faulty_reply_ends_in_time_falls_back_and_is_counted(
+            monkeypatch, "closed-after-the-json"
+        )
+
+
 def test_a_build_that_expands_the_matrix_again_makes_two_expansions_per_command(monkeypatch, tmp_path, capsys):
     init = harness._RunBuild.__init__
 

@@ -753,6 +753,7 @@ REPLY_FAULTS = [
     "trickle",
     "over-the-cap",
     "closed-mid-body",
+    "closed-after-the-json",
 ]
 FAULT_TIMEOUT = 0.1  # each attempt's deadline: the faults that send too little wait it out
 
@@ -791,6 +792,9 @@ class _FaultyReplyHandler(BaseHTTPRequestHandler):
         elif fault == "closed-mid-body":
             length_delta = len(body)  # half of the body goes, then the connection closes
             body = body[: len(body) // 2]
+        elif fault == "closed-after-the-json":  # the whole reply and three blanks go, then the connection closes
+            body += b"   "
+            length_delta = 50
         head = b"HTTP/1.0 %d Fault\r\nContent-Type: application/json\r\n" % status
         if length_delta is not None:
             head += b"Content-Length: %d\r\n" % (len(body) + length_delta)

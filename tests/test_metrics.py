@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from honeysim.attackers import AttackerProfile
 from honeysim.catalog import deployment_config
 from honeysim.engine import SCHEMA_VERSION, RunConfig, run_episode
+from honeysim.harness import CellSpec
 from honeysim.metrics import (
-    RunResult,
     SCORE_MODE_CURRENT,
     _mean,
     aggregate,
@@ -163,8 +163,8 @@ def test_inference_score_matches_brute_force(data):
 
 
 class TestRunLevelMetrics:
-    def _result(self, records, policy="oracle", deployment="fully_vulnerable"):
-        return RunResult(policy=policy, deployment=deployment, persistence="deterministic", records=tuple(records))
+    def _cell(self, policy="oracle", deployment="fully_vulnerable"):
+        return CellSpec(policy, deployment, "deterministic", 0, 0)
 
     def test_only_common_attackers_count(self):
         good = make_record([(STAGES, STAGES)])
@@ -172,7 +172,7 @@ class TestRunLevelMetrics:
             [(STAGES, STAGES)], target="apache_struts", objective="RootDataExfil"
         )
         failed_xdebug = make_record([(("Reconnaissance",), ())], target="xdebug", outcome="abandoned")
-        rm = run_metrics(self._result([good, good_struts, failed_xdebug]))
+        rm = run_metrics(self._cell(), [good, good_struts, failed_xdebug])
         assert rm.exploitation  # xdebug failure is not a common attacker
         assert rm.score == 1.0
 
@@ -181,7 +181,7 @@ class TestRunLevelMetrics:
         bad_struts = make_record(
             [(("Reconnaissance",), ())], target="apache_struts", outcome="abandoned"
         )
-        rm = run_metrics(self._result([good, bad_struts]))
+        rm = run_metrics(self._cell(), [good, bad_struts])
         assert not rm.exploitation
         assert rm.score == 0.5
 
@@ -190,7 +190,7 @@ class TestRunLevelMetrics:
         for _ in range(9):
             rec_a = make_record([(STAGES, STAGES)])
             rec_b = make_record([(STAGES, STAGES)], target="apache_struts")
-            results.append(run_metrics(self._result([rec_a, rec_b])))
+            results.append(run_metrics(self._cell(), [rec_a, rec_b]))
         files = dict(aggregate(results, **AXES).files())
         assert files["summary_success_by_deployment.csv"].splitlines()[1].split(",")[-1] == "9/9 (100%)"
         assert files["summary_scores.csv"].splitlines()[1].split(",")[-1] == "100.0 ± 0.0"
@@ -200,7 +200,7 @@ class TestRunLevelMetrics:
             aggregate([], **AXES)
 
     def test_a_run_off_the_axes_is_refused(self):
-        run = run_metrics(self._result([make_record([(STAGES, STAGES)])], deployment="small_mixed"))
+        run = run_metrics(self._cell(deployment="small_mixed"), [make_record([(STAGES, STAGES)])])
         with pytest.raises(ValueError, match="oracle/small_mixed/deterministic is off the axes"):
             aggregate([run], **AXES)
 
@@ -232,13 +232,8 @@ class TestCellFormats:
 
     def test_csv_emitters_shape(self):
         rec = make_record([(STAGES, STAGES)])
-        result = RunResult(
-            policy="oracle",
-            deployment="fully_vulnerable",
-            persistence="deterministic",
-            records=(rec,),
-        )
-        files = dict(aggregate([run_metrics(result)], **AXES).files())
+        cell = CellSpec("oracle", "fully_vulnerable", "deterministic", 0, 0)
+        files = dict(aggregate([run_metrics(cell, [rec])], **AXES).files())
         success = files["summary_success_by_deployment.csv"]
         assert success.splitlines()[0] == "policy,deployment,achieved,total,exploitation_achieved"
         scores = files["summary_scores.csv"]
