@@ -62,8 +62,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     matrix = _apply_overrides(_load_config(args.config), args)
     tables = execute_matrix(matrix, args.out, workers=args.workers, offline=args.offline)
     _print_tables(tables)

@@ -297,7 +297,7 @@ def validate_matrix(matrix: ExperimentMatrix, offline: bool = False) -> list[str
     Builds the inputs of every cell as ``execute_matrix`` does, without running
     an episode; with ``offline`` set, an HTTP model backend is one of the problems.
     """
-    return _RunBuild(matrix, offline).faults
+    return RunBuild(matrix, offline).faults
 
 
 class MatrixFaults(ConfigError):
@@ -313,7 +313,7 @@ class MatrixFaults(ConfigError):
 # ---------------------------------------------------------------------------
 
 
-class _RunBuild:
+class RunBuild:
     """Every cell's inputs, built once, on one thread, before any cell runs; ``offline`` forbids HTTP model backends.
 
     ``inputs`` maps each (policy label, deployment, persistence mode) to its
@@ -322,6 +322,7 @@ class _RunBuild:
     mode)'s fault once, in matrix order, then the prompt template's. Each
     honeynet, run config, the template and each replay file loads, or fails,
     once, at the first cell that needs it; nothing outlives the build.
+    ``run_cell`` runs each cell from the build that ``checked`` returns.
     """
 
     def __init__(self, matrix: ExperimentMatrix, offline: bool = False) -> None:
@@ -343,7 +344,7 @@ class _RunBuild:
             if str(exc) not in self.faults:  # one bad setting fails many cells alike
                 self.faults.append(str(exc))
 
-    def checked(self) -> _RunBuild:
+    def checked(self) -> RunBuild:
         """This build; MatrixFaults naming every fault, when it has one."""
         if self.faults:
             raise MatrixFaults(self.faults)
@@ -495,20 +496,15 @@ POLICY_KINDS: dict[str, type[PolicyKind]] = {
 # ---------------------------------------------------------------------------
 
 
-def run_cell(
-    cell: CellSpec, matrix: ExperimentMatrix, out_dir: Optional[Path] = None, build: Optional[_RunBuild] = None
-) -> tuple[list[dict], CellStats]:
-    """Execute one cell: its records, as the epoch loop builds them, and its ``CellStats``.
+def run_cell(cell: CellSpec, build: RunBuild, out_dir: Optional[Path] = None) -> tuple[list[dict], CellStats]:
+    """Execute one cell from ``build``, the checked build of its matrix: its records, as the epoch loop builds them,
+    and its ``CellStats``.
 
     Every policy of the cell counts its turns and degradations into the
     cell's stats; with ``out_dir`` set, the stats also write each model turn
     to the cell's turns.jsonl as they count it, so partial runs still leave
-    an audit trail. ``build`` holds the inputs of the run's cells;
-    without it, the matrix is built as ``run`` builds it, or MatrixFaults
-    raised. A cell that degraded logs one warning with its counts.
+    an audit trail. A cell that degraded logs one warning with its counts.
     """
-    if build is None:
-        build = _RunBuild(matrix).checked()
     cfg, build_policy = build.inputs[cell.policy, cell.deployment, cell.persistence]
     stats = CellStats() if out_dir is None else CellStats(out_dir / cell.name / "turns.jsonl")
 
@@ -567,7 +563,6 @@ def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: Experimen
         deployments=matrix.deployments,
         modes=matrix.modes,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in tables.files():
         _write(out_dir / name, text)
     return tables
@@ -584,14 +579,17 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
                    offline: bool = False) -> SummaryTables:
     """Run every cell, write per-cell logs, ``run_stats.json``, the summary tables and, last, the run manifest.
 
-    Every cell's inputs are built first, once, with ``offline`` forbidding HTTP
-    model backends: a matrix with a cell that cannot be built raises one
-    MatrixFaults listing every fault, and ``out_dir`` is left as it was. An
-    earlier run's manifest, ``run_stats.json`` and summaries are then deleted
-    before the first cell, so a run that stops early leaves no manifest, and
-    ``replay`` refuses its directory rather than mixing two runs' logs.
+    ``workers`` below 1 is refused first. Every cell's inputs are then built,
+    once, with ``offline`` forbidding HTTP model backends: a matrix with a cell
+    that cannot be built raises one MatrixFaults listing every fault, and
+    ``out_dir`` is left as it was. An earlier run's manifest, ``run_stats.json``
+    and summaries are then deleted before the first cell, so a run that stops
+    early leaves no manifest, and ``replay`` refuses its directory rather than
+    mixing two runs' logs.
     """
-    build = _RunBuild(matrix, offline).checked()
+    if workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {workers}")
+    build = RunBuild(matrix, offline).checked()
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -608,7 +606,7 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
 
     def job(cell: CellSpec) -> tuple[RunMetrics, CellStats]:
         logger.info("running cell %s", cell.name)
-        records, stats = run_cell(cell, matrix, out_dir=out, build=build)
+        records, stats = run_cell(cell, build, out_dir=out)
         write_cell(out, cell, records)
         # only the metrics and counts outlive the cell, so memory grows with cells, not episodes
         return metrics.run_metrics(cell, records, matrix.score_mode), stats

@@ -20,6 +20,7 @@ from honeysim.harness import (
     ExperimentMatrix,
     OracleKind,
     PolicySpec,
+    RunBuild,
     ScriptedKind,
     expand_matrix,
     load_builtin_config,
@@ -196,7 +197,8 @@ def test_criterion_7_matrix_shape_and_replay(tmp_path):
             seeds=list(SEEDS),
             horizon=20,
         )
-        results = [run_metrics(cell, run_cell(cell, matrix)[0]) for cell in expand_matrix(matrix)]
+        build = RunBuild(matrix).checked()
+        results = [run_metrics(cell, run_cell(cell, build)[0]) for cell in expand_matrix(matrix)]
         files = dict(aggregate(results, policies=["oracle"], deployments=DEPLOYMENTS, modes=MODES).files())
         for axis in ("deployment", "persistence"):
             rows = files[f"summary_success_by_{axis}.csv"].splitlines()[1:]
@@ -246,8 +248,9 @@ def test_criterion_9_determinism():
             horizon=20,
         )
         cell = expand_matrix(matrix)[0]
-        first, _ = run_cell(cell, matrix)
-        second, _ = run_cell(cell, matrix)
+        # a fresh build for the rerun: nothing the first build loaded or made carries over
+        first, _ = run_cell(cell, RunBuild(matrix).checked())
+        second, _ = run_cell(cell, RunBuild(matrix).checked())
         assert records_to_jsonl(first) == records_to_jsonl(second)
 
         # and through the CLI layer, bytes on disk match across whole reruns

@@ -82,9 +82,9 @@ def scores() -> dict:
     ]
     matrix = replace(BUILTIN, seeds=SEEDS, policies=[*BUILTIN.policies, *controls])
     runs: dict = {}
-    build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
+    build = harness.RunBuild(matrix).checked()  # one build for every cell, as run makes
     for cell in harness.expand_matrix(matrix):
-        records, _ = harness.run_cell(cell, matrix, build=build)
+        records, _ = harness.run_cell(cell, build)
         for mode in metrics.SCORE_MODES:
             key = (mode, cell.policy, cell.deployment, cell.persistence)
             runs.setdefault(key, []).append(100 * metrics.run_metrics(cell, records, mode).score)

@@ -29,6 +29,7 @@ from honeysim.harness import (
     MockKind,
     OracleKind,
     PolicySpec,
+    RunBuild,
     ScriptedKind,
     execute_matrix,
     expand_matrix,
@@ -734,8 +735,8 @@ class TestValidate:
         )
         problems = validate_matrix(matrix)
         assert any("backend-auth-missing" in p for p in problems)
-        with pytest.raises(ConfigError, match="backend-auth-missing"):
-            run_cell(expand_matrix(matrix)[0], matrix)  # run refuses it too, before any request
+        with pytest.raises(MatrixFaults, match="backend-auth-missing"):
+            RunBuild(matrix).checked()  # run refuses it too, before any request
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         assert validate_matrix(matrix) == []
 
@@ -912,11 +913,11 @@ class TestRunAndReplay:
 
         run_cell, started = harness.run_cell, []
 
-        def stop_at_third_cell(cell, *args, **kwargs):
+        def stop_at_third_cell(cell, build, out_dir=None):
             started.append(cell.name)
             if len(started) == 3:
                 raise KeyboardInterrupt
-            return run_cell(cell, *args, **kwargs)
+            return run_cell(cell, build, out_dir)
 
         monkeypatch.setattr(harness, "run_cell", stop_at_third_cell)
         with pytest.raises(KeyboardInterrupt):
@@ -1122,6 +1123,14 @@ class TestRunAndReplay:
         assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_execute_matrix_refuses_workers_below_one_before_it_builds_or_writes(self, tmp_path, monkeypatch, workers):
+        builds, _ = _count_builds_and_calls(monkeypatch, "deployment_config")
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"^--workers must be at least 1, got {workers}$"):
+            execute_matrix(load_builtin_config(), out, workers=workers)
+        assert builds == [] and not out.exists()
+
     def test_workers_flag_produces_same_summaries(self, tiny_config, tmp_path):
         solo = tmp_path / "solo"
         pooled = tmp_path / "pooled"
@@ -1174,7 +1183,7 @@ def _scripted_matrix():
 def test_run_cell_returns_turn_logs_for_scripted_policy(tmp_path):
     matrix = _scripted_matrix()
     cell = expand_matrix(matrix)[0]
-    records, _ = run_cell(cell, matrix, out_dir=tmp_path)
+    records, _ = run_cell(cell, RunBuild(matrix).checked(), out_dir=tmp_path)
     assert len(records) == 2
     assert all(r["outcome"] == "completed" for r in records)
     turn_file = tmp_path / cell.name / "turns.jsonl"
@@ -1185,15 +1194,15 @@ def test_run_cell_returns_turn_logs_for_scripted_policy(tmp_path):
 def test_run_cell_streams_turns_to_disk(tmp_path):
     """Turn records land on disk during the run, not only at cell write-out."""
     matrix = _scripted_matrix()
-    cell = expand_matrix(matrix)[0]
-    records, _ = run_cell(cell, matrix, out_dir=tmp_path)
+    cell, build = expand_matrix(matrix)[0], RunBuild(matrix).checked()
+    records, _ = run_cell(cell, build, out_dir=tmp_path)
     turn_file = tmp_path / cell.name / "turns.jsonl"
     assert turn_file.exists()  # written before write_cell was ever called
     turns = [json.loads(line) for line in turn_file.read_text(encoding="utf-8").splitlines()]
     # bootstrap turn plus one per epoch, for each of the two attackers
     assert len(turns) == sum(1 + r["epochs_used"] for r in records)
     # a rerun replaces rather than appends
-    run_cell(cell, matrix, out_dir=tmp_path)
+    run_cell(cell, build, out_dir=tmp_path)
     assert len(turn_file.read_text(encoding="utf-8").splitlines()) == len(turns)
 
 
@@ -1209,7 +1218,7 @@ def test_run_cell_deletes_a_stale_turn_log_from_a_baseline_cell(tmp_path):
     stale = tmp_path / cell.name / "turns.jsonl"
     stale.parent.mkdir()
     stale.write_text('{"epoch": 1}\n', encoding="utf-8")
-    run_cell(cell, matrix, out_dir=tmp_path)
+    run_cell(cell, RunBuild(matrix).checked(), out_dir=tmp_path)
     assert stale.parent.is_dir()
     assert not stale.exists()
 
@@ -1231,6 +1240,7 @@ def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, 
     matrix = _mock_matrix(tmp_path, [("mock", "replay.json")], horizon=10)
     matrix = replace(matrix, policies=[*matrix.policies, PolicySpec(label="oracle", kind=OracleKind())])
     mock_cell, oracle_cell = expand_matrix(matrix)
+    build = RunBuild(matrix).checked()
     k = 4
     turn_log = tmp_path / mock_cell.name / "turns.jsonl"
     turns, on_disk_at_crash = [], []
@@ -1251,7 +1261,7 @@ def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RuntimeError, match="backend crashed"):
-                run_cell(mock_cell, matrix, out_dir=tmp_path)
+                run_cell(mock_cell, build, out_dir=tmp_path)
             gc.collect()
     finally:
         sys.unraisablehook = hook
@@ -1259,7 +1269,7 @@ def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, 
     # each finished turn was flushed as it was written, not when the handle closed
     assert turn_log.read_text(encoding="utf-8").splitlines() == on_disk_at_crash
     assert [json.loads(line)["prompt"] for line in on_disk_at_crash] == turns[: k - 1]
-    run_cell(oracle_cell, matrix, out_dir=tmp_path)
+    run_cell(oracle_cell, build, out_dir=tmp_path)
     assert (tmp_path / oracle_cell.name).is_dir()
     assert not (tmp_path / oracle_cell.name / "turns.jsonl").exists()
 
@@ -1292,8 +1302,9 @@ def _degrading_matrix(tmp_path, **axes) -> ExperimentMatrix:
 def test_a_degraded_cell_counts_each_fault_and_logs_one_line_naming_it(tmp_path, caplog):
     matrix = _degrading_matrix(tmp_path, horizon=6)
     faulty, clean, wide, oracle = expand_matrix(matrix)
+    build = RunBuild(matrix).checked()
     with caplog.at_level("WARNING"):
-        records, stats = run_cell(faulty, matrix, out_dir=tmp_path)
+        records, stats = run_cell(faulty, build, out_dir=tmp_path)
     episodes = len(records)
     assert episodes == 2 and all(r["epochs_used"] >= 2 for r in records)  # every episode reaches turn 2
     assert stats.as_dict()["turns"] == sum(1 + r["epochs_used"] for r in records)
@@ -1310,9 +1321,9 @@ def test_a_degraded_cell_counts_each_fault_and_logs_one_line_naming_it(tmp_path,
     caplog.clear()
     with caplog.at_level("WARNING"):
         for cell in (clean, oracle):
-            _, stats = run_cell(cell, matrix, out_dir=tmp_path)
+            _, stats = run_cell(cell, build, out_dir=tmp_path)
             assert not any(stats.counts.values())
-        _, wide_stats = run_cell(wide, matrix, out_dir=tmp_path)
+        _, wide_stats = run_cell(wide, build, out_dir=tmp_path)
     over = wide_stats.counts["over_budget"]
     assert [r.getMessage() for r in caplog.records] == [f"cell {wide.name} degraded: over_budget={over}"]
     assert over > 0 and wide_stats.latencies == []
@@ -1473,9 +1484,9 @@ def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkey
 
 
 def _count_builds_and_calls(monkeypatch, name) -> tuple[list, Counter]:
-    """Count each ``harness._RunBuild`` made, and each call of the harness function ``name``, from here on."""
+    """Count each ``harness.RunBuild`` made, and each call of the harness function ``name``, from here on."""
     builds, calls = [], Counter()
-    run_build, function = harness._RunBuild, getattr(harness, name)
+    run_build, function = harness.RunBuild, getattr(harness, name)
 
     class CountedBuild(run_build):
         def __init__(self, *args, **kwargs):
@@ -1486,7 +1497,7 @@ def _count_builds_and_calls(monkeypatch, name) -> tuple[list, Counter]:
         calls[name] += 1
         return function(*args)
 
-    monkeypatch.setattr(harness, "_RunBuild", CountedBuild)
+    monkeypatch.setattr(harness, "RunBuild", CountedBuild)
     monkeypatch.setattr(harness, name, counted)
     return builds, calls
 
@@ -1524,8 +1535,8 @@ def test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, arg
     assert capsys.readouterr().err == ""
 
 
-def test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, monkeypatch):
-    """Every policy and seed at one deployment and mode runs the one `RunConfig` that the build checked."""
+def _count_run_config_checks(monkeypatch) -> list:
+    """Each `RunConfig` checked from here on."""
     checks, post_init = [], engine.RunConfig.__post_init__
 
     def counted(self):
@@ -1533,11 +1544,28 @@ def test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, 
         post_init(self)
 
     monkeypatch.setattr(engine.RunConfig, "__post_init__", counted)
+    return checks
+
+
+def test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, monkeypatch):
+    """Every policy and seed at one deployment and mode runs the one `RunConfig` that the build checked."""
+    checks = _count_run_config_checks(monkeypatch)
     modes, seeds = ["deterministic", "probabilistic"], [0, 1, 2]
     matrix = matrix_from_dict({**TINY_CONFIG, "deployments": TWO_DEPLOYMENTS, "persistence_modes": modes, "seeds": seeds})
     execute_matrix(matrix, tmp_path / "out")
     assert len(list((tmp_path / "out").glob("*/episodes.jsonl"))) == 2 * 2 * 2 * 3
     assert len(checks) == 2 * 2  # deployments and modes; not policies or seeds
+
+
+def test_every_builtin_cell_runs_from_one_build_that_checks_one_run_config_per_deployment_and_mode(monkeypatch):
+    """The built-in 81 cells, each run by the module's `run_cell` from one build: 3 x 3 checks, not 9 per cell."""
+    checks = _count_run_config_checks(monkeypatch)
+    matrix = load_builtin_config()
+    build, cells = RunBuild(matrix).checked(), expand_matrix(matrix)
+    for cell in cells:
+        records, _ = harness.run_cell(cell, build)
+        assert records
+    assert len(cells) == 81 and len(checks) == 3 * 3
 
 
 def test_a_config_makes_one_matrix_and_the_run_overrides_make_one_more(tmp_path, monkeypatch, capsys):
@@ -1607,7 +1635,7 @@ def test_a_fault_raised_at_every_cell_keeps_a_traceback_of_one_raise(tmp_path, p
     raise alone: one that grew at every raise would keep every cell's frames alive."""
     labels = [{"name": f"p{i}", "kind": "oracle"} for i in range(policies)]
     config = {**TINY_CONFIG, "policies": labels, "deployments": ["custom"], "catalog": str(tmp_path / "missing.yaml")}
-    build = harness._RunBuild(matrix_from_dict(config))
+    build = RunBuild(matrix_from_dict(config))
     assert build.faults == [f"catalog file unusable: [Errno 2] No such file or directory: '{tmp_path / 'missing.yaml'}'"]
     depths = []
     for fault in build._loads.values():
@@ -1753,9 +1781,9 @@ def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
     assert sorted(p.kind.__class__.__name__ for p in matrix.policies) == sorted(
         kind.__name__ for name, kind in POLICY_KINDS.items() if name != "llm"
     )
-    build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
+    build = RunBuild(matrix).checked()  # one build for every cell, as run makes
     for cell in expand_matrix(matrix):
-        records, _ = run_cell(cell, matrix, out_dir=tmp_path, build=build)
+        records, _ = run_cell(cell, build, out_dir=tmp_path)
         assert records
         for record in records:
             assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)
@@ -1817,9 +1845,9 @@ def test_every_offline_kind_logs_its_json_form_with_sorted_keys(decoys, labels, 
             ],
         })
         assert {p.kind.__class__ for p in matrix.policies} == set(POLICY_KINDS.values()) - {LlmKind}
-        build = harness._RunBuild(matrix).checked()  # one build for every cell, as run makes
+        build = RunBuild(matrix).checked()  # one build for every cell, as run makes
         for cell in expand_matrix(matrix):
-            records, _ = run_cell(cell, matrix, build=build)
+            records, _ = run_cell(cell, build)
             assert [r["attacker_label"] for r in records] == labels
             for record in records:
                 assert engine.records_to_jsonl([record]) == json.dumps(_json_form(record), sort_keys=True)

@@ -262,11 +262,11 @@ def check_interrupted_rerun(tmp: Path, config: dict, seed_base: int, stop_at: in
 
     run_cell, started = harness.run_cell, []
 
-    def stop(cell, *args, **kwargs):
+    def stop(cell, build, out_dir=None):
         started.append(cell.name)
         if len(started) > stop_at:
             raise KeyboardInterrupt
-        return run_cell(cell, *args, **kwargs)
+        return run_cell(cell, build, out_dir)
 
     with mock.patch.object(harness, "run_cell", stop), pytest.raises(KeyboardInterrupt):
         _run({**config, "seed_base": seed_base}, out)

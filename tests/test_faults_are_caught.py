@@ -153,7 +153,7 @@ def test_a_build_that_remembers_only_what_loads_reads_a_failing_catalog_at_every
             self._loads[key] = load(*args)
         return self._loads[key]
 
-    monkeypatch.setattr(harness._RunBuild, "_load", remembers_values)
+    monkeypatch.setattr(harness.RunBuild, "_load", remembers_values)
     with pytest.raises(AssertionError):
         test_cli.test_a_catalog_file_that_fails_is_read_once(tmp_path, monkeypatch, capsys, ["validate"])
 
@@ -193,15 +193,30 @@ def test_a_cell_that_rebuilds_its_run_config_at_its_seed_checks_one_config_per_c
 
 
 def test_a_build_that_makes_a_run_config_per_policy_checks_one_per_policy(monkeypatch, tmp_path):
-    """``_RunBuild._build`` as it was before the run config was memoized: each policy builds and checks its own."""
+    """``RunBuild._build`` as it was before the run config was memoized: each policy builds and checks its own."""
 
     def one_per_policy(self, policy, deployment, mode):
         cfg = self._run_config(deployment, mode)
         self.inputs[policy.label, deployment, mode] = cfg, policy.kind.factory(policy.label, cfg, self)
 
-    monkeypatch.setattr(harness._RunBuild, "_build", one_per_policy)
+    monkeypatch.setattr(harness.RunBuild, "_build", one_per_policy)
     with pytest.raises(AssertionError):
         test_cli.test_execute_matrix_checks_one_run_config_per_deployment_and_mode(tmp_path, monkeypatch)
+
+
+def test_a_cell_that_builds_its_own_inputs_again_checks_every_run_config_at_every_cell(monkeypatch):
+    """``run_cell`` as it was when it built the matrix's inputs again at each call: 81 cells x 9 checks after the
+    build's own 9, not 9 alone."""
+    run_cell = harness.run_cell
+
+    def builds_again(cell, build, out_dir=None):
+        return run_cell(cell, harness.RunBuild(build._matrix).checked(), out_dir)
+
+    monkeypatch.setattr(harness, "run_cell", builds_again)
+    with pytest.raises(AssertionError, match=r"738 == \(3 \* 3\)"):
+        test_cli.test_every_builtin_cell_runs_from_one_build_that_checks_one_run_config_per_deployment_and_mode(
+            monkeypatch
+        )
 
 
 def test_an_http_backend_that_bounds_each_read_alone_waits_out_a_trickled_reply(monkeypatch):
@@ -262,13 +277,13 @@ def test_an_http_backend_that_trusts_the_bytes_it_got_takes_a_reply_cut_short_of
 
 
 def test_a_build_that_expands_the_matrix_again_makes_two_expansions_per_command(monkeypatch, tmp_path, capsys):
-    init = harness._RunBuild.__init__
+    init = harness.RunBuild.__init__
 
     def expands_again(self, matrix, offline=False):
         harness.expand_matrix(matrix)  # a build that checks the axes itself, as the matrix already has
         init(self, matrix, offline)
 
-    monkeypatch.setattr(harness._RunBuild, "__init__", expands_again)
+    monkeypatch.setattr(harness.RunBuild, "__init__", expands_again)
     with pytest.raises(AssertionError):
         test_cli.test_each_command_expands_the_matrix_once(tmp_path, monkeypatch, capsys, ["validate"])
 
