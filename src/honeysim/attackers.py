@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Collection, NamedTuple, Optional
 
 from .catalog import AttackGraph, AttackStage, ServiceSpec, next_stage
 
@@ -149,9 +149,7 @@ def make_attacker_state(profile: AttackerProfile, catalog: AttackGraph, seed: in
     return AttackerState(service=svc, objective=profile.resolve_objective(svc), rng=random.Random(seed))
 
 
-def attacker_step(
-    state: AttackerState, profile: AttackerProfile, exposed: frozenset[str] | set[str]
-) -> list[AttackerAction]:
+def attacker_step(state: AttackerState, profile: AttackerProfile, exposed: Collection[str]) -> list[AttackerAction]:
     """Advance the attacker, in place, by one epoch against the exposed service set; the epoch's actions."""
     if state.status != ACTIVE:
         raise ValueError(f"attacker is {state.status}; cannot step")

@@ -141,7 +141,7 @@ def run_episode(cfg: RunConfig, attacker: AttackerProfile, policy: Policy, seed:
     exposed = decision.exposed
 
     for epoch in range(1, cfg.horizon + 1):
-        actions = attacker_step(state, attacker, set(exposed))
+        actions = attacker_step(state, attacker, exposed)
         alerts = synthesize_alerts(actions, epoch, noise, telemetry_rng, catalog=catalog, src=src)
         obs = aggregate_epoch(alerts, exposed, epoch)
         completed = state.completed_stages()

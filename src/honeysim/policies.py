@@ -246,14 +246,13 @@ class ReactivePolicy(Policy):
         return sid
 
     def decide(self, obs, cfg):
-        choice: Optional[str] = None
-        for alert in sorted(obs.alerts, key=attrgetter("severity", "clock"), reverse=True):
-            svc = cfg.catalog.get(alert.dest_service)
-            if svc.vulnerable and alert.severity > 1:
-                choice = alert.dest_service
-                break
-        if choice is None:
-            choice = self._round_robin(cfg.catalog)
+        # clocks are unique within an epoch, so the latest of the highest-severity alerts is one alert
+        chased = max(
+            (a for a in obs.alerts if a.severity > 1 and cfg.catalog.get(a.dest_service).vulnerable),
+            key=attrgetter("severity", "clock"),
+            default=None,
+        )
+        choice = chased.dest_service if chased is not None else self._round_robin(cfg.catalog)
 
         exposed = [choice]
         while len(exposed) < cfg.budget:

@@ -72,8 +72,9 @@ class Settings:
     """A mapping's settings as a frozen dataclass: its fields are the keys, each annotated with a type name as text."""
 
     def __post_init__(self) -> None:
+        # each field holds the value ``check`` gives, so a setting built in code holds what a config gives
         for setting in fields(self):
-            check(getattr(self, setting.name), setting.type, setting.name)
+            object.__setattr__(self, setting.name, check(getattr(self, setting.name), setting.type, setting.name))
 
     @classmethod
     def read(cls, data, path: str):

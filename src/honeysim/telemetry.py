@@ -18,12 +18,11 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
-from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .attackers import AttackerAction, ExploitAction, ScanAction
-from .catalog import STAGE_LABELS, AttackGraph, AttackStage, service_port, stable_hash
+from .catalog import STAGE_LABELS, AttackGraph, AttackStage, stable_hash
 from .settings import Settings
 
 CLOCK_EPOCH_SECONDS = 60
@@ -31,10 +30,6 @@ CLOCK_EPOCH_SECONDS = 60
 
 class SignatureCatalogMissError(KeyError):
     """No signature entry exists for the requested (service, stage) pair."""
-
-
-class EpochMismatchError(ValueError):
-    """An alert from a different epoch was passed to aggregation."""
 
 
 def attacker_src_ip(label: str) -> str:
@@ -135,7 +130,9 @@ def synthesize_alerts(
     Scan actions yield one low-severity alert per scanned service. Exploit
     actions yield every catalog signature for their (service, stage); the
     first keeps the true stage hint, later ones may have it corrupted. False
-    positives are drawn per catalog service at the configured rate.
+    positives are drawn per catalog service at the configured rate. The
+    alerts come in clock order, the clock rising by 1 from ``epoch *
+    CLOCK_EPOCH_SECONDS``; a service outside ``catalog`` raises KeyError.
     """
     rows = signature_rows()
     ports = catalog.ports
@@ -147,12 +144,10 @@ def synthesize_alerts(
         if isinstance(action, ScanAction):
             signature, category, severity = rows.scan
             for dest in action.services:
-                port = ports[dest] if dest in ports else service_port(dest)
-                alerts.append(IdsAlert(epoch, clock, src, dest, port, signature, category, severity, recon))
+                alerts.append(IdsAlert(epoch, clock, src, dest, ports[dest], signature, category, severity, recon))
                 clock += 1
         elif isinstance(action, ExploitAction):
             dest, stage = action.service, action.stage
-            port = ports[dest] if dest in ports else service_port(dest)
             entries = rows.exploits.get((dest, stage))
             if entries is None:
                 raise SignatureCatalogMissError(f"no signatures for ({dest}, {STAGE_LABELS[stage]})")
@@ -160,7 +155,7 @@ def synthesize_alerts(
                 hint = stage
                 if idx > 0 and rng.random() < noise.hint_corruption_rate:
                     hint = _corrupt_hint(stage, rng)
-                alerts.append(IdsAlert(epoch, clock, src, dest, port, signature, category, severity, hint))
+                alerts.append(IdsAlert(epoch, clock, src, dest, ports[dest], signature, category, severity, hint))
                 clock += 1
         else:
             raise TypeError(f"unknown action type: {action!r}")
@@ -175,16 +170,12 @@ def synthesize_alerts(
     return alerts
 
 
-_CLOCK = attrgetter("clock")
+def aggregate_epoch(alerts: Sequence[IdsAlert], exposed: tuple[str, ...], epoch: int) -> EpochObservation:
+    """Bundle an epoch's alerts as given (``synthesize_alerts`` makes them in clock order) with the exposure in force.
 
-
-def aggregate_epoch(alerts: Iterable[IdsAlert], exposed: tuple[str, ...], epoch: int) -> EpochObservation:
-    """Bundle an epoch's alerts, in clock order, with the exposure in force, unsorted: a failed turn repeats it."""
-    bundled = tuple(sorted(alerts, key=_CLOCK))
-    for alert in bundled:
-        if alert.epoch != epoch:
-            raise EpochMismatchError(f"alert from epoch {alert.epoch} passed to epoch {epoch}")
-    return EpochObservation(epoch, bundled, exposed)
+    The exposure keeps the order it was decided in: a failed turn repeats it.
+    """
+    return EpochObservation(epoch, tuple(alerts), exposed)
 
 
 NO_ALERTS_DIGEST = "no alerts observed this epoch"

@@ -448,3 +448,35 @@ def test_reordered_noise_rows_draw_other_alerts_than_signatures_json(monkeypatch
     monkeypatch.setattr(telemetry, "signature_rows", lambda: reordered)
     with pytest.raises(AssertionError):
         test_telemetry.test_every_exploit_renders_the_rows_of_signatures_json("small_mixed", NoiseConfig(0.6, 0.7))
+
+
+def test_an_alert_synthesis_that_puts_each_noise_alert_first_gives_an_epoch_out_of_clock_order(monkeypatch):
+    def noise_first(actions, epoch, noise, rng, *, catalog, src="198.51.100.7"):
+        rows, ports, alert = telemetry.signature_rows(), catalog.ports, telemetry.IdsAlert
+        alerts = []
+        clock = epoch * telemetry.CLOCK_EPOCH_SECONDS
+        recon = telemetry.AttackStage.RECONNAISSANCE
+        for action in actions:
+            if isinstance(action, telemetry.ScanAction):
+                for dest in action.services:
+                    alerts.append(alert(epoch, clock, src, dest, ports[dest], *rows.scan, recon))
+                    clock += 1
+            else:
+                dest, stage = action.service, action.stage
+                for idx, row in enumerate(rows.exploits[dest, stage]):
+                    hint = stage
+                    if idx > 0 and rng.random() < noise.hint_corruption_rate:
+                        hint = telemetry._corrupt_hint(stage, rng)
+                    alerts.append(alert(epoch, clock, src, dest, ports[dest], *row, hint))
+                    clock += 1
+        for dest in catalog.ids if noise.false_positive_rate > 0 else ():
+            if rng.random() < noise.false_positive_rate:
+                alerts.insert(0, alert(epoch, clock, src, dest, ports[dest], *rng.choice(rows.noise), recon))
+                clock += 1
+        return alerts
+
+    monkeypatch.setattr(test_telemetry, "synthesize_alerts", noise_first)
+    prop = test_telemetry.test_an_epochs_alerts_are_of_its_epoch_on_catalog_services_with_clocks_rising_by_one
+    drawn = ("small_mixed", [telemetry.ScanAction(("gitlab",))])
+    with pytest.raises(AssertionError):
+        prop.hypothesis.inner_test(drawn=drawn, rates=(1.0, 0.0), seed=0, epoch=3)

@@ -596,6 +596,12 @@ class TestHttpBackend:
         assert seen["body"]["messages"] == [{"role": "user", "content": "hello agent"}]
         assert seen["body"]["temperature"] == 0.0
 
+    def test_a_whole_number_temperature_is_sent_as_a_number(self, chat_server):
+        """``temperature=0`` built in code goes out as ``0.0``, as a config's ``temperature: 0`` does."""
+        backend = dataclasses.replace(self._backend(chat_server), temperature=0)
+        backend.complete("x")
+        assert repr(chat_server.seen[0]["body"]["temperature"]) == "0.0"
+
     def test_retries_then_succeeds(self, chat_server):
         chat_server.script = [
             (503, {"error": "overloaded"}),
@@ -888,7 +894,7 @@ class TestBackendSettings:
             ({"base_url": "http://:8080/v1"}, "base_url must name a host, got 'http://:8080/v1'"),
             ({"auth_env": ""}, "auth_env must name an environment variable, got ''"),
             ({"timeout": float("inf")}, "timeout must be a finite number above 0, got inf"),
-            ({"timeout": 0}, "timeout must be a finite number above 0, got 0"),
+            ({"timeout": 0}, "timeout must be a finite number above 0, got 0.0"),
             ({"timeout": float("nan")}, "timeout must be a finite number above 0, got nan"),
             ({"max_tokens": 0}, "max_tokens must be at least 1, got 0"),
             ({"temperature": -0.5}, "temperature must be a finite number of at least 0, got -0.5"),

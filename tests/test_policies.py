@@ -1,11 +1,12 @@
 import json
 import random
+from operator import attrgetter
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from honeysim import harness, policies
 from honeysim.attackers import ExploitAction, ScanAction
-from honeysim.catalog import AttackStage, deployment_config
+from honeysim.catalog import DEPLOYMENT_NAMES, AttackStage, deployment_config
 from honeysim.engine import records_from_jsonl
 from honeysim.policies import (
     DEGRADATIONS,
@@ -23,7 +24,14 @@ from honeysim.policies import (
     policy_decide,
     update_belief,
 )
-from honeysim.telemetry import NoiseConfig, aggregate_epoch, empty_observation, synthesize_alerts
+from honeysim.telemetry import (
+    EpochObservation,
+    IdsAlert,
+    NoiseConfig,
+    aggregate_epoch,
+    empty_observation,
+    synthesize_alerts,
+)
 
 HONEYNET = deployment_config("fully_vulnerable")
 QUIET = NoiseConfig(false_positive_rate=0.0, hint_corruption_rate=0.0)
@@ -165,6 +173,52 @@ class TestBaselines:
         update_belief(policy.belief, obs)
         decision, _ = policy.decide(obs, mixed)
         assert decision.exposed[0] in mixed.catalog.ids  # falls back to round robin
+
+
+class _SortThenScan(ReactivePolicy):
+    """The reference: ``ReactivePolicy.decide`` as a loop over every alert, sorted latest highest severity first."""
+
+    def decide(self, obs, cfg):
+        choice = None
+        for alert in sorted(obs.alerts, key=attrgetter("severity", "clock"), reverse=True):
+            svc = cfg.catalog.get(alert.dest_service)
+            if svc.vulnerable and alert.severity > 1:
+                choice = alert.dest_service
+                break
+        if choice is None:
+            choice = self._round_robin(cfg.catalog)
+        exposed = [choice]
+        while len(exposed) < cfg.budget:
+            extra = self._round_robin(cfg.catalog)
+            if extra not in exposed:
+                exposed.append(extra)
+        return ExposureDecision(tuple(exposed)), policies.make_prediction(self.belief.stages_for(choice), choice)
+
+
+@st.composite
+def _honeynet_and_epochs(draw):
+    """A deployment at a budget, and epochs of alerts on its services at unique clocks, of any severity and hint."""
+    honeynet = deployment_config(draw(st.sampled_from(DEPLOYMENT_NAMES)), draw(st.integers(1, 3)))
+    ids = honeynet.catalog.ids
+    alert = st.tuples(st.sampled_from(ids), st.integers(1, 3), st.integers(0, 59), st.sampled_from(AttackStage))
+    epochs = []
+    for epoch in range(1, 1 + draw(st.integers(1, 4))):
+        drawn = draw(st.lists(alert, max_size=12, unique_by=lambda a: a[2]))
+        alerts = [
+            IdsAlert(epoch, 60 * epoch + clock, "198.51.100.7", sid, 0, "sig", "cat", severity, hint)
+            for sid, severity, clock, hint in drawn
+        ]
+        epochs.append(EpochObservation(epoch, tuple(alerts), ()))
+    return honeynet, epochs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=_honeynet_and_epochs())
+def test_the_reactive_choice_is_the_sort_then_scan_choice(drawn):
+    honeynet, epochs = drawn
+    policy, reference = ReactivePolicy(), _SortThenScan()
+    for obs in epochs:
+        assert policy_decide(policy, obs, honeynet) == policy_decide(reference, obs, honeynet)
 
 
 def test_prediction_normalizes_order_and_duplicates():

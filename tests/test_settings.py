@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from honeysim.cli import main
 from honeysim.harness import ConfigError, load_run_file
-from honeysim.llm import builtin_template
+from honeysim.llm import HttpChatBackend, builtin_template
+from honeysim.telemetry import NoiseConfig
 
 # a config that validates offline and reads every mapping there is: each section, a backend entry,
 # policy entries with parameters, an attacker entry, and a custom catalog with one row per service
@@ -191,6 +192,16 @@ def test_null_is_absent_for_a_section_or_an_optional_path(tmp_path):
         raise AssertionError(f"a null key is refused, not read as absent: {exc}") from None
     assert null == absent
     assert null.attackers is None and null.backends == {} and null.catalog_path is None
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [(HttpChatBackend, "temperature", 0), (HttpChatBackend, "timeout", 5), (NoiseConfig, "false_positive_rate", 1)],
+)
+def test_a_setting_built_in_code_holds_what_a_config_gives(cls, key, value):
+    """A whole number given for a number is held as a float, built in code as read from a config."""
+    built, read = getattr(cls(**{key: value}), key), getattr(cls.read({key: value}, "x"), key)
+    assert (type(built), built) == (type(read), read) == (float, float(value))
 
 
 @pytest.mark.parametrize("site", SITES, ids=[f"{s[0]}:{s[2] or 'top'}.{s[3]}" for s in SITES])

@@ -4,6 +4,8 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honeysim.attackers import ExploitAction, ScanAction
 from honeysim import telemetry
@@ -11,7 +13,6 @@ from honeysim.catalog import DEPLOYMENT_NAMES, STAGE_LABELS, AttackStage, deploy
 from honeysim.telemetry import (
     CLOCK_EPOCH_SECONDS,
     NO_ALERTS_DIGEST,
-    EpochMismatchError,
     EpochObservation,
     NoiseConfig,
     SignatureCatalogMissError,
@@ -168,6 +169,43 @@ def test_every_exploit_renders_the_rows_of_signatures_json(deployment, noise):
             assert got == _alerts_from_json(actions, 3, noise, random.Random(seed), catalog, "198.51.100.9")
 
 
+@st.composite
+def _epoch_actions(draw):
+    """A deployment and one epoch's actions on it: scans of its services, exploits of pairs the signature table holds."""
+    deployment = draw(st.sampled_from(DEPLOYMENT_NAMES))
+    catalog = deployment_config(deployment).catalog
+    pairs = sorted(pair for pair in telemetry.signature_rows().exploits if pair[0] in catalog)
+    scan = st.lists(st.sampled_from(catalog.ids), max_size=len(catalog)).map(lambda ids: ScanAction(tuple(ids)))
+    exploit = st.sampled_from(pairs).map(lambda pair: ExploitAction(*pair))
+    return deployment, draw(st.lists(st.one_of(scan, exploit), max_size=5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    drawn=_epoch_actions(),
+    rates=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+    seed=st.integers(0, 2**32),
+    epoch=st.integers(0, 10_000),
+)
+def test_an_epochs_alerts_are_of_its_epoch_on_catalog_services_with_clocks_rising_by_one(drawn, rates, seed, epoch):
+    """What ``aggregate_epoch`` takes as given: one epoch's alerts, on catalog services, in clock order from its start."""
+    deployment, actions = drawn
+    catalog = deployment_config(deployment).catalog
+    alerts = synthesize_alerts(actions, epoch, NoiseConfig(*rates), random.Random(seed), catalog=catalog)
+    assert all(a.epoch == epoch and a.dest_service in catalog for a in alerts)
+    start = epoch * CLOCK_EPOCH_SECONDS
+    assert [a.clock for a in alerts] == list(range(start, start + len(alerts)))
+
+
+def test_a_scan_or_exploit_of_a_service_outside_the_catalog_raises_key_error():
+    with pytest.raises(KeyError, match="docker_api"):
+        _synth([ScanAction(services=("docker_api",))])
+    assert "docker_api" not in CATALOG
+    assert ("docker_api", AttackStage.INITIAL_ACCESS) in telemetry.signature_rows().exploits
+    with pytest.raises(KeyError, match="docker_api"):
+        _synth([ExploitAction(service="docker_api", stage=AttackStage.INITIAL_ACCESS)])
+
+
 class TestAggregateEpoch:
     def test_empty_observation(self):
         obs = aggregate_epoch([], ("gitlab",), 3)
@@ -179,19 +217,9 @@ class TestAggregateEpoch:
         """A failed model turn repeats the exposure as it was decided, so the observation does not sort it."""
         assert aggregate_epoch([], ("xdebug", "gitlab"), 1).exposed_last == ("xdebug", "gitlab")
 
-    def test_sorts_by_clock(self):
-        alerts = _synth(
-            [ScanAction(services=("apache_struts", "gitlab"))], epoch=2
-        )
-        shuffled = list(reversed(alerts))
-        obs = aggregate_epoch(shuffled, (), 2)
-        assert [a.clock for a in obs.alerts] == sorted(a.clock for a in alerts)
-        assert len(obs.alerts) == 2
-
-    def test_epoch_mismatch_raises(self):
-        alerts = _synth([ScanAction(services=("gitlab",))], epoch=1)
-        with pytest.raises(EpochMismatchError):
-            aggregate_epoch(alerts, (), 2)
+    def test_bundles_the_alerts_as_given(self):
+        alerts = _synth([ScanAction(services=("apache_struts", "gitlab"))], epoch=2)
+        assert aggregate_epoch(alerts[::-1], (), 2).alerts == tuple(alerts[::-1])
 
 
 class TestSummarize:
