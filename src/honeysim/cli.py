@@ -12,7 +12,6 @@ from .harness import (
     ConfigError,
     ExperimentMatrix,
     MatrixFaults,
-    PolicySpec,
     ScriptedKind,
     execute_matrix,
     expand_matrix,
@@ -40,10 +39,10 @@ def _apply_overrides(matrix: ExperimentMatrix, args: argparse.Namespace) -> Expe
     overrides = {}
     if getattr(args, "policy", None):
         wanted = set(args.policy)
-        missing = wanted - {p.label for p in matrix.policies}
+        missing = wanted - {p.name for p in matrix.policies}
         if missing:
             raise ConfigError(f"--policy names not in config: {sorted(missing)}")
-        overrides["policies"] = [p for p in matrix.policies if p.label in wanted]
+        overrides["policies"] = [p for p in matrix.policies if p.name in wanted]
     if getattr(args, "seed_base", None) is not None:
         overrides["seed_base"] = args.seed_base
     return replace(matrix, **overrides) if overrides else matrix
@@ -57,7 +56,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cells = expand_matrix(matrix)
     print(f"config ok: {len(cells)} cells "
           f"({len(matrix.policies)} policies x {len(matrix.deployments)} deployments "
-          f"x {len(matrix.modes)} persistence modes x {len(matrix.seeds)} seeds)")
+          f"x {len(matrix.persistence_modes)} persistence modes x {len(matrix.seeds)} seeds)")
     return EXIT_OK
 
 
@@ -77,9 +76,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_mock_demo(args: argparse.Namespace) -> int:
     matrix = ExperimentMatrix(
-        policies=[PolicySpec(label="scripted", kind=ScriptedKind())],
+        policies=[ScriptedKind(name="scripted")],
         deployments=[args.deployment],
-        modes=["deterministic"],
+        persistence_modes=["deterministic"],
         seeds=[args.seed],
     )
     _print_tables(execute_matrix(matrix, args.out, offline=True))

@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 import yaml
 
 from .attackers import PERSISTENCE_MODES, AttackerProfile, PersistenceModel, default_attacker_queue
-from .catalog import DEPLOYMENT_NAMES, AttackStage, HoneynetConfig, deployment_config, load_catalog, load_yaml
+from .catalog import (
+    DEPLOYMENT_NAMES, AttackGraph, AttackStage, HoneynetConfig, deployment_config, load_catalog, load_yaml
+)
 from .engine import (
     SCHEMA_VERSION,
     PolicyFactory,
@@ -65,27 +67,16 @@ STATS_NAME = "run_stats.json"
 NAME_MAX = 255  # the longest directory name, in bytes, that common file systems take
 
 
-@dataclass(frozen=True)
-class PolicySpec:
-    label: str
-    # None in a matrix read back from a run manifest, which keeps labels only: replay builds no policy
-    kind: Optional[PolicyKind] = None
-
-
-# each axis: its matrix field, and its key and type in a run config and a run manifest; a policy's label is a string
-_MATRIX_AXES = (
-    ("policies", "policies", "list"),
-    ("deployments", "deployments", "list[str]"),
-    ("modes", "persistence_modes", "list[str]"),
-    ("seeds", "seeds", "list[int]"),
-)
+# each axis, in expansion order: its name, which is its matrix field and its run config and run manifest key, and its
+# type; a policy is a PolicyKind, which refuses a name that is no string
+_AXIS_TYPES = {"policies": "list", "deployments": "list[str]", "persistence_modes": "list[str]", "seeds": "list[int]"}
 
 
 @dataclass(frozen=True)
 class ExperimentMatrix:
-    policies: Sequence[PolicySpec]
+    policies: Sequence[PolicyKind]
     deployments: Sequence[str]
-    modes: Sequence[str]
+    persistence_modes: Sequence[str]
     seeds: Sequence[int]
     horizon: int = RunConfig.horizon
     budget: int = HoneynetConfig.budget
@@ -106,9 +97,8 @@ class ExperimentMatrix:
     def __post_init__(self) -> None:
         """Hold each axis, and ``attackers`` when set, as a tuple, refusing an axis of another type as configs do; then
         refuse, in one line, every fault of the axes and of the settings no cell changes (cells check those again)."""
-        for name, key, kind in _MATRIX_AXES:
-            object.__setattr__(self, name, tuple(check(getattr(self, name), kind, key)))
-        check([policy.label for policy in self.policies], "list[str]", "policies")
+        for axis, kind in _AXIS_TYPES.items():
+            object.__setattr__(self, axis, tuple(check(getattr(self, axis), kind, axis)))
         object.__setattr__(self, "attackers", None if self.attackers is None else tuple(self.attackers))
         faults = self._axis_faults()
         for check_value, value in (
@@ -127,8 +117,8 @@ class ExperimentMatrix:
 
     def _axis_faults(self) -> list[str]:
         """Each fault of the axes; without one, every cell gets a directory of its own that the file system can make."""
-        labels = [policy.label for policy in self.policies]
-        axes = dict(policies=labels, deployments=self.deployments, persistence_modes=self.modes, seeds=self.seeds)
+        labels = [policy.name for policy in self.policies]
+        axes = {**{axis: getattr(self, axis) for axis in _AXIS_TYPES}, "policies": labels}
         faults = [f"matrix axis {axis!r} is empty" for axis, values in axes.items() if not values]
         for label in labels:
             if not _safe_directory_name(label):
@@ -174,10 +164,8 @@ def _cell_name(label: str, deployment: str, mode: str, seed: int) -> str:
 def expand_matrix(matrix: ExperimentMatrix) -> list[CellSpec]:
     """Cartesian expansion in lexicographic axis order; each cell derives its own seed and has its own directory."""
     return [
-        CellSpec(policy.label, deployment, mode, seed, matrix.seed_base)
-        for policy, deployment, mode, seed in itertools.product(
-            matrix.policies, matrix.deployments, matrix.modes, matrix.seeds
-        )
+        CellSpec(policy.name, deployment, mode, seed, matrix.seed_base)
+        for policy, deployment, mode, seed in itertools.product(*(getattr(matrix, axis) for axis in _AXIS_TYPES))
     ]
 
 
@@ -195,7 +183,7 @@ def _safe_directory_name(label: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_policy_entry(index: int, entry) -> PolicySpec:
+def _parse_policy_entry(index: int, entry) -> PolicyKind:
     """A ``policies:`` entry: a kind, or a mapping of ``name``, ``kind`` (each defaults to the other) and parameters."""
     where = f"policies[{index}]"
     params = dict(entry) if isinstance(entry, dict) else {"kind": entry}
@@ -204,7 +192,7 @@ def _parse_policy_entry(index: int, entry) -> PolicySpec:
     kind = names.get("kind") or names.get("name")
     if kind not in POLICY_KINDS:
         raise ConfigError(f"{where}: unknown policy kind {kind!r}; the kinds are {', '.join(POLICY_KINDS)}")
-    return PolicySpec(label=names.get("name") or kind, kind=POLICY_KINDS[kind].read(params, where))
+    return POLICY_KINDS[kind].read({**params, "name": names.get("name") or kind}, where)
 
 
 def _parse_attacker_entry(index: int, entry, attacker: dict) -> AttackerProfile:
@@ -238,7 +226,7 @@ _RUN_CONFIG = {
     "horizon": "int",
     "budget": "int",
     "seed_base": "int",
-    **{key: kind for _, key, kind in _MATRIX_AXES},
+    **_AXIS_TYPES,
     "persistence": "Optional[dict]",
     "noise": "Optional[dict]",
     "attacker": "Optional[dict]",
@@ -271,11 +259,10 @@ def matrix_from_dict(data) -> ExperimentMatrix:
     except ValueError as exc:
         raise ConfigError(f"persistence: {exc}") from None
     attacker = read(top.get("attacker", {}), {"abandon_on_failure": "bool"}, "attacker")
+    axes = {axis: top.get(axis, []) for axis in _AXIS_TYPES}
+    axes["policies"] = [_parse_policy_entry(i, entry) for i, entry in enumerate(axes["policies"])]
     return ExperimentMatrix(
-        policies=[_parse_policy_entry(i, entry) for i, entry in enumerate(top.get("policies", []))],
-        deployments=top.get("deployments", []),
-        modes=top.get("persistence_modes", []),
-        seeds=top.get("seeds", []),
+        **axes,
         persistence=persistence,
         noise=NoiseConfig.read(top.get("noise", {}), "noise"),
         backends={
@@ -319,9 +306,10 @@ class RunBuild:
     ``inputs`` maps each (policy label, deployment, persistence mode) to its
     cells' run config and policy factory; every policy at one deployment and
     mode shares one run config. ``faults`` names each (policy, deployment,
-    mode)'s fault once, in matrix order, then the prompt template's. Each
-    honeynet, run config, the template and each replay file loads, or fails,
-    once, at the first cell that needs it; nothing outlives the build.
+    mode)'s fault once, in matrix order, then the catalog's and the prompt
+    template's. Each honeynet, run config, the catalog, the template and each
+    replay file loads, or fails, once, at the first cell that needs it; nothing
+    outlives the build.
     ``run_cell`` runs each cell from the build that ``checked`` returns.
     """
 
@@ -331,9 +319,11 @@ class RunBuild:
         self._loads: dict[tuple, object] = {}  # each load's value, or the fault it raised, by load and arguments
         self.inputs: dict[tuple[str, str, str], tuple[RunConfig, PolicyFactory]] = {}
         self.faults: list[str] = []
-        for policy, deployment, mode in itertools.product(matrix.policies, matrix.deployments, matrix.modes):
-            self._collect(self._build, policy, deployment, mode)
-        # baseline cells never load the template, so check it even when none uses it
+        for cell_inputs in itertools.product(matrix.policies, matrix.deployments, matrix.persistence_modes):
+            self._collect(self._build, *cell_inputs)
+        # only custom cells load the catalog, and only model cells the template, so check each when set, used or not
+        if matrix.catalog_path:
+            self._collect(self.catalog)
         if matrix.prompt_template_path:
             self._collect(self.template)
 
@@ -363,14 +353,14 @@ class RunBuild:
             raise value.with_traceback(None)  # a fresh traceback each time, not one that grows with every cell
         return value
 
-    def _build(self, policy: PolicySpec, deployment: str, mode: str) -> None:
+    def _build(self, policy: PolicyKind, deployment: str, mode: str) -> None:
         cfg = self._load(self._run_config, deployment, mode)
-        self.inputs[policy.label, deployment, mode] = cfg, policy.kind.factory(policy.label, cfg, self)
+        self.inputs[policy.name, deployment, mode] = cfg, policy.factory(cfg, self)
 
     def _run_config(self, deployment: str, mode: str) -> RunConfig:
         """The run config that every policy's cells at ``deployment`` and ``mode`` share."""
         matrix = self._matrix
-        honeynet = self._load(_honeynet, deployment, matrix.budget, matrix.catalog_path)
+        honeynet = self._load(self._honeynet, deployment)
         persistence = replace(matrix.persistence, mode=mode)
         if matrix.attackers is None:
             queue = default_attacker_queue(honeynet.catalog, persistence, abandon_on_failure=matrix.abandon_on_failure)
@@ -378,6 +368,24 @@ class RunBuild:
             queue = [replace(profile, persistence=persistence) for profile in matrix.attackers]
         return RunConfig(honeynet, tuple(queue), matrix.horizon, noise=matrix.noise, bootstrap=matrix.bootstrap,
                          belief_carryover=matrix.belief_carryover)
+
+    def _honeynet(self, deployment: str) -> HoneynetConfig:
+        """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
+        budget = self._matrix.budget
+        catalog = self.catalog() if deployment == "custom" else None
+        try:
+            return deployment_config(deployment, budget) if catalog is None else HoneynetConfig(catalog, budget)
+        except ValueError as exc:
+            raise ConfigError(f"{deployment}: {exc}") from None
+
+    def catalog(self) -> AttackGraph:
+        """The matrix's catalog file, which deployment ``custom`` requires, loaded once per build."""
+        if not self._matrix.catalog_path:
+            raise ConfigError("deployment 'custom' requires a catalog file")
+        try:
+            return self._load(load_catalog, self._matrix.catalog_path)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"catalog file unusable: {exc}") from None
 
     def template(self) -> PromptTemplate:
         path = self._matrix.prompt_template_path
@@ -391,36 +399,27 @@ class RunBuild:
         return self._load(load_replay_file, path)
 
 
-def _honeynet(deployment: str, budget: int, catalog_path: Optional[str]) -> HoneynetConfig:
-    """The deployment's honeynet; ConfigError naming the catalog file, or the deployment, at fault."""
-    if deployment == "custom" and not catalog_path:
-        raise ConfigError("deployment 'custom' requires a catalog file")
-    try:
-        catalog = load_catalog(catalog_path) if deployment == "custom" else None
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"catalog file unusable: {exc}") from None
-    try:
-        return deployment_config(deployment, budget) if catalog is None else HoneynetConfig(catalog, budget)
-    except ValueError as exc:
-        raise ConfigError(f"{deployment}: {exc}") from None
-
-
+@dataclass(frozen=True, kw_only=True)
 class PolicyKind(Settings):
-    """A policy kind's parameters: the keys of its ``policies:`` entries besides ``name`` and ``kind``.
+    """A ``policies:`` entry: its ``name``, the label of its cells and its summary column, and its kind's parameters,
+    the entry's keys besides ``kind``.
 
-    A kind's ``factory(label, cfg, build)`` builds the policies of the cells of one (deployment, persistence mode),
-    whose run config is ``cfg``, or raises ConfigError on what they or the environment lack; ``build`` is the run's
-    build, which holds the backends and ``offline`` and loads the template and replay files.
+    A kind's ``factory(cfg, build)`` builds the policies of the cells of one (deployment, persistence mode), whose
+    run config is ``cfg``, or raises ConfigError on what they or the environment lack; ``build`` is the run's build,
+    which holds the backends and ``offline`` and loads the template and replay files. A bare ``PolicyKind``, as a
+    run manifest gives, names a policy and builds none.
     """
+
+    name: str
 
 
 class OracleKind(PolicyKind):
-    def factory(self, label, cfg, build) -> PolicyFactory:
+    def factory(self, cfg, build) -> PolicyFactory:
         return lambda index, seed: OraclePolicy()
 
 
 class RandomKind(PolicyKind):
-    def factory(self, label, cfg, build) -> PolicyFactory:
+    def factory(self, cfg, build) -> PolicyFactory:
         return lambda index, seed: RandomPolicy(seed)
 
 
@@ -428,27 +427,27 @@ class RandomKind(PolicyKind):
 class StaticKind(PolicyKind):
     expose: list[str]
 
-    def factory(self, label, cfg, build) -> PolicyFactory:
+    def factory(self, cfg, build) -> PolicyFactory:
         if not self.expose:
-            raise ConfigError(f"policy {label}: static policy needs a non-empty 'expose' list")
+            raise ConfigError(f"policy {self.name}: static policy needs a non-empty 'expose' list")
         unknown = [name for name in self.expose if name not in cfg.honeynet.catalog]
         if unknown:
-            raise ConfigError(f"policy {label}: exposes {unknown}, not in {cfg.honeynet.deployment_name}")
+            raise ConfigError(f"policy {self.name}: exposes {unknown}, not in {cfg.honeynet.deployment_name}")
         return lambda index, seed: StaticPolicy(self.expose)
 
 
 class ReactiveKind(PolicyKind):
-    def factory(self, label, cfg, build) -> PolicyFactory:
+    def factory(self, cfg, build) -> PolicyFactory:
         return lambda index, seed: ReactivePolicy()
 
 
 class ScriptedKind(PolicyKind):
-    def scripts(self, label, cfg, build) -> list[list[str]]:
+    def scripts(self, cfg, build) -> list[list[str]]:
         catalog = cfg.honeynet.catalog
         return [aligned_mock_script(catalog.get(p.target_service), p.objective_stage) for p in cfg.attackers]
 
-    def factory(self, label, cfg, build) -> PolicyFactory:
-        scripts, template = self.scripts(label, cfg, build), build.template()
+    def factory(self, cfg, build) -> PolicyFactory:
+        scripts, template = self.scripts(cfg, build), build.template()
         # the episode of the i-th attacker replays script i, cycling
         return lambda index, seed: LlmPolicy(ScriptedMockBackend(scripts[index % len(scripts)]), template=template)
 
@@ -457,23 +456,23 @@ class ScriptedKind(PolicyKind):
 class MockKind(ScriptedKind):
     replay: str
 
-    def scripts(self, label, cfg, build) -> list[list[str]]:
+    def scripts(self, cfg, build) -> list[list[str]]:
         try:
             return build.replay(self.replay)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"policy {label}: replay file {self.replay!r} unusable: {exc}") from None
+            raise ConfigError(f"policy {self.name}: replay file {self.replay!r} unusable: {exc}") from None
 
 
 @dataclass(frozen=True, kw_only=True)
 class LlmKind(PolicyKind):
     backend: str
 
-    def factory(self, label, cfg, build) -> PolicyFactory:
+    def factory(self, cfg, build) -> PolicyFactory:
         backend = build.backends.get(self.backend)
         if backend is None:
-            raise ConfigError(f"policy {label}: unknown backend {self.backend!r}")
+            raise ConfigError(f"policy {self.name}: unknown backend {self.backend!r}")
         if build.offline:
-            raise ConfigError(f"policy {label}: HTTP backend {self.backend} forbidden in offline mode")
+            raise ConfigError(f"policy {self.name}: HTTP backend {self.backend} forbidden in offline mode")
         if not os.environ.get(backend.auth_env):
             raise ConfigError(f"backend-auth-missing: set {backend.auth_env} for backend {self.backend}")
         template = build.template()
@@ -559,9 +558,9 @@ def write_cell(out_dir: Path, cell: CellSpec, records: Sequence[dict]) -> None:
 def write_summaries(out_dir: Path, runs: Sequence[RunMetrics], matrix: ExperimentMatrix) -> SummaryTables:
     tables = aggregate(
         runs,
-        policies=[p.label for p in matrix.policies],
+        policies=[p.name for p in matrix.policies],
         deployments=matrix.deployments,
-        modes=matrix.modes,
+        modes=matrix.persistence_modes,
     )
     for name, text in tables.files():
         _write(out_dir / name, text)
@@ -622,14 +621,8 @@ def execute_matrix(matrix: ExperimentMatrix, out_dir: str | Path, workers: int =
     tables = write_summaries(out, runs, matrix)
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "policies": [p.label for p in matrix.policies],
-        "deployments": matrix.deployments,
-        "persistence_modes": matrix.modes,
-        "seeds": matrix.seeds,
-        "horizon": matrix.horizon,
-        "budget": matrix.budget,
-        "seed_base": matrix.seed_base,
-        "score_mode": matrix.score_mode,
+        **{key: getattr(matrix, key) for key in (*_AXIS_TYPES, "horizon", "budget", "seed_base", "score_mode")},
+        "policies": [p.name for p in matrix.policies],  # a manifest names each policy by its label
     }
     _write(out / MANIFEST_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return tables
@@ -680,8 +673,8 @@ def _manifest_cells(out: Path) -> tuple[ExperimentMatrix, list[CellSpec]]:
         _check_schema_version(manifest.get("schema_version", SCHEMA_VERSION))
         # the matrix refuses what ``run`` refuses, so no cell path leaves ``out``; a manifest names each policy by its
         # label, and a text, which is no list, would otherwise name one policy per character
-        axes = {name: manifest.get(key) for name, key, _ in _MATRIX_AXES}
-        axes["policies"] = [PolicySpec(label) for label in check(axes["policies"], "list[str]", "policies")]
+        axes = {axis: manifest.get(axis) for axis in _AXIS_TYPES}
+        axes["policies"] = [PolicyKind(name=label) for label in check(axes["policies"], "list[str]", "policies")]
         score_mode = check(manifest.get("score_mode", SCORE_MODE_SETS), "str", "score_mode")
         matrix = ExperimentMatrix(**axes, score_mode=score_mode)
         return matrix, expand_matrix(matrix)

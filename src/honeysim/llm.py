@@ -237,8 +237,13 @@ class HttpChatBackend(Settings):
         scheme, separator, _ = self.base_url.partition("://")
         if not separator or scheme.lower() not in ("http", "https"):  # urllib would open file:// and ftp:// too
             raise ValueError(f"base_url must start with http:// or https://, got {self.base_url!r}")
-        if urllib.parse.urlsplit(self.base_url).hostname is None:  # http:// alone, or a port without a host
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.hostname is None:  # http:// alone, or a port without a host
             raise ValueError(f"base_url must name a host, got {self.base_url!r}")
+        try:
+            url.port  # every attempt to open a port that is no integer, or past 65535, would fail
+        except ValueError:
+            raise ValueError(f"base_url must name a port from 0 to 65535, got {self.base_url!r}") from None
         if not self.auth_env:
             raise ValueError("auth_env must name an environment variable, got ''")
         if not 0 < self.timeout < math.inf:

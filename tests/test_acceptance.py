@@ -19,7 +19,6 @@ from honeysim.harness import (
     CellSpec,
     ExperimentMatrix,
     OracleKind,
-    PolicySpec,
     RunBuild,
     ScriptedKind,
     expand_matrix,
@@ -191,9 +190,9 @@ def test_criterion_7_matrix_shape_and_replay(tmp_path):
 
         # per-(policy, deployment) success cells pool 3 modes x 3 seeds = 9 runs
         matrix = ExperimentMatrix(
-            policies=[PolicySpec(label="oracle", kind=OracleKind())],
+            policies=[OracleKind(name="oracle")],
             deployments=list(DEPLOYMENTS),
-            modes=list(MODES),
+            persistence_modes=list(MODES),
             seeds=list(SEEDS),
             horizon=20,
         )
@@ -241,9 +240,9 @@ def test_criterion_8_mock_pipeline(tmp_path):
 def test_criterion_9_determinism():
     with criterion(9, "same-seed cell reruns produce bit-identical episode logs", 30.0):
         matrix = ExperimentMatrix(
-            policies=[PolicySpec(label="scripted", kind=ScriptedKind())],
+            policies=[ScriptedKind(name="scripted")],
             deployments=["small_mixed"],
-            modes=["probabilistic"],
+            persistence_modes=["probabilistic"],
             seeds=[7],
             horizon=20,
         )

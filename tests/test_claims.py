@@ -62,12 +62,12 @@ class ExposureOnTargetPolicy(ExposureOnlyPolicy):
         return decision.exposed[0]
 
 
-def _kind(policy: type) -> harness.PolicyKind:
+def _kind(name: str, policy: type) -> harness.PolicyKind:
     class Kind(harness.PolicyKind):
-        def factory(self, label, cfg, build):
+        def factory(self, cfg, build):
             return lambda index, seed: policy()
 
-    return Kind()
+    return Kind(name=name)
 
 
 BUILTIN = harness.load_builtin_config()
@@ -77,8 +77,8 @@ BUILTIN = harness.load_builtin_config()
 def scores() -> dict:
     """Each run's score as a list over seeds, keyed by (score mode, policy, deployment, persistence mode)."""
     controls = [
-        harness.PolicySpec("exposure_only", _kind(ExposureOnlyPolicy)),
-        harness.PolicySpec("exposure_on_target", _kind(ExposureOnTargetPolicy)),
+        _kind("exposure_only", ExposureOnlyPolicy),
+        _kind("exposure_on_target", ExposureOnTargetPolicy),
     ]
     matrix = replace(BUILTIN, seeds=SEEDS, policies=[*BUILTIN.policies, *controls])
     runs: dict = {}
@@ -92,7 +92,8 @@ def scores() -> dict:
 
 
 def _mean(scores: dict, mode: str, policy: str, deployment: str) -> float:
-    return statistics.mean(s for persistence in BUILTIN.modes for s in scores[mode, policy, deployment, persistence])
+    modes = BUILTIN.persistence_modes
+    return statistics.mean(s for persistence in modes for s in scores[mode, policy, deployment, persistence])
 
 
 @pytest.mark.parametrize("mode", metrics.SCORE_MODES)

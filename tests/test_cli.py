@@ -28,7 +28,6 @@ from honeysim.harness import (
     MatrixFaults,
     MockKind,
     OracleKind,
-    PolicySpec,
     RunBuild,
     ScriptedKind,
     execute_matrix,
@@ -127,9 +126,9 @@ def _without(mapping: dict, key: str) -> dict:
 class TestExpandMatrix:
     def _matrix(self, n_policies=3, n_deployments=3, n_modes=3, n_seeds=3):
         return ExperimentMatrix(
-            policies=[PolicySpec(label=f"p{i}", kind=OracleKind()) for i in range(n_policies)],
+            policies=[OracleKind(name=f"p{i}") for i in range(n_policies)],
             deployments=["fully_vulnerable", "small_mixed", "large_mixed"][:n_deployments],
-            modes=["deterministic", "probabilistic", "consecutive"][:n_modes],
+            persistence_modes=["deterministic", "probabilistic", "consecutive"][:n_modes],
             seeds=list(range(n_seeds)),
         )
 
@@ -158,12 +157,12 @@ class TestExpandMatrix:
         [
             ({"policies": []}, "matrix axis 'policies' is empty"),
             (
-                {"deployments": [], "modes": []},
+                {"deployments": [], "persistence_modes": []},
                 "matrix axis 'deployments' is empty; matrix axis 'persistence_modes' is empty",
             ),
-            ({"policies": [PolicySpec("a/b")]}, "policy label 'a/b' is not a safe directory name"),
+            ({"policies": [OracleKind(name="a/b")]}, "policy label 'a/b' is not a safe directory name"),
             (
-                {"policies": [PolicySpec("persistence")]},
+                {"policies": [OracleKind(name="persistence")]},
                 "policy label 'persistence' would overwrite that column of summary_scores",
             ),
             (
@@ -171,12 +170,12 @@ class TestExpandMatrix:
                 "'deployments' holds 'nowhere', not one of fully_vulnerable, small_mixed, large_mixed, custom",
             ),
             (
-                {"modes": ["stochastic"]},
+                {"persistence_modes": ["stochastic"]},
                 "'persistence_modes' holds 'stochastic', not one of deterministic, probabilistic, consecutive",
             ),
             ({"seeds": [3, 3], "n": 1}, "cells share a directory: p0__fully_vulnerable__deterministic__seed3"),
             (
-                {"policies": [PolicySpec("p" * 224)], "n": 1},
+                {"policies": [OracleKind(name="p" * 224)], "n": 1},
                 f"cell name '{'p' * 224}__fully_vulnerable__deterministic__seed0' is longer than a directory name may "
                 "be (255 bytes)",
             ),
@@ -219,12 +218,9 @@ class TestExpandMatrix:
             ({"seeds": [1.5]}, "'seeds[0]' must be an integer, got 1.5"),
             ({"seeds": 5}, "'seeds' must be a list of integers, got 5"),
             ({"deployments": "small_mixed"}, "'deployments' must be a list of strings, got 'small_mixed'"),
-            ({"modes": [None]}, "'persistence_modes[0]' must be a string, got None"),
-            ({"policies": [PolicySpec(label=5)]}, "'policies[0]' must be a string, got 5"),
+            ({"persistence_modes": [None]}, "'persistence_modes[0]' must be a string, got None"),
         ],
-        ids=[
-            "text-seed", "flag-seed", "fractional-seed", "seeds-a-number", "deployments-a-text", "null-mode", "label-5"
-        ],
+        ids=["text-seed", "flag-seed", "fractional-seed", "seeds-a-number", "deployments-a-text", "null-mode"],
     )
     def test_the_matrix_refuses_an_axis_of_another_type_as_a_config_does(self, axes, fault):
         """A library-built matrix, and ``replace``, give the text that the config or manifest key of the axis gives."""
@@ -234,14 +230,18 @@ class TestExpandMatrix:
         with pytest.raises(ConfigError) as refused:
             replace(self._matrix(), **axes)
         assert str(refused.value) == fault
-        (field, value), = axes.items()
-        if field != "policies":  # a config names a policy by its entry; a manifest, by its label, as the matrix does
-            key = {"modes": "persistence_modes"}.get(field, field)
-            with pytest.raises(ConfigError) as refused:
-                matrix_from_dict({**TINY_CONFIG, key: value})
-            assert str(refused.value) == fault
+        (key, value), = axes.items()
+        with pytest.raises(ConfigError) as refused:
+            matrix_from_dict({**TINY_CONFIG, key: value})
+        assert str(refused.value) == fault
 
-    @pytest.mark.parametrize("axis", ["policies", "deployments", "modes", "seeds", "attackers"])
+    def test_a_kind_refuses_a_name_that_is_no_string(self):
+        """A policy's label is its kind's ``name``, checked as the kind is built, so no matrix holds another type."""
+        with pytest.raises(ConfigError) as refused:
+            OracleKind(name=5)
+        assert str(refused.value) == "'name' must be a string, got 5"
+
+    @pytest.mark.parametrize("axis", ["policies", "deployments", "persistence_modes", "seeds", "attackers"])
     def test_no_axis_of_a_built_matrix_changes_in_place(self, axis):
         """Each axis, and the attacker queue, is held as a tuple: ``replace``, which checks again, changes one."""
         matrix = replace(self._matrix(1, 1, 1, 1), attackers=[AttackerProfile(target_service="gitlab")])
@@ -730,7 +730,7 @@ class TestValidate:
         monkeypatch.delenv("TEST_TOKEN_VAR", raising=False)
         matrix = replace(
             load_builtin_config(),
-            policies=[PolicySpec(label="m", kind=LlmKind(backend="b"))],
+            policies=[LlmKind(name="m", backend="b")],
             backends={"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")},
         )
         problems = validate_matrix(matrix)
@@ -775,7 +775,7 @@ class TestValidate:
         monkeypatch.setenv("TEST_TOKEN_VAR", "x")
         matrix = replace(
             load_builtin_config(),
-            policies=[PolicySpec(label="m", kind=LlmKind(backend="b"))],
+            policies=[LlmKind(name="m", backend="b")],
             backends={"b": HttpChatBackend(auth_env="TEST_TOKEN_VAR")},
         )
         problems = validate_matrix(matrix, offline=True)
@@ -783,7 +783,8 @@ class TestValidate:
 
 
 def test_readme_policy_table_lists_every_kind_and_parameter():
-    """The README's policy table names exactly the kinds of POLICY_KINDS, each with its parameters and their types."""
+    """The README's policy table names exactly the kinds of POLICY_KINDS, each with its parameters and their types:
+    every field but the ``name`` that every kind has."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Policies\n\n", 1)[1].split("\n\n", 1)[0].splitlines()
     listed = {}
@@ -791,7 +792,9 @@ def test_readme_policy_table_lists_every_kind_and_parameter():
         kind, parameters = (cell.strip() for cell in row.strip("|").split("|")[:2])
         listed[kind.strip("`")] = parameters
     expected = {
-        kind: ", ".join(f"`{f.name}` ({TYPES[f.type][1].split(' ', 1)[1]})" for f in fields(cls)) or "none"
+        kind: ", ".join(
+            f"`{f.name}` ({TYPES[f.type][1].split(' ', 1)[1]})" for f in fields(cls) if f.name != "name"
+        ) or "none"
         for kind, cls in POLICY_KINDS.items()
     }
     assert listed == expected
@@ -1172,9 +1175,9 @@ def test_console_script_is_installed():
 
 def _scripted_matrix():
     return ExperimentMatrix(
-        policies=[PolicySpec(label="scripted", kind=ScriptedKind())],
+        policies=[ScriptedKind(name="scripted")],
         deployments=["small_mixed"],
-        modes=["deterministic"],
+        persistence_modes=["deterministic"],
         seeds=[0],
         horizon=10,
     )
@@ -1209,9 +1212,9 @@ def test_run_cell_streams_turns_to_disk(tmp_path):
 def test_run_cell_deletes_a_stale_turn_log_from_a_baseline_cell(tmp_path):
     """A rerun into an existing cell directory leaves no turn log that the cell did not write."""
     matrix = ExperimentMatrix(
-        policies=[PolicySpec(label="oracle", kind=OracleKind())],
+        policies=[OracleKind(name="oracle")],
         deployments=["small_mixed"],
-        modes=["deterministic"],
+        persistence_modes=["deterministic"],
         seeds=[0],
     )
     cell = expand_matrix(matrix)[0]
@@ -1229,16 +1232,17 @@ def _mock_matrix(tmp_path, replays, **axes):
     for label, name in replays:
         path = tmp_path / name
         path.write_text(json.dumps(['{"expose": ["gitlab"], "stages": []}']), encoding="utf-8")
-        policies.append(PolicySpec(label=label, kind=MockKind(replay=str(path))))
+        policies.append(MockKind(name=label, replay=str(path)))
     return ExperimentMatrix(
-        policies=policies, **{"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0], **axes}
+        policies=policies,
+        **{"deployments": ["small_mixed"], "persistence_modes": ["deterministic"], "seeds": [0], **axes},
     )
 
 
 def test_turn_log_keeps_finished_turns_and_closes_when_a_cell_crashes(tmp_path, monkeypatch):
     """A backend that raises on turn k: the cell re-raises, k-1 turns are on disk, no handle is left open."""
     matrix = _mock_matrix(tmp_path, [("mock", "replay.json")], horizon=10)
-    matrix = replace(matrix, policies=[*matrix.policies, PolicySpec(label="oracle", kind=OracleKind())])
+    matrix = replace(matrix, policies=[*matrix.policies, OracleKind(name="oracle")])
     mock_cell, oracle_cell = expand_matrix(matrix)
     build = RunBuild(matrix).checked()
     k = 4
@@ -1289,13 +1293,14 @@ def _degrading_matrix(tmp_path, **axes) -> ExperimentMatrix:
     faulty.write_text(json.dumps(FAULTY_SCRIPT), encoding="utf-8")
     clean.write_text(json.dumps(FAULTY_SCRIPT[-1:]), encoding="utf-8")
     policies = [
-        PolicySpec(label="faulty", kind=MockKind(replay=str(faulty))),
-        PolicySpec(label="clean", kind=MockKind(replay=str(clean))),
-        PolicySpec(label="wide", kind=harness.StaticKind(expose=["gitlab", "apache_struts"])),
-        PolicySpec(label="oracle", kind=OracleKind()),
+        MockKind(name="faulty", replay=str(faulty)),
+        MockKind(name="clean", replay=str(clean)),
+        harness.StaticKind(name="wide", expose=["gitlab", "apache_struts"]),
+        OracleKind(name="oracle"),
     ]
     return ExperimentMatrix(
-        policies=policies, **{"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0], **axes}
+        policies=policies,
+        **{"deployments": ["small_mixed"], "persistence_modes": ["deterministic"], "seeds": [0], **axes},
     )
 
 
@@ -1391,12 +1396,12 @@ def test_a_refused_run_leaves_the_directory_as_it_was(tmp_path):
     """A matrix with a cell that cannot be built is refused before any file is made, deleted or written: the earlier
     run in the directory keeps every byte, and replay still reads it."""
     out = tmp_path / "out"
-    oracle = PolicySpec(label="oracle", kind=OracleKind())
-    axes = {"deployments": ["small_mixed"], "modes": ["deterministic"], "seeds": [0, 1], "horizon": 4}
+    oracle = OracleKind(name="oracle")
+    axes = {"deployments": ["small_mixed"], "persistence_modes": ["deterministic"], "seeds": [0, 1], "horizon": 4}
     harness.execute_matrix(ExperimentMatrix(policies=[oracle], **axes), out)
     ran = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
     missing = str(tmp_path / "missing.json")
-    refused = ExperimentMatrix(policies=[oracle, PolicySpec(label="mock", kind=MockKind(replay=missing))], **axes)
+    refused = ExperimentMatrix(policies=[oracle, MockKind(name="mock", replay=missing)], **axes)
     with pytest.raises(ConfigError, match=f"policy mock: replay file {re.escape(repr(missing))} unusable"):
         harness.execute_matrix(refused, out)
     assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == ran
@@ -1437,7 +1442,7 @@ def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkey
         tmp_path,
         [("mock_a", "a.json"), ("mock_a_again", "a.json"), ("mock_b", "b.json")],
         deployments=["fully_vulnerable", "small_mixed", "large_mixed"],
-        modes=["deterministic", "probabilistic", "consecutive"],
+        persistence_modes=["deterministic", "probabilistic", "consecutive"],
         seeds=[0, 1],
         horizon=3,
     )
@@ -1468,7 +1473,7 @@ def test_each_call_loads_each_replay_file_and_the_template_once(tmp_path, monkey
     assert loads == {"a.json": 1, "b.json": 1, "template": 1}
     # a file that fails is read once too: a replay file two policies share and a template, neither of which exists
     missing = str(tmp_path / "missing.json")
-    failing = [PolicySpec(label=label, kind=MockKind(replay=missing)) for label in ("mock_c", "mock_c_again")]
+    failing = [MockKind(name=label, replay=missing) for label in ("mock_c", "mock_c_again")]
     matrix = replace(matrix, policies=[*matrix.policies, *failing], prompt_template_path=str(tmp_path / "missing.txt"))
     loads.clear()
     faults = validate_matrix(matrix, offline=True)
@@ -1586,8 +1591,8 @@ def test_a_config_makes_one_matrix_and_the_run_overrides_make_one_more(tmp_path,
     argv = ["run", "--config", "config.yaml", "--out", "out", "--policy", "oracle", "--seed-base", "7"]
     assert main(argv) == 0
     assert len(built) <= 2
-    assert [p.label for p in built[-1].policies] == ["oracle"] and built[-1].seed_base == 7
-    axes = ("policies", "deployments", "modes", "seeds", "attackers")
+    assert [p.name for p in built[-1].policies] == ["oracle"] and built[-1].seed_base == 7
+    axes = ("policies", "deployments", "persistence_modes", "seeds", "attackers")
     assert all(isinstance(getattr(matrix, axis), tuple) for matrix in built for axis in axes)
     assert capsys.readouterr().err == ""
 
@@ -1629,6 +1634,22 @@ def test_a_catalog_file_that_fails_is_read_once(tmp_path, monkeypatch, capsys, c
     assert not Path("out").exists()
 
 
+@pytest.mark.parametrize("command", [["validate"], ["run", "--out", "out"]], ids=["validate", "run"])
+@pytest.mark.parametrize("key, head", [("catalog", "catalog file"), ("prompt_template", "prompt template")])
+def test_a_set_file_that_fails_is_refused_when_no_cell_loads_it(tmp_path, monkeypatch, capsys, command, key, head):
+    """A catalog or prompt template that fails is one `violation:` line even when no `custom` or model cell would
+    load it, and the file is read once."""
+    monkeypatch.chdir(tmp_path)
+    Path("config.yaml").write_text(yaml.safe_dump({**TINY_CONFIG, key: "missing.txt"}), encoding="utf-8")
+    load = {"catalog": "load_catalog", "prompt_template": "load_template"}[key]
+    _, counted = _count_builds_and_calls(monkeypatch, load)
+    assert main([*command, "--config", "config.yaml"]) == 2
+    assert counted == {load: 1}
+    err = capsys.readouterr().err
+    assert err == f"violation: {head} unusable: [Errno 2] No such file or directory: 'missing.txt'\n"
+    assert not Path("out").exists()
+
+
 @pytest.mark.parametrize("policies", [1, 6])
 def test_a_fault_raised_at_every_cell_keeps_a_traceback_of_one_raise(tmp_path, policies):
     """The build keeps each load's fault and raises it again at each cell that needs it, with a traceback of that
@@ -1643,12 +1664,13 @@ def test_a_fault_raised_at_every_cell_keeps_a_traceback_of_one_raise(tmp_path, p
         while frame is not None:
             depth, frame = depth + 1, frame.tb_next
         depths.append(depth)
-    assert len(depths) == 2 and max(depths) <= 3  # the honeynet's fault and the run config's, each raised by _load
+    # the catalog's fault, the honeynet's and the run config's, each raised by _load
+    assert len(depths) == 3 and max(depths) <= 3
 
 
 def test_load_run_file_round_trip(tiny_config):
     matrix = load_run_file(tiny_config)
-    assert [p.label for p in matrix.policies] == ["oracle", "reactive"]
+    assert [p.name for p in matrix.policies] == ["oracle", "reactive"]
     assert matrix.horizon == 8
     assert matrix.noise.false_positive_rate == 0.1
 
@@ -1778,7 +1800,7 @@ def test_logged_lines_are_built_in_sorted_key_order(tmp_path):
         {"name": "mock", "kind": "mock", "replay": str(replay)},
     ]
     matrix = harness.matrix_from_dict({**TINY_CONFIG, "policies": policies, "seeds": [0]})
-    assert sorted(p.kind.__class__.__name__ for p in matrix.policies) == sorted(
+    assert sorted(p.__class__.__name__ for p in matrix.policies) == sorted(
         kind.__name__ for name, kind in POLICY_KINDS.items() if name != "llm"
     )
     build = RunBuild(matrix).checked()  # one build for every cell, as run makes
@@ -1844,7 +1866,7 @@ def test_every_offline_kind_logs_its_json_form_with_sorted_keys(decoys, labels, 
                 {"name": "mock", "kind": "mock", "replay": str(replay)},
             ],
         })
-        assert {p.kind.__class__ for p in matrix.policies} == set(POLICY_KINDS.values()) - {LlmKind}
+        assert {p.__class__ for p in matrix.policies} == set(POLICY_KINDS.values()) - {LlmKind}
         build = RunBuild(matrix).checked()  # one build for every cell, as run makes
         for cell in expand_matrix(matrix):
             records, _ = run_cell(cell, build)

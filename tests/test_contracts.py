@@ -14,12 +14,17 @@
   run's bytes again.
 - A run on two worker threads writes the bytes a run on one writes in every
   file, ``run_stats.json`` with its latencies masked.
+- ``honeysim run`` under two interpreter hash seeds writes the same bytes in
+  every file, ``run_stats.json`` with its latencies masked.
 
 Each property's body is a plain function, so ``test_faults_are_caught.py``
 can show it fails on a planted fault.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -310,3 +315,28 @@ def check_workers(tmp: Path, config: dict) -> None:
 def test_two_workers_write_the_bytes_one_worker_writes(axes, cell_settings):
     with tempfile.TemporaryDirectory() as tmp:
         check_workers(Path(tmp), _with_mock_replies(Path(tmp), axes, cell_settings))
+
+
+def check_hash_seeds(tmp: Path, config: dict) -> None:
+    """``honeysim run`` of ``config``, in interpreters of hash seeds 0 and 1, writes the same bytes in every file."""
+    path = tmp / "config.yaml"
+    path.write_text(json.dumps(config), encoding="utf-8")  # a JSON text is YAML
+    # the package this test imports, ahead of any other on the path
+    path_entries = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path_entries)}
+        command = [sys.executable, "-m", "honeysim.cli", "run", "--offline", "--config", str(path), "--out"]
+        subprocess.run([*command, str(tmp / seed)], env=env, capture_output=True, check=True)
+    assert _run_bytes(tmp / "1") == _run_bytes(tmp / "0")
+
+
+def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    config = {
+        "horizon": 5,
+        "seeds": [0, 1],
+        "policies": ["scripted", "random"],
+        "deployments": ["small_mixed", "large_mixed"],
+        "persistence_modes": ["deterministic", "probabilistic"],
+    }
+    check_hash_seeds(tmp_path, config)
+    assert len(list(tmp_path.glob("0/*/turns.jsonl"))) == 8  # the scripted cells' model turns are compared too

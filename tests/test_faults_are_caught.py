@@ -91,7 +91,7 @@ def test_a_run_that_builds_a_policy_per_attacker_under_carryover_starts_each_epi
 
 
 def test_a_random_policy_seeded_by_its_position_in_the_run_depends_on_the_matrix(monkeypatch, tmp_path):
-    def by_position(self, label, cfg, build):
+    def by_position(self, cfg, build):
         built = itertools.count()  # the episodes built from this factory, which all the run's random cells share
         return lambda index, seed: RandomPolicy(next(built))
 
@@ -166,15 +166,16 @@ def test_a_matrix_that_skips_the_checks_of_its_axes_leaves_them_to_violation_lin
 
 def test_a_matrix_that_holds_its_axes_as_given_lets_one_change_in_place(monkeypatch):
     post_init = harness.ExperimentMatrix.__post_init__
+    axes = ("policies", "deployments", "persistence_modes", "seeds", "attackers")
 
     def as_given(self):
-        given = {name: getattr(self, name) for name in ("policies", "deployments", "modes", "seeds", "attackers")}
+        given = {name: getattr(self, name) for name in axes}
         post_init(self)  # every check, then each axis back as the caller gave it
         for name, value in given.items():
             object.__setattr__(self, name, value)
 
     monkeypatch.setattr(harness.ExperimentMatrix, "__post_init__", as_given)
-    for axis in ("policies", "deployments", "modes", "seeds", "attackers"):
+    for axis in axes:
         with pytest.raises(AssertionError):
             test_cli.TestExpandMatrix().test_no_axis_of_a_built_matrix_changes_in_place(axis)
 
@@ -197,7 +198,7 @@ def test_a_build_that_makes_a_run_config_per_policy_checks_one_per_policy(monkey
 
     def one_per_policy(self, policy, deployment, mode):
         cfg = self._run_config(deployment, mode)
-        self.inputs[policy.label, deployment, mode] = cfg, policy.kind.factory(policy.label, cfg, self)
+        self.inputs[policy.name, deployment, mode] = cfg, policy.factory(cfg, self)
 
     monkeypatch.setattr(harness.RunBuild, "_build", one_per_policy)
     with pytest.raises(AssertionError):

@@ -459,9 +459,9 @@ def test_run_stats_count_each_cells_turn_log(scripts, budget):
         with open(replay, "w", encoding="utf-8") as fh:
             json.dump({"episodes": scripts}, fh)
         matrix = harness.ExperimentMatrix(
-            policies=[harness.PolicySpec("mock", harness.MockKind(replay=replay))],
+            policies=[harness.MockKind(name="mock", replay=replay)],
             deployments=["fully_vulnerable", "small_mixed"],
-            modes=["deterministic"],
+            persistence_modes=["deterministic"],
             seeds=[0],
             horizon=4,
             budget=budget,
@@ -892,6 +892,10 @@ class TestBackendSettings:
             ({"base_url": "http://"}, "base_url must name a host, got 'http://'"),
             ({"base_url": "https:///v1"}, "base_url must name a host, got 'https:///v1'"),
             ({"base_url": "http://:8080/v1"}, "base_url must name a host, got 'http://:8080/v1'"),
+            *(
+                ({"base_url": url}, f"base_url must name a port from 0 to 65535, got {url!r}")
+                for url in ("http://localhost:abc", "http://127.0.0.1:99999")
+            ),
             ({"auth_env": ""}, "auth_env must name an environment variable, got ''"),
             ({"timeout": float("inf")}, "timeout must be a finite number above 0, got inf"),
             ({"timeout": 0}, "timeout must be a finite number above 0, got 0.0"),
