@@ -70,6 +70,11 @@ NAME_MAX = 255  # the longest directory name, in bytes, that common file systems
 # each axis, in expansion order: its name, which is its matrix field and its run config and run manifest key, and its
 # type; a policy is a PolicyKind, which refuses a name that is no string
 _AXIS_TYPES = {"policies": "list", "deployments": "list[str]", "persistence_modes": "list[str]", "seeds": "list[int]"}
+# each scalar setting that a run config's top level names as its matrix field, and its type
+_SCALAR_TYPES = {
+    "horizon": "int", "budget": "int", "seed_base": "int",
+    "belief_carryover": "bool", "bootstrap": "str", "score_mode": "str",
+}
 
 
 @dataclass(frozen=True)
@@ -95,10 +100,13 @@ class ExperimentMatrix:
     attackers: Optional[Sequence[AttackerProfile]] = None
 
     def __post_init__(self) -> None:
-        """Hold each axis, and ``attackers`` when set, as a tuple, refusing an axis of another type as configs do; then
-        refuse, in one line, every fault of the axes and of the settings no cell changes (cells check those again)."""
+        """Hold each axis, and ``attackers`` when set, as a tuple, and refuse a setting of another type as configs do;
+        then refuse, in one line, each fault of the axes and of the settings no cell changes (cells check them again)."""
         for axis, kind in _AXIS_TYPES.items():
             object.__setattr__(self, axis, tuple(check(getattr(self, axis), kind, axis)))
+        for key, kind in _SCALAR_TYPES.items():
+            check(getattr(self, key), kind, key)
+        check(self.abandon_on_failure, "bool", "attacker.abandon_on_failure")
         object.__setattr__(self, "attackers", None if self.attackers is None else tuple(self.attackers))
         faults = self._axis_faults()
         for check_value, value in (
@@ -223,22 +231,16 @@ def load_builtin_config() -> ExperimentMatrix:
 # the type of each key of a run config's top level; null leaves a section or an optional path at its default
 _RUN_CONFIG = {
     "schema_version": "int",  # written by the built-in config; version 1 is the only one
-    "horizon": "int",
-    "budget": "int",
-    "seed_base": "int",
+    **_SCALAR_TYPES,
     **_AXIS_TYPES,
     "persistence": "Optional[dict]",
     "noise": "Optional[dict]",
     "attacker": "Optional[dict]",
-    "belief_carryover": "bool",
-    "bootstrap": "str",
-    "score_mode": "str",
     "backends": "Optional[dict]",
     "catalog": "Optional[str]",
     "prompt_template": "Optional[str]",
     "attackers": "Optional[list]",
 }
-_SAME_NAMED = ("horizon", "budget", "seed_base", "belief_carryover", "bootstrap", "score_mode")
 
 
 def _check_schema_version(version) -> None:
@@ -251,7 +253,7 @@ def matrix_from_dict(data) -> ExperimentMatrix:
     top = read(data, _RUN_CONFIG)
     _check_schema_version(top.get("schema_version", SCHEMA_VERSION))
     # these top-level keys, and attacker's, name their matrix fields; an absent one keeps its default
-    same_named = {key: top[key] for key in _SAME_NAMED if key in top}
+    same_named = {key: top[key] for key in _SCALAR_TYPES if key in top}
     # one persistence model for every cell, each setting its mode; ``mode`` is no key of this section
     persistence = read(top.get("persistence", {}), {"decay": "float", "floor": "float"}, "persistence")
     try:

@@ -417,27 +417,7 @@ class AgentTurn(NamedTuple):
 
     def line(self) -> bytes:
         """The turn's line of ``turns.jsonl``."""
-        return _turn_line(self)
-
-
-# a string as json.dumps writes it, quoted and escaped to ASCII
-_json_string = json.encoder.encode_basestring_ascii
-
-
-def _turn_line(turn: AgentTurn) -> bytes:
-    """The turn as one line of ``turns.jsonl``: ``json.dumps(turn._asdict())`` and a newline.
-
-    Each field has a fixed JSON type, so the line is assembled from the fields
-    in their sorted order, without a mapping or an encoder; only the two texts
-    and the error need escaping.
-    """
-    epoch, error, fallback_used, parsed_ok, prompt, raw_response = turn
-    return (
-        f'{{"epoch": {epoch}, "error": {"null" if error is None else _json_string(error)}, '
-        f'"fallback_used": {"true" if fallback_used else "false"}, '
-        f'"parsed_ok": {"true" if parsed_ok else "false"}, "prompt": {_json_string(prompt)}, '
-        f'"raw_response": {_json_string(raw_response)}}}\n'
-    ).encode("utf-8")
+        return (json.dumps(self._asdict()) + "\n").encode("utf-8")
 
 
 def llm_decide(

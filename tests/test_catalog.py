@@ -244,7 +244,7 @@ def _catalog_and_name(draw):
 
 @given(_catalog_and_name())
 def test_resolve_agrees_with_a_name_key_lookup(catalog_and_name):
-    """The exact-name table answers as the name keys do: the first service to claim a key keeps it."""
+    """A name resolves as its name key does: the first service to claim a key keeps it."""
     catalog, name = catalog_and_name
     by_key = {}
     for svc in catalog.services:

@@ -211,28 +211,41 @@ class TestExpandMatrix:
             matrix.seeds = matrix.seeds
 
     @pytest.mark.parametrize(
-        "axes, fault",
+        "setting, value, fault",
         [
-            ({"seeds": ["x"]}, "'seeds[0]' must be an integer, got 'x'"),
-            ({"seeds": [True]}, "'seeds[0]' must be an integer, got True"),
-            ({"seeds": [1.5]}, "'seeds[0]' must be an integer, got 1.5"),
-            ({"seeds": 5}, "'seeds' must be a list of integers, got 5"),
-            ({"deployments": "small_mixed"}, "'deployments' must be a list of strings, got 'small_mixed'"),
-            ({"persistence_modes": [None]}, "'persistence_modes[0]' must be a string, got None"),
+            ("seeds", ["x"], "'seeds[0]' must be an integer, got 'x'"),
+            ("seeds", [True], "'seeds[0]' must be an integer, got True"),
+            ("seeds", [1.5], "'seeds[0]' must be an integer, got 1.5"),
+            ("seeds", 5, "'seeds' must be a list of integers, got 5"),
+            ("deployments", "small_mixed", "'deployments' must be a list of strings, got 'small_mixed'"),
+            ("persistence_modes", [None], "'persistence_modes[0]' must be a string, got None"),
+            ("horizon", "5", "'horizon' must be an integer, got '5'"),
+            ("budget", 2.0, "'budget' must be an integer, got 2.0"),
+            ("budget", True, "'budget' must be an integer, got True"),
+            ("seed_base", 1.5, "'seed_base' must be an integer, got 1.5"),
+            ("belief_carryover", "no", "'belief_carryover' must be true or false, got 'no'"),
+            ("bootstrap", 5, "'bootstrap' must be a string, got 5"),
+            ("score_mode", None, "'score_mode' must be a string, got None"),
+            ("abandon_on_failure", "yes", "'attacker.abandon_on_failure' must be true or false, got 'yes'"),
         ],
-        ids=["text-seed", "flag-seed", "fractional-seed", "seeds-a-number", "deployments-a-text", "null-mode"],
+        ids=[
+            "text-seed", "flag-seed", "fractional-seed", "seeds-a-number", "deployments-a-text", "null-mode",
+            "text-horizon", "fractional-budget", "flag-budget", "fractional-seed-base", "text-carryover",
+            "bootstrap-a-number", "null-score-mode", "text-abandon",
+        ],
     )
-    def test_the_matrix_refuses_an_axis_of_another_type_as_a_config_does(self, axes, fault):
-        """A library-built matrix, and ``replace``, give the text that the config or manifest key of the axis gives."""
+    def test_the_matrix_refuses_a_setting_of_another_type_as_a_config_does(self, setting, value, fault):
+        """A library-built matrix, and ``replace``, give the text that the setting's config or manifest key gives."""
         with pytest.raises(ConfigError) as refused:
-            ExperimentMatrix(**{**vars(self._matrix()), **axes})
+            ExperimentMatrix(**{**vars(self._matrix()), setting: value})
         assert str(refused.value) == fault
         with pytest.raises(ConfigError) as refused:
-            replace(self._matrix(), **axes)
+            replace(self._matrix(), **{setting: value})
         assert str(refused.value) == fault
-        (key, value), = axes.items()
+        # abandon_on_failure is the one setting a config holds in a section, ``attacker``
+        config = {"attacker": {setting: value}} if setting == "abandon_on_failure" else {setting: value}
         with pytest.raises(ConfigError) as refused:
-            matrix_from_dict({**TINY_CONFIG, key: value})
+            matrix_from_dict({**TINY_CONFIG, **config})
         assert str(refused.value) == fault
 
     def test_a_kind_refuses_a_name_that_is_no_string(self):

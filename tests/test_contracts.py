@@ -318,16 +318,23 @@ def test_two_workers_write_the_bytes_one_worker_writes(axes, cell_settings):
 
 
 def check_hash_seeds(tmp: Path, config: dict) -> None:
-    """``honeysim run`` of ``config``, in interpreters of hash seeds 0 and 1, writes the same bytes in every file."""
+    """``honeysim run`` of ``config``, in interpreters of hash seeds 0, 1 and 12345, writes the same bytes in each file.
+
+    A fault that hangs on one bit of a string's hash can agree under two seeds: ``hash("random") & 1`` is 0 under
+    seeds 0 and 1 and 1 under 12345.
+    """
     path = tmp / "config.yaml"
     path.write_text(json.dumps(config), encoding="utf-8")  # a JSON text is YAML
     # the package this test imports, ahead of any other on the path
     path_entries = [str(Path(harness.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    for seed in ("0", "1"):
+    seeds = ("0", "1", "12345")
+    for seed in seeds:
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(path_entries)}
         command = [sys.executable, "-m", "honeysim.cli", "run", "--offline", "--config", str(path), "--out"]
         subprocess.run([*command, str(tmp / seed)], env=env, capture_output=True, check=True)
-    assert _run_bytes(tmp / "1") == _run_bytes(tmp / "0")
+    reference = _run_bytes(tmp / "0")
+    for seed in seeds[1:]:
+        assert _run_bytes(tmp / seed) == reference, f"PYTHONHASHSEED={seed}"
 
 
 def test_output_bytes_do_not_depend_on_the_hash_seed(tmp_path):

@@ -494,9 +494,9 @@ def test_fenced_blocks_match_the_fence_pattern(chunks):
     texts=st.tuples(st.text(), st.text()),
 )
 def test_turn_line_is_the_turn_encoded_with_sorted_keys(epoch, error, flags, texts):
-    """A turn log line is assembled from the turn's fields; it must equal the json.dumps encoding of its mapping."""
+    """A turn log line encodes the turn's fields in their declared order, which must be the sorted key order."""
     turn = llm.AgentTurn(epoch, error, flags[0], flags[1], *texts)
-    assert llm._turn_line(turn) == (json.dumps(turn._asdict(), sort_keys=True) + "\n").encode("utf-8")
+    assert turn.line() == (json.dumps(turn._asdict(), sort_keys=True) + "\n").encode("utf-8")
 
 
 def test_aligned_scripts_cover_every_builtin_chain():
